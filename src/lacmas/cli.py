@@ -29,7 +29,7 @@ from .config import (
     build_wsn_objective,
     load_config,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .objectives import FAMILIES
 from .wsn import system_error
 
@@ -44,7 +44,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    # A ContractError reaching here is a bad input value that a lower layer
+    # rejected (a swarm parameter, missing LLM settings), not a crash.
+    except (ConfigError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Protocol
+from functools import partial
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .cooperation import (
 from .analysis import check_admissibility
 from .errors import ConfigError, NumericalFault
 from .guidance import (
+    ACT_WINDOW,
     ActRequest,
     CoopRequest,
     HeuristicParams,
@@ -72,8 +74,10 @@ class ObjectiveSet(Protocol):
 def disagreement(states: np.ndarray) -> float:
     """Mean squared deviation of agent states from their mean; 0 iff consensus."""
     states = np.asarray(states, dtype=float)
-    d = states - states.mean(axis=0)
-    return float((d * d).sum() / len(states))
+    n = len(states)
+    # sum / n is what ndarray.mean computes, without its Python wrapper.
+    d = states - states.sum(axis=0) / n
+    return float((d * d).sum() / n)
 
 
 def local_disagreement(own: np.ndarray, neighbor_states: list[np.ndarray]) -> float:
@@ -93,8 +97,9 @@ def comm_cost_per_round(graph: CommGraph, dim: int) -> int:
 # -- history -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
+class HistoryRecord(NamedTuple):
+    """One agent's published statistics for one round (a tuple: cheap to build)."""
+
     iteration: int
     best_fitness: float
     divergence: float
@@ -166,6 +171,18 @@ class RunConfig:
             raise ConfigError("convergence_threshold must be positive")
         if self.log_every < 1:
             raise ConfigError("log_every must be positive")
+        # Checked here rather than at the first refresh, which can be hundreds
+        # of rounds into the run.
+        if not 1 <= self.act_window <= ACT_WINDOW <= self.history_capacity:
+            raise ConfigError(
+                f"need 1 <= act_window <= {ACT_WINDOW} <= history_capacity, got "
+                f"act_window={self.act_window}, history_capacity={self.history_capacity}"
+            )
+        if not 1 <= self.coop_window <= self.history_capacity:
+            raise ConfigError(
+                f"need 1 <= coop_window <= history_capacity, got "
+                f"coop_window={self.coop_window}, history_capacity={self.history_capacity}"
+            )
         if self.graph.num_agents != self.objective.num_agents:
             raise ConfigError(
                 f"graph has {self.graph.num_agents} agents, "
@@ -287,7 +304,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
             rng=rng,
             coefficients=(d0, 1.0, c0),
         )
-        evaluator = _local_evaluator(obj, i)
+        evaluator = partial(obj.eval_local_batch, i)
         swarm.evaluate_initial(evaluator)
         swarms.append(swarm)
         evaluators.append(evaluator)
@@ -335,11 +352,11 @@ def run(config: RunConfig, provider=None) -> RunReport:
         if phased and t == config.pcg.horizon_T:
             for swarm in swarms:
                 swarm.rebase_records()
-        divergences = np.empty(n)
+        divergences: list[float] = []
         try:
             for i, swarm in enumerate(swarms):
                 div = swarm.divergence()
-                divergences[i] = div
+                divergences.append(div)
                 active = swarm.select_coefficient(div)
                 if late_stage:
                     # Late-stage stabilization: no expansion past the horizon.
@@ -417,22 +434,16 @@ def run(config: RunConfig, provider=None) -> RunReport:
             local_dis = np.bincount(edge_src, weights=edge_norms, minlength=n) / degrees
         else:
             local_dis = np.zeros(n)
-        for i in range(n):
-            histories[i].append(
-                HistoryRecord(
-                    iteration=t,
-                    best_fitness=swarms[i].best_value(),
-                    divergence=float(divergences[i]),
-                    state_delta=float(state_deltas[i]),
-                    local_disagreement=float(local_dis[i]),
-                )
-            )
+        for history, swarm, div, delta, ld in zip(
+            histories, swarms, divergences, state_deltas.tolist(), local_dis.tolist()
+        ):
+            history.append(HistoryRecord(t, swarm.best_value(), div, delta, ld))
 
         dis = disagreement(fused)
         dis_trace.append(dis)
         comm_cost += round_cost
-        consensus_prev = fused.copy()
-        fused_prev = fused.copy()
+        # fused is a fresh product every round and is never written to.
+        consensus_prev = fused_prev = fused
 
         hit_threshold = dis < config.convergence_threshold and converged_at is None
         stopping = hit_threshold and config.stop_at_convergence
@@ -494,10 +505,3 @@ def run(config: RunConfig, provider=None) -> RunReport:
         fault=fault,
         matrices=matrices,
     )
-
-
-def _local_evaluator(obj: ObjectiveSet, agent: int):
-    def evaluate(xs: np.ndarray) -> np.ndarray:
-        return obj.eval_local_batch(agent, xs)
-
-    return evaluate

@@ -10,13 +10,15 @@ refresh, so a run can never stall on guidance.
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import os
 import re
+import urllib.request
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 from .errors import ContractError, GuidanceParseError, LlmTransportError
 
@@ -317,12 +319,21 @@ def llm_advise(prompt: str, endpoint: LlmEndpoint) -> str:
     """Single non-streaming completion request; returns the generated text."""
     url = endpoint.base_url.rstrip("/") + "/api/generate"
     payload = {"model": endpoint.model, "prompt": prompt, "stream": False}
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
     try:
-        resp = requests.post(url, json=payload, timeout=endpoint.timeout)
-        resp.raise_for_status()
-        data = resp.json()
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(request, timeout=endpoint.timeout) as resp:
+            body = resp.read()
+    # URLError (HTTPError for status >= 400) and timeouts are OSErrors; a
+    # malformed URL is a ValueError; a broken reply is an HTTPException.
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise LlmTransportError(f"guidance endpoint failed: {exc}") from exc
+    try:
+        data = json.loads(body)
     except ValueError as exc:
         raise LlmTransportError(f"non-JSON response: {exc}") from exc
     if not isinstance(data, dict) or "response" not in data:

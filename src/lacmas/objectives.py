@@ -90,38 +90,36 @@ class BenchmarkSpec:
         """f_i evaluated row-wise over an (M, D) batch."""
         if not 0 <= agent < self.num_agents:
             raise ContractError(f"agent index {agent} out of range")
+        z = self._checked_batch(xs) - self.shifts[agent]
+        if self.rotation is not None:
+            z = z @ self.rotation.T
+        return _FAMILY_FUNCTIONS[self.family](z)
+
+    def eval_global(self, x: np.ndarray) -> float:
+        """Average of the local objectives; offline metric only."""
+        x = self._checked_batch(np.asarray(x, dtype=float)[None, :])
+        z = x - self.shifts  # row i is agent i's shifted point
+        if self.rotation is not None:
+            # One (1, D) product per row, the shape eval_local_batch uses: a
+            # single (N, D) product may round differently inside BLAS.
+            rot_t = self.rotation.T
+            z = np.concatenate([z[i:i + 1] @ rot_t for i in range(self.num_agents)])
+        return float(_FAMILY_FUNCTIONS[self.family](z).mean())
+
+    def _checked_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ContractError(f"expected (M, {self.dim}) batch, got {xs.shape}")
         if not math.isfinite(float(xs.sum())):
             raise ContractError("non-finite evaluation point")
-        z = xs - self.shifts[agent]
-        if self.rotation is not None:
-            z = z @ self.rotation.T
-        return _BASE_FUNCTIONS[_base_family(self.family)](z)
-
-    def eval_global(self, x: np.ndarray) -> float:
-        """Average of the local objectives; offline metric only."""
-        return float(
-            np.mean([self.eval_local_batch(i, np.asarray(x, dtype=float)[None, :])[0]
-                     for i in range(self.num_agents)])
-        )
+        return xs
 
 
-def _base_family(family: str) -> str:
-    if family == "rotated_rastrigin":
-        return "rastrigin"
-    if family == "rotated_elliptic":
-        return "elliptic"
-    if family == "shifted_rosenbrock":
-        return "rosenbrock"
-    return family
-
-
-# Base functions g: (M, D) -> (M,), each with g(0) = 0 and g >= 0.
+# Base functions g: (M, D) -> (M,), each with g(0) = 0 and g >= 0. Row sums use
+# the ndarray methods, which skip the np.sum dispatch layer.
 
 def _sphere(z):
-    return np.sum(z * z, axis=1)
+    return (z * z).sum(axis=1)
 
 
 def _elliptic(z):
@@ -129,12 +127,12 @@ def _elliptic(z):
     if d == 1:
         return z[:, 0] ** 2
     coef = 1e6 ** (np.arange(d) / (d - 1))
-    return np.sum(coef * z * z, axis=1)
+    return (coef * z * z).sum(axis=1)
 
 
 def _schwefel_1_2(z):
     partial = np.cumsum(z, axis=1)
-    return np.sum(partial * partial, axis=1)
+    return (partial * partial).sum(axis=1)
 
 
 def _rosenbrock(z):
@@ -142,28 +140,30 @@ def _rosenbrock(z):
     if z.shape[1] == 1:
         return z[:, 0] ** 2
     y = z + 1.0
-    return np.sum(100.0 * (y[:, 1:] - y[:, :-1] ** 2) ** 2 + (y[:, :-1] - 1.0) ** 2, axis=1)
+    return (100.0 * (y[:, 1:] - y[:, :-1] ** 2) ** 2 + (y[:, :-1] - 1.0) ** 2).sum(axis=1)
 
 
 def _rastrigin(z):
-    return np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, axis=1)
+    return (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=1)
 
 
 def _ackley(z):
     d = z.shape[1]
-    a = -20.0 * np.exp(-0.2 * np.sqrt(np.sum(z * z, axis=1) / d))
-    b = -np.exp(np.sum(np.cos(2.0 * np.pi * z), axis=1) / d)
+    a = -20.0 * np.exp(-0.2 * np.sqrt((z * z).sum(axis=1) / d))
+    b = -np.exp(np.cos(2.0 * np.pi * z).sum(axis=1) / d)
     return a + b + 20.0 + np.e
 
 
 def _griewank(z):
     d = z.shape[1]
-    s = np.sum(z * z, axis=1) / 4000.0
-    p = np.prod(np.cos(z / np.sqrt(np.arange(1, d + 1))), axis=1)
+    s = (z * z).sum(axis=1) / 4000.0
+    p = np.cos(z / np.sqrt(np.arange(1, d + 1))).prod(axis=1)
     return s - p + 1.0
 
 
-_BASE_FUNCTIONS = {
+# Family name -> base function g; the rotated and shifted variants reuse the
+# plain function on their transformed argument.
+_FAMILY_FUNCTIONS = {
     "sphere": _sphere,
     "elliptic": _elliptic,
     "schwefel_1_2": _schwefel_1_2,
@@ -171,6 +171,9 @@ _BASE_FUNCTIONS = {
     "rastrigin": _rastrigin,
     "ackley": _ackley,
     "griewank": _griewank,
+    "rotated_rastrigin": _rastrigin,
+    "rotated_elliptic": _elliptic,
+    "shifted_rosenbrock": _rosenbrock,
 }
 
 

@@ -84,12 +84,6 @@ class Particle:
     best_value: float
 
 
-@dataclass
-class StepStats:
-    best_value: float
-    mean_step: float
-
-
 class AgentSwarm:
     """State and dynamics of one agent's particle population."""
 
@@ -121,13 +115,24 @@ class AgentSwarm:
         self.best_values = np.full(p, np.inf)
         self.last_values = np.full(p, np.inf)
         self.local_attractor = np.zeros(dim)
-        self.kick_sigma = float(params.init_velocity_frac * span.mean())
+        self._span_mean = float(span.mean())
+        self._kick_floor = 1e-12 * self._span_mean
+        self.kick_sigma = float(params.init_velocity_frac * self._span_mean)
         self._kicking = False
         self._evaluated = False
         # All-time agent best, kept apart from the working records so that
         # reported fitness stays monotone even when records are re-based.
         self.best_seen_value = float("inf")
-        self.best_seen_position = self.positions[0].copy()
+        # One uniform draw per step covers delta, r1 and r2 in that order.
+        # Scaling it by this vector gives (hi - lo) * u, c_p * r1 and c_a * r2
+        # with the same roundings as Generator.uniform followed by the pull
+        # products, so the stream and the arithmetic match three separate draws.
+        self._r2_shape = (p, 1) if params.attractor_gain == "scalar" else (p, dim)
+        self._draw_scale = np.concatenate([
+            np.full(p * dim, params.modulation_high - params.modulation_low),
+            np.full(p * dim, params.pull_pbest),
+            np.full(math.prod(self._r2_shape), params.pull_attractor),
+        ])
 
     # -- setup -------------------------------------------------------------
 
@@ -141,10 +146,9 @@ class AgentSwarm:
         self.local_attractor = self.representative_state()
 
     def _track_best_seen(self) -> None:
-        idx = int(np.argmin(self.best_values))
-        if self.best_values[idx] < self.best_seen_value:
-            self.best_seen_value = float(self.best_values[idx])
-            self.best_seen_position = self.best_positions[idx].copy()
+        best = float(self.best_values.min())
+        if best < self.best_seen_value:
+            self.best_seen_value = best
 
     def set_coefficients(self, w1: float, w0: float, w2: float) -> None:
         self.w1, self.w0, self.w2 = w1, w0, w2
@@ -160,9 +164,11 @@ class AgentSwarm:
         )
 
     def centroid(self) -> np.ndarray:
-        if len(self.positions) == 0:
+        n = len(self.positions)
+        if n == 0:
             raise ContractError("empty population")
-        return self.positions.mean(axis=0)
+        # sum / n is what ndarray.mean computes, without its Python wrapper.
+        return self.positions.sum(axis=0) / n
 
     def divergence(self) -> float:
         """Mean squared distance of the particles from their centroid."""
@@ -183,7 +189,7 @@ class AgentSwarm:
 
     def best_record_state(self) -> np.ndarray:
         """Position of the best current record (the elitist anchor)."""
-        return self.best_positions[int(np.argmin(self.best_values))].copy()
+        return self.best_positions[self.best_values.argmin()].copy()
 
     def rebase_records(self) -> None:
         """Replace every particle's record with its latest evaluation.
@@ -208,13 +214,13 @@ class AgentSwarm:
         """
         if not self._evaluated:
             raise ContractError("representative_state before any evaluation")
-        return self.positions[int(np.argmin(self.last_values))].copy()
+        return self.positions[self.last_values.argmin()].copy()
 
     # -- dynamics ------------------------------------------------------------
 
     def step_particles(
         self, active_coeff: float, objective: LocalObjective, record_pull: bool = True
-    ) -> StepStats:
+    ) -> None:
         """One velocity/position update of the whole population.
 
         Clamped components get their velocity zeroed so the multiplicative
@@ -224,31 +230,31 @@ class AgentSwarm:
         only directed pull; the same random draws are consumed either way so
         the stream stays aligned.
         """
-        shape = self.positions.shape
         p = self.params
-        delta = self.rng.uniform(p.modulation_low, p.modulation_high, shape)
-        r1 = self.rng.uniform(0.0, 1.0, shape)
-        if p.attractor_gain == "scalar":
-            r2 = self.rng.uniform(0.0, 1.0, (shape[0], 1))
-        else:
-            r2 = self.rng.uniform(0.0, 1.0, shape)
+        shape = self.positions.shape
+        pd = self.positions.size
+        draws = self.rng.random(len(self._draw_scale))
+        draws *= self._draw_scale
+        delta = draws[:pd].reshape(shape)
+        delta += p.modulation_low
+        pull_pbest = draws[pd:2 * pd].reshape(shape)
+        pull_attractor = draws[2 * pd:].reshape(self._r2_shape)
 
         v = self.velocities
         v *= delta
         v *= active_coeff
         if record_pull:
-            v += (p.pull_pbest * r1) * (self.best_positions - self.positions)
-        v += (p.pull_attractor * r2) * (self.local_attractor - self.positions)
+            v += pull_pbest * (self.best_positions - self.positions)
+        v += pull_attractor * (self.local_attractor - self.positions)
 
         if p.kick_velocity_eps > 0 and self.kick_sigma > 0:
             dead = (v * v).sum(axis=1) < (p.kick_velocity_eps * self.kick_sigma) ** 2
             if dead.any():
                 if not self._kicking:
                     # Seed the recovery scale from where the collapse happened.
-                    abest = self.best_positions[int(np.argmin(self.best_values))]
+                    abest = self.best_positions[self.best_values.argmin()]
                     spread = float(np.median(np.linalg.norm(self.positions - abest, axis=1)))
-                    floor = 1e-12 * float((self.upper - self.lower).mean())
-                    self.kick_sigma = max(min(self.kick_sigma, spread), floor)
+                    self.kick_sigma = max(min(self.kick_sigma, spread), self._kick_floor)
                     self._kicking = True
                 # The active regime coefficient scales the kick: the escape
                 # coefficient widens recovery jumps, the damping one narrows
@@ -256,9 +262,9 @@ class AgentSwarm:
                 kick = self.rng.uniform(-1.0, 1.0, shape) * (self.kick_sigma * active_coeff)
                 v[dead] += kick[dead]
 
-        old = self.positions
-        raw = old + v
-        new = np.minimum(np.maximum(raw, self.lower), self.upper)
+        raw = self.positions + v
+        new = np.maximum(raw, self.lower)
+        np.minimum(new, self.upper, out=new)
         v[raw != new] = 0.0
 
         total = float(new.sum()) + float(v.sum())
@@ -268,22 +274,18 @@ class AgentSwarm:
         values = np.asarray(objective(new), dtype=float)
         self.last_values = values
         improved = values < self.best_values
-        self.best_positions[improved] = new[improved]
-        self.best_values[improved] = values[improved]
+        np.copyto(self.best_positions, new, where=improved[:, None])
+        np.copyto(self.best_values, values, where=improved)
 
         if self._kicking:
             # Success-rate step-size control, active once collapse recovery has
             # started; holds at the initialization scale before that.
-            rate = float(improved.mean())
+            rate = np.count_nonzero(improved) / len(improved)
             self.kick_sigma *= math.exp(p.kick_adapt_rate * (rate - p.kick_target_rate))
-            self.kick_sigma = min(self.kick_sigma, float((self.upper - self.lower).mean()))
+            self.kick_sigma = min(self.kick_sigma, self._span_mean)
 
-        d = new - old
-        mean_step = float(np.sqrt((d * d).sum(axis=1)).mean())
         self.positions = new
-        self.velocities = v
         self._evaluated = True
-        return StepStats(best_value=self.best_value(), mean_step=mean_step)
 
     def inject_fused_state(
         self, fused: np.ndarray, objective: LocalObjective, refocus: bool = False
@@ -299,13 +301,17 @@ class AgentSwarm:
         fused = np.asarray(fused, dtype=float)
         if fused.shape != (self.dim,):
             raise ContractError(f"fused state has shape {fused.shape}, expected ({self.dim},)")
-        self._track_best_seen()
         if self.params.injection in ("both", "particle"):
-            worst = int(np.argmax(self.best_values))
+            worst = self.best_values.argmax()
+            # best_value() is the min of best_seen_value and the records, so
+            # overwriting the worst record can lower it only when that record
+            # is below best_seen_value; fold the records in first in that case.
+            if self.best_values[worst] < self.best_seen_value:
+                self._track_best_seen()
             self.positions[worst] = fused
             self.velocities[worst] = 0.0
             value = float(objective(fused[None, :])[0])
-            self.best_positions[worst] = fused.copy()
+            self.best_positions[worst] = fused
             self.best_values[worst] = value
             self.last_values[worst] = value
         if self.params.injection in ("both", "attractor"):

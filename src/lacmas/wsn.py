@@ -140,16 +140,25 @@ def local_objective_batch(
     if not 0 <= sensor < scn.num_sensors:
         raise ContractError(f"sensor index {sensor} out of range")
     layouts = decode_targets(scn, xs)  # (M, N_t, 3)
-    dists = np.linalg.norm(layouts - scn.sensor_positions[sensor], axis=2)
+    dists = _norm_last_axis(layouts - scn.sensor_positions[sensor])
     residual = phi[sensor] - rss_model(scn, dists)
-    return np.sum(residual * residual, axis=1)
+    return (residual * residual).sum(axis=1)
 
 
 def global_objective(scn: WsnScenario, phi: np.ndarray, x: np.ndarray) -> float:
     """Average local objective; the offline estimation-error functional."""
-    return float(
-        np.mean([local_objective(scn, phi, i, x) for i in range(scn.num_sensors)])
-    )
+    layout = decode_targets(scn, x)
+    if layout.ndim != 2:
+        raise ContractError("global objective takes one decision vector")
+    # (n, N_t, 3): every sensor against every candidate target at once.
+    dists = _norm_last_axis(layout - scn.sensor_positions[:, None, :])
+    residual = phi - rss_model(scn, dists)
+    return float((residual * residual).sum(axis=1).mean())
+
+
+def _norm_last_axis(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, computed as np.linalg.norm does."""
+    return np.sqrt((d * d).sum(axis=-1))
 
 
 def system_error(scn: WsnScenario, phi: np.ndarray, agent_states: np.ndarray) -> float:

@@ -73,6 +73,31 @@ def test_unknown_config_key_gives_config_exit(tmp_path, capsys):
     assert "definitely_not_a_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "guidance, key",
+    [({"act_window": 25}, "act_window"), ({"act_window": 0}, "act_window"),
+     ({"coop_window": 40}, "coop_window")],
+)
+def test_bad_guidance_window_fails_before_first_round(tmp_path, capsys, guidance, key):
+    # The act window used to pass loading and fail at the first act refresh.
+    cfg = write_config(tmp_path, {"guidance": guidance, "max_iterations": 100000})
+    code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and key in err
+    assert "\n" not in err
+    assert not list((tmp_path / "r").glob("*.csv"))
+
+
+def test_contract_error_gives_config_exit(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"swarm": {"population": 0}})
+    code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "population" in err
+    assert "\n" not in err
+
+
 def test_suite_table_has_row_per_function_variant(tmp_path):
     cfg = write_config(tmp_path, {"max_iterations": 30, "num_runs": 1})
     out = tmp_path / "results"

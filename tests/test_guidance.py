@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -183,11 +184,13 @@ class _StubHandler(BaseHTTPRequestHandler):
     reply: str = "(0.7, 1.3)"
     status: int = 200
     raw_body: bytes | None = None
+    delay_s: float = 0.0
     last_payload: dict | None = None
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         type(self).last_payload = json.loads(self.rfile.read(length))
+        time.sleep(self.delay_s)
         body = (
             self.raw_body
             if self.raw_body is not None
@@ -211,6 +214,7 @@ def stub_server():
     _StubHandler.reply = "(0.7, 1.3)"
     _StubHandler.status = 200
     _StubHandler.raw_body = None
+    _StubHandler.delay_s = 0.0
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
@@ -233,6 +237,20 @@ def test_llm_advise_unreachable_endpoint():
 def test_llm_advise_malformed_payload(stub_server):
     _StubHandler.raw_body = b"not json at all"
     endpoint = LlmEndpoint(base_url=stub_server, model="x", timeout=5.0)
+    with pytest.raises(LlmTransportError):
+        llm_advise("prompt", endpoint)
+
+
+def test_llm_advise_error_status(stub_server):
+    _StubHandler.status = 500
+    endpoint = LlmEndpoint(base_url=stub_server, model="x", timeout=5.0)
+    with pytest.raises(LlmTransportError):
+        llm_advise("prompt", endpoint)
+
+
+def test_llm_advise_timeout(stub_server):
+    _StubHandler.delay_s = 0.5
+    endpoint = LlmEndpoint(base_url=stub_server, model="x", timeout=0.1)
     with pytest.raises(LlmTransportError):
         llm_advise("prompt", endpoint)
 

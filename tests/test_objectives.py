@@ -63,12 +63,23 @@ def test_sphere_global_minimizer_is_mean_shift():
 
 
 def test_global_is_mean_of_locals():
-    spec = make_spec("griewank", num_agents=7, dim=5, hetero_sigma=3.0, seed=4)
+    # eval_global evaluates all agents at once; the per-agent loop is the
+    # reference and the arithmetic is the same, so the match is exact.
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        x = rng.uniform(-50, 50, size=5)
-        mean = np.mean([spec.eval_local(i, x) for i in range(7)])
-        assert spec.eval_global(x) == pytest.approx(mean, rel=1e-9)
+    for family in FAMILIES:
+        spec = make_spec(family, num_agents=7, dim=5, hetero_sigma=3.0, seed=4)
+        for _ in range(5):
+            x = rng.uniform(-50, 50, size=5)
+            mean = float(np.mean([spec.eval_local(i, x) for i in range(7)]))
+            assert spec.eval_global(x) == mean, family
+
+
+def test_global_rejects_bad_point():
+    spec = make_spec("sphere", num_agents=3, dim=4, hetero_sigma=0.0, seed=0)
+    with pytest.raises(ContractError):
+        spec.eval_global(np.zeros(3))
+    with pytest.raises(ContractError):
+        spec.eval_global(np.full(4, np.nan))
 
 
 def test_suite_has_ten_specs_with_requested_shape():

@@ -89,6 +89,19 @@ def test_system_error_of_identical_states_is_global_value():
     assert system_error(scn, phi, states) == pytest.approx(global_objective(scn, phi, x))
 
 
+@pytest.mark.parametrize("targets", [1, 3])
+def test_global_objective_is_mean_of_locals(targets):
+    # global_objective evaluates all sensors at once; the per-sensor loop is
+    # the reference and the arithmetic is the same, so the match is exact.
+    scn = gen_scenario(num_sensors=6, num_targets=targets, seed=2, noise_sigma=0.5)
+    phi = gen_measurements(scn, seed=2)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x = rng.uniform(0.0, 50.0, size=scn.dim)
+        mean = float(np.mean([local_objective(scn, phi, i, x) for i in range(6)]))
+        assert global_objective(scn, phi, x) == mean
+
+
 def test_system_error_permutation_invariant():
     scn = gen_scenario(num_sensors=4, num_targets=1, seed=1, noise_sigma=0.0)
     phi = gen_measurements(scn, seed=1)
