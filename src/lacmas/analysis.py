@@ -1,9 +1,10 @@
 """Runtime verification of the consensus-preservation conditions.
 
-These checks are diagnostics over snapshots: the mixing matrix must stay
-nonnegative, row-stochastic, and zero off the graph pattern, and the residual
-between consecutive stacked states and their mixed predecessors (the effective
-perturbation) must decay on a converging run.
+The check is a diagnostic over snapshots: the mixing matrix must stay
+nonnegative, row-stochastic, and zero off the graph pattern. The other
+condition, an effective perturbation (the residual between consecutive stacked
+states and their mixed predecessors) that decays on a converging run, is
+measured by the engine as RunReport.xi_norm_trace.
 """
 
 from __future__ import annotations
@@ -67,26 +68,3 @@ def check_admissibility(matrix: np.ndarray, graph: CommGraph) -> AdmissibilityRe
         graph_compatible=first_violation is None,
         first_violation=first_violation,
     )
-
-
-def measured_perturbation(
-    x_next: np.ndarray, matrix: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Residual xi = x_next - A x over stacked (N, D) states, with its Frobenius norm."""
-    x_next = np.asarray(x_next, dtype=float)
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(matrix, dtype=float)
-    if x_next.shape != x.shape or a.shape != (x.shape[0], x.shape[0]):
-        raise ContractError("inconsistent shapes for perturbation measurement")
-    xi = x_next - a @ x
-    return xi, float(np.linalg.norm(xi))
-
-
-def contraction_check(disagreement_trace: list[float], window: int) -> bool:
-    """True iff the mean over the last `window` entries strictly undercuts the
-    mean over the window before it."""
-    if window < 1 or len(disagreement_trace) < 2 * window:
-        raise ContractError("trace must cover at least two windows")
-    recent = float(np.mean(disagreement_trace[-window:]))
-    previous = float(np.mean(disagreement_trace[-2 * window : -window]))
-    return recent < previous

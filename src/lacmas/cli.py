@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,33 +97,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Command-line flag -> (config section, field); None is the top level.
+_FLAG_FIELDS = {
+    "seed": (None, "master_seed"),
+    "variant": (None, "variant"),
+    "provider": (None, "provider"),
+    "max_iter": (None, "max_iterations"),
+    "seeds": (None, "num_runs"),
+    "agents": ("objective", "num_agents"),
+    "dim": ("objective", "dim"),
+    "hetero_sigma": ("objective", "hetero_sigma"),
+    "sensors": ("wsn", "num_sensors"),
+    "targets": ("wsn", "num_targets"),
+    "noise": ("wsn", "noise_sigma"),
+}
+
+
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """`cfg` with the given flags folded in. A flag counts as given when it is
+    not None, so an explicit 0 reaches validation; replace() re-runs the
+    config's own checks."""
+    top, sections = {}, {}
+    for flag, (section, name) in _FLAG_FIELDS.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if section is None:
+            top[name] = value
+        else:
+            sections.setdefault(section, {})[name] = value
+    for section, values in sections.items():
+        top[section] = replace(getattr(cfg, section), **values)
     if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.master_seed = args.seed
-    if getattr(args, "variant", None):
-        cfg.variant = args.variant
-    if getattr(args, "provider", None):
-        cfg.provider = args.provider
-    if getattr(args, "max_iter", None):
-        cfg.max_iterations = args.max_iter
-    if getattr(args, "agents", None):
-        cfg.objective.num_agents = args.agents
-    if getattr(args, "dim", None):
-        cfg.objective.dim = args.dim
-    if getattr(args, "seeds", None):
-        cfg.num_runs = args.seeds
-    if getattr(args, "hetero_sigma", None) is not None:
-        cfg.objective.hetero_sigma = args.hetero_sigma
+        top["output_dir"] = args.out
     if getattr(args, "suite", None):
-        cfg.suite = [f.strip() for f in args.suite.split(",") if f.strip()]
-        for fam in cfg.suite:
-            if fam not in FAMILIES:
-                raise ConfigError(f"unknown suite family {fam!r}")
+        top["suite"] = [f.strip() for f in args.suite.split(",") if f.strip()]
+    cfg = replace(cfg, **top)
     if cfg.variant == "baseline" and cfg.provider == "llm":
         print("warning: provider 'llm' has no effect for the baseline variant; using heuristic")
-        cfg.provider = "heuristic"
+        cfg = replace(cfg, provider="heuristic")
     return cfg
 
 
@@ -134,26 +147,29 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    out = _outdir(cfg)
     record = bool(getattr(args, "record_matrices", False))
-    summaries = []
+    # Every run is built, and so validated, before anything is written.
+    runs = []
     for family in cfg.suite:
         objective = build_benchmark(cfg, family)
         graph = build_graph(cfg, objective.num_agents)
         for k in range(cfg.num_runs):
-            run_cfg = build_run_config(cfg, objective, graph, cfg.master_seed + k)
-            run_cfg.record_matrices = record
-            report = engine.run(run_cfg)
-            stem = f"trace_{family}_{cfg.variant}_seed{run_cfg.master_seed}"
-            engine.write_trace_csv(report, out / f"{stem}.csv")
-            if record and report.matrices is not None:
-                np.savez_compressed(
-                    out / f"{stem}_matrices.npz", *[m for m in report.matrices]
-                )
-            summaries.append((family, report))
-            if report.aborted:
-                print(engine.summarize(report), file=sys.stderr)
-                return EXIT_FAULT
+            run_cfg = build_run_config(
+                cfg, objective, graph, cfg.master_seed + k, record_matrices=record
+            )
+            runs.append((family, run_cfg))
+    out = _outdir(cfg)
+    summaries = []
+    for family, run_cfg in runs:
+        report = engine.run(run_cfg)
+        stem = f"trace_{family}_{cfg.variant}_seed{run_cfg.master_seed}"
+        engine.write_trace_csv(report, out / f"{stem}.csv")
+        if record and report.matrices is not None:
+            np.savez_compressed(out / f"{stem}_matrices.npz", *[m for m in report.matrices])
+        summaries.append((family, report))
+        if report.aborted:
+            print(engine.summarize(report), file=sys.stderr)
+            return EXIT_FAULT
     summary_path = out / f"summary_{cfg.variant}.txt"
     with open(summary_path, "w") as fh:
         for family, report in summaries:
@@ -168,35 +184,41 @@ def cmd_suite(args) -> int:
     for v in variants:
         if v not in engine.VARIANTS:
             raise ConfigError(f"unknown variant {v!r}")
-    out = _outdir(cfg)
     # Variants run to the full budget so final fitness is compared at equal
     # evaluation counts; communication cost is counted up to the first
     # disagreement-threshold crossing.
-    lines = ["family,variant,mean_final_fitness,mean_comm_cost,mean_converged_at,converged_runs"]
+    cells = []
     for family in cfg.suite:
         objective = build_benchmark(cfg, family)
         graph = build_graph(cfg, objective.num_agents)
         for variant in variants:
-            finals, costs, convs = [], [], []
-            for k in range(cfg.num_runs):
-                run_cfg = build_run_config(cfg, objective, graph, cfg.master_seed + k)
-                run_cfg.variant = variant
-                run_cfg.stop_at_convergence = False
-                if variant == "baseline":
-                    run_cfg.provider = "heuristic"
-                report = engine.run(run_cfg)
-                if report.aborted:
-                    print(engine.summarize(report), file=sys.stderr)
-                    return EXIT_FAULT
-                finals.append(report.final_fitness_mean_state)
-                costs.append(report.comm_cost_at_convergence)
-                convs.append(report.converged_at)
-            done = [c for c in convs if c is not None]
-            mean_conv = float(np.mean(done)) if done else float("nan")
-            lines.append(
-                f"{family},{variant},{float(np.mean(finals))!r},"
-                f"{float(np.mean(costs))!r},{mean_conv!r},{len(done)}"
-            )
+            provider = "heuristic" if variant == "baseline" else cfg.provider
+            run_cfgs = [
+                build_run_config(
+                    cfg, objective, graph, cfg.master_seed + k,
+                    variant=variant, provider=provider, stop_at_convergence=False,
+                )
+                for k in range(cfg.num_runs)
+            ]
+            cells.append((family, variant, run_cfgs))
+    out = _outdir(cfg)
+    lines = ["family,variant,mean_final_fitness,mean_comm_cost,mean_converged_at,converged_runs"]
+    for family, variant, run_cfgs in cells:
+        finals, costs, convs = [], [], []
+        for run_cfg in run_cfgs:
+            report = engine.run(run_cfg)
+            if report.aborted:
+                print(engine.summarize(report), file=sys.stderr)
+                return EXIT_FAULT
+            finals.append(report.final_fitness_mean_state)
+            costs.append(report.comm_cost_at_convergence)
+            convs.append(report.converged_at)
+        done = [c for c in convs if c is not None]
+        mean_conv = float(np.mean(done)) if done else float("nan")
+        lines.append(
+            f"{family},{variant},{float(np.mean(finals))!r},"
+            f"{float(np.mean(costs))!r},{mean_conv!r},{len(done)}"
+        )
     table = out / "ablation.csv"
     table.write_text("\n".join(lines) + "\n")
     print(f"wrote {table}")
@@ -205,18 +227,10 @@ def cmd_suite(args) -> int:
 
 def cmd_wsn(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    if getattr(args, "sensors", None):
-        cfg.wsn.num_sensors = args.sensors
-    if getattr(args, "targets", None):
-        cfg.wsn.num_targets = args.targets
-    if getattr(args, "noise", None) is not None:
-        cfg.wsn.noise_sigma = args.noise
-    out = _outdir(cfg)
     objective = build_wsn_objective(cfg)
-    # num_agents tracks the sensor count for this task.
-    cfg.objective.num_agents = objective.num_agents
     graph = build_graph(cfg, objective.num_agents)
     run_cfg = build_run_config(cfg, objective, graph, cfg.master_seed)
+    out = _outdir(cfg)
     report = engine.run(run_cfg)
     if report.aborted:
         print(engine.summarize(report), file=sys.stderr)
@@ -233,10 +247,10 @@ def cmd_calibrate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     objective = build_benchmark(cfg, args.family)
     graph = build_graph(cfg, objective.num_agents)
-    run_cfg = build_run_config(cfg, objective, graph, cfg.master_seed)
-    run_cfg.variant = "baseline"
-    run_cfg.provider = "heuristic"
-    run_cfg.max_iterations = args.probe_length
+    run_cfg = build_run_config(
+        cfg, objective, graph, cfg.master_seed,
+        variant="baseline", provider="heuristic", max_iterations=args.probe_length,
+    )
     report = engine.run(run_cfg)
     if report.aborted:
         print(engine.summarize(report), file=sys.stderr)

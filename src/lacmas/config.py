@@ -1,19 +1,20 @@
 """Experiment configuration: JSON file schema, defaults, and builders.
 
 Every field has a default, so an empty file (or no file) yields a runnable
-configuration. Unknown keys are rejected with the offending key named, which
-catches typos before a long run burns its budget.
+configuration. Unknown keys and values whose type does not match the field's
+default are rejected with the offending key named, which catches typos before
+a long run burns its budget.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .engine import RunConfig
 from .errors import ConfigError
-from .guidance import HeuristicParams, LlmEndpoint
+from .guidance import ACT_WINDOW, COOP_WINDOW, LLM_TIMEOUT, HeuristicParams, LlmEndpoint
 from .objectives import FAMILIES, BenchmarkSpec, make_spec
 from .scheduler import PcgConfig
 from .swarm import SwarmParams
@@ -52,16 +53,11 @@ class WsnSpec:
 
 @dataclass
 class GuidanceSpec:
-    stall_eps: float = 1e-3
-    c_step: float = 0.1
-    d_step: float = 0.05
-    decay: float = 0.1
-    self_weight: float = 0.2
-    act_window: int = 19
-    coop_window: int = 10
+    act_window: int = ACT_WINDOW
+    coop_window: int = COOP_WINDOW
     llm_url: str | None = None
     llm_model: str | None = None
-    llm_timeout: float = 30.0
+    llm_timeout: float = LLM_TIMEOUT
     # Whether the remote endpoint's weight list is expected to carry a
     # trailing self-weight; by default only neighbor weights are requested and
     # the constant self-weight is appended locally.
@@ -85,8 +81,11 @@ class ExperimentConfig:
     pcg: PcgConfig = field(default_factory=PcgConfig)
     swarm: SwarmParams = field(default_factory=SwarmParams)
     guidance: GuidanceSpec = field(default_factory=GuidanceSpec)
+    heuristic: HeuristicParams = field(default_factory=HeuristicParams)
 
     def __post_init__(self):
+        if self.num_runs < 1:
+            raise ConfigError("num_runs must be positive")
         for fam in self.suite:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown suite family {fam!r}; choices: {FAMILIES}")
@@ -99,27 +98,46 @@ _NESTED = {
     "pcg": PcgConfig,
     "swarm": SwarmParams,
     "guidance": GuidanceSpec,
+    "heuristic": HeuristicParams,
 }
+
+
+def _checked(value, default, key: str):
+    """`value` if its type matches `default`'s, else a ConfigError naming `key`.
+
+    An int passes where a float is expected; a bool does not pass as a number.
+    A list passes where the default is a tuple of the same length, element by
+    element, and comes back as a tuple. A None default accepts anything.
+    """
+    if default is None:
+        return value
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise ConfigError(f"{key} must be a list of {len(default)} values, got {value!r}")
+        return tuple(_checked(v, d, key) for v, d in zip(value, default))
+    accepted = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) is not isinstance(default, bool) or not isinstance(value, accepted):
+        raise ConfigError(
+            f"{key} must be {type(default).__name__}, got {type(value).__name__} {value!r}"
+        )
+    return value
 
 
 def _from_dict(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
-    allowed = {f.name for f in fields(cls)}
+    known = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in allowed:
+        if key not in known:
             raise ConfigError(f"unknown configuration key {context}{key!r}")
         if key in _NESTED and cls is ExperimentConfig:
             kwargs[key] = _from_dict(_NESTED[key], value, context=f"{key}.")
-        elif key == "alphas":
-            kwargs[key] = tuple(value)
         else:
-            kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
+            f = known[key]
+            default = f.default if f.default is not MISSING else f.default_factory()
+            kwargs[key] = _checked(value, default, context + key)
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -178,19 +196,17 @@ def build_wsn_objective(cfg: ExperimentConfig) -> WsnObjectiveSet:
     return WsnObjectiveSet(scenario=scenario, phi=phi)
 
 
-def build_run_config(cfg: ExperimentConfig, objective, graph, master_seed: int) -> RunConfig:
+def build_run_config(
+    cfg: ExperimentConfig, objective, graph, master_seed: int, **overrides
+) -> RunConfig:
+    """The RunConfig of one seeded run of `cfg`. Keyword `overrides` replace
+    RunConfig fields before RunConfig validates them, so every setting a
+    caller changes is checked like one read from the file."""
     g = cfg.guidance
     llm = None
     if g.llm_url and g.llm_model:
         llm = LlmEndpoint(base_url=g.llm_url, model=g.llm_model, timeout=g.llm_timeout)
-    heuristic = HeuristicParams(
-        stall_eps=g.stall_eps,
-        c_step=g.c_step,
-        d_step=g.d_step,
-        decay=g.decay,
-        self_weight=g.self_weight,
-    )
-    return RunConfig(
+    settings = dict(
         objective=objective,
         graph=graph,
         variant=cfg.variant,
@@ -199,12 +215,13 @@ def build_run_config(cfg: ExperimentConfig, objective, graph, master_seed: int) 
         convergence_threshold=cfg.convergence_threshold,
         master_seed=master_seed,
         log_every=cfg.log_every,
-        num_runs=cfg.num_runs,
         pcg=cfg.pcg,
         swarm_params=cfg.swarm,
-        heuristic=heuristic,
+        heuristic=cfg.heuristic,
         act_window=g.act_window,
         coop_window=g.coop_window,
         llm=llm,
         llm_coop_includes_self=g.llm_coop_includes_self,
     )
+    settings.update(overrides)
+    return RunConfig(**settings)

@@ -1,9 +1,10 @@
-"""Neighbor descriptors, weight projection, and weighted consensus fusion.
+"""Neighbor descriptors, weight projection, and mixing-matrix assembly.
 
 Cooperation weights live on the closed neighborhood of each agent (neighbors
 plus self). Whatever a guidance provider proposes, project_weights turns it
 into a nonnegative, graph-compatible row that sums to one, so the assembled
-mixing matrix is admissible at every iteration by construction.
+mixing matrix is admissible at every iteration by construction. The engine
+fuses the published states as matrix @ states.
 """
 
 from __future__ import annotations
@@ -98,17 +99,6 @@ def project_weights(raw: dict[int, float], graph: CommGraph, owner: int) -> Coop
             top = max(entries, key=entries.get)
             entries[top] -= drift
     return CooperationWeights(owner=owner, entries=entries)
-
-
-def fuse_states(weights: CooperationWeights, states: dict[int, np.ndarray]) -> np.ndarray:
-    """Convex combination of neighborhood states under the given weights."""
-    fused = None
-    for k, w in weights.entries.items():
-        if k not in states:
-            raise ContractError(f"missing state for member {k}")
-        term = w * np.asarray(states[k], dtype=float)
-        fused = term if fused is None else fused + term
-    return fused
 
 
 def assemble_mixing_matrix(all_weights: list[CooperationWeights], graph: CommGraph) -> np.ndarray:

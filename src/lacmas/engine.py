@@ -30,9 +30,12 @@ from .cooperation import (
     uniform_weights,
 )
 from .analysis import check_admissibility
-from .errors import ConfigError, NumericalFault
+from .errors import ConfigError, ContractError, NumericalFault
 from .guidance import (
     ACT_WINDOW,
+    C_DEFAULT,
+    COOP_WINDOW,
+    D_DEFAULT,
     ActRequest,
     CoopRequest,
     HeuristicParams,
@@ -80,14 +83,6 @@ def disagreement(states: np.ndarray) -> float:
     return float((d * d).sum() / n)
 
 
-def local_disagreement(own: np.ndarray, neighbor_states: list[np.ndarray]) -> float:
-    """Mean distance from an agent's state to its neighbors' states."""
-    if not neighbor_states:
-        return 0.0
-    own = np.asarray(own, dtype=float)
-    return float(np.mean([np.linalg.norm(own - s) for s in neighbor_states]))
-
-
 def comm_cost_per_round(graph: CommGraph, dim: int) -> int:
     """Scalars on the wire per round: a state vector plus a descriptor triple
     per directed edge."""
@@ -111,8 +106,8 @@ class AgentHistory:
     """Bounded per-agent trajectory log feeding descriptors and prompts."""
 
     def __init__(self, capacity: int = 32):
-        if capacity < 19:
-            raise ConfigError("history capacity must cover the act window (19)")
+        if capacity < ACT_WINDOW:
+            raise ConfigError(f"history capacity must cover the act window ({ACT_WINDOW})")
         self.capacity = capacity
         self._records: list[HistoryRecord] = []
 
@@ -125,6 +120,9 @@ class AgentHistory:
 
     def recent(self, window: int) -> list[HistoryRecord]:
         """The most recent min(window, len) records, oldest first."""
+        if window < 1:
+            # [-0:] would be the whole history, not an empty window.
+            raise ContractError(f"history window must be >= 1, got {window}")
         return self._records[-window:]
 
     def __len__(self) -> int:
@@ -148,13 +146,12 @@ class RunConfig:
     stop_at_convergence: bool = True
     master_seed: int = 0
     log_every: int = 10
-    num_runs: int = 25
     pcg: PcgConfig = field(default_factory=PcgConfig)
     swarm_params: SwarmParams = field(default_factory=SwarmParams)
     heuristic: HeuristicParams = field(default_factory=HeuristicParams)
-    act_defaults: tuple[float, float] = (0.7, 1.3)
-    act_window: int = 19
-    coop_window: int = 10
+    act_defaults: tuple[float, float] = (D_DEFAULT, C_DEFAULT)
+    act_window: int = ACT_WINDOW
+    coop_window: int = COOP_WINDOW
     history_capacity: int = 32
     llm: LlmEndpoint | None = None
     llm_coop_includes_self: bool = False

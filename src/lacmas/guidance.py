@@ -30,10 +30,11 @@ C_DEFAULT = 1.3
 ACT_WINDOW = 19
 COOP_WINDOW = 10
 
+# Seconds an LLM request may take before it falls back to the heuristic.
+LLM_TIMEOUT = 30.0
+
 ENV_LLM_URL = "LACMAS_LLM_URL"
 ENV_LLM_MODEL = "LACMAS_LLM_MODEL"
-
-PROMPT_VERSION = "1"
 
 ACT_PROMPT_HEADER = """Tuning task: high-dimensional black-box optimization.
 Current iteration: around {iteration}.
@@ -302,10 +303,10 @@ def parse_coop_response(text: str, expected_len: int) -> tuple[float, ...]:
 class LlmEndpoint:
     base_url: str
     model: str
-    timeout: float = 30.0
+    timeout: float = LLM_TIMEOUT
 
     @classmethod
-    def from_env(cls, timeout: float = 30.0) -> "LlmEndpoint":
+    def from_env(cls, timeout: float = LLM_TIMEOUT) -> "LlmEndpoint":
         url = os.environ.get(ENV_LLM_URL)
         model = os.environ.get(ENV_LLM_MODEL)
         if not url or not model:

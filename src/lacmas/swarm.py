@@ -74,16 +74,6 @@ class SwarmParams:
             raise ContractError(f"bad attractor_gain mode {self.attractor_gain!r}")
 
 
-@dataclass(frozen=True)
-class Particle:
-    """Read-only view of one particle's state."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_value: float
-
-
 class AgentSwarm:
     """State and dynamics of one agent's particle population."""
 
@@ -154,14 +144,6 @@ class AgentSwarm:
         self.w1, self.w0, self.w2 = w1, w0, w2
 
     # -- observations --------------------------------------------------------
-
-    def particle(self, p: int) -> Particle:
-        return Particle(
-            position=self.positions[p].copy(),
-            velocity=self.velocities[p].copy(),
-            best_position=self.best_positions[p].copy(),
-            best_value=float(self.best_values[p]),
-        )
 
     def centroid(self) -> np.ndarray:
         n = len(self.positions)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lacmas.analysis import check_admissibility, contraction_check, measured_perturbation
+from lacmas.analysis import check_admissibility
 from lacmas.errors import ContractError
 from lacmas.topology import build_ring
 
@@ -55,42 +55,3 @@ def test_row_sum_tolerance_absorbs_rounding(ring4):
 def test_shape_mismatch_rejected(ring4):
     with pytest.raises(ContractError):
         check_admissibility(np.eye(3), ring4)
-
-
-def test_perturbation_zero_when_exact():
-    a = np.full((3, 3), 1 / 3)
-    x = np.arange(6, dtype=float).reshape(3, 2)
-    xi, norm = measured_perturbation(a @ x, a, x)
-    assert norm == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(xi, 0.0)
-
-
-def test_perturbation_identity_mixing_measures_delta():
-    x = np.zeros((4, 3))
-    delta = np.ones((4, 3)) * 0.5
-    xi, norm = measured_perturbation(x + delta, np.eye(4), x)
-    assert np.allclose(xi, delta)
-    assert norm == pytest.approx(np.linalg.norm(delta))
-
-
-def test_perturbation_shape_check():
-    with pytest.raises(ContractError):
-        measured_perturbation(np.zeros((3, 2)), np.eye(4), np.zeros((3, 2)))
-
-
-def test_contraction_on_strictly_decreasing_trace():
-    assert contraction_check([10.0, 8.0, 6.0, 4.0, 2.0, 1.0], window=3)
-
-
-def test_contraction_false_on_constant_trace():
-    assert not contraction_check([2.0] * 10, window=5)
-
-
-def test_contraction_on_geometric_decay():
-    trace = [10.0 ** (-t / 10.0) for t in range(40)]
-    assert contraction_check(trace, window=10)
-
-
-def test_contraction_needs_two_windows():
-    with pytest.raises(ContractError):
-        contraction_check([1.0, 0.5, 0.4], window=2)

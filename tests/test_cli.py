@@ -86,7 +86,58 @@ def test_bad_guidance_window_fails_before_first_round(tmp_path, capsys, guidance
     err = capsys.readouterr().err.strip()
     assert err.startswith("configuration error:") and key in err
     assert "\n" not in err
-    assert not list((tmp_path / "r").glob("*.csv"))
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"max_iterations": "100"}, "max_iterations"),
+        ({"log_every": 2.5}, "log_every"),
+        ({"master_seed": True}, "master_seed"),
+        ({"convergence_threshold": True}, "convergence_threshold"),
+        ({"variant": None}, "variant"),
+        ({"pcg": {"horizon_T": "30"}}, "pcg.horizon_T"),
+        ({"pcg": {"alphas": [0.2, "0.5", 0.9]}}, "pcg.alphas"),
+        ({"pcg": {"alphas": [0.2, 0.5]}}, "pcg.alphas"),
+        ({"heuristic": {"decay": "0.1"}}, "heuristic.decay"),
+        ({"guidance": {"llm_coop_includes_self": 1}}, "guidance.llm_coop_includes_self"),
+    ],
+)
+def test_wrongly_typed_value_gives_config_exit(tmp_path, capsys, extra, key):
+    # Unchecked, "max_iterations": "100" loads and ends in a TypeError traceback.
+    cfg = write_config(tmp_path, extra)
+    code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and key in err
+    assert "\n" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--suite", "sphere", "--max-iter", "0"],
+        ["run", "--suite", "sphere", "--seeds", "0"],
+        ["run", "--suite", "sphere", "--agents", "0"],
+        ["suite", "--suite", "sphere", "--dim", "0"],
+        ["wsn", "--targets", "0"],
+        ["calibrate", "--probe-length", "0"],
+        ["calibrate", "--probe-length", "-3"],
+    ],
+)
+def test_zero_numeric_flag_gives_config_exit(tmp_path, capsys, argv):
+    # A truthiness test would skip a zero flag, and a probe length set after
+    # validation would skip the check; either runs the configured budget.
+    out = tmp_path / "r"
+    cfg = write_config(tmp_path)
+    code = main([*argv, "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:")
+    assert "\n" not in err
+    assert not out.exists()
 
 
 def test_contract_error_gives_config_exit(tmp_path, capsys):

@@ -12,6 +12,7 @@ from lacmas.config import (
     load_config,
 )
 from lacmas.errors import ConfigError
+from lacmas.guidance import HeuristicParams
 
 
 def test_empty_config_is_runnable():
@@ -109,3 +110,32 @@ def test_llm_endpoint_built_from_guidance_spec():
     run_cfg = build_run_config(cfg, objective, graph, master_seed=0)
     assert run_cfg.llm is not None
     assert run_cfg.llm.base_url == "http://localhost:11434"
+
+
+def test_heuristic_section_reaches_the_run_config():
+    cfg = config_from_dict({"heuristic": {"c_step": 0.2, "self_weight": 0.3}})
+    objective = build_benchmark(cfg, "sphere")
+    graph = build_graph(cfg, objective.num_agents)
+    run_cfg = build_run_config(cfg, objective, graph, master_seed=0)
+    assert run_cfg.heuristic == HeuristicParams(c_step=0.2, self_weight=0.3)
+
+
+def test_heuristic_values_are_not_guidance_keys():
+    with pytest.raises(ConfigError, match="stall_eps"):
+        config_from_dict({"guidance": {"stall_eps": 0.01}})
+
+
+def test_int_accepted_where_float_expected():
+    cfg = config_from_dict({"convergence_threshold": 1, "objective": {"bound": 50}})
+    assert cfg.convergence_threshold == 1
+    assert cfg.objective.bound == 50
+
+
+def test_build_run_config_overrides_are_validated():
+    cfg = ExperimentConfig()
+    objective = build_benchmark(cfg, "sphere")
+    graph = build_graph(cfg, objective.num_agents)
+    run_cfg = build_run_config(cfg, objective, graph, master_seed=0, variant="baseline")
+    assert run_cfg.variant == "baseline"
+    with pytest.raises(ConfigError, match="max_iterations"):
+        build_run_config(cfg, objective, graph, master_seed=0, max_iterations=0)

@@ -8,7 +8,6 @@ from lacmas.cooperation import (
     CooperationWeights,
     assemble_mixing_matrix,
     build_descriptor,
-    fuse_states,
     project_weights,
     uniform_weights,
 )
@@ -88,31 +87,6 @@ def test_project_drops_foreign_keys_and_handles_nonfinite():
     assert w.weight(0) == 1.0
 
 
-def test_fuse_uniform_average():
-    g = build_ring(3)
-    w = uniform_weights(g, 0)
-    states = {0: np.array([0.0]), 1: np.array([3.0]), 2: np.array([6.0])}
-    assert fuse_states(w, states) == pytest.approx(3.0)
-
-
-def test_fuse_identity_row():
-    w = CooperationWeights(owner=0, entries={0: 1.0, 1: 0.0})
-    states = {0: np.array([2.0, -1.0]), 1: np.array([9.0, 9.0])}
-    assert np.allclose(fuse_states(w, states), [2.0, -1.0])
-
-
-def test_fuse_weighted_pair():
-    w = CooperationWeights(owner=0, entries={0: 0.25, 1: 0.75})
-    states = {0: np.array([0.0]), 1: np.array([4.0])}
-    assert fuse_states(w, states) == pytest.approx(3.0)
-
-
-def test_fuse_missing_state_rejected():
-    w = CooperationWeights(owner=0, entries={0: 0.5, 1: 0.5})
-    with pytest.raises(ContractError):
-        fuse_states(w, {0: np.zeros(2)})
-
-
 def test_assemble_uniform_ring3_is_circulant():
     g = build_ring(3)
     rows = [uniform_weights(g, i) for i in range(3)]
@@ -181,12 +155,17 @@ def test_projection_is_scale_invariant(raw, scale):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    raw=st.lists(raw_entry, min_size=3, max_size=3),
-    states=st.lists(st.floats(-50, 50), min_size=3, max_size=3),
+    raw=st.lists(st.lists(raw_entry, min_size=3, max_size=3), min_size=4, max_size=4),
+    states=st.lists(st.floats(-50, 50), min_size=4, max_size=4),
 )
 def test_fusion_stays_in_convex_hull(raw, states):
-    g = build_ring(3)
-    w = project_weights(dict(zip((0, 1, 2), raw)), g, owner=0)
-    mapping = {k: np.array([s]) for k, s in zip((0, 1, 2), states)}
-    fused = float(fuse_states(w, mapping)[0])
-    assert min(states) - 1e-9 <= fused <= max(states) + 1e-9
+    # The engine's fusion path: projected rows, assembled matrix, matrix @ states.
+    g = build_ring(4)
+    rows = [
+        project_weights(dict(zip(g.closed_neighborhood(i), r)), g, owner=i)
+        for i, r in enumerate(raw)
+    ]
+    fused = assemble_mixing_matrix(rows, g) @ np.array(states)[:, None]
+    for i in range(4):
+        members = [states[k] for k in g.closed_neighborhood(i)]
+        assert min(members) - 1e-9 <= fused[i, 0] <= max(members) + 1e-9

@@ -8,11 +8,10 @@ from lacmas.engine import (
     RunConfig,
     comm_cost_per_round,
     disagreement,
-    local_disagreement,
     run,
     write_trace_csv,
 )
-from lacmas.errors import ConfigError, NumericalFault
+from lacmas.errors import ConfigError, ContractError, NumericalFault
 from lacmas.objectives import make_spec
 from lacmas.scheduler import PcgConfig
 from lacmas.swarm import AgentSwarm
@@ -84,21 +83,6 @@ def test_disagreement_three_states_exact():
     assert disagreement(states) == pytest.approx(8.0 / 3.0)
 
 
-def test_local_disagreement_zero_when_collocated():
-    own = np.array([1.0, 1.0])
-    assert local_disagreement(own, [own.copy(), own.copy()]) == 0.0
-
-
-def test_local_disagreement_single_neighbor():
-    assert local_disagreement(np.zeros(2), [np.array([3.0, 0.0])]) == pytest.approx(3.0)
-
-
-def test_local_disagreement_mean_of_distances():
-    own = np.zeros(1)
-    nbrs = [np.array([1.0]), np.array([3.0])]
-    assert local_disagreement(own, nbrs) == pytest.approx(2.0)
-
-
 def test_comm_cost_ring4_dim5():
     # 8 directed edges, 5 + 3 scalars each.
     assert comm_cost_per_round(build_ring(4), 5) == 64
@@ -134,6 +118,16 @@ def test_history_recent_window_order():
         h.append(record(t, fit=float(t)))
     recent = h.recent(4)
     assert [r.iteration for r in recent] == [6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_history_recent_rejects_empty_window(window):
+    # [-0:] is the whole list: an unchecked window 0 returns every record.
+    h = AgentHistory(capacity=32)
+    for t in range(5):
+        h.append(record(t))
+    with pytest.raises(ContractError):
+        h.recent(window)
 
 
 def test_history_requires_act_window_capacity():
@@ -290,6 +284,29 @@ def test_weights_hold_between_refreshes(sphere_small, ring4):
     assert not np.array_equal(m[10], m[0])
     for t in range(10, 16):
         assert np.array_equal(m[t], m[10])
+
+
+def test_local_disagreement_mean_of_distances(monkeypatch, sphere_small):
+    # Unequal degrees (1, 3, 2, 2), so a wrong divisor shows.
+    graph = build_explicit(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    records = []
+    append = AgentHistory.append
+
+    def spy(history, record):
+        records.append(record)
+        append(history, record)
+
+    monkeypatch.setattr(AgentHistory, "append", spy)
+    report = run(small_config(sphere_small, graph, max_iterations=30, stop_at_convergence=False))
+    states = report.final_states
+    # The last round appends one record per agent, in agent order.
+    for i, rec in enumerate(records[-4:]):
+        assert rec.iteration == 29
+        expected = np.mean(
+            [np.linalg.norm(states[i] - states[k]) for k in graph.neighbor_lists[i]]
+        )
+        assert expected > 0
+        assert rec.local_disagreement == pytest.approx(expected, rel=1e-12)
 
 
 def test_xi_trace_measures_rep_deviation(sphere_small, ring4):

@@ -268,15 +268,6 @@ def test_divergence_zero_iff_positions_equal():
     assert swarm.divergence() > 0.0
 
 
-def test_particle_view_is_consistent_snapshot():
-    swarm = make_swarm([[1.0, 2.0], [3.0, 4.0]])
-    view = swarm.particle(1)
-    assert np.array_equal(view.position, [3.0, 4.0])
-    assert view.best_value == pytest.approx(sphere_batch(view.best_position[None, :])[0])
-    view.position[0] = 99.0  # the view owns copies
-    assert swarm.positions[1, 0] == 3.0
-
-
 def test_injection_mode_attractor_only():
     params = SwarmParams(population=2, injection="attractor")
     swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]], params=params)
