@@ -86,6 +86,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.num_runs < 1:
             raise ConfigError("num_runs must be positive")
+        if not self.suite:
+            raise ConfigError("suite must name at least one family")
         for fam in self.suite:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown suite family {fam!r}; choices: {FAMILIES}")
@@ -102,14 +104,36 @@ _NESTED = {
 }
 
 
+def _is_edge_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(edge, list)
+        and len(edge) == 2
+        and all(isinstance(k, int) and not isinstance(k, bool) for k in edge)
+        for edge in value
+    )
+
+
+# Keys whose default is None: the test a non-null value must pass, and what
+# the error message says it must be.
+_OPTIONAL = {
+    "graph.edges": (_is_edge_list, "a list of [a, b] integer pairs"),
+    "guidance.llm_url": (lambda v: isinstance(v, str), "a string"),
+    "guidance.llm_model": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _checked(value, default, key: str):
     """`value` if its type matches `default`'s, else a ConfigError naming `key`.
 
     An int passes where a float is expected; a bool does not pass as a number.
     A list passes where the default is a tuple of the same length, element by
-    element, and comes back as a tuple. A None default accepts anything.
+    element, and comes back as a tuple. A None default accepts null or what
+    the key's `_OPTIONAL` test passes.
     """
     if default is None:
+        valid, expected = _OPTIONAL[key]
+        if value is not None and not valid(value):
+            raise ConfigError(f"{key} must be {expected} or null, got {value!r}")
         return value
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)) or len(value) != len(default):

@@ -1,12 +1,14 @@
 """Round-synchronous run loop.
 
 Each round has two phases. In phase one every agent reads its particle
-divergence, selects the active regime coefficient, steps its particles against
-its own local objective, and publishes a representative state plus trajectory
-statistics. At the barrier, guidance refreshes fire if their gates are open,
-every agent fuses the published neighborhood states under its cooperation
-weights, and the fused state is injected back into the population. Histories,
-metrics, and the admissibility check run once per round.
+divergence, selects the active regime coefficient and proposes new particle
+positions; one batch call evaluates every agent's proposals on its own local
+objective, and each agent takes its values back and publishes a representative
+state plus trajectory statistics. At the barrier, guidance refreshes fire if
+their gates are open, every agent fuses the published neighborhood states under
+its cooperation weights, and the fused states, scored in one more batch call,
+are injected back into the populations. Histories, metrics, and the
+admissibility check run once per round.
 
 Serial agent order plus per-agent RNG streams derived from the master seed
 make runs bit-reproducible with the heuristic provider.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple, Protocol
 
 import numpy as np
@@ -34,8 +35,10 @@ from .errors import ConfigError, ContractError, NumericalFault
 from .guidance import (
     ACT_WINDOW,
     C_DEFAULT,
+    C_RANGE,
     COOP_WINDOW,
     D_DEFAULT,
+    D_RANGE,
     ActRequest,
     CoopRequest,
     HeuristicParams,
@@ -64,9 +67,11 @@ class ObjectiveSet(Protocol):
     @property
     def upper(self) -> np.ndarray: ...
 
-    def eval_local(self, agent: int, x: np.ndarray) -> float: ...
-
     def eval_local_batch(self, agent: int, xs: np.ndarray) -> np.ndarray: ...
+
+    def eval_all(self, xs: np.ndarray) -> np.ndarray:
+        """(N, M, D) -> (N, M): row block i evaluated on agent i's objective."""
+        ...
 
     def eval_global(self, x: np.ndarray) -> float: ...
 
@@ -180,6 +185,11 @@ class RunConfig:
                 f"need 1 <= coop_window <= history_capacity, got "
                 f"coop_window={self.coop_window}, history_capacity={self.history_capacity}"
             )
+        d0, c0 = self.act_defaults
+        if not (D_RANGE[0] <= d0 <= D_RANGE[1] and C_RANGE[0] <= c0 <= C_RANGE[1]):
+            raise ConfigError(
+                f"act_defaults (d, c) must lie in {D_RANGE} x {C_RANGE}, got {self.act_defaults}"
+            )
         if self.graph.num_agents != self.objective.num_agents:
             raise ConfigError(
                 f"graph has {self.graph.num_agents} agents, "
@@ -289,7 +299,6 @@ def run(config: RunConfig, provider=None) -> RunReport:
     d0, c0 = config.act_defaults
     agent_seqs = np.random.SeedSequence(config.master_seed).spawn(n)
     swarms = []
-    evaluators = []
     for i in range(n):
         rng = np.random.default_rng(agent_seqs[i])
         swarm = AgentSwarm(
@@ -301,10 +310,8 @@ def run(config: RunConfig, provider=None) -> RunReport:
             rng=rng,
             coefficients=(d0, 1.0, c0),
         )
-        evaluator = partial(obj.eval_local_batch, i)
-        swarm.evaluate_initial(evaluator)
+        swarm.evaluate_initial(obj.eval_local_batch(i, swarm.positions))
         swarms.append(swarm)
-        evaluators.append(evaluator)
 
     weights: list[CooperationWeights] = [uniform_weights(graph, i) for i in range(n)]
     histories = [AgentHistory(config.history_capacity) for _ in range(n)]
@@ -317,6 +324,11 @@ def run(config: RunConfig, provider=None) -> RunReport:
     degrees = np.array([max(len(nb), 1) for nb in neighbor_lists], dtype=float)
 
     reps = np.stack([s.representative_state() for s in swarms])
+    # Every agent's proposals for one round, evaluated in one batch. It starts
+    # from the initial positions, so a row an aborted round leaves unwritten
+    # still holds a finite point.
+    proposals = np.stack([s.positions for s in swarms])
+    injects_particle = config.swarm_params.injection != "attractor"
     consensus_prev = reps.copy()
     fused_prev: np.ndarray | None = None
 
@@ -350,6 +362,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
             for swarm in swarms:
                 swarm.rebase_records()
         divergences: list[float] = []
+        stepped = 0
         try:
             for i, swarm in enumerate(swarms):
                 div = swarm.divergence()
@@ -358,10 +371,17 @@ def run(config: RunConfig, provider=None) -> RunReport:
                 if late_stage:
                     # Late-stage stabilization: no expansion past the horizon.
                     active = min(active, 1.0)
-                swarm.step_particles(active, evaluators[i], record_pull=record_pull)
-                reps[i] = swarm.representative_state()
+                proposals[i] = swarm.step_particles(active, record_pull=record_pull)
+                stepped = i + 1
         except NumericalFault as exc:
             aborted, fault = True, str(exc)
+        # One objective call for all agents. Those that stepped before a fault
+        # still take their values, so an abort leaves them as evaluated.
+        values = obj.eval_all(proposals)
+        for i in range(stepped):
+            swarms[i].tell(values[i])
+            reps[i] = swarms[i].representative_state()
+        if aborted:
             break
 
         # Phase 2: guidance refreshes, weighted fusion, bookkeeping.
@@ -420,8 +440,12 @@ def run(config: RunConfig, provider=None) -> RunReport:
             xi_trace.append(float(np.linalg.norm(reps - fused_prev)))
 
         refocus = phased and late_stage
-        for i in range(n):
-            swarms[i].inject_fused_state(fused[i], evaluators[i], refocus=refocus)
+        if injects_particle:
+            fused_values = obj.eval_all(fused[:, None, :])[:, 0].tolist()
+        else:
+            fused_values = [None] * n
+        for swarm, state, value in zip(swarms, fused, fused_values):
+            swarm.inject_fused_state(state, value, refocus=refocus)
 
         diffs = fused - consensus_prev
         state_deltas = np.sqrt((diffs * diffs).sum(axis=1))
@@ -485,9 +509,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
         final_states=final_states,
         final_mean_state=mean_state,
         final_fitness_mean_state=obj.eval_global(mean_state) if not aborted else float("nan"),
-        final_mean_local_fitness=float(
-            np.mean([obj.eval_local(i, final_states[i]) for i in range(n)])
-        )
+        final_mean_local_fitness=float(obj.eval_all(final_states[:, None, :]).mean())
         if not aborted
         else float("nan"),
         final_best_agent_value=float(min(s.best_value() for s in swarms)),

@@ -90,26 +90,40 @@ class BenchmarkSpec:
         """f_i evaluated row-wise over an (M, D) batch."""
         if not 0 <= agent < self.num_agents:
             raise ContractError(f"agent index {agent} out of range")
-        z = self._checked_batch(xs) - self.shifts[agent]
+        z = self._checked(xs, 2) - self.shifts[agent]
         if self.rotation is not None:
             z = z @ self.rotation.T
         return _FAMILY_FUNCTIONS[self.family](z)
 
+    def eval_all(self, xs: np.ndarray) -> np.ndarray:
+        """Every agent at once: row block i of an (N, M, D) batch goes to f_i,
+        giving (N, M) values equal bit for bit to eval_local_batch(i, xs[i])."""
+        xs = self._checked(xs, 3)
+        n, m, d = xs.shape
+        if n != self.num_agents:
+            raise ContractError(f"expected {self.num_agents} row blocks, got {n}")
+        z = xs - self.shifts[:, None, :]
+        if self.rotation is not None:
+            # One (M, D) product per agent, the shape eval_local_batch uses: a
+            # single stacked product may round differently inside BLAS.
+            rot_t = self.rotation.T
+            z = np.stack([z_i @ rot_t for z_i in z])
+        return _FAMILY_FUNCTIONS[self.family](z.reshape(n * m, d)).reshape(n, m)
+
     def eval_global(self, x: np.ndarray) -> float:
         """Average of the local objectives; offline metric only."""
-        x = self._checked_batch(np.asarray(x, dtype=float)[None, :])
-        z = x - self.shifts  # row i is agent i's shifted point
-        if self.rotation is not None:
-            # One (1, D) product per row, the shape eval_local_batch uses: a
-            # single (N, D) product may round differently inside BLAS.
-            rot_t = self.rotation.T
-            z = np.concatenate([z[i:i + 1] @ rot_t for i in range(self.num_agents)])
-        return float(_FAMILY_FUNCTIONS[self.family](z).mean())
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ContractError(f"expected one ({self.dim},) point, got {x.shape}")
+        return float(self.eval_all(x[None, None, :].repeat(self.num_agents, axis=0)).mean())
 
-    def _checked_batch(self, xs: np.ndarray) -> np.ndarray:
+    def _checked(self, xs: np.ndarray, ndim: int) -> np.ndarray:
+        """xs as a float array of ndim axes whose last one is D, all finite."""
         xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ContractError(f"expected (M, {self.dim}) batch, got {xs.shape}")
+        if xs.ndim != ndim or xs.shape[-1] != self.dim:
+            raise ContractError(
+                f"expected a {ndim}-axis batch of {self.dim}-vectors, got {xs.shape}"
+            )
         if not math.isfinite(float(xs.sum())):
             raise ContractError("non-finite evaluation point")
         return xs

@@ -14,20 +14,21 @@ spread one the damping coefficient w1, and the middle band the neutral w0.
 delta is drawn element-wise uniform on [modulation_low, modulation_high], so
 w < 1 contracts the modulated term in the mean-square sense and w near the top
 of its range lets occasional large kicks through.
+
+The swarm never calls an objective. step_particles proposes new positions, the
+caller evaluates them (the engine does all agents in one batch) and hands the
+values back through tell; evaluate_initial and inject_fused_state likewise
+take values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError, NumericalFault
-
-# Batch evaluator for one agent's local objective: (M, D) -> (M,).
-LocalObjective = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,10 @@ class AgentSwarm:
 
     # -- setup -------------------------------------------------------------
 
-    def evaluate_initial(self, objective: LocalObjective) -> None:
-        """Score the freshly initialized population and seed the attractor."""
-        self.best_values = np.asarray(objective(self.positions), dtype=float)
+    def evaluate_initial(self, values: np.ndarray) -> None:
+        """Take the scores of the freshly initialized population and seed the
+        attractor."""
+        self.best_values = np.asarray(values, dtype=float)
         self.best_positions = self.positions.copy()
         self.last_values = self.best_values.copy()
         self._evaluated = True
@@ -200,17 +202,15 @@ class AgentSwarm:
 
     # -- dynamics ------------------------------------------------------------
 
-    def step_particles(
-        self, active_coeff: float, objective: LocalObjective, record_pull: bool = True
-    ) -> None:
-        """One velocity/position update of the whole population.
+    def step_particles(self, active_coeff: float, record_pull: bool = True) -> np.ndarray:
+        """One velocity/position update of the whole population; returns the
+        new (P, D) positions, which the caller evaluates and passes to tell.
 
         Clamped components get their velocity zeroed so the multiplicative
-        modulation cannot wind up against a wall. Personal bests and the agent
-        best update greedily. With record_pull=False the personal-best term is
-        suppressed (the consensus-tracking phase), leaving the attractor as the
-        only directed pull; the same random draws are consumed either way so
-        the stream stays aligned.
+        modulation cannot wind up against a wall. With record_pull=False the
+        personal-best term is suppressed (the consensus-tracking phase),
+        leaving the attractor as the only directed pull; the same random draws
+        are consumed either way so the stream stays aligned.
         """
         p = self.params
         shape = self.positions.shape
@@ -253,32 +253,42 @@ class AgentSwarm:
         if not math.isfinite(total):
             raise NumericalFault(f"non-finite particle state for agent {self.agent_id}")
 
-        values = np.asarray(objective(new), dtype=float)
+        self.positions = new
+        return new
+
+    def tell(self, values: np.ndarray) -> None:
+        """Take the (P,) values of the positions the last step proposed.
+
+        Personal bests update greedily, and once collapse recovery has started
+        the kick scale adapts to the success rate.
+        """
         self.last_values = values
         improved = values < self.best_values
-        np.copyto(self.best_positions, new, where=improved[:, None])
+        np.copyto(self.best_positions, self.positions, where=improved[:, None])
         np.copyto(self.best_values, values, where=improved)
 
         if self._kicking:
             # Success-rate step-size control, active once collapse recovery has
             # started; holds at the initialization scale before that.
+            p = self.params
             rate = np.count_nonzero(improved) / len(improved)
             self.kick_sigma *= math.exp(p.kick_adapt_rate * (rate - p.kick_target_rate))
             self.kick_sigma = min(self.kick_sigma, self._span_mean)
 
-        self.positions = new
         self._evaluated = True
 
     def inject_fused_state(
-        self, fused: np.ndarray, objective: LocalObjective, refocus: bool = False
+        self, fused: np.ndarray, value: float | None, refocus: bool = False
     ) -> None:
         """Fold the fused consensus state back into the population.
 
         The attractor moves to the fused point and the worst particle is
-        teleported there with zero velocity; its personal best is reset to the
-        fused evaluation so stale records cannot shadow the consensus state.
-        With refocus=True (late stage) the attractor follows the agent's own
-        best instead, while the particle channel stays open.
+        teleported there with zero velocity; its personal best is reset to
+        `value`, the fused state's local evaluation, so stale records cannot
+        shadow the consensus state. With refocus=True (late stage) the
+        attractor follows the agent's own best instead, while the particle
+        channel stays open. Only the particle channel reads `value`, so it may
+        be None when injection is "attractor".
         """
         fused = np.asarray(fused, dtype=float)
         if fused.shape != (self.dim,):
@@ -292,7 +302,6 @@ class AgentSwarm:
                 self._track_best_seen()
             self.positions[worst] = fused
             self.velocities[worst] = 0.0
-            value = float(objective(fused[None, :])[0])
             self.best_positions[worst] = fused
             self.best_values[worst] = value
             self.last_values[worst] = value

@@ -145,15 +145,27 @@ def local_objective_batch(
     return (residual * residual).sum(axis=1)
 
 
+def all_local_objectives(scn: WsnScenario, phi: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Every sensor's objective at once: row block i of an (n, M, dim) batch
+    goes to sensor i, giving (n, M) values equal bit for bit to
+    local_objective_batch(scn, phi, i, xs[i])."""
+    layouts = decode_targets(scn, xs)  # (n, M, N_t, 3)
+    if layouts.ndim != 4 or len(layouts) != scn.num_sensors:
+        raise ContractError(
+            f"expected ({scn.num_sensors}, M, {scn.dim}) batch, got {np.shape(xs)}"
+        )
+    dists = _norm_last_axis(layouts - scn.sensor_positions[:, None, None, :])
+    residual = phi[:, None, :] - rss_model(scn, dists)
+    return (residual * residual).sum(axis=-1)
+
+
 def global_objective(scn: WsnScenario, phi: np.ndarray, x: np.ndarray) -> float:
     """Average local objective; the offline estimation-error functional."""
-    layout = decode_targets(scn, x)
-    if layout.ndim != 2:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
         raise ContractError("global objective takes one decision vector")
-    # (n, N_t, 3): every sensor against every candidate target at once.
-    dists = _norm_last_axis(layout - scn.sensor_positions[:, None, :])
-    residual = phi - rss_model(scn, dists)
-    return float((residual * residual).sum(axis=1).mean())
+    every_sensor = x[None, None, :].repeat(scn.num_sensors, axis=0)
+    return float(all_local_objectives(scn, phi, every_sensor).mean())
 
 
 def _norm_last_axis(d: np.ndarray) -> np.ndarray:
@@ -200,6 +212,9 @@ class WsnObjectiveSet:
 
     def eval_local_batch(self, agent: int, xs: np.ndarray) -> np.ndarray:
         return local_objective_batch(self.scenario, self.phi, agent, xs)
+
+    def eval_all(self, xs: np.ndarray) -> np.ndarray:
+        return all_local_objectives(self.scenario, self.phi, xs)
 
     def eval_global(self, x: np.ndarray) -> float:
         return global_objective(self.scenario, self.phi, x)

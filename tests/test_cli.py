@@ -116,6 +116,41 @@ def test_wrongly_typed_value_gives_config_exit(tmp_path, capsys, extra, key):
 
 
 @pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"provider": "llm", "guidance": {"llm_url": 5, "llm_model": "m"}}, "guidance.llm_url"),
+        ({"provider": "llm", "guidance": {"llm_url": "http://h", "llm_model": ["m"]}},
+         "guidance.llm_model"),
+        ({"graph": {"kind": "explicit", "edges": 5}}, "graph.edges"),
+        ({"graph": {"kind": "explicit", "edges": [[0, 1, 2]]}}, "graph.edges"),
+        ({"graph": {"kind": "explicit", "edges": [[0, "1"]]}}, "graph.edges"),
+    ],
+)
+def test_wrongly_typed_optional_value_gives_config_exit(tmp_path, capsys, extra, key):
+    # Keys whose default is None used to accept any type: an int llm_url ended
+    # in an AttributeError, an int edge list in a TypeError, both mid-run.
+    cfg = write_config(tmp_path, extra)
+    code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and key in err
+    assert "\n" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("suite_flag", [[], ["--suite", ","]])
+def test_empty_suite_gives_config_exit(tmp_path, capsys, suite_flag):
+    # An empty suite used to print "wrote 0 runs" and exit 0.
+    cfg = write_config(tmp_path, {"suite": []} if not suite_flag else None)
+    code = main(["run", "--config", str(cfg), *suite_flag, "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "suite" in err
+    assert "\n" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["run", "--suite", "sphere", "--max-iter", "0"],

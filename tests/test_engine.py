@@ -55,11 +55,11 @@ class CountingObjective:
     def upper(self):
         return self.spec.upper
 
-    def eval_local(self, agent, x):
-        return self.spec.eval_local(agent, x)
-
     def eval_local_batch(self, agent, xs):
         return self.spec.eval_local_batch(agent, xs)
+
+    def eval_all(self, xs):
+        return self.spec.eval_all(xs)
 
     def eval_global(self, x):
         self.global_calls += 1

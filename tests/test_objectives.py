@@ -82,6 +82,38 @@ def test_global_rejects_bad_point():
         spec.eval_global(np.full(4, np.nan))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("hetero_sigma", [0.0, 3.0])
+@pytest.mark.parametrize("m", [1, 10])
+def test_eval_all_matches_local_batches_exactly(family, hetero_sigma, m):
+    # Row block i of eval_all is agent i's batch; the per-agent call is the
+    # reference and the arithmetic is the same, so the match is bit for bit.
+    spec = make_spec(family, num_agents=6, dim=10, hetero_sigma=hetero_sigma, seed=2)
+    xs = np.random.default_rng(5).uniform(-100, 100, size=(6, m, 10))
+    values = spec.eval_all(xs)
+    assert values.shape == (6, m)
+    for i in range(6):
+        assert np.array_equal(values[i], spec.eval_local_batch(i, xs[i])), i
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 2, 5), (2, 2, 4), (4, 2, 4), (3, 4), (3, 1, 2, 4)]
+)
+def test_eval_all_rejects_wrong_shape(shape):
+    spec = make_spec("sphere", num_agents=3, dim=4, hetero_sigma=0.0, seed=0)
+    with pytest.raises(ContractError):
+        spec.eval_all(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eval_all_rejects_non_finite_point(bad):
+    spec = make_spec("rotated_elliptic", num_agents=3, dim=4, hetero_sigma=1.0, seed=0)
+    xs = np.zeros((3, 2, 4))
+    xs[2, 1, 3] = bad
+    with pytest.raises(ContractError):
+        spec.eval_all(xs)
+
+
 def test_suite_has_ten_specs_with_requested_shape():
     suite = make_suite(num_agents=20, dim=100, hetero_sigma=5.0, seed=1)
     assert len(suite) == 10

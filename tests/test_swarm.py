@@ -19,12 +19,25 @@ def make_swarm(positions, rng_seed=0, params=None, lower=-100.0, upper=100.0):
     )
     swarm.positions = positions.copy()
     swarm.velocities = np.zeros_like(positions)
-    swarm.evaluate_initial(sphere_batch)
+    evaluate_initial(swarm)
     return swarm
 
 
 def sphere_batch(xs):
     return np.sum(xs * xs, axis=1)
+
+
+def evaluate_initial(swarm):
+    swarm.evaluate_initial(sphere_batch(swarm.positions))
+
+
+def step(swarm, active_coeff):
+    """One ask/tell round on the sphere: propose, evaluate, take the values."""
+    swarm.tell(sphere_batch(swarm.step_particles(active_coeff)))
+
+
+def inject(swarm, fused):
+    swarm.inject_fused_state(fused, sphere_batch(fused[None, :])[0])
 
 
 def quiet_params(p):
@@ -88,7 +101,7 @@ def test_step_with_zero_coefficients_freezes_positions():
     swarm = make_swarm([[1.0, 2.0], [3.0, 4.0], [-5.0, 0.5]], params=params)
     swarm.velocities = np.ones((3, 2))
     before = swarm.positions.copy()
-    swarm.step_particles(0.0, sphere_batch)
+    step(swarm, 0.0)
     assert np.array_equal(swarm.positions, before)
     assert np.all(swarm.velocities == 0.0)
 
@@ -106,7 +119,7 @@ def test_degenerate_modulation_is_identity():
     swarm.velocities = np.array([[0.5, -0.5], [1.0, 0.25]])
     before_v = swarm.velocities.copy()
     before_x = swarm.positions.copy()
-    swarm.step_particles(1.0, sphere_batch)
+    step(swarm, 1.0)
     assert np.allclose(swarm.velocities, before_v)
     assert np.allclose(swarm.positions, before_x + before_v)
 
@@ -121,9 +134,9 @@ def test_step_is_deterministic_for_fixed_seed():
             params=SwarmParams(population=6),
             rng=np.random.default_rng(99),
         )
-        swarm.evaluate_initial(sphere_batch)
+        evaluate_initial(swarm)
         for _ in range(20):
-            swarm.step_particles(1.1, sphere_batch)
+            step(swarm, 1.1)
         return swarm.positions.copy(), swarm.best_values.copy()
 
     p1, b1 = run_once()
@@ -165,7 +178,7 @@ def test_representative_requires_evaluation():
 def test_inject_sets_attractor_and_replaces_worst():
     swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]])
     fused = np.array([0.5, 0.5])
-    swarm.inject_fused_state(fused, sphere_batch)
+    inject(swarm, fused)
     assert np.array_equal(swarm.local_attractor, fused)
     assert np.array_equal(swarm.positions[1], fused)
     assert np.all(swarm.velocities[1] == 0.0)
@@ -175,14 +188,14 @@ def test_inject_sets_attractor_and_replaces_worst():
 def test_inject_onto_best_duplicates_it():
     swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]])
     best = swarm.positions[0].copy()
-    swarm.inject_fused_state(best, sphere_batch)
+    inject(swarm, best)
     assert np.array_equal(swarm.positions[1], best)
 
 
 def test_inject_dimension_mismatch_rejected():
     swarm = make_swarm([[1.0, 0.0]])
     with pytest.raises(ContractError):
-        swarm.inject_fused_state(np.zeros(3), sphere_batch)
+        inject(swarm, np.zeros(3))
 
 
 def test_positions_stay_in_bounds():
@@ -195,9 +208,9 @@ def test_positions_stay_in_bounds():
         params=params,
         rng=np.random.default_rng(7),
     )
-    swarm.evaluate_initial(sphere_batch)
+    evaluate_initial(swarm)
     for _ in range(200):
-        swarm.step_particles(1.5, sphere_batch)
+        step(swarm, 1.5)
         assert np.all(swarm.positions >= -2.0)
         assert np.all(swarm.positions <= 2.0)
 
@@ -211,10 +224,10 @@ def test_reported_best_is_monotone():
         params=SwarmParams(population=8),
         rng=np.random.default_rng(21),
     )
-    swarm.evaluate_initial(sphere_batch)
+    evaluate_initial(swarm)
     best = swarm.best_value()
     for _ in range(300):
-        swarm.step_particles(1.0, sphere_batch)
+        step(swarm, 1.0)
         now = swarm.best_value()
         assert now <= best
         best = now
@@ -229,9 +242,9 @@ def test_rebase_keeps_reported_best_monotone():
         params=SwarmParams(population=5),
         rng=np.random.default_rng(2),
     )
-    swarm.evaluate_initial(sphere_batch)
+    evaluate_initial(swarm)
     for _ in range(50):
-        swarm.step_particles(1.0, sphere_batch)
+        step(swarm, 1.0)
     before = swarm.best_value()
     swarm.rebase_records()
     assert swarm.best_value() <= before
@@ -250,11 +263,11 @@ def test_velocity_contracts_without_attraction():
         params=params,
         rng=np.random.default_rng(5),
     )
-    swarm.evaluate_initial(sphere_batch)
+    evaluate_initial(swarm)
     swarm.velocities = np.random.default_rng(6).uniform(-1, 1, size=(10, 5))
     norms = []
     for _ in range(1000):
-        swarm.step_particles(0.9, sphere_batch)
+        step(swarm, 0.9)
         norms.append(float(np.mean(np.linalg.norm(swarm.velocities, axis=1))))
     first = np.mean(norms[:100])
     last = np.mean(norms[-100:])
@@ -272,7 +285,7 @@ def test_injection_mode_attractor_only():
     params = SwarmParams(population=2, injection="attractor")
     swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]], params=params)
     before = swarm.positions.copy()
-    swarm.inject_fused_state(np.array([0.5, 0.5]), sphere_batch)
+    inject(swarm, np.array([0.5, 0.5]))
     assert np.array_equal(swarm.positions, before)
     assert np.array_equal(swarm.local_attractor, [0.5, 0.5])
 
@@ -281,6 +294,27 @@ def test_injection_mode_particle_only():
     params = SwarmParams(population=2, injection="particle")
     swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]], params=params)
     attractor_before = swarm.local_attractor.copy()
-    swarm.inject_fused_state(np.array([0.5, 0.5]), sphere_batch)
+    inject(swarm, np.array([0.5, 0.5]))
     assert np.array_equal(swarm.positions[1], [0.5, 0.5])
     assert np.array_equal(swarm.local_attractor, attractor_before)
+
+
+def test_step_proposes_and_tell_takes_the_values():
+    swarm = make_swarm([[1.0, 1.0], [4.0, -2.0], [-3.0, 0.5]])
+    swarm.velocities = np.array([[-1.0, -1.0], [10.0, 0.0], [0.0, 0.0]])
+    best_before = swarm.best_values.copy()
+    proposed = swarm.step_particles(1.0)
+    assert np.array_equal(proposed, swarm.positions)
+    values = sphere_batch(proposed)
+    swarm.tell(values)
+    assert np.array_equal(swarm.last_values, values)
+    assert np.array_equal(swarm.best_values, np.minimum(best_before, values))
+    improved = values < best_before
+    assert np.array_equal(swarm.best_positions[improved], proposed[improved])
+
+
+def test_attractor_only_injection_needs_no_value():
+    params = SwarmParams(population=2, injection="attractor")
+    swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]], params=params)
+    swarm.inject_fused_state(np.array([0.5, 0.5]), None)
+    assert np.array_equal(swarm.local_attractor, [0.5, 0.5])

@@ -142,3 +142,24 @@ def test_objective_set_adapter_shapes():
     values = obj.eval_local_batch(0, np.tile(scn.true_targets.ravel(), (3, 1)))
     assert np.allclose(values, 0.0)
     assert obj.eval_global(scn.true_targets.ravel()) == pytest.approx(0.0, abs=1e-18)
+
+
+@pytest.mark.parametrize("targets", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 10])
+def test_eval_all_matches_local_batches_exactly(targets, m):
+    scn = gen_scenario(num_sensors=8, num_targets=targets, seed=4)
+    obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=4))
+    rng = np.random.default_rng(targets)
+    xs = rng.uniform(obj.lower, obj.upper, size=(8, m, obj.dim))
+    values = obj.eval_all(xs)
+    assert values.shape == (8, m)
+    for i in range(8):
+        assert np.array_equal(values[i], obj.eval_local_batch(i, xs[i])), i
+
+
+@pytest.mark.parametrize("shape", [(8, 2, 3), (7, 2, 6), (8, 6)])
+def test_eval_all_rejects_wrong_shape(shape):
+    scn = gen_scenario(num_sensors=8, num_targets=2, seed=4)
+    obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=4))
+    with pytest.raises(ContractError):
+        obj.eval_all(np.zeros(shape))
