@@ -328,7 +328,6 @@ def run(config: RunConfig, provider=None) -> RunReport:
     # from the initial positions, so a row an aborted round leaves unwritten
     # still holds a finite point.
     proposals = np.stack([s.positions for s in swarms])
-    injects_particle = config.swarm_params.injection != "attractor"
     consensus_prev = reps.copy()
     fused_prev: np.ndarray | None = None
 
@@ -440,10 +439,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
             xi_trace.append(float(np.linalg.norm(reps - fused_prev)))
 
         refocus = phased and late_stage
-        if injects_particle:
-            fused_values = obj.eval_all(fused[:, None, :])[:, 0].tolist()
-        else:
-            fused_values = [None] * n
+        fused_values = obj.eval_all(fused[:, None, :])[:, 0].tolist()
         for swarm, state, value in zip(swarms, fused, fused_values):
             swarm.inject_fused_state(state, value, refocus=refocus)
 

@@ -130,7 +130,7 @@ class AgentSwarm:
     def evaluate_initial(self, values: np.ndarray) -> None:
         """Take the scores of the freshly initialized population and seed the
         attractor."""
-        self.best_values = np.asarray(values, dtype=float)
+        self.best_values = np.array(values, dtype=float)
         self.best_positions = self.positions.copy()
         self.last_values = self.best_values.copy()
         self._evaluated = True
@@ -262,7 +262,8 @@ class AgentSwarm:
         Personal bests update greedily, and once collapse recovery has started
         the kick scale adapts to the success rate.
         """
-        self.last_values = values
+        # A copy: the caller's array may be a row of a batch it reuses.
+        self.last_values = np.array(values, dtype=float)
         improved = values < self.best_values
         np.copyto(self.best_positions, self.positions, where=improved[:, None])
         np.copyto(self.best_values, values, where=improved)
@@ -277,9 +278,7 @@ class AgentSwarm:
 
         self._evaluated = True
 
-    def inject_fused_state(
-        self, fused: np.ndarray, value: float | None, refocus: bool = False
-    ) -> None:
+    def inject_fused_state(self, fused: np.ndarray, value: float, refocus: bool = False) -> None:
         """Fold the fused consensus state back into the population.
 
         The attractor moves to the fused point and the worst particle is
@@ -287,8 +286,7 @@ class AgentSwarm:
         `value`, the fused state's local evaluation, so stale records cannot
         shadow the consensus state. With refocus=True (late stage) the
         attractor follows the agent's own best instead, while the particle
-        channel stays open. Only the particle channel reads `value`, so it may
-        be None when injection is "attractor".
+        channel stays open.
         """
         fused = np.asarray(fused, dtype=float)
         if fused.shape != (self.dim,):

@@ -3,8 +3,10 @@
 A wrapper around AgentSwarm.step_particles raises NumericalFault for agent 2
 in a chosen round of a 4-agent sphere ring. Agents 0 and 1 have already
 stepped in that round; their proposals must still be evaluated and folded in
-before the run stops, so the report's best value, final states and trace CSV
-match the recorded ones in tests/data/abort_path.json. A change that moves
+before the run stops, and no other agent may take values that round. So the
+agents told are exactly the ones that stepped, and the report's best value,
+final states and trace CSV match the recorded ones in
+tests/data/abort_path.json. A change that moves
 these on purpose regenerates the data and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_abort_path.py --regenerate
@@ -66,7 +68,7 @@ def _sha256(data: bytes) -> str:
 
 def fingerprint(fault_round: int, scratch: Path, monkeypatch) -> dict:
     monkeypatch.setattr(AgentSwarm, "step_particles", _faulting_step(fault_round))
-    report = run(_config())
+    report, _ = _run_recording_tells(monkeypatch)
     assert report.aborted
     assert f"round {fault_round}" in report.fault
     csv = scratch / f"abort-round{fault_round}.csv"
@@ -76,6 +78,19 @@ def fingerprint(fault_round: int, scratch: Path, monkeypatch) -> dict:
         "final_states_sha256": _sha256(report.final_states.astype("<f8").tobytes()),
         "trace_csv_sha256": _sha256(csv.read_bytes()),
     }
+
+
+def _run_recording_tells(monkeypatch):
+    """Run the config; return the report and the agent id of every tell."""
+    original = AgentSwarm.tell
+    told: list[int] = []
+
+    def tell(self, values):
+        told.append(self.agent_id)
+        return original(self, values)
+
+    monkeypatch.setattr(AgentSwarm, "tell", tell)
+    return run(_config()), told
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +105,16 @@ def test_data_covers_the_rounds(pinned):
 @pytest.mark.parametrize("fault_round", FAULT_ROUNDS)
 def test_abort_matches_pinned_report(fault_round, pinned, tmp_path, monkeypatch):
     assert fingerprint(fault_round, tmp_path, monkeypatch) == pinned[f"round{fault_round}"]
+
+
+@pytest.mark.parametrize("fault_round", FAULT_ROUNDS)
+def test_abort_tells_exactly_the_agents_that_stepped(fault_round, monkeypatch):
+    # Every agent in each full round, then only the agents before the faulty
+    # one: telling too few or too many agents in the faulting round fails.
+    monkeypatch.setattr(AgentSwarm, "step_particles", _faulting_step(fault_round))
+    report, told = _run_recording_tells(monkeypatch)
+    assert report.aborted
+    assert told == [0, 1, 2, 3] * fault_round + list(range(FAULTY_AGENT))
 
 
 def _regenerate() -> None:

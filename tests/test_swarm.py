@@ -311,10 +311,3 @@ def test_step_proposes_and_tell_takes_the_values():
     assert np.array_equal(swarm.best_values, np.minimum(best_before, values))
     improved = values < best_before
     assert np.array_equal(swarm.best_positions[improved], proposed[improved])
-
-
-def test_attractor_only_injection_needs_no_value():
-    params = SwarmParams(population=2, injection="attractor")
-    swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]], params=params)
-    swarm.inject_fused_state(np.array([0.5, 0.5]), None)
-    assert np.array_equal(swarm.local_attractor, [0.5, 0.5])
