@@ -2,7 +2,10 @@
 """Desk-scale ablation table: four variants on six benchmark functions,
 10 agents, dimension 10, 10 seeds, fixed budget.
 
-Thin wrapper over the `suite` subcommand; writes results/ablation/ablation.csv.
+The instances are those of acceptance criterion 6, which compares the coop
+variant's mean_comm_cost and the full variant's mean_best_agent_value against
+the baseline's. Thin wrapper over the `suite` subcommand; writes
+results/ablation/ablation.csv.
 """
 
 import json
@@ -15,7 +18,7 @@ CONFIG = {
     "objective": {"num_agents": 10, "dim": 10, "hetero_sigma": 0.0, "suite_seed": 3},
     "num_runs": 10,
     "max_iterations": 1500,
-    "suite": ["sphere", "elliptic", "schwefel_1_2", "rastrigin", "ackley", "griewank"],
+    "suite": ["sphere", "elliptic", "schwefel_1_2", "rosenbrock", "rastrigin", "ackley"],
 }
 
 

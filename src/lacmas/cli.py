@@ -202,21 +202,25 @@ def cmd_suite(args) -> int:
             ]
             cells.append((family, variant, run_cfgs))
     out = _outdir(cfg)
-    lines = ["family,variant,mean_final_fitness,mean_comm_cost,mean_converged_at,converged_runs"]
+    lines = [
+        "family,variant,mean_final_fitness,mean_best_agent_value,mean_comm_cost,"
+        "mean_converged_at,converged_runs"
+    ]
     for family, variant, run_cfgs in cells:
-        finals, costs, convs = [], [], []
+        finals, bests, costs, convs = [], [], [], []
         for run_cfg in run_cfgs:
             report = engine.run(run_cfg)
             if report.aborted:
                 print(engine.summarize(report), file=sys.stderr)
                 return EXIT_FAULT
             finals.append(report.final_fitness_mean_state)
+            bests.append(report.final_best_agent_value)
             costs.append(report.comm_cost_at_convergence)
             convs.append(report.converged_at)
         done = [c for c in convs if c is not None]
         mean_conv = float(np.mean(done)) if done else float("nan")
         lines.append(
-            f"{family},{variant},{float(np.mean(finals))!r},"
+            f"{family},{variant},{float(np.mean(finals))!r},{float(np.mean(bests))!r},"
             f"{float(np.mean(costs))!r},{mean_conv!r},{len(done)}"
         )
     table = out / "ablation.csv"

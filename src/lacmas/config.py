@@ -1,25 +1,32 @@
 """Experiment configuration: JSON file schema, defaults, and builders.
 
 Every field has a default, so an empty file (or no file) yields a runnable
-configuration. Unknown keys and values whose type does not match the field's
-default are rejected with the offending key named, which catches typos before
-a long run burns its budget.
+configuration. Unknown keys, values whose type does not match the field's
+default and numbers that are not finite floats are rejected with the offending key named,
+which catches typos before a long run burns its budget.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .engine import RunConfig
 from .errors import ConfigError
-from .guidance import ACT_WINDOW, COOP_WINDOW, LLM_TIMEOUT, HeuristicParams, LlmEndpoint
+from .guidance import LLM_TIMEOUT, HeuristicParams, LlmEndpoint
 from .objectives import FAMILIES, BenchmarkSpec, make_spec
 from .scheduler import PcgConfig
 from .swarm import SwarmParams
 from .topology import CommGraph, build_explicit, build_random_connected, build_ring
 from .wsn import WsnObjectiveSet, gen_measurements, gen_scenario
+
+
+def _check_seed(key: str, seed: int) -> None:
+    # numpy's SeedSequence takes no negative entropy; fail before any run.
+    if seed < 0:
+        raise ConfigError(f"{key} must be >= 0, got {seed}")
 
 
 @dataclass
@@ -32,6 +39,7 @@ class GraphSpec:
     def __post_init__(self):
         if self.kind not in ("ring", "random", "explicit"):
             raise ConfigError(f"graph.kind must be ring|random|explicit, got {self.kind!r}")
+        _check_seed("graph.seed", self.seed)
 
 
 @dataclass
@@ -42,6 +50,9 @@ class ObjectiveSpec:
     bound: float = 100.0
     suite_seed: int = 0
 
+    def __post_init__(self):
+        _check_seed("objective.suite_seed", self.suite_seed)
+
 
 @dataclass
 class WsnSpec:
@@ -50,18 +61,15 @@ class WsnSpec:
     noise_sigma: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        _check_seed("wsn.seed", self.seed)
+
 
 @dataclass
 class GuidanceSpec:
-    act_window: int = ACT_WINDOW
-    coop_window: int = COOP_WINDOW
     llm_url: str | None = None
     llm_model: str | None = None
     llm_timeout: float = LLM_TIMEOUT
-    # Whether the remote endpoint's weight list is expected to carry a
-    # trailing self-weight; by default only neighbor weights are requested and
-    # the constant self-weight is appended locally.
-    llm_coop_includes_self: bool = False
 
 
 @dataclass
@@ -125,8 +133,9 @@ _OPTIONAL = {
 def _checked(value, default, key: str):
     """`value` if its type matches `default`'s, else a ConfigError naming `key`.
 
-    An int passes where a float is expected; a bool does not pass as a number.
-    A list passes where the default is a tuple of the same length, element by
+    An int passes where a float is expected; a bool does not pass as a number,
+    and NaN, infinity (both accepted by Python's JSON reader) and integers
+    beyond the float range not at all. A list passes where the default is a tuple of the same length, element by
     element, and comes back as a tuple. A None default accepts null or what
     the key's `_OPTIONAL` test passes.
     """
@@ -144,6 +153,9 @@ def _checked(value, default, key: str):
         raise ConfigError(
             f"{key} must be {type(default).__name__}, got {type(value).__name__} {value!r}"
         )
+    # Also false for NaN, and for an int too large to become a float.
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {value!r:.30}")
     return value
 
 
@@ -242,10 +254,7 @@ def build_run_config(
         pcg=cfg.pcg,
         swarm_params=cfg.swarm,
         heuristic=cfg.heuristic,
-        act_window=g.act_window,
-        coop_window=g.coop_window,
         llm=llm,
-        llm_coop_includes_self=g.llm_coop_includes_self,
     )
     settings.update(overrides)
     return RunConfig(**settings)

@@ -35,10 +35,8 @@ from .errors import ConfigError, ContractError, NumericalFault
 from .guidance import (
     ACT_WINDOW,
     C_DEFAULT,
-    C_RANGE,
     COOP_WINDOW,
     D_DEFAULT,
-    D_RANGE,
     ActRequest,
     CoopRequest,
     HeuristicParams,
@@ -154,12 +152,7 @@ class RunConfig:
     pcg: PcgConfig = field(default_factory=PcgConfig)
     swarm_params: SwarmParams = field(default_factory=SwarmParams)
     heuristic: HeuristicParams = field(default_factory=HeuristicParams)
-    act_defaults: tuple[float, float] = (D_DEFAULT, C_DEFAULT)
-    act_window: int = ACT_WINDOW
-    coop_window: int = COOP_WINDOW
-    history_capacity: int = 32
     llm: LlmEndpoint | None = None
-    llm_coop_includes_self: bool = False
     record_matrices: bool = False
 
     def __post_init__(self):
@@ -173,23 +166,8 @@ class RunConfig:
             raise ConfigError("convergence_threshold must be positive")
         if self.log_every < 1:
             raise ConfigError("log_every must be positive")
-        # Checked here rather than at the first refresh, which can be hundreds
-        # of rounds into the run.
-        if not 1 <= self.act_window <= ACT_WINDOW <= self.history_capacity:
-            raise ConfigError(
-                f"need 1 <= act_window <= {ACT_WINDOW} <= history_capacity, got "
-                f"act_window={self.act_window}, history_capacity={self.history_capacity}"
-            )
-        if not 1 <= self.coop_window <= self.history_capacity:
-            raise ConfigError(
-                f"need 1 <= coop_window <= history_capacity, got "
-                f"coop_window={self.coop_window}, history_capacity={self.history_capacity}"
-            )
-        d0, c0 = self.act_defaults
-        if not (D_RANGE[0] <= d0 <= D_RANGE[1] and C_RANGE[0] <= c0 <= C_RANGE[1]):
-            raise ConfigError(
-                f"act_defaults (d, c) must lie in {D_RANGE} x {C_RANGE}, got {self.act_defaults}"
-            )
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.graph.num_agents != self.objective.num_agents:
             raise ConfigError(
                 f"graph has {self.graph.num_agents} agents, "
@@ -280,11 +258,7 @@ def summarize(report: RunReport) -> str:
 def _make_provider(config: RunConfig):
     if config.provider == "llm":
         endpoint = config.llm if config.llm is not None else LlmEndpoint.from_env()
-        return LlmProvider(
-            endpoint=endpoint,
-            params=config.heuristic,
-            coop_response_includes_self=config.llm_coop_includes_self,
-        )
+        return LlmProvider(endpoint=endpoint, params=config.heuristic)
     return HeuristicProvider(config.heuristic)
 
 
@@ -296,7 +270,6 @@ def run(config: RunConfig, provider=None) -> RunReport:
     if provider is None:
         provider = _make_provider(config)
 
-    d0, c0 = config.act_defaults
     agent_seqs = np.random.SeedSequence(config.master_seed).spawn(n)
     swarms = []
     for i in range(n):
@@ -308,14 +281,14 @@ def run(config: RunConfig, provider=None) -> RunReport:
             upper=obj.upper,
             params=config.swarm_params,
             rng=rng,
-            coefficients=(d0, 1.0, c0),
+            coefficients=(D_DEFAULT, 1.0, C_DEFAULT),
         )
         swarm.evaluate_initial(obj.eval_local_batch(i, swarm.positions))
         swarms.append(swarm)
 
     weights: list[CooperationWeights] = [uniform_weights(graph, i) for i in range(n)]
-    histories = [AgentHistory(config.history_capacity) for _ in range(n)]
-    coeffs = [(d0, c0) for _ in range(n)]
+    histories = [AgentHistory() for _ in range(n)]
+    coeffs = [(D_DEFAULT, C_DEFAULT) for _ in range(n)]
     neighbor_lists = [graph.neighbor_lists[i] for i in range(n)]
     round_cost = comm_cost_per_round(graph, dim)
     # Flattened directed-edge arrays for vectorized local-disagreement means.
@@ -351,13 +324,15 @@ def run(config: RunConfig, provider=None) -> RunReport:
     adm = check_admissibility(matrix, graph)
     weights_dirty = False
 
-    phased = config.swarm_params.late_stage_refocus
-
     for t in range(config.max_iterations):
         # Phase 1: local adaptive swarm steps; publish representatives.
+        # Past the scheduling horizon each attractor follows its agent's own
+        # best instead of the fused state, and the personal-best pull switches
+        # on: the consensus coupling noise stops limiting local refinement,
+        # which is what lets personal bests close in on their local optima.
+        # Fused states keep entering through the particle channel.
         late_stage = t >= config.pcg.horizon_T
-        record_pull = late_stage or not phased
-        if phased and t == config.pcg.horizon_T:
+        if t == config.pcg.horizon_T:
             for swarm in swarms:
                 swarm.rebase_records()
         divergences: list[float] = []
@@ -370,7 +345,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
                 if late_stage:
                     # Late-stage stabilization: no expansion past the horizon.
                     active = min(active, 1.0)
-                proposals[i] = swarm.step_particles(active, record_pull=record_pull)
+                proposals[i] = swarm.step_particles(active, record_pull=late_stage)
                 stepped = i + 1
         except NumericalFault as exc:
             aborted, fault = True, str(exc)
@@ -390,7 +365,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
         if g_int and config.variant in _ACT_VARIANTS and all(len(h) > 0 for h in histories):
             gate_int_hits.append(t)
             for i in range(n):
-                records = histories[i].recent(config.act_window)
+                records = histories[i].recent(ACT_WINDOW)
                 req = ActRequest(
                     iteration=t,
                     current_d=coeffs[i][0],
@@ -409,7 +384,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
                 nbrs = neighbor_lists[i]
                 if not nbrs:
                     continue
-                descriptors = [build_descriptor(histories[k], config.coop_window) for k in nbrs]
+                descriptors = [build_descriptor(histories[k], COOP_WINDOW) for k in nbrs]
                 req = CoopRequest(
                     neighbor_ids=tuple(nbrs),
                     neighbor_stats=tuple(
@@ -438,10 +413,9 @@ def run(config: RunConfig, provider=None) -> RunReport:
         if fused_prev is not None:
             xi_trace.append(float(np.linalg.norm(reps - fused_prev)))
 
-        refocus = phased and late_stage
         fused_values = obj.eval_all(fused[:, None, :])[:, 0].tolist()
         for swarm, state, value in zip(swarms, fused, fused_values):
-            swarm.inject_fused_state(state, value, refocus=refocus)
+            swarm.inject_fused_state(state, value, refocus=late_stage)
 
         diffs = fused - consensus_prev
         state_deltas = np.sqrt((diffs * diffs).sum(axis=1))

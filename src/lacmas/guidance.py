@@ -370,7 +370,6 @@ class LlmProvider:
 
     endpoint: LlmEndpoint
     params: HeuristicParams = field(default_factory=HeuristicParams)
-    coop_response_includes_self: bool = False
     name: str = "llm"
     fallback_count: int = 0
 
@@ -382,13 +381,13 @@ class LlmProvider:
             return heuristic_advise_act(req, self.params)
 
     def advise_coop(self, req: CoopRequest) -> CoopGuidance:
-        n = len(req.neighbor_ids)
-        expected = n + 1 if self.coop_response_includes_self else n
+        # The endpoint is asked for neighbour weights only; the constant self
+        # weight is appended here.
         try:
-            values = parse_coop_response(llm_advise(build_coop_prompt(req), self.endpoint), expected)
+            values = parse_coop_response(
+                llm_advise(build_coop_prompt(req), self.endpoint), len(req.neighbor_ids)
+            )
         except (LlmTransportError, GuidanceParseError):
             self.fallback_count += 1
             return heuristic_advise_coop(req, self.params)
-        if self.coop_response_includes_self:
-            return CoopGuidance(raw_weights=values)
         return CoopGuidance(raw_weights=(*values, self.params.self_weight))

@@ -82,15 +82,11 @@ class BenchmarkSpec:
     def upper(self) -> np.ndarray:
         return np.full(self.dim, self.bound)
 
-    def eval_local(self, agent: int, x: np.ndarray) -> float:
-        """f_i(x) for one point; pure and deterministic."""
-        return float(self.eval_local_batch(agent, np.asarray(x, dtype=float)[None, :])[0])
-
     def eval_local_batch(self, agent: int, xs: np.ndarray) -> np.ndarray:
         """f_i evaluated row-wise over an (M, D) batch."""
         if not 0 <= agent < self.num_agents:
             raise ContractError(f"agent index {agent} out of range")
-        z = self._checked(xs, 2) - self.shifts[agent]
+        z = checked_points(xs, 2, self.dim) - self.shifts[agent]
         if self.rotation is not None:
             z = z @ self.rotation.T
         return _FAMILY_FUNCTIONS[self.family](z)
@@ -98,7 +94,7 @@ class BenchmarkSpec:
     def eval_all(self, xs: np.ndarray) -> np.ndarray:
         """Every agent at once: row block i of an (N, M, D) batch goes to f_i,
         giving (N, M) values equal bit for bit to eval_local_batch(i, xs[i])."""
-        xs = self._checked(xs, 3)
+        xs = checked_points(xs, 3, self.dim)
         n, m, d = xs.shape
         if n != self.num_agents:
             raise ContractError(f"expected {self.num_agents} row blocks, got {n}")
@@ -117,16 +113,19 @@ class BenchmarkSpec:
             raise ContractError(f"expected one ({self.dim},) point, got {x.shape}")
         return float(self.eval_all(x[None, None, :].repeat(self.num_agents, axis=0)).mean())
 
-    def _checked(self, xs: np.ndarray, ndim: int) -> np.ndarray:
-        """xs as a float array of ndim axes whose last one is D, all finite."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != ndim or xs.shape[-1] != self.dim:
-            raise ContractError(
-                f"expected a {ndim}-axis batch of {self.dim}-vectors, got {xs.shape}"
-            )
-        if not math.isfinite(float(xs.sum())):
-            raise ContractError("non-finite evaluation point")
-        return xs
+
+def checked_points(xs: np.ndarray, ndim: int, dim: int) -> np.ndarray:
+    """xs as a float array of ndim axes whose last one is dim, all finite.
+
+    Every objective checks its evaluation points through this, so a NaN or
+    inf point raises instead of scoring NaN or inf.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != ndim or xs.shape[-1] != dim:
+        raise ContractError(f"expected a {ndim}-axis batch of {dim}-vectors, got {xs.shape}")
+    if not math.isfinite(float(xs.sum())):
+        raise ContractError("non-finite evaluation point")
+    return xs
 
 
 # Base functions g: (M, D) -> (M,), each with g(0) = 0 and g >= 0. Row sums use
@@ -210,8 +209,9 @@ def make_spec(
         raise ContractError(f"unknown family {family!r}")
     if num_agents < 1 or dim < 1:
         raise ContractError("num_agents and dim must be positive")
-    if hetero_sigma < 0:
-        raise ContractError("hetero_sigma must be nonnegative")
+    # 2 * hetero_sigma is the width of the uniform draw below.
+    if not 0 <= 2 * hetero_sigma < math.inf:
+        raise ContractError(f"hetero_sigma must be nonnegative and finite, got {hetero_sigma}")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, FAMILIES.index(family)]))
     if family in _BASE_SHIFTED:

@@ -39,8 +39,10 @@ class PcgConfig:
     def __post_init__(self):
         if self.horizon_T < 1:
             raise ConfigError("horizon_T must be a positive integer")
-        if self.rho_ext <= 0:
-            raise ConfigError("rho_ext must be positive")
+        # The cooperation grid is ceil(m * rho_ext * T): its step must be a
+        # finite positive number.
+        if not 0 < self.rho_ext * self.horizon_T < math.inf:
+            raise ConfigError("rho_ext must be positive, with rho_ext * horizon_T finite")
         if not 0 < self.rho_1 < self.rho_2 < 1:
             raise ConfigError("need 0 < rho_1 < rho_2 < 1")
         a1, a2, a3 = self.alphas

@@ -24,11 +24,15 @@ take values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, NumericalFault
+
+_LOG_MAX = math.log(sys.float_info.max)
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -42,17 +46,10 @@ class SwarmParams:
     init_velocity_frac: float = 0.05
     d1: float = 1.0
     d2: float = 10.0
-    # How the fused consensus state re-enters the population.
-    injection: str = "both"  # both | particle | attractor
     # Attractor gain r2 drawn per component or once per particle. The scalar
     # mode lets a particle take near-zero-drag steps with positive probability,
     # which keeps personal-best refinement unbiased in high dimension.
     attractor_gain: str = "scalar"  # scalar | elementwise
-    # Past the scheduling horizon the attractor follows the agent's own best
-    # instead of the fused state: the consensus coupling noise stops limiting
-    # local refinement, which is what lets personal bests close in on their
-    # local optima. Fused states keep entering through the particle channel.
-    late_stage_refocus: bool = True
     # Collapse recovery: a particle whose velocity has died gets a fresh kick.
     # The multiplicative modulation cannot re-expand a population from zero
     # velocity on its own, so this is what keeps refinement going instead of
@@ -69,8 +66,16 @@ class SwarmParams:
             raise ContractError("population must be >= 1")
         if not self.d1 < self.d2:
             raise ContractError(f"need d1 < d2, got ({self.d1}, {self.d2})")
-        if self.injection not in ("both", "particle", "attractor"):
-            raise ContractError(f"bad injection mode {self.injection!r}")
+        if self.init_velocity_frac < 0:
+            raise ContractError(f"init_velocity_frac must be >= 0, got {self.init_velocity_frac}")
+        if not 0 <= self.kick_target_rate <= 1:
+            raise ContractError(f"kick_target_rate must lie in [0, 1], got {self.kick_target_rate}")
+        # The success rate minus the target lies in [-1, 1], so this keeps the
+        # kick-scale factor exp(rate * (success - target)) finite.
+        if not 0 <= self.kick_adapt_rate < _LOG_MAX:
+            raise ContractError(
+                f"kick_adapt_rate must lie in [0, {_LOG_MAX:.1f}), got {self.kick_adapt_rate}"
+            )
         if self.attractor_gain not in ("scalar", "elementwise"):
             raise ContractError(f"bad attractor_gain mode {self.attractor_gain!r}")
 
@@ -99,16 +104,25 @@ class AgentSwarm:
 
         p = params.population
         span = self.upper - self.lower
-        self.positions = rng.uniform(self.lower, self.upper, size=(p, dim))
         vmax = params.init_velocity_frac * span
+        self._span_mean = float(span.mean())
+        self._kick_floor = 1e-12 * self._span_mean
+        self.kick_sigma = float(params.init_velocity_frac * self._span_mean)
+        # Generator.uniform needs a finite width for both draws below, and the
+        # dead-velocity test squares kick_velocity_eps * kick_sigma, where
+        # kick_sigma never exceeds the larger of its start and the mean span.
+        if not (np.isfinite(span).all() and math.isfinite(2 * float(vmax.max()))):
+            raise ContractError("the box and the initial velocity range must have finite widths")
+        if params.kick_velocity_eps * max(self.kick_sigma, self._span_mean) >= _SQRT_MAX:
+            raise ContractError(
+                f"kick_velocity_eps times the box span must be below {_SQRT_MAX:.3g}"
+            )
+        self.positions = rng.uniform(self.lower, self.upper, size=(p, dim))
         self.velocities = rng.uniform(-vmax, vmax, size=(p, dim))
         self.best_positions = self.positions.copy()
         self.best_values = np.full(p, np.inf)
         self.last_values = np.full(p, np.inf)
         self.local_attractor = np.zeros(dim)
-        self._span_mean = float(span.mean())
-        self._kick_floor = 1e-12 * self._span_mean
-        self.kick_sigma = float(params.init_velocity_frac * self._span_mean)
         self._kicking = False
         self._evaluated = False
         # All-time agent best, kept apart from the working records so that
@@ -291,20 +305,18 @@ class AgentSwarm:
         fused = np.asarray(fused, dtype=float)
         if fused.shape != (self.dim,):
             raise ContractError(f"fused state has shape {fused.shape}, expected ({self.dim},)")
-        if self.params.injection in ("both", "particle"):
-            worst = self.best_values.argmax()
-            # best_value() is the min of best_seen_value and the records, so
-            # overwriting the worst record can lower it only when that record
-            # is below best_seen_value; fold the records in first in that case.
-            if self.best_values[worst] < self.best_seen_value:
-                self._track_best_seen()
-            self.positions[worst] = fused
-            self.velocities[worst] = 0.0
-            self.best_positions[worst] = fused
-            self.best_values[worst] = value
-            self.last_values[worst] = value
-        if self.params.injection in ("both", "attractor"):
-            if refocus:
-                self.local_attractor = self.best_record_state()
-            else:
-                self.local_attractor = fused.copy()
+        worst = self.best_values.argmax()
+        # best_value() is the min of best_seen_value and the records, so
+        # overwriting the worst record can lower it only when that record is
+        # below best_seen_value; fold the records in first in that case.
+        if self.best_values[worst] < self.best_seen_value:
+            self._track_best_seen()
+        self.positions[worst] = fused
+        self.velocities[worst] = 0.0
+        self.best_positions[worst] = fused
+        self.best_values[worst] = value
+        self.last_values[worst] = value
+        if refocus:
+            self.local_attractor = self.best_record_state()
+        else:
+            self.local_attractor = fused.copy()

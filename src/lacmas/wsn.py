@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
+from .objectives import checked_points
 
 DEFAULT_P0 = -40.0
 DEFAULT_D0 = 1.0
@@ -129,17 +130,14 @@ def decode_targets(scn: WsnScenario, x: np.ndarray) -> np.ndarray:
     return x.reshape(*x.shape[:-1], scn.num_targets, 3)
 
 
-def local_objective(scn: WsnScenario, phi: np.ndarray, sensor: int, x: np.ndarray) -> float:
-    """Squared RSS mismatch of sensor `sensor` at candidate layout x."""
-    return float(local_objective_batch(scn, phi, sensor, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def local_objective_batch(
     scn: WsnScenario, phi: np.ndarray, sensor: int, xs: np.ndarray
 ) -> np.ndarray:
+    """Squared RSS mismatch of sensor `sensor` at each row of an (M, dim) batch
+    of candidate layouts."""
     if not 0 <= sensor < scn.num_sensors:
         raise ContractError(f"sensor index {sensor} out of range")
-    layouts = decode_targets(scn, xs)  # (M, N_t, 3)
+    layouts = decode_targets(scn, checked_points(xs, 2, scn.dim))  # (M, N_t, 3)
     dists = _norm_last_axis(layouts - scn.sensor_positions[sensor])
     residual = phi[sensor] - rss_model(scn, dists)
     return (residual * residual).sum(axis=1)
@@ -149,11 +147,10 @@ def all_local_objectives(scn: WsnScenario, phi: np.ndarray, xs: np.ndarray) -> n
     """Every sensor's objective at once: row block i of an (n, M, dim) batch
     goes to sensor i, giving (n, M) values equal bit for bit to
     local_objective_batch(scn, phi, i, xs[i])."""
+    xs = checked_points(xs, 3, scn.dim)
+    if len(xs) != scn.num_sensors:
+        raise ContractError(f"expected ({scn.num_sensors}, M, {scn.dim}) batch, got {xs.shape}")
     layouts = decode_targets(scn, xs)  # (n, M, N_t, 3)
-    if layouts.ndim != 4 or len(layouts) != scn.num_sensors:
-        raise ContractError(
-            f"expected ({scn.num_sensors}, M, {scn.dim}) batch, got {np.shape(xs)}"
-        )
     dists = _norm_last_axis(layouts - scn.sensor_positions[:, None, None, :])
     residual = phi[:, None, :] - rss_model(scn, dists)
     return (residual * residual).sum(axis=-1)
@@ -206,9 +203,6 @@ class WsnObjectiveSet:
     @property
     def upper(self) -> np.ndarray:
         return np.tile(np.asarray(self.scenario.area, dtype=float), self.scenario.num_targets)
-
-    def eval_local(self, agent: int, x: np.ndarray) -> float:
-        return local_objective(self.scenario, self.phi, agent, x)
 
     def eval_local_batch(self, agent: int, xs: np.ndarray) -> np.ndarray:
         return local_objective_batch(self.scenario, self.phi, agent, xs)

@@ -101,7 +101,6 @@ def test_bad_guidance_window_fails_before_first_round(tmp_path, capsys, guidance
         ({"pcg": {"alphas": [0.2, "0.5", 0.9]}}, "pcg.alphas"),
         ({"pcg": {"alphas": [0.2, 0.5]}}, "pcg.alphas"),
         ({"heuristic": {"decay": "0.1"}}, "heuristic.decay"),
-        ({"guidance": {"llm_coop_includes_self": 1}}, "guidance.llm_coop_includes_self"),
     ],
 )
 def test_wrongly_typed_value_gives_config_exit(tmp_path, capsys, extra, key):
@@ -173,6 +172,64 @@ def test_zero_numeric_flag_gives_config_exit(tmp_path, capsys, argv):
     assert err.startswith("configuration error:")
     assert "\n" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, flags, key",
+    [
+        ("run", {"master_seed": -1}, [], "master_seed"),
+        ("run", {"objective": {"suite_seed": -3}}, [], "objective.suite_seed"),
+        ("run", {"graph": {"kind": "random", "seed": -2}}, [], "graph.seed"),
+        ("wsn", {"wsn": {"seed": -4}}, [], "wsn.seed"),
+        ("run", None, ["--seed", "-1"], "master_seed"),
+        ("wsn", None, ["--seed", "-1"], "master_seed"),
+    ],
+)
+def test_negative_seed_gives_config_exit(tmp_path, capsys, command, extra, flags, key):
+    # numpy's SeedSequence rejects negative entropy: unchecked, each of these
+    # ended in "ValueError: expected non-negative integer" and a traceback.
+    cfg = write_config(tmp_path, extra)
+    out = tmp_path / "r"
+    argv = [command, "--config", str(cfg), *flags, "--out", str(out)]
+    if command == "run":
+        argv += ["--suite", "sphere"]
+    code = main(argv)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and key in err
+    assert "\n" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"convergence_threshold": float("nan")}, "convergence_threshold"),
+        ({"objective": {"bound": float("inf")}}, "objective.bound"),
+        ({"pcg": {"alphas": [0.2, 0.5, float("nan")]}}, "pcg.alphas"),
+        ({"pcg": {"horizon_T": 10**400}}, "pcg.horizon_T"),
+        ({"objective": {"bound": -(10**400)}}, "objective.bound"),
+        ({"objective": {"bound": 1e308}}, "finite widths"),
+        ({"objective": {"hetero_sigma": 1e308}}, "hetero_sigma"),
+        ({"pcg": {"rho_ext": 1e308}}, "rho_ext"),
+        ({"swarm": {"init_velocity_frac": -0.1}}, "init_velocity_frac"),
+        ({"swarm": {"kick_velocity_eps": 1e200}}, "kick_velocity_eps"),
+        ({"swarm": {"kick_adapt_rate": 1000.0}}, "kick_adapt_rate"),
+        ({"swarm": {"kick_target_rate": 1.5}}, "kick_target_rate"),
+    ],
+)
+def test_unusable_number_gives_config_exit(tmp_path, capsys, extra, key):
+    # Python's JSON reader accepts NaN, Infinity and integers of any size.
+    # Unchecked, a NaN threshold never stopped a run, and the other values
+    # ended in a ValueError or OverflowError traceback: from a float
+    # conversion, a uniform draw, math.exp, a squared float or a ceiling of
+    # infinity. A success-rate target outside [0, 1] can overflow math.exp too.
+    cfg = write_config(tmp_path, extra)
+    code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and key in err
+    assert "\n" not in err
 
 
 def test_contract_error_gives_config_exit(tmp_path, capsys):

@@ -141,26 +141,6 @@ def test_build_run_config_overrides_are_validated():
         build_run_config(cfg, objective, graph, master_seed=0, max_iterations=0)
 
 
-@pytest.mark.parametrize("act_defaults", [(0.2, 1.3), (1.1, 1.3), (0.7, 0.9), (0.7, 2.0)])
-def test_act_defaults_outside_ranges_rejected(act_defaults):
-    # Unchecked, (0.2, 1.3) builds and the run dies at the first act refresh
-    # with "current_d 0.2 out of range".
-    cfg = ExperimentConfig()
-    objective = build_benchmark(cfg, "sphere")
-    graph = build_graph(cfg, objective.num_agents)
-    with pytest.raises(ConfigError, match="act_defaults"):
-        build_run_config(cfg, objective, graph, master_seed=0, act_defaults=act_defaults)
-
-
-@pytest.mark.parametrize("act_defaults", [(0.5, 1.0), (1.0, 1.8)])
-def test_act_defaults_on_range_ends_accepted(act_defaults):
-    cfg = ExperimentConfig()
-    objective = build_benchmark(cfg, "sphere")
-    graph = build_graph(cfg, objective.num_agents)
-    run_cfg = build_run_config(cfg, objective, graph, master_seed=0, act_defaults=act_defaults)
-    assert run_cfg.act_defaults == act_defaults
-
-
 def test_every_none_default_has_a_type_check():
     from dataclasses import fields
 

@@ -19,24 +19,24 @@ def finite_difference_gradient(f, x, h=1e-5):
 
 def test_sphere_zero_at_origin():
     spec = make_spec("sphere", num_agents=3, dim=5, hetero_sigma=0.0, seed=0)
-    assert spec.eval_local(0, np.zeros(5)) == 0.0
+    assert spec.eval_local_batch(0, np.zeros(5)[None])[0] == 0.0
 
 
 def test_sphere_sum_of_ones_equals_dim():
     spec = make_spec("sphere", num_agents=3, dim=7, hetero_sigma=0.0, seed=0)
-    assert spec.eval_local(1, np.ones(7)) == pytest.approx(7.0)
+    assert spec.eval_local_batch(1, np.ones(7)[None])[0] == pytest.approx(7.0)
 
 
 def test_rastrigin_zero_at_shift():
     spec = make_spec("rastrigin", num_agents=4, dim=6, hetero_sigma=2.0, seed=5)
     for i in range(4):
-        assert spec.eval_local(i, spec.shifts[i]) == pytest.approx(0.0, abs=1e-9)
+        assert spec.eval_local_batch(i, spec.shifts[i][None])[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_global_equals_local_in_homogeneous_mode():
     spec = make_spec("ackley", num_agents=5, dim=4, hetero_sigma=0.0, seed=2)
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    assert spec.eval_global(x) == pytest.approx(spec.eval_local(0, x), rel=1e-12)
+    assert spec.eval_global(x) == pytest.approx(spec.eval_local_batch(0, x[None])[0], rel=1e-12)
 
 
 def test_two_agent_sphere_midpoint_value():
@@ -70,7 +70,7 @@ def test_global_is_mean_of_locals():
         spec = make_spec(family, num_agents=7, dim=5, hetero_sigma=3.0, seed=4)
         for _ in range(5):
             x = rng.uniform(-50, 50, size=5)
-            mean = float(np.mean([spec.eval_local(i, x) for i in range(7)]))
+            mean = float(np.mean([spec.eval_local_batch(i, x[None])[0] for i in range(7)]))
             assert spec.eval_global(x) == mean, family
 
 
@@ -136,24 +136,24 @@ def test_suite_generation_is_deterministic():
 def test_dimension_mismatch_rejected():
     spec = make_spec("sphere", num_agents=2, dim=4, hetero_sigma=0.0, seed=0)
     with pytest.raises(ContractError):
-        spec.eval_local(0, np.zeros(5))
+        spec.eval_local_batch(0, np.zeros(5)[None])
 
 
 def test_nan_input_rejected():
     spec = make_spec("sphere", num_agents=2, dim=4, hetero_sigma=0.0, seed=0)
     with pytest.raises(ContractError):
-        spec.eval_local(0, np.array([0.0, np.nan, 0.0, 0.0]))
+        spec.eval_local_batch(0, np.array([0.0, np.nan, 0.0, 0.0])[None])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_base_function_zero_at_origin_and_nonnegative(family):
     spec = make_spec(family, num_agents=2, dim=6, hetero_sigma=0.0, seed=8)
-    at_shift = spec.eval_local(0, spec.shifts[0])
+    at_shift = spec.eval_local_batch(0, spec.shifts[0][None])[0]
     assert at_shift == pytest.approx(0.0, abs=1e-9)
     rng = np.random.default_rng(123)
     for _ in range(50):
         x = rng.uniform(-100, 100, size=6)
-        assert spec.eval_local(0, x) >= 0.0
+        assert spec.eval_local_batch(0, x[None])[0] >= 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,7 +165,7 @@ def test_base_function_zero_at_origin_and_nonnegative(family):
 def test_local_evaluation_is_finite_and_pure(family, dim, x):
     spec = make_spec(family, num_agents=3, dim=dim, hetero_sigma=2.0, seed=6)
     x = np.resize(np.asarray(x, dtype=float), dim)
-    first = spec.eval_local(1, x)
-    second = spec.eval_local(1, x)
+    first = spec.eval_local_batch(1, x[None])[0]
+    second = spec.eval_local_batch(1, x[None])[0]
     assert np.isfinite(first)
     assert first == second

@@ -281,24 +281,6 @@ def test_divergence_zero_iff_positions_equal():
     assert swarm.divergence() > 0.0
 
 
-def test_injection_mode_attractor_only():
-    params = SwarmParams(population=2, injection="attractor")
-    swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]], params=params)
-    before = swarm.positions.copy()
-    inject(swarm, np.array([0.5, 0.5]))
-    assert np.array_equal(swarm.positions, before)
-    assert np.array_equal(swarm.local_attractor, [0.5, 0.5])
-
-
-def test_injection_mode_particle_only():
-    params = SwarmParams(population=2, injection="particle")
-    swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]], params=params)
-    attractor_before = swarm.local_attractor.copy()
-    inject(swarm, np.array([0.5, 0.5]))
-    assert np.array_equal(swarm.positions[1], [0.5, 0.5])
-    assert np.array_equal(swarm.local_attractor, attractor_before)
-
-
 def test_step_proposes_and_tell_takes_the_values():
     swarm = make_swarm([[1.0, 1.0], [4.0, -2.0], [-3.0, 0.5]])
     swarm.velocities = np.array([[-1.0, -1.0], [10.0, 0.0], [0.0, 0.0]])

@@ -8,7 +8,6 @@ from lacmas.wsn import (
     gen_measurements,
     gen_scenario,
     global_objective,
-    local_objective,
     system_error,
 )
 
@@ -50,28 +49,28 @@ def test_noiseless_measurements_have_no_noise():
 
 def test_local_objective_zero_at_truth_for_every_sensor():
     scn = gen_scenario(num_sensors=6, num_targets=2, seed=7, noise_sigma=0.0)
-    phi = gen_measurements(scn, seed=7)
+    obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=7))
     truth = scn.true_targets.ravel()
     for i in range(6):
-        assert local_objective(scn, phi, i, truth) == pytest.approx(0.0, abs=1e-18)
+        assert obj.eval_local_batch(i, truth[None])[0] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_local_objective_nonnegative():
     scn = gen_scenario(num_sensors=4, num_targets=1, seed=3, noise_sigma=0.5)
-    phi = gen_measurements(scn, seed=3)
+    obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=3))
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.uniform(0, 50, size=3)
-        assert local_objective(scn, phi, 0, x) >= 0.0
+        assert obj.eval_local_batch(0, x[None])[0] >= 0.0
 
 
 def test_single_sensor_residual_squared():
     # Truth at distance d0 gives phi = P0; a candidate at distance 10*d0
     # predicts P0 - 30, so the squared residual is 900.
     scn = manual_scenario([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], d0=1.0, p0=-40.0, path_loss_exp=3.0)
-    phi = gen_measurements(scn, seed=0)
+    obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=0))
     candidate = np.array([10.0, 0.0, 0.0])
-    assert local_objective(scn, phi, 0, candidate) == pytest.approx(900.0)
+    assert obj.eval_local_batch(0, candidate[None])[0] == pytest.approx(900.0)
 
 
 def test_system_error_zero_at_truth():
@@ -95,10 +94,11 @@ def test_global_objective_is_mean_of_locals(targets):
     # the reference and the arithmetic is the same, so the match is exact.
     scn = gen_scenario(num_sensors=6, num_targets=targets, seed=2, noise_sigma=0.5)
     phi = gen_measurements(scn, seed=2)
+    obj = WsnObjectiveSet(scenario=scn, phi=phi)
     rng = np.random.default_rng(8)
     for _ in range(5):
         x = rng.uniform(0.0, 50.0, size=scn.dim)
-        mean = float(np.mean([local_objective(scn, phi, i, x) for i in range(6)]))
+        mean = float(np.mean([obj.eval_local_batch(i, x[None])[0] for i in range(6)]))
         assert global_objective(scn, phi, x) == mean
 
 
@@ -127,9 +127,9 @@ def test_degenerate_geometry_rejected():
 
 def test_decision_vector_length_checked():
     scn = gen_scenario(num_sensors=3, num_targets=2, seed=0)
-    phi = gen_measurements(scn, seed=0)
+    obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=0))
     with pytest.raises(ContractError):
-        local_objective(scn, phi, 0, np.zeros(3))
+        obj.eval_local_batch(0, np.zeros(3)[None])
 
 
 def test_objective_set_adapter_shapes():
@@ -163,3 +163,18 @@ def test_eval_all_rejects_wrong_shape(shape):
     obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=4))
     with pytest.raises(ContractError):
         obj.eval_all(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_point_rejected(bad):
+    # Unchecked, a NaN point scored NaN and an inf point inf, silently.
+    scn = gen_scenario(num_sensors=4, num_targets=2, seed=2)
+    obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=2))
+    with pytest.raises(ContractError, match="non-finite"):
+        obj.eval_local_batch(0, np.full((1, obj.dim), bad))
+    xs = np.full((4, 2, obj.dim), 10.0)
+    xs[3, 1, 5] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        obj.eval_all(xs)
+    with pytest.raises(ContractError, match="non-finite"):
+        obj.eval_global(np.full(obj.dim, bad))
