@@ -1,14 +1,16 @@
 """Round-synchronous run loop.
 
 Each round has two phases. In phase one every agent reads its particle
-divergence, selects the active regime coefficient and proposes new particle
-positions; one batch call evaluates every agent's proposals on its own local
-objective, and each agent takes its values back and publishes a representative
-state plus trajectory statistics. At the barrier, guidance refreshes fire if
-their gates are open, every agent fuses the published neighborhood states under
-its cooperation weights, and the fused states, scored in one more batch call,
-are injected back into the populations. Histories, metrics, and the
-admissibility check run once per round.
+divergence, selects the active regime coefficient and writes new particle
+positions into its row of the stacked population; one batch call evaluates
+every agent's proposals on its own local objective, and one batched tell takes
+the values back, after which every agent publishes a representative state plus
+trajectory statistics. At the barrier, guidance refreshes fire if their gates
+are open, every agent fuses the published neighborhood states under its
+cooperation weights, and the fused states, scored in one more batch call, are
+injected back into the populations. Histories, metrics, and the admissibility
+check run once per round; a non-finite best value or divergence aborts the run
+there, before it reaches the histories.
 
 Serial agent order plus per-agent RNG streams derived from the master seed
 make runs bit-reproducible with the heuristic provider.
@@ -45,7 +47,7 @@ from .guidance import (
     LlmProvider,
 )
 from .scheduler import PcgConfig
-from .swarm import AgentSwarm, SwarmParams
+from .swarm import Population, SwarmParams
 from .topology import CommGraph, validate
 
 VARIANTS = ("baseline", "act", "coop", "full")
@@ -271,20 +273,17 @@ def run(config: RunConfig, provider=None) -> RunReport:
         provider = _make_provider(config)
 
     agent_seqs = np.random.SeedSequence(config.master_seed).spawn(n)
-    swarms = []
-    for i in range(n):
-        rng = np.random.default_rng(agent_seqs[i])
-        swarm = AgentSwarm(
-            agent_id=i,
-            dim=dim,
-            lower=obj.lower,
-            upper=obj.upper,
-            params=config.swarm_params,
-            rng=rng,
-            coefficients=(D_DEFAULT, 1.0, C_DEFAULT),
-        )
+    population = Population(
+        dim,
+        obj.lower,
+        obj.upper,
+        config.swarm_params,
+        [np.random.default_rng(seq) for seq in agent_seqs],
+        coefficients=(D_DEFAULT, 1.0, C_DEFAULT),
+    )
+    swarms = population.swarms
+    for i, swarm in enumerate(swarms):
         swarm.evaluate_initial(obj.eval_local_batch(i, swarm.positions))
-        swarms.append(swarm)
 
     weights: list[CooperationWeights] = [uniform_weights(graph, i) for i in range(n)]
     histories = [AgentHistory() for _ in range(n)]
@@ -296,11 +295,8 @@ def run(config: RunConfig, provider=None) -> RunReport:
     edge_dst = np.array([k for i in range(n) for k in neighbor_lists[i]], dtype=int)
     degrees = np.array([max(len(nb), 1) for nb in neighbor_lists], dtype=float)
 
-    reps = np.stack([s.representative_state() for s in swarms])
-    # Every agent's proposals for one round, evaluated in one batch. It starts
-    # from the initial positions, so a row an aborted round leaves unwritten
-    # still holds a finite point.
-    proposals = np.stack([s.positions for s in swarms])
+    reps = population.representatives()
+    divergences = np.empty(n)
     consensus_prev = reps.copy()
     fused_prev: np.ndarray | None = None
 
@@ -335,26 +331,24 @@ def run(config: RunConfig, provider=None) -> RunReport:
         if t == config.pcg.horizon_T:
             for swarm in swarms:
                 swarm.rebase_records()
-        divergences: list[float] = []
         stepped = 0
         try:
             for i, swarm in enumerate(swarms):
                 div = swarm.divergence()
-                divergences.append(div)
+                divergences[i] = div
                 active = swarm.select_coefficient(div)
                 if late_stage:
                     # Late-stage stabilization: no expansion past the horizon.
                     active = min(active, 1.0)
-                proposals[i] = swarm.step_particles(active, record_pull=late_stage)
+                swarm.step_particles(active, record_pull=late_stage)
                 stepped = i + 1
         except NumericalFault as exc:
             aborted, fault = True, str(exc)
-        # One objective call for all agents. Those that stepped before a fault
-        # still take their values, so an abort leaves them as evaluated.
-        values = obj.eval_all(proposals)
-        for i in range(stepped):
-            swarms[i].tell(values[i])
-            reps[i] = swarms[i].representative_state()
+        # One objective call for all agents' rows. Those that stepped before a
+        # fault still take their values, so an abort leaves them as evaluated;
+        # the other rows hold their last (finite) positions and are not told.
+        population.tell(obj.eval_all(population.positions), upto=stepped)
+        reps[:stepped] = population.representatives(upto=stepped)
         if aborted:
             break
 
@@ -425,10 +419,23 @@ def run(config: RunConfig, provider=None) -> RunReport:
             local_dis = np.bincount(edge_src, weights=edge_norms, minlength=n) / degrees
         else:
             local_dis = np.zeros(n)
-        for history, swarm, div, delta, ld in zip(
-            histories, swarms, divergences, state_deltas.tolist(), local_dis.tolist()
-        ):
-            history.append(HistoryRecord(t, swarm.best_value(), div, delta, ld))
+        bests = population.agent_bests()
+        finite = np.isfinite(bests) & np.isfinite(divergences)
+        if not finite.all():
+            # Caught here, a run whose values overflow stops as a numerical
+            # fault instead of failing later in a descriptor's range checks.
+            bad = int(np.argmin(finite))
+            aborted = True
+            fault = (
+                f"non-finite best value {float(bests[bad])!r} or divergence "
+                f"{float(divergences[bad])!r} for agent {bad} in round {t}"
+            )
+            break
+        records = zip(
+            bests.tolist(), divergences.tolist(), state_deltas.tolist(), local_dis.tolist()
+        )
+        for history, (best, div, delta, ld) in zip(histories, records):
+            history.append(HistoryRecord(t, best, div, delta, ld))
 
         dis = disagreement(fused)
         dis_trace.append(dis)
@@ -482,7 +489,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
         final_mean_local_fitness=float(obj.eval_all(final_states[:, None, :]).mean())
         if not aborted
         else float("nan"),
-        final_best_agent_value=float(min(s.best_value() for s in swarms)),
+        final_best_agent_value=float(population.agent_bests().min()),
         act_calls=act_calls,
         coop_calls=coop_calls,
         provider_fallbacks=fallbacks,

@@ -15,9 +15,11 @@ delta is drawn element-wise uniform on [modulation_low, modulation_high], so
 w < 1 contracts the modulated term in the mean-square sense and w near the top
 of its range lets occasional large kicks through.
 
-The swarm never calls an objective. step_particles proposes new positions, the
-caller evaluates them (the engine does all agents in one batch) and hands the
-values back through tell; evaluate_initial and inject_fused_state likewise
+The swarm never calls an objective. All agents' particle records live in one
+Population, stacked as (N, P, D) and (N, P) arrays; each AgentSwarm works on
+row views of them. step_particles writes new positions into its row, the
+caller evaluates the whole positions buffer in one batch and hands the values
+back through Population.tell; evaluate_initial and inject_fused_state likewise
 take values.
 """
 
@@ -33,6 +35,7 @@ from .errors import ContractError, NumericalFault
 
 _LOG_MAX = math.log(sys.float_info.max)
 _SQRT_MAX = math.sqrt(sys.float_info.max)
+_sum = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -80,98 +83,213 @@ class SwarmParams:
             raise ContractError(f"bad attractor_gain mode {self.attractor_gain!r}")
 
 
-class AgentSwarm:
-    """State and dynamics of one agent's particle population."""
+class StepBuffers:
+    """Preallocated scratch for one swarm step or divergence, so neither
+    allocates. The swarms of a Population step one at a time and share one set.
+    """
+
+    __slots__ = (
+        "draw_scale", "draws", "delta", "pull_pbest", "pull_attractor",
+        "kick", "scratch", "proposed", "clamped", "speed2", "dead", "centroid",
+    )
+
+    def __init__(self, params: SwarmParams, dim: int):
+        p = params.population
+        pd = p * dim
+        r2_shape = (p, 1) if params.attractor_gain == "scalar" else (p, dim)
+        # One uniform draw per step covers delta, r1 and r2 in that order.
+        # Scaling it by this vector gives (hi - lo) * u, c_p * r1 and c_a * r2
+        # with the same roundings as Generator.uniform followed by the pull
+        # products, so the stream and the arithmetic match three separate draws.
+        self.draw_scale = np.concatenate([
+            np.full(pd, params.modulation_high - params.modulation_low),
+            np.full(pd, params.pull_pbest),
+            np.full(math.prod(r2_shape), params.pull_attractor),
+        ])
+        self.draws = np.empty_like(self.draw_scale)
+        self.delta = self.draws[:pd].reshape(p, dim)
+        self.pull_pbest = self.draws[pd:2 * pd].reshape(p, dim)
+        self.pull_attractor = self.draws[2 * pd:].reshape(r2_shape)
+        self.kick = np.empty((p, dim))
+        self.scratch = np.empty((p, dim))
+        self.proposed = np.empty((p, dim))
+        self.clamped = np.empty((p, dim), dtype=bool)
+        self.speed2 = np.empty(p)
+        self.dead = np.empty(p, dtype=bool)
+        self.centroid = np.empty(dim)
+
+
+class Population:
+    """Every agent's particle records, stacked.
+
+    Owns positions and personal-best positions as (N, P, D), the best and
+    latest values as (N, P), each agent's all-time best value as (N,) and
+    which agents are in collapse recovery as (N,). Agent i's AgentSwarm (in
+    `swarms`) keeps its own generator, coefficients, velocities and kick scale
+    and works on row i of these buffers in place, so the batch operations here
+    see every swarm's last write. Swarms hold no reference back, so a finished
+    run's population is freed as soon as the run lets go of it.
+    """
 
     def __init__(
         self,
-        agent_id: int,
         dim: int,
         lower: np.ndarray,
         upper: np.ndarray,
         params: SwarmParams,
+        rngs: list[np.random.Generator],
+        coefficients: tuple[float, float, float] = (0.7, 1.0, 1.3),
+    ):
+        shape = (len(rngs), params.population)
+        self.params = params
+        self.positions = np.zeros(shape + (dim,))
+        self.best_positions = np.zeros(shape + (dim,))
+        self.best_values = np.full(shape, np.inf)
+        self.last_values = np.full(shape, np.inf)
+        self.best_seen = np.full(len(rngs), np.inf)
+        # Set once an agent's collapse recovery starts; it never stops again.
+        self.kicking = np.zeros(len(rngs), dtype=bool)
+        self.step_buffers = StepBuffers(params, dim)
+        self.swarms = [
+            AgentSwarm(self, i, lower, upper, rng, coefficients) for i, rng in enumerate(rngs)
+        ]
+
+    def tell(self, values: np.ndarray, upto: int | None = None) -> None:
+        """Take the (N, P) values of the positions the swarms last proposed.
+
+        Only rows below `upto` (all rows by default) are taken: a round cut
+        short by a fault tells just the agents that stepped. Personal bests
+        update greedily, and the kick scale of every told swarm in collapse
+        recovery adapts to its success rate.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.best_values.shape:
+            raise ContractError(
+                f"values have shape {values.shape}, expected {self.best_values.shape}"
+            )
+        rows = slice(upto)
+        values = values[rows]
+        best = self.best_values[rows]
+        self.last_values[rows] = values
+        improved = values < best
+        np.copyto(self.best_positions[rows], self.positions[rows], where=improved[:, :, None])
+        np.copyto(best, values, where=improved)
+
+        kicking = np.flatnonzero(self.kicking[rows]).tolist()
+        if kicking:
+            # Success-rate step-size control; holds at the initialization
+            # scale until a swarm's collapse recovery starts.
+            p = self.params
+            successes = np.count_nonzero(improved, axis=1).tolist()
+            for i in kicking:
+                swarm = self.swarms[i]
+                rate = successes[i] / p.population
+                swarm.kick_sigma *= math.exp(p.kick_adapt_rate * (rate - p.kick_target_rate))
+                swarm.kick_sigma = min(swarm.kick_sigma, swarm.span_mean)
+
+    def representatives(self, upto: int | None = None) -> np.ndarray:
+        """Each agent's representative state (see AgentSwarm.representative_state)
+        for rows below `upto`, as a new (upto, D) array."""
+        picks = self.last_values[:upto].argmin(axis=1)
+        return self.positions[np.arange(len(picks)), picks]
+
+    def agent_bests(self) -> np.ndarray:
+        """Each agent's all-time best value (N,), monotone across rebases."""
+        records = self.best_values.min(axis=1)
+        # Python's min(best_seen, record): the record only where strictly lower.
+        return np.where(records < self.best_seen, records, self.best_seen)
+
+
+class AgentSwarm:
+    """Dynamics of one agent's particle population, on its Population row."""
+
+    def __init__(
+        self,
+        population: Population,
+        agent_id: int,
+        lower: np.ndarray,
+        upper: np.ndarray,
         rng: np.random.Generator,
         coefficients: tuple[float, float, float] = (0.7, 1.0, 1.3),
     ):
         self.agent_id = agent_id
+        self.positions = population.positions[agent_id]
+        p, dim = self.positions.shape
         self.dim = dim
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
-        self.params = params
+        self.params = params = population.params
         self.rng = rng
         # (w1, w0, w2): damping, neutral, escape.
         self.w1, self.w0, self.w2 = coefficients
 
-        p = params.population
         span = self.upper - self.lower
         vmax = params.init_velocity_frac * span
-        self._span_mean = float(span.mean())
-        self._kick_floor = 1e-12 * self._span_mean
-        self.kick_sigma = float(params.init_velocity_frac * self._span_mean)
+        self.span_mean = float(span.mean())
+        self._kick_floor = 1e-12 * self.span_mean
+        self.kick_sigma = float(params.init_velocity_frac * self.span_mean)
         # Generator.uniform needs a finite width for both draws below, and the
         # dead-velocity test squares kick_velocity_eps * kick_sigma, where
         # kick_sigma never exceeds the larger of its start and the mean span.
         if not (np.isfinite(span).all() and math.isfinite(2 * float(vmax.max()))):
             raise ContractError("the box and the initial velocity range must have finite widths")
-        if params.kick_velocity_eps * max(self.kick_sigma, self._span_mean) >= _SQRT_MAX:
+        if params.kick_velocity_eps * max(self.kick_sigma, self.span_mean) >= _SQRT_MAX:
             raise ContractError(
                 f"kick_velocity_eps times the box span must be below {_SQRT_MAX:.3g}"
             )
-        self.positions = rng.uniform(self.lower, self.upper, size=(p, dim))
+        self.positions[...] = rng.uniform(self.lower, self.upper, size=(p, dim))
         self.velocities = rng.uniform(-vmax, vmax, size=(p, dim))
-        self.best_positions = self.positions.copy()
-        self.best_values = np.full(p, np.inf)
-        self.last_values = np.full(p, np.inf)
+        self.best_positions = population.best_positions[agent_id]
+        self.best_positions[...] = self.positions
+        self.best_values = population.best_values[agent_id]
+        self.last_values = population.last_values[agent_id]
+        # All-time agent best (a one-element row), kept apart from the working
+        # records so that reported fitness stays monotone even when records
+        # are re-based.
+        self.best_seen = population.best_seen[agent_id:agent_id + 1]
+        self.kicking = population.kicking[agent_id:agent_id + 1]
         self.local_attractor = np.zeros(dim)
-        self._kicking = False
         self._evaluated = False
-        # All-time agent best, kept apart from the working records so that
-        # reported fitness stays monotone even when records are re-based.
-        self.best_seen_value = float("inf")
-        # One uniform draw per step covers delta, r1 and r2 in that order.
-        # Scaling it by this vector gives (hi - lo) * u, c_p * r1 and c_a * r2
-        # with the same roundings as Generator.uniform followed by the pull
-        # products, so the stream and the arithmetic match three separate draws.
-        self._r2_shape = (p, 1) if params.attractor_gain == "scalar" else (p, dim)
-        self._draw_scale = np.concatenate([
-            np.full(p * dim, params.modulation_high - params.modulation_low),
-            np.full(p * dim, params.pull_pbest),
-            np.full(math.prod(self._r2_shape), params.pull_attractor),
-        ])
+        self._buf = population.step_buffers
 
     # -- setup -------------------------------------------------------------
 
     def evaluate_initial(self, values: np.ndarray) -> None:
         """Take the scores of the freshly initialized population and seed the
         attractor."""
-        self.best_values = np.array(values, dtype=float)
-        self.best_positions = self.positions.copy()
-        self.last_values = self.best_values.copy()
+        self.best_values[...] = values
+        self.best_positions[...] = self.positions
+        self.last_values[...] = self.best_values
         self._evaluated = True
         self._track_best_seen()
-        self.local_attractor = self.representative_state()
+        self.local_attractor[...] = self.representative_state()
 
     def _track_best_seen(self) -> None:
         best = float(self.best_values.min())
-        if best < self.best_seen_value:
-            self.best_seen_value = best
+        if best < self.best_seen[0]:
+            self.best_seen[0] = best
 
     def set_coefficients(self, w1: float, w0: float, w2: float) -> None:
         self.w1, self.w0, self.w2 = w1, w0, w2
 
     # -- observations --------------------------------------------------------
 
-    def centroid(self) -> np.ndarray:
+    def centroid(self, out: np.ndarray | None = None) -> np.ndarray:
         n = len(self.positions)
         if n == 0:
             raise ContractError("empty population")
-        # sum / n is what ndarray.mean computes, without its Python wrapper.
-        return self.positions.sum(axis=0) / n
+        # sum / n is what ndarray.mean computes; np.add.reduce is what
+        # ndarray.sum calls, without its Python wrapper.
+        c = _sum(self.positions, axis=0, out=out)
+        c /= n
+        return c
 
     def divergence(self) -> float:
         """Mean squared distance of the particles from their centroid."""
-        d = self.positions - self.centroid()
-        return float((d * d).sum() / len(d))
+        buf = self._buf
+        d = np.subtract(self.positions, self.centroid(out=buf.centroid), out=buf.scratch)
+        d *= d
+        return float(_sum(d, axis=None) / len(d))
 
     def select_coefficient(self, div: float) -> float:
         """Regime gate: escape below d1, neutral on [d1, d2], damping above d2."""
@@ -181,14 +299,6 @@ class AgentSwarm:
             return self.w0
         return self.w1
 
-    def best_value(self) -> float:
-        """All-time best objective value seen by this agent (monotone)."""
-        return min(self.best_seen_value, float(self.best_values.min()))
-
-    def best_record_state(self) -> np.ndarray:
-        """Position of the best current record (the elitist anchor)."""
-        return self.best_positions[self.best_values.argmin()].copy()
-
     def rebase_records(self) -> None:
         """Replace every particle's record with its latest evaluation.
 
@@ -197,8 +307,8 @@ class AgentSwarm:
         has moved, and pulling toward them again would undo the tracking.
         """
         self._track_best_seen()
-        self.best_positions = self.positions.copy()
-        self.best_values = self.last_values.copy()
+        self.best_positions[...] = self.positions
+        self.best_values[...] = self.last_values
 
     def representative_state(self) -> np.ndarray:
         """Position of the particle that evaluated best in the latest sweep
@@ -217,8 +327,9 @@ class AgentSwarm:
     # -- dynamics ------------------------------------------------------------
 
     def step_particles(self, active_coeff: float, record_pull: bool = True) -> np.ndarray:
-        """One velocity/position update of the whole population; returns the
-        new (P, D) positions, which the caller evaluates and passes to tell.
+        """One velocity/position update of the whole population. The new
+        positions go into this agent's Population row, which is returned;
+        the caller evaluates them and passes the values to Population.tell.
 
         Clamped components get their velocity zeroed so the multiplicative
         modulation cannot wind up against a wall. With record_pull=False the
@@ -226,71 +337,54 @@ class AgentSwarm:
         leaving the attractor as the only directed pull; the same random draws
         are consumed either way so the stream stays aligned.
         """
-        p = self.params
-        shape = self.positions.shape
-        pd = self.positions.size
-        draws = self.rng.random(len(self._draw_scale))
-        draws *= self._draw_scale
-        delta = draws[:pd].reshape(shape)
+        p, buf = self.params, self._buf
+        x, v, scratch = self.positions, self.velocities, buf.scratch
+        draws = self.rng.random(out=buf.draws)
+        draws *= buf.draw_scale
+        delta = buf.delta
         delta += p.modulation_low
-        pull_pbest = draws[pd:2 * pd].reshape(shape)
-        pull_attractor = draws[2 * pd:].reshape(self._r2_shape)
 
-        v = self.velocities
         v *= delta
         v *= active_coeff
         if record_pull:
-            v += pull_pbest * (self.best_positions - self.positions)
-        v += pull_attractor * (self.local_attractor - self.positions)
+            pull = np.subtract(self.best_positions, x, out=scratch)
+            pull *= buf.pull_pbest
+            v += pull
+        pull = np.subtract(self.local_attractor, x, out=scratch)
+        pull *= buf.pull_attractor
+        v += pull
 
         if p.kick_velocity_eps > 0 and self.kick_sigma > 0:
-            dead = (v * v).sum(axis=1) < (p.kick_velocity_eps * self.kick_sigma) ** 2
+            speed2 = _sum(np.multiply(v, v, out=scratch), axis=1, out=buf.speed2)
+            dead = np.less(speed2, (p.kick_velocity_eps * self.kick_sigma) ** 2, out=buf.dead)
             if dead.any():
-                if not self._kicking:
+                if not self.kicking[0]:
                     # Seed the recovery scale from where the collapse happened.
                     abest = self.best_positions[self.best_values.argmin()]
-                    spread = float(np.median(np.linalg.norm(self.positions - abest, axis=1)))
+                    spread = float(np.median(np.linalg.norm(x - abest, axis=1)))
                     self.kick_sigma = max(min(self.kick_sigma, spread), self._kick_floor)
-                    self._kicking = True
+                    self.kicking[0] = True
                 # The active regime coefficient scales the kick: the escape
                 # coefficient widens recovery jumps, the damping one narrows
                 # them, so coefficient guidance steers escape strength.
-                kick = self.rng.uniform(-1.0, 1.0, shape) * (self.kick_sigma * active_coeff)
-                v[dead] += kick[dead]
+                # -1 + 2u is Generator.uniform(-1, 1) on the same stream.
+                kick = self.rng.random(out=buf.kick)
+                kick *= 2.0
+                kick -= 1.0
+                kick *= self.kick_sigma * active_coeff
+                np.add(v, kick, out=v, where=dead[:, None])
 
-        raw = self.positions + v
-        new = np.maximum(raw, self.lower)
+        raw = np.add(x, v, out=scratch)
+        new = np.maximum(raw, self.lower, out=buf.proposed)
         np.minimum(new, self.upper, out=new)
-        v[raw != new] = 0.0
+        np.putmask(v, np.not_equal(raw, new, out=buf.clamped), 0.0)
 
-        total = float(new.sum()) + float(v.sum())
+        total = float(_sum(new, axis=None)) + float(_sum(v, axis=None))
         if not math.isfinite(total):
             raise NumericalFault(f"non-finite particle state for agent {self.agent_id}")
 
-        self.positions = new
-        return new
-
-    def tell(self, values: np.ndarray) -> None:
-        """Take the (P,) values of the positions the last step proposed.
-
-        Personal bests update greedily, and once collapse recovery has started
-        the kick scale adapts to the success rate.
-        """
-        # A copy: the caller's array may be a row of a batch it reuses.
-        self.last_values = np.array(values, dtype=float)
-        improved = values < self.best_values
-        np.copyto(self.best_positions, self.positions, where=improved[:, None])
-        np.copyto(self.best_values, values, where=improved)
-
-        if self._kicking:
-            # Success-rate step-size control, active once collapse recovery has
-            # started; holds at the initialization scale before that.
-            p = self.params
-            rate = np.count_nonzero(improved) / len(improved)
-            self.kick_sigma *= math.exp(p.kick_adapt_rate * (rate - p.kick_target_rate))
-            self.kick_sigma = min(self.kick_sigma, self._span_mean)
-
-        self._evaluated = True
+        x[...] = new
+        return x
 
     def inject_fused_state(self, fused: np.ndarray, value: float, refocus: bool = False) -> None:
         """Fold the fused consensus state back into the population.
@@ -299,17 +393,17 @@ class AgentSwarm:
         teleported there with zero velocity; its personal best is reset to
         `value`, the fused state's local evaluation, so stale records cannot
         shadow the consensus state. With refocus=True (late stage) the
-        attractor follows the agent's own best instead, while the particle
-        channel stays open.
+        attractor follows the agent's own best record instead, while the
+        particle channel stays open.
         """
         fused = np.asarray(fused, dtype=float)
         if fused.shape != (self.dim,):
             raise ContractError(f"fused state has shape {fused.shape}, expected ({self.dim},)")
         worst = self.best_values.argmax()
-        # best_value() is the min of best_seen_value and the records, so
+        # The reported best is the min of best_seen and the records, so
         # overwriting the worst record can lower it only when that record is
-        # below best_seen_value; fold the records in first in that case.
-        if self.best_values[worst] < self.best_seen_value:
+        # below best_seen; fold the records in first in that case.
+        if self.best_values[worst] < self.best_seen[0]:
             self._track_best_seen()
         self.positions[worst] = fused
         self.velocities[worst] = 0.0
@@ -317,6 +411,6 @@ class AgentSwarm:
         self.best_values[worst] = value
         self.last_values[worst] = value
         if refocus:
-            self.local_attractor = self.best_record_state()
+            self.local_attractor[...] = self.best_positions[self.best_values.argmin()]
         else:
-            self.local_attractor = fused.copy()
+            self.local_attractor[...] = fused

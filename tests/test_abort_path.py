@@ -4,7 +4,8 @@ A wrapper around AgentSwarm.step_particles raises NumericalFault for agent 2
 in a chosen round of a 4-agent sphere ring. Agents 0 and 1 have already
 stepped in that round; their proposals must still be evaluated and folded in
 before the run stops, and no other agent may take values that round. So the
-agents told are exactly the ones that stepped, and the report's best value,
+rows the batched Population.tell takes are exactly the agents that stepped,
+and the report's best value,
 final states and trace CSV match the recorded ones in
 tests/data/abort_path.json. A change that moves
 these on purpose regenerates the data and says why in CHANGES.md:
@@ -19,13 +20,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lacmas.engine import RunConfig, run, write_trace_csv
 from lacmas.errors import NumericalFault
 from lacmas.objectives import make_spec
 from lacmas.scheduler import PcgConfig
-from lacmas.swarm import AgentSwarm
+from lacmas.swarm import AgentSwarm, Population
 from lacmas.topology import build_ring
 
 DATA = Path(__file__).resolve().parent / "data" / "abort_path.json"
@@ -81,15 +83,16 @@ def fingerprint(fault_round: int, scratch: Path, monkeypatch) -> dict:
 
 
 def _run_recording_tells(monkeypatch):
-    """Run the config; return the report and the agent id of every tell."""
-    original = AgentSwarm.tell
+    """Run the config; return the report and, in order, the agent id of every
+    row each batched tell takes."""
+    original = Population.tell
     told: list[int] = []
 
-    def tell(self, values):
-        told.append(self.agent_id)
-        return original(self, values)
+    def tell(self, values, upto=None):
+        told.extend(range(len(self.swarms) if upto is None else upto))
+        return original(self, values, upto)
 
-    monkeypatch.setattr(AgentSwarm, "tell", tell)
+    monkeypatch.setattr(Population, "tell", tell)
     return run(_config()), told
 
 
@@ -115,6 +118,66 @@ def test_abort_tells_exactly_the_agents_that_stepped(fault_round, monkeypatch):
     report, told = _run_recording_tells(monkeypatch)
     assert report.aborted
     assert told == [0, 1, 2, 3] * fault_round + list(range(FAULTY_AGENT))
+
+
+SWARM_METHODS = (
+    "evaluate_initial",
+    "set_coefficients",
+    "divergence",
+    "select_coefficient",
+    "step_particles",
+    "rebase_records",
+    "representative_state",
+    "inject_fused_state",
+)
+ROW_BUFFERS = (
+    "positions", "best_positions", "best_values", "last_values", "best_seen", "kicking",
+)
+
+
+def test_swarm_arrays_stay_population_rows(monkeypatch):
+    # A swarm that rebinds one of its arrays instead of writing in place
+    # would drop out of the batched tell and picks without any error. The
+    # 60 rounds cover kicks, the horizon-40 rebase and injection.
+    calls = {name: 0 for name in SWARM_METHODS}
+    populations: list[Population] = []
+
+    def assert_rows_shared(population, swarm):
+        i = swarm.agent_id
+        for name in ROW_BUFFERS:
+            rows = getattr(population, name)[i:i + 1]
+            assert np.shares_memory(getattr(swarm, name), rows), (name, i)
+
+    def checked(name):
+        original = getattr(AgentSwarm, name)
+
+        def method(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            calls[name] += 1
+            assert_rows_shared(populations[-1], self)
+            return result
+
+        return method
+
+    init, tell = Population.__init__, Population.tell
+
+    def checked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        populations.append(self)
+
+    def checked_tell(self, *args, **kwargs):
+        tell(self, *args, **kwargs)
+        for swarm in self.swarms:
+            assert_rows_shared(self, swarm)
+
+    for name in SWARM_METHODS:
+        monkeypatch.setattr(AgentSwarm, name, checked(name))
+    monkeypatch.setattr(Population, "__init__", checked_init)
+    monkeypatch.setattr(Population, "tell", checked_tell)
+    report = run(_config())
+    assert not report.aborted and len(report.disagreement_trace) == 60
+    assert all(calls.values()), calls
+    assert len(populations) == 1 and populations[0].kicking.any()
 
 
 def _regenerate() -> None:

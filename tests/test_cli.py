@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lacmas.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from lacmas.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_VERIFY, main
 from lacmas.engine import CSV_HEADER
 
 TINY = {
@@ -239,6 +239,28 @@ def test_contract_error_gives_config_exit(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("configuration error:") and "population" in err
     assert "\n" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        # Positions near 1e155 overflow the squared distances: divergence inf.
+        (["run", "--suite", "sphere", "--agents", "4", "--dim", "2"], {"objective": {"bound": 1e155}}),
+        # Range noise near 1e300 overflows every local fitness value.
+        (["wsn"], {"wsn": {"noise_sigma": 1e300}}),
+    ],
+)
+def test_overflowing_run_aborts_as_numerical_fault(tmp_path, capsys, argv, extra):
+    # These used to run on to the first cooperation refresh and stop there
+    # with "configuration error: ... must be finite" (exit 1).
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(extra))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == EXIT_FAULT
+    err = capsys.readouterr().err
+    assert "configuration error:" not in err
+    assert "aborted=true fault=non-finite best value" in err
 
 
 def test_suite_table_has_row_per_function_variant(tmp_path):

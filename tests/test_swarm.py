@@ -2,29 +2,40 @@ import numpy as np
 import pytest
 
 from lacmas.errors import ContractError
-from lacmas.swarm import AgentSwarm, SwarmParams
+from lacmas.swarm import Population, SwarmParams
+
+
+# Swarms hold no reference to their Population, so the one-agent cases keep
+# it here for the batched tell and best values.
+POPULATIONS = {}
+
+
+def new_swarm(dim, lower, upper, params, rng_seed):
+    """The one swarm of a fresh one-agent Population, not yet evaluated."""
+    population = Population(
+        dim,
+        np.full(dim, lower),
+        np.full(dim, upper),
+        params,
+        [np.random.default_rng(rng_seed)],
+    )
+    swarm = population.swarms[0]
+    POPULATIONS[swarm] = population
+    return swarm
 
 
 def make_swarm(positions, rng_seed=0, params=None, lower=-100.0, upper=100.0):
     positions = np.asarray(positions, dtype=float)
     p, dim = positions.shape
-    params = params or SwarmParams(population=p)
-    swarm = AgentSwarm(
-        agent_id=0,
-        dim=dim,
-        lower=np.full(dim, lower),
-        upper=np.full(dim, upper),
-        params=params,
-        rng=np.random.default_rng(rng_seed),
-    )
-    swarm.positions = positions.copy()
-    swarm.velocities = np.zeros_like(positions)
+    swarm = new_swarm(dim, lower, upper, params or SwarmParams(population=p), rng_seed)
+    swarm.positions[...] = positions
+    swarm.velocities[...] = 0.0
     evaluate_initial(swarm)
     return swarm
 
 
 def sphere_batch(xs):
-    return np.sum(xs * xs, axis=1)
+    return np.sum(xs * xs, axis=-1)
 
 
 def evaluate_initial(swarm):
@@ -33,7 +44,13 @@ def evaluate_initial(swarm):
 
 def step(swarm, active_coeff):
     """One ask/tell round on the sphere: propose, evaluate, take the values."""
-    swarm.tell(sphere_batch(swarm.step_particles(active_coeff)))
+    swarm.step_particles(active_coeff)
+    population = POPULATIONS[swarm]
+    population.tell(sphere_batch(population.positions))
+
+
+def best_value(swarm):
+    return float(POPULATIONS[swarm].agent_bests()[swarm.agent_id])
 
 
 def inject(swarm, fused):
@@ -99,7 +116,7 @@ def test_select_coefficient_regimes(div, expected):
 def test_step_with_zero_coefficients_freezes_positions():
     params = quiet_params(3)
     swarm = make_swarm([[1.0, 2.0], [3.0, 4.0], [-5.0, 0.5]], params=params)
-    swarm.velocities = np.ones((3, 2))
+    swarm.velocities[...] = 1.0
     before = swarm.positions.copy()
     step(swarm, 0.0)
     assert np.array_equal(swarm.positions, before)
@@ -116,7 +133,7 @@ def test_degenerate_modulation_is_identity():
         kick_velocity_eps=0.0,
     )
     swarm = make_swarm([[1.0, 1.0], [2.0, -2.0]], params=params)
-    swarm.velocities = np.array([[0.5, -0.5], [1.0, 0.25]])
+    swarm.velocities[...] = [[0.5, -0.5], [1.0, 0.25]]
     before_v = swarm.velocities.copy()
     before_x = swarm.positions.copy()
     step(swarm, 1.0)
@@ -126,14 +143,7 @@ def test_degenerate_modulation_is_identity():
 
 def test_step_is_deterministic_for_fixed_seed():
     def run_once():
-        swarm = AgentSwarm(
-            agent_id=0,
-            dim=4,
-            lower=np.full(4, -10.0),
-            upper=np.full(4, 10.0),
-            params=SwarmParams(population=6),
-            rng=np.random.default_rng(99),
-        )
+        swarm = new_swarm(4, -10.0, 10.0, SwarmParams(population=6), 99)
         evaluate_initial(swarm)
         for _ in range(20):
             step(swarm, 1.1)
@@ -152,25 +162,18 @@ def test_representative_single_particle():
 
 def test_representative_picks_lowest_latest_value():
     swarm = make_swarm([[1.0], [2.0]])
-    swarm.last_values = np.array([5.0, 3.0])
+    swarm.last_values[...] = [5.0, 3.0]
     assert np.allclose(swarm.representative_state(), [2.0])
 
 
 def test_representative_tie_breaks_to_lower_index():
     swarm = make_swarm([[1.0], [2.0]])
-    swarm.last_values = np.array([3.0, 3.0])
+    swarm.last_values[...] = [3.0, 3.0]
     assert np.allclose(swarm.representative_state(), [1.0])
 
 
 def test_representative_requires_evaluation():
-    swarm = AgentSwarm(
-        agent_id=0,
-        dim=2,
-        lower=np.full(2, -1.0),
-        upper=np.full(2, 1.0),
-        params=SwarmParams(population=2),
-        rng=np.random.default_rng(0),
-    )
+    swarm = new_swarm(2, -1.0, 1.0, SwarmParams(population=2), 0)
     with pytest.raises(ContractError):
         swarm.representative_state()
 
@@ -200,14 +203,7 @@ def test_inject_dimension_mismatch_rejected():
 
 def test_positions_stay_in_bounds():
     params = SwarmParams(population=5)
-    swarm = AgentSwarm(
-        agent_id=0,
-        dim=3,
-        lower=np.full(3, -2.0),
-        upper=np.full(3, 2.0),
-        params=params,
-        rng=np.random.default_rng(7),
-    )
+    swarm = new_swarm(3, -2.0, 2.0, params, 7)
     evaluate_initial(swarm)
     for _ in range(200):
         step(swarm, 1.5)
@@ -216,38 +212,24 @@ def test_positions_stay_in_bounds():
 
 
 def test_reported_best_is_monotone():
-    swarm = AgentSwarm(
-        agent_id=0,
-        dim=4,
-        lower=np.full(4, -50.0),
-        upper=np.full(4, 50.0),
-        params=SwarmParams(population=8),
-        rng=np.random.default_rng(21),
-    )
+    swarm = new_swarm(4, -50.0, 50.0, SwarmParams(population=8), 21)
     evaluate_initial(swarm)
-    best = swarm.best_value()
+    best = best_value(swarm)
     for _ in range(300):
         step(swarm, 1.0)
-        now = swarm.best_value()
+        now = best_value(swarm)
         assert now <= best
         best = now
 
 
 def test_rebase_keeps_reported_best_monotone():
-    swarm = AgentSwarm(
-        agent_id=0,
-        dim=3,
-        lower=np.full(3, -10.0),
-        upper=np.full(3, 10.0),
-        params=SwarmParams(population=5),
-        rng=np.random.default_rng(2),
-    )
+    swarm = new_swarm(3, -10.0, 10.0, SwarmParams(population=5), 2)
     evaluate_initial(swarm)
     for _ in range(50):
         step(swarm, 1.0)
-    before = swarm.best_value()
+    before = best_value(swarm)
     swarm.rebase_records()
-    assert swarm.best_value() <= before
+    assert best_value(swarm) <= before
     assert np.array_equal(swarm.best_positions, swarm.positions)
 
 
@@ -255,16 +237,9 @@ def test_velocity_contracts_without_attraction():
     # With a sub-unit coefficient and no pulls, the modulated velocity should
     # trend downward in magnitude over many steps.
     params = quiet_params(10)
-    swarm = AgentSwarm(
-        agent_id=0,
-        dim=5,
-        lower=np.full(5, -1e9),
-        upper=np.full(5, 1e9),
-        params=params,
-        rng=np.random.default_rng(5),
-    )
+    swarm = new_swarm(5, -1e9, 1e9, params, 5)
     evaluate_initial(swarm)
-    swarm.velocities = np.random.default_rng(6).uniform(-1, 1, size=(10, 5))
+    swarm.velocities[...] = np.random.default_rng(6).uniform(-1, 1, size=(10, 5))
     norms = []
     for _ in range(1000):
         step(swarm, 0.9)
@@ -283,13 +258,53 @@ def test_divergence_zero_iff_positions_equal():
 
 def test_step_proposes_and_tell_takes_the_values():
     swarm = make_swarm([[1.0, 1.0], [4.0, -2.0], [-3.0, 0.5]])
-    swarm.velocities = np.array([[-1.0, -1.0], [10.0, 0.0], [0.0, 0.0]])
+    swarm.velocities[...] = [[-1.0, -1.0], [10.0, 0.0], [0.0, 0.0]]
     best_before = swarm.best_values.copy()
-    proposed = swarm.step_particles(1.0)
-    assert np.array_equal(proposed, swarm.positions)
+    proposed = swarm.step_particles(1.0).copy()
+    assert np.array_equal(proposed, POPULATIONS[swarm].positions[0])
     values = sphere_batch(proposed)
-    swarm.tell(values)
+    POPULATIONS[swarm].tell(values[None, :])
     assert np.array_equal(swarm.last_values, values)
     assert np.array_equal(swarm.best_values, np.minimum(best_before, values))
     improved = values < best_before
     assert np.array_equal(swarm.best_positions[improved], proposed[improved])
+
+
+def make_population(n, p=4, dim=3, seed=0):
+    params = SwarmParams(population=p)
+    rngs = [np.random.default_rng(seed + i) for i in range(n)]
+    population = Population(dim, np.full(dim, -10.0), np.full(dim, 10.0), params, rngs)
+    for swarm in population.swarms:
+        evaluate_initial(swarm)
+    return population
+
+
+def test_tell_upto_takes_only_the_leading_rows():
+    population = make_population(3)
+    for swarm in population.swarms:
+        swarm.step_particles(1.0)
+    before = population.last_values.copy()
+    values = sphere_batch(population.positions)
+    population.tell(values, upto=2)
+    assert np.array_equal(population.last_values[:2], values[:2])
+    assert np.array_equal(population.last_values[2], before[2])
+
+
+def test_tell_rejects_a_wrongly_shaped_batch():
+    population = make_population(2)
+    with pytest.raises(ContractError):
+        population.tell(np.zeros((1, 4)))
+
+
+def test_batched_picks_match_each_swarm():
+    population = make_population(4)
+    for _ in range(5):
+        for swarm in population.swarms:
+            swarm.step_particles(1.2)
+        population.tell(sphere_batch(population.positions))
+    reps = population.representatives()
+    bests = population.agent_bests()
+    for i, swarm in enumerate(population.swarms):
+        assert np.array_equal(reps[i], swarm.representative_state())
+        assert bests[i] == min(swarm.best_seen[0], swarm.best_values.min())
+    assert np.array_equal(population.representatives(upto=2), reps[:2])
