@@ -35,6 +35,7 @@ from .errors import ContractError, NumericalFault
 
 _LOG_MAX = math.log(sys.float_info.max)
 _SQRT_MAX = math.sqrt(sys.float_info.max)
+# What ndarray.sum calls, without its Python wrapper: same reduction, same bits.
 _sum = np.add.reduce
 
 
@@ -278,8 +279,7 @@ class AgentSwarm:
         n = len(self.positions)
         if n == 0:
             raise ContractError("empty population")
-        # sum / n is what ndarray.mean computes; np.add.reduce is what
-        # ndarray.sum calls, without its Python wrapper.
+        # sum / n is what ndarray.mean computes, without its Python wrapper.
         c = _sum(self.positions, axis=0, out=out)
         c /= n
         return c
