@@ -40,59 +40,76 @@ EXIT_FAULT = 2
 EXIT_VERIFY = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line ends like a bad config file: one `configuration
+    error:` line and exit 1."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     # A ContractError reaching here is a bad input value that a lower layer
-    # rejected (a swarm parameter, missing LLM settings), not a crash.
+    # rejected (a swarm parameter, a malformed guidance request), not a crash.
     except (ConfigError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 
+# Flags several subcommands share; each subcommand takes only those it reads.
+_SHARED_FLAGS = {
+    "--config": dict(help="JSON configuration file"),
+    "--out": dict(help="output directory override"),
+    "--seed": dict(type=int, help="master seed override"),
+    "--variant": dict(choices=engine.VARIANTS),
+    "--provider": dict(choices=["heuristic", "llm"]),
+    "--max-iter": dict(type=int),
+    "--agents": dict(type=int),
+    "--dim": dict(type=int),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lacmas")
+    parser = _Parser(prog="lacmas")
     sub = parser.add_subparsers(required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON configuration file")
-    common.add_argument("--out", default=None, help="output directory override")
-    common.add_argument("--seed", type=int, default=None, help="master seed override")
-    common.add_argument("--variant", default=None, choices=engine.VARIANTS)
-    common.add_argument("--provider", default=None, choices=["heuristic", "llm"])
-    common.add_argument("--max-iter", type=int, default=None)
-    common.add_argument("--agents", type=int, default=None)
-    common.add_argument("--dim", type=int, default=None)
+    def add(name, func, help, *shared):
+        # Spelled-out flags only: abbreviated, `suite --variant` is `--variants`.
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in ("--config", *shared):
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p_run = sub.add_parser("run", parents=[common], help="benchmark experiment runs")
+    run_flags = ("--out", "--seed", "--variant", "--provider", "--max-iter")
+    p_run = add("run", cmd_run, "benchmark experiment runs", *run_flags, "--agents", "--dim")
     p_run.add_argument("--suite", default=None, help="comma-separated families (default: all)")
     p_run.add_argument("--seeds", type=int, default=None, help="number of seeded repetitions")
     p_run.add_argument("--hetero-sigma", type=float, default=None)
     p_run.add_argument("--record-matrices", action="store_true")
-    p_run.set_defaults(func=cmd_run)
 
-    p_suite = sub.add_parser("suite", parents=[common], help="ablation table across variants")
+    p_suite = add(
+        "suite", cmd_suite, "ablation table across variants",
+        "--out", "--seed", "--provider", "--max-iter", "--agents", "--dim",
+    )
     p_suite.add_argument("--variants", default="baseline,coop,act,full")
     p_suite.add_argument("--suite", default=None)
     p_suite.add_argument("--seeds", type=int, default=None)
-    p_suite.set_defaults(func=cmd_suite)
 
-    p_wsn = sub.add_parser("wsn", parents=[common], help="distributed localization task")
+    p_wsn = add("wsn", cmd_wsn, "distributed localization task", *run_flags)
     p_wsn.add_argument("-n", "--sensors", type=int, default=None)
     p_wsn.add_argument("--targets", type=int, default=None)
     p_wsn.add_argument("--noise", type=float, default=None)
-    p_wsn.set_defaults(func=cmd_wsn)
 
-    p_cal = sub.add_parser("calibrate", parents=[common], help="estimate the horizon T")
+    p_cal = add("calibrate", cmd_calibrate, "estimate the horizon T", "--seed", "--agents", "--dim")
     p_cal.add_argument("--probe-length", type=int, default=200)
     p_cal.add_argument("--family", default="sphere", choices=FAMILIES)
-    p_cal.set_defaults(func=cmd_calibrate)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="replay admissibility checks")
+    p_ver = add("verify", cmd_verify, "replay admissibility checks")
     p_ver.add_argument("matrices", help=".npz file with recorded mixing matrices")
-    p_ver.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -134,7 +151,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         top["suite"] = [f.strip() for f in args.suite.split(",") if f.strip()]
     cfg = replace(cfg, **top)
     if cfg.variant == "baseline" and cfg.provider == "llm":
-        print("warning: provider 'llm' has no effect for the baseline variant; using heuristic")
+        print(
+            "warning: provider 'llm' has no effect for the baseline variant; using heuristic",
+            file=sys.stderr,
+        )
         cfg = replace(cfg, provider="heuristic")
     return cfg
 
@@ -147,7 +167,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    record = bool(getattr(args, "record_matrices", False))
+    record = args.record_matrices
     # Every run is built, and so validated, before anything is written.
     runs = []
     for family in cfg.suite:
@@ -269,7 +289,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     try:
         with np.load(args.matrices) as data:
             matrices = [data[key] for key in data.files]

@@ -9,6 +9,7 @@ which catches typos before a long run burns its budget.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -63,6 +64,11 @@ class WsnSpec:
 
     def __post_init__(self):
         _check_seed("wsn.seed", self.seed)
+
+
+# Where the LLM endpoint comes from when the config leaves it out.
+ENV_LLM_URL = "LACMAS_LLM_URL"
+ENV_LLM_MODEL = "LACMAS_LLM_MODEL"
 
 
 @dataclass
@@ -238,10 +244,6 @@ def build_run_config(
     """The RunConfig of one seeded run of `cfg`. Keyword `overrides` replace
     RunConfig fields before RunConfig validates them, so every setting a
     caller changes is checked like one read from the file."""
-    g = cfg.guidance
-    llm = None
-    if g.llm_url and g.llm_model:
-        llm = LlmEndpoint(base_url=g.llm_url, model=g.llm_model, timeout=g.llm_timeout)
     settings = dict(
         objective=objective,
         graph=graph,
@@ -254,7 +256,18 @@ def build_run_config(
         pcg=cfg.pcg,
         swarm_params=cfg.swarm,
         heuristic=cfg.heuristic,
-        llm=llm,
+        llm=_llm_endpoint(cfg.guidance),
     )
     settings.update(overrides)
     return RunConfig(**settings)
+
+
+def _llm_endpoint(g: GuidanceSpec) -> LlmEndpoint | None:
+    """The configured LLM endpoint, None if there is none. The config's URL and
+    model win; the environment fills only a missing one; the timeout is
+    always the config's."""
+    url = g.llm_url or os.environ.get(ENV_LLM_URL)
+    model = g.llm_model or os.environ.get(ENV_LLM_MODEL)
+    if not url or not model:
+        return None
+    return LlmEndpoint(base_url=url, model=model, timeout=g.llm_timeout)

@@ -1,15 +1,17 @@
 """Neighbor descriptors, weight projection, and mixing-matrix assembly.
 
 Cooperation weights live on the closed neighborhood of each agent (neighbors
-plus self). Whatever a guidance provider proposes, project_weights turns it
-into a nonnegative, graph-compatible row that sums to one, so the assembled
-mixing matrix is admissible at every iteration by construction. The engine
-fuses the published states as matrix @ states.
+plus self), and the mixing matrix is their only copy: row i holds agent i's
+weights. Whatever a guidance provider proposes, project_weights turns it into
+a nonnegative, graph-compatible row that sums to one, so the mixing matrix is
+admissible at every iteration by construction. The engine fuses the published
+states as matrix @ states.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,24 +38,6 @@ class NeighborDescriptor:
             raise ContractError("divergence and state-delta means must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CooperationWeights:
-    """One row of the mixing matrix: weights over the owner's closed neighborhood."""
-
-    owner: int
-    entries: dict[int, float]
-
-    def __post_init__(self):
-        total = sum(self.entries.values())
-        if any(w < 0 for w in self.entries.values()):
-            raise ContractError("negative cooperation weight")
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise ContractError(f"row sum {total!r} != 1")
-
-    def weight(self, k: int) -> float:
-        return self.entries.get(k, 0.0)
-
-
 def build_descriptor(history, window: int) -> NeighborDescriptor:
     """Summarize the most recent `window` records of a neighbor's history.
 
@@ -70,52 +54,52 @@ def build_descriptor(history, window: int) -> NeighborDescriptor:
     )
 
 
-def project_weights(raw: dict[int, float], graph: CommGraph, owner: int) -> CooperationWeights:
-    """Project arbitrary raw weights onto the feasible simplex for `owner`.
+def project_weights(raw: Sequence[float], graph: CommGraph, owner: int) -> np.ndarray:
+    """Project a guidance answer onto the feasible simplex for `owner`.
 
-    Keys outside the closed neighborhood are dropped, missing keys count as
-    zero, negatives and non-finite values clamp to zero. A degenerate all-zero
-    row falls back to the uniform distribution so information keeps flowing.
+    `raw` lists one weight per neighbor in graph.neighbors(owner) order, then
+    the self weight, as CoopGuidance.raw_weights does. Negatives and
+    non-finite values clamp to zero. A degenerate all-zero row falls back to
+    the uniform distribution so information keeps flowing. Returns the
+    owner's dense row of the mixing matrix, zero off its closed neighborhood.
     """
+    nbrs = graph.neighbors(owner)
+    if len(raw) != len(nbrs) + 1:
+        raise ContractError(
+            f"agent {owner} needs {len(nbrs) + 1} raw weights (neighbors, then self), "
+            f"got {len(raw)}"
+        )
+    proposed = dict(zip((*nbrs, owner), raw))
     members = graph.closed_neighborhood(owner)
-    clamped = {}
+    # Python float sums in ascending agent order: numpy's pairwise sum groups
+    # the additions differently and can change the last bit of a row.
+    clamped = []
     for k in members:
-        w = raw.get(k, 0.0)
-        if not math.isfinite(w) or w < 0:
-            w = 0.0
-        clamped[k] = float(w)
-    total = sum(clamped.values())
+        w = proposed[k]
+        clamped.append(float(w) if math.isfinite(w) and w >= 0 else 0.0)
+    total = sum(clamped)
     if abs(total - 1.0) <= ROW_SUM_TOL:
         # Already on the feasible simplex: return unchanged (idempotence).
-        entries = clamped
+        weights = clamped
     elif total <= 0.0:
-        u = 1.0 / len(members)
-        entries = {k: u for k in members}
+        weights = [1.0 / len(members)] * len(members)
     else:
-        entries = {k: w / total for k, w in clamped.items()}
+        weights = [w / total for w in clamped]
         # Absorb rounding so the row-sum invariant holds exactly enough.
-        drift = sum(entries.values()) - 1.0
+        drift = sum(weights) - 1.0
         if drift != 0.0:
-            top = max(entries, key=entries.get)
-            entries[top] -= drift
-    return CooperationWeights(owner=owner, entries=entries)
+            weights[weights.index(max(weights))] -= drift
+    row = np.zeros(graph.num_agents)
+    row[list(members)] = weights
+    return row
 
 
-def assemble_mixing_matrix(all_weights: list[CooperationWeights], graph: CommGraph) -> np.ndarray:
-    """Dense N x N matrix whose row i holds agent i's cooperation weights."""
+def assemble_mixing_matrix(graph: CommGraph) -> np.ndarray:
+    """The uniform N x N matrix a run starts from: row i spreads equal weight
+    over agent i's closed neighborhood."""
     n = graph.num_agents
-    if len(all_weights) != n:
-        raise ContractError(f"expected {n} weight rows, got {len(all_weights)}")
     matrix = np.zeros((n, n))
-    for i, row in enumerate(all_weights):
-        if row.owner != i:
-            raise ContractError(f"row {i} owned by agent {row.owner}")
-        for k, w in row.entries.items():
-            matrix[i, k] = w
+    for i in range(n):
+        members = graph.closed_neighborhood(i)
+        matrix[i, list(members)] = 1.0 / len(members)
     return matrix
-
-
-def uniform_weights(graph: CommGraph, owner: int) -> CooperationWeights:
-    members = graph.closed_neighborhood(owner)
-    u = 1.0 / len(members)
-    return CooperationWeights(owner=owner, entries={k: u for k in members})

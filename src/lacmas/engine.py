@@ -25,13 +25,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from . import scheduler
-from .cooperation import (
-    CooperationWeights,
-    assemble_mixing_matrix,
-    build_descriptor,
-    project_weights,
-    uniform_weights,
-)
+from .cooperation import assemble_mixing_matrix, build_descriptor, project_weights
 from .analysis import check_admissibility
 from .errors import ConfigError, ContractError, NumericalFault
 from .guidance import (
@@ -162,6 +156,11 @@ class RunConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.provider not in ("heuristic", "llm"):
             raise ConfigError(f"provider must be heuristic or llm, got {self.provider!r}")
+        if self.provider == "llm" and self.llm is None:
+            raise ConfigError(
+                "provider 'llm' needs guidance.llm_url and guidance.llm_model, "
+                "or LACMAS_LLM_URL and LACMAS_LLM_MODEL in the environment"
+            )
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be positive")
         if self.convergence_threshold <= 0:
@@ -259,11 +258,13 @@ def summarize(report: RunReport) -> str:
 
 def _make_provider(config: RunConfig):
     if config.provider == "llm":
-        endpoint = config.llm if config.llm is not None else LlmEndpoint.from_env()
-        return LlmProvider(endpoint=endpoint, params=config.heuristic)
+        return LlmProvider(endpoint=config.llm, params=config.heuristic)
     return HeuristicProvider(config.heuristic)
 
 
+# Overflow and invalid operations yield inf or NaN values, which the round loop
+# reports as a numerical fault; numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def run(config: RunConfig, provider=None) -> RunReport:
     """Execute one seeded run to convergence or the iteration cap."""
     start = time.perf_counter()
@@ -285,7 +286,6 @@ def run(config: RunConfig, provider=None) -> RunReport:
     for i, swarm in enumerate(swarms):
         swarm.evaluate_initial(obj.eval_local_batch(i, swarm.positions))
 
-    weights: list[CooperationWeights] = [uniform_weights(graph, i) for i in range(n)]
     histories = [AgentHistory() for _ in range(n)]
     coeffs = [(D_DEFAULT, C_DEFAULT) for _ in range(n)]
     neighbor_lists = [graph.neighbor_lists[i] for i in range(n)]
@@ -314,11 +314,10 @@ def run(config: RunConfig, provider=None) -> RunReport:
     fault: str | None = None
     t = -1
 
-    # The mixing matrix only changes on cooperation refreshes; assemble and
-    # verify it when it does, reuse it otherwise.
-    matrix = assemble_mixing_matrix(weights, graph)
+    # The mixing matrix is the only copy of the cooperation weights. It starts
+    # uniform and changes only on cooperation refreshes, which verify it again.
+    matrix = assemble_mixing_matrix(graph)
     adm = check_admissibility(matrix, graph)
-    weights_dirty = False
 
     for t in range(config.max_iterations):
         # Phase 1: local adaptive swarm steps; publish representatives.
@@ -374,6 +373,8 @@ def run(config: RunConfig, provider=None) -> RunReport:
                 swarms[i].set_coefficients(out.d, 1.0, out.c)
 
         if g_ext and config.variant in _COOP_VARIANTS and all(len(h) > 0 for h in histories):
+            # A fresh copy, so matrices recorded in earlier rounds stay as they were.
+            matrix = matrix.copy()
             for i in range(n):
                 nbrs = neighbor_lists[i]
                 if not nbrs:
@@ -387,15 +388,8 @@ def run(config: RunConfig, provider=None) -> RunReport:
                 )
                 out = provider.advise_coop(req)
                 coop_calls += 1
-                raw = {k: out.raw_weights[j] for j, k in enumerate(nbrs)}
-                raw[i] = out.raw_weights[-1]
-                weights[i] = project_weights(raw, graph, i)
-                weights_dirty = True
-
-        if weights_dirty:
-            matrix = assemble_mixing_matrix(weights, graph)
+                matrix[i] = project_weights(out.raw_weights, graph, i)
             adm = check_admissibility(matrix, graph)
-            weights_dirty = False
 
         fused = matrix @ reps
         if not adm.passed:

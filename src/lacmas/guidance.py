@@ -13,7 +13,6 @@ from __future__ import annotations
 import http.client
 import json
 import math
-import os
 import re
 import urllib.request
 from dataclasses import dataclass, field
@@ -32,9 +31,6 @@ COOP_WINDOW = 10
 
 # Seconds an LLM request may take before it falls back to the heuristic.
 LLM_TIMEOUT = 30.0
-
-ENV_LLM_URL = "LACMAS_LLM_URL"
-ENV_LLM_MODEL = "LACMAS_LLM_MODEL"
 
 ACT_PROMPT_HEADER = """Tuning task: high-dimensional black-box optimization.
 Current iteration: around {iteration}.
@@ -304,16 +300,6 @@ class LlmEndpoint:
     base_url: str
     model: str
     timeout: float = LLM_TIMEOUT
-
-    @classmethod
-    def from_env(cls, timeout: float = LLM_TIMEOUT) -> "LlmEndpoint":
-        url = os.environ.get(ENV_LLM_URL)
-        model = os.environ.get(ENV_LLM_MODEL)
-        if not url or not model:
-            raise ContractError(
-                f"LLM provider needs {ENV_LLM_URL} and {ENV_LLM_MODEL} set (or explicit config)"
-            )
-        return cls(base_url=url, model=model, timeout=timeout)
 
 
 def llm_advise(prompt: str, endpoint: LlmEndpoint) -> str:

@@ -237,10 +237,9 @@ def test_criterion_8_guidance_robustness(monkeypatch):
         if not all(np.isfinite(w) for w in coop.raw_weights):
             violations += 1
             continue
-        raw = {1: coop.raw_weights[0], 3: coop.raw_weights[1], 0: coop.raw_weights[-1]}
-        projected = project_weights(raw, graph, owner=0)
-        total = sum(projected.entries.values())
-        if abs(total - 1.0) > 1e-12 or any(w < 0 for w in projected.entries.values()):
+        projected = project_weights(coop.raw_weights, graph, owner=0)
+        total = sum(projected.tolist())
+        if abs(total - 1.0) > 1e-12 or (projected < 0).any():
             violations += 1
     detail = f"{len(corpus)} malformed responses, {violations} invariant violations, {provider.fallback_count} fallbacks"
     _report("criterion 8 guidance robustness", violations == 0, detail)

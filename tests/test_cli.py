@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -62,7 +63,71 @@ def test_baseline_llm_provider_downgraded_with_warning(tmp_path, capsys):
         ]
     )
     assert code == EXIT_OK
-    assert "warning" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "warning" in captured.err
+    assert "warning" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        *[("verify", f) for f in
+          ("--out", "--seed", "--variant", "--provider", "--max-iter", "--agents", "--dim")],
+        *[("calibrate", f) for f in ("--out", "--variant", "--provider", "--max-iter")],
+        ("wsn", "--agents"),
+        ("wsn", "--dim"),
+        ("suite", "--variant"),
+    ],
+)
+def test_unread_flag_gives_config_exit(tmp_path, capsys, command, flag):
+    # Each of these flags was accepted and then ignored by its subcommand.
+    # `suite --variant` also shows that flags are not abbreviated: it used to
+    # pass as `--variants`.
+    value = {"--variant": "coop", "--provider": "heuristic"}.get(flag, "3")
+    argv = [command, flag, value]
+    if command == "verify":
+        argv.append(str(tmp_path / "m.npz"))
+    code = main(argv)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "unrecognized arguments" in err
+    assert flag in err
+    assert "\n" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["run", "--bogus"], "--bogus"),
+        (["run", "--seeds", "abc"], "--seeds"),
+        (["wsn", "--provider", "gpt"], "--provider"),
+        ([], "required"),
+    ],
+)
+def test_bad_command_line_gives_config_exit(capsys, argv, detail):
+    # argparse used to print its usage and exit 2, the runtime-fault code.
+    code = main(argv)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error: lacmas") and detail in err
+    assert "\n" not in err
+
+
+def test_llm_provider_without_endpoint_writes_nothing(tmp_path, capsys, monkeypatch):
+    # The missing endpoint used to surface inside the first run, after the
+    # output directory had been created.
+    monkeypatch.delenv("LACMAS_LLM_URL", raising=False)
+    monkeypatch.delenv("LACMAS_LLM_MODEL", raising=False)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "r"
+    code = main(
+        ["run", "--config", str(cfg), "--suite", "sphere", "--provider", "llm", "--out", str(out)]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "LACMAS_LLM_URL" in err
+    assert "\n" not in err
+    assert not out.exists()
 
 
 def test_unknown_config_key_gives_config_exit(tmp_path, capsys):
@@ -166,10 +231,13 @@ def test_zero_numeric_flag_gives_config_exit(tmp_path, capsys, argv):
     # validation would skip the check; either runs the configured budget.
     out = tmp_path / "r"
     cfg = write_config(tmp_path)
-    code = main([*argv, "--config", str(cfg), "--out", str(out)])
+    # calibrate writes no files, so it takes no --out.
+    out_flag = [] if argv[0] == "calibrate" else ["--out", str(out)]
+    code = main([*argv, "--config", str(cfg), *out_flag])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.strip()
     assert err.startswith("configuration error:")
+    assert "unrecognized" not in err
     assert "\n" not in err
     assert not out.exists()
 
@@ -253,13 +321,17 @@ def test_contract_error_gives_config_exit(tmp_path, capsys):
 def test_overflowing_run_aborts_as_numerical_fault(tmp_path, capsys, argv, extra):
     # These used to run on to the first cooperation refresh and stop there
     # with "configuration error: ... must be finite" (exit 1).
+    # The fault reports the overflow once: numpy's RuntimeWarnings, which
+    # used to add six lines to stderr, would raise under this filter.
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(extra))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert code == EXIT_FAULT
     err = capsys.readouterr().err
     assert "configuration error:" not in err
+    assert "RuntimeWarning" not in err
     assert "aborted=true fault=non-finite best value" in err
 
 

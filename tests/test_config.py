@@ -12,7 +12,7 @@ from lacmas.config import (
     load_config,
 )
 from lacmas.errors import ConfigError
-from lacmas.guidance import HeuristicParams
+from lacmas.guidance import HeuristicParams, LlmEndpoint
 
 
 def test_empty_config_is_runnable():
@@ -110,6 +110,37 @@ def test_llm_endpoint_built_from_guidance_spec():
     run_cfg = build_run_config(cfg, objective, graph, master_seed=0)
     assert run_cfg.llm is not None
     assert run_cfg.llm.base_url == "http://localhost:11434"
+
+
+def _llm_run_config(data):
+    cfg = config_from_dict({"provider": "llm", **data})
+    objective = build_benchmark(cfg, "sphere")
+    return build_run_config(cfg, objective, build_graph(cfg, objective.num_agents), master_seed=0)
+
+
+def test_llm_timeout_comes_from_config_with_endpoint_from_env(monkeypatch):
+    # The environment's endpoint used to come with the default 30 s timeout.
+    monkeypatch.setenv("LACMAS_LLM_URL", "http://env:1")
+    monkeypatch.setenv("LACMAS_LLM_MODEL", "env-model")
+    run_cfg = _llm_run_config({"guidance": {"llm_timeout": 1.5}})
+    assert run_cfg.llm == LlmEndpoint(base_url="http://env:1", model="env-model", timeout=1.5)
+
+
+def test_llm_config_url_wins_over_env(monkeypatch):
+    # A config URL without a model used to be replaced by the environment's URL.
+    monkeypatch.setenv("LACMAS_LLM_URL", "http://env:1")
+    monkeypatch.setenv("LACMAS_LLM_MODEL", "env-model")
+    run_cfg = _llm_run_config({"guidance": {"llm_url": "http://cfg:2"}})
+    assert run_cfg.llm == LlmEndpoint(base_url="http://cfg:2", model="env-model", timeout=30.0)
+    run_cfg = _llm_run_config({"guidance": {"llm_model": "cfg-model"}})
+    assert run_cfg.llm == LlmEndpoint(base_url="http://env:1", model="cfg-model", timeout=30.0)
+
+
+def test_llm_without_endpoint_rejected(monkeypatch):
+    monkeypatch.delenv("LACMAS_LLM_URL", raising=False)
+    monkeypatch.setenv("LACMAS_LLM_MODEL", "env-model")
+    with pytest.raises(ConfigError, match="llm_url"):
+        _llm_run_config({})
 
 
 def test_heuristic_section_reaches_the_run_config():

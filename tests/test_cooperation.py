@@ -4,16 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacmas.analysis import check_admissibility
-from lacmas.cooperation import (
-    CooperationWeights,
-    assemble_mixing_matrix,
-    build_descriptor,
-    project_weights,
-    uniform_weights,
-)
+from lacmas.cooperation import assemble_mixing_matrix, build_descriptor, project_weights
 from lacmas.engine import AgentHistory, HistoryRecord
 from lacmas.errors import ContractError
 from lacmas.topology import build_ring
+
+
+def as_raw(weights, graph, owner):
+    """Weights keyed by agent, in the order guidance returns them: the owner's
+    neighbors, then the owner."""
+    return [weights[k] for k in (*graph.neighbors(owner), owner)]
 
 
 def history_from(rows):
@@ -59,72 +59,64 @@ def test_descriptor_requires_history():
 def test_project_clamps_and_normalizes():
     g = build_ring(3)
     # Neighborhood of 0 is {0, 1, 2}; clamp -0.2 to 0, divide by 0.8.
-    w = project_weights({0: 0.5, 1: -0.2, 2: 0.3}, g, owner=0)
-    assert w.weight(0) == pytest.approx(0.625)
-    assert w.weight(1) == 0.0
-    assert w.weight(2) == pytest.approx(0.375)
+    w = project_weights(as_raw({0: 0.5, 1: -0.2, 2: 0.3}, g, 0), g, owner=0)
+    assert w[0] == pytest.approx(0.625)
+    assert w[1] == 0.0
+    assert w[2] == pytest.approx(0.375)
 
 
 def test_project_all_zeros_falls_back_to_uniform():
     g = build_ring(3)
-    w = project_weights({0: 0.0, 1: 0.0, 2: 0.0}, g, owner=0)
-    assert all(w.weight(k) == pytest.approx(1 / 3) for k in (0, 1, 2))
+    w = project_weights([0.0, 0.0, 0.0], g, owner=0)
+    assert all(w[k] == pytest.approx(1 / 3) for k in (0, 1, 2))
 
 
 def test_project_keeps_valid_distribution_unchanged():
     g = build_ring(3)
-    w = project_weights({0: 0.5, 1: 0.25, 2: 0.25}, g, owner=0)
-    assert (w.weight(0), w.weight(1), w.weight(2)) == (0.5, 0.25, 0.25)
+    w = project_weights(as_raw({0: 0.5, 1: 0.25, 2: 0.25}, g, 0), g, owner=0)
+    assert (w[0], w[1], w[2]) == (0.5, 0.25, 0.25)
 
 
 def test_project_drops_foreign_keys_and_handles_nonfinite():
     g = build_ring(4)
-    w = project_weights({0: 1.0, 1: float("nan"), 3: float("inf"), 2: 5.0}, g, owner=0)
-    # 2 is not a neighbor of 0 in ring(4); nan and inf clamp to zero.
-    assert w.weight(2) == 0.0
-    assert w.weight(1) == 0.0
-    assert w.weight(3) == 0.0
-    assert w.weight(0) == 1.0
+    # Raw weights are for neighbors 1 and 3, then self; nan and inf clamp to zero.
+    w = project_weights([float("nan"), float("inf"), 1.0], g, owner=0)
+    # 2 is not a neighbor of 0 in ring(4): its column stays zero.
+    assert w[2] == 0.0
+    assert w[1] == 0.0
+    assert w[3] == 0.0
+    assert w[0] == 1.0
+
+
+def test_project_takes_neighbors_then_self():
+    g = build_ring(5)
+    # Neighbors of 2 are (1, 3); the last entry is the self weight.
+    w = project_weights([0.25, 0.125, 0.625], g, owner=2)
+    assert w.tolist() == [0.0, 0.25, 0.625, 0.125, 0.0]
+
+
+@pytest.mark.parametrize("raw", [[], [0.5, 0.5], [0.25, 0.25, 0.25, 0.25]])
+def test_project_rejects_wrong_length(raw):
+    # Agent 0 of ring(4) has two neighbors, so guidance must give three weights;
+    # a short answer used to raise IndexError and extra entries were dropped.
+    with pytest.raises(ContractError, match="3 raw weights"):
+        project_weights(raw, build_ring(4), owner=0)
 
 
 def test_assemble_uniform_ring3_is_circulant():
     g = build_ring(3)
-    rows = [uniform_weights(g, i) for i in range(3)]
-    m = assemble_mixing_matrix(rows, g)
+    m = assemble_mixing_matrix(g)
     assert np.allclose(m, np.full((3, 3), 1 / 3))
-
-
-def test_assemble_identity_rows():
-    g = build_ring(4)
-    rows = [CooperationWeights(owner=i, entries={i: 1.0}) for i in range(4)]
-    m = assemble_mixing_matrix(rows, g)
-    assert np.array_equal(m, np.eye(4))
 
 
 def test_assembled_matrix_is_admissible():
     g = build_ring(5)
     rng = np.random.default_rng(0)
-    rows = []
+    m = assemble_mixing_matrix(g)
     for i in range(5):
-        members = g.closed_neighborhood(i)
-        raw = {k: float(rng.uniform(-1, 2)) for k in members}
-        rows.append(project_weights(raw, g, i))
-    report = check_admissibility(assemble_mixing_matrix(rows, g), g)
+        m[i] = project_weights(rng.uniform(-1, 2, size=3).tolist(), g, i)
+    report = check_admissibility(m, g)
     assert report.passed
-
-
-def test_assemble_owner_mismatch_rejected():
-    g = build_ring(3)
-    rows = [uniform_weights(g, 0)] * 3
-    with pytest.raises(ContractError):
-        assemble_mixing_matrix(rows, g)
-
-
-def test_weights_invariants_enforced():
-    with pytest.raises(ContractError):
-        CooperationWeights(owner=0, entries={0: 0.7, 1: 0.7})
-    with pytest.raises(ContractError):
-        CooperationWeights(owner=0, entries={0: 1.5, 1: -0.5})
 
 
 raw_entry = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -134,10 +126,9 @@ raw_entry = st.floats(min_value=-10, max_value=10, allow_nan=False)
 @given(raw=st.lists(raw_entry, min_size=3, max_size=3))
 def test_projection_is_idempotent(raw):
     g = build_ring(3)
-    mapping = dict(zip((0, 1, 2), raw))
-    once = project_weights(mapping, g, owner=0)
-    twice = project_weights(dict(once.entries), g, owner=0)
-    assert once.entries == twice.entries
+    once = project_weights(raw, g, owner=0)
+    twice = project_weights(as_raw(once, g, 0), g, owner=0)
+    assert once.tolist() == twice.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,10 +138,10 @@ def test_projection_is_idempotent(raw):
 )
 def test_projection_is_scale_invariant(raw, scale):
     g = build_ring(3)
-    base = project_weights(dict(zip((0, 1, 2), raw)), g, owner=0)
-    scaled = project_weights(dict(zip((0, 1, 2), [scale * r for r in raw])), g, owner=0)
+    base = project_weights(raw, g, owner=0)
+    scaled = project_weights([scale * r for r in raw], g, owner=0)
     for k in (0, 1, 2):
-        assert scaled.weight(k) == pytest.approx(base.weight(k), rel=1e-9)
+        assert scaled[k] == pytest.approx(base[k], rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,13 +150,13 @@ def test_projection_is_scale_invariant(raw, scale):
     states=st.lists(st.floats(-50, 50), min_size=4, max_size=4),
 )
 def test_fusion_stays_in_convex_hull(raw, states):
-    # The engine's fusion path: projected rows, assembled matrix, matrix @ states.
+    # The engine's fusion path: projected rows written into the matrix,
+    # then matrix @ states.
     g = build_ring(4)
-    rows = [
-        project_weights(dict(zip(g.closed_neighborhood(i), r)), g, owner=i)
-        for i, r in enumerate(raw)
-    ]
-    fused = assemble_mixing_matrix(rows, g) @ np.array(states)[:, None]
+    m = assemble_mixing_matrix(g)
+    for i, r in enumerate(raw):
+        m[i] = project_weights(r, g, owner=i)
+    fused = m @ np.array(states)[:, None]
     for i in range(4):
         members = [states[k] for k in g.closed_neighborhood(i)]
         assert min(members) - 1e-9 <= fused[i, 0] <= max(members) + 1e-9

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,24 @@ def test_weights_hold_between_refreshes(sphere_small, ring4):
     assert not np.array_equal(m[10], m[0])
     for t in range(10, 16):
         assert np.array_equal(m[t], m[10])
+
+
+def test_recorded_matrices_are_pinned(sphere_small, ring4):
+    # A coop run past the refreshes at rounds 10 and 20 (rho_ext = 0.25,
+    # T = 40). A refresh that wrote into a matrix recorded in an earlier round,
+    # or a projection that rounded differently, changes the digest.
+    cfg = small_config(
+        sphere_small, ring4, variant="coop", max_iterations=25,
+        convergence_threshold=1e-30, record_matrices=True,
+    )
+    report = run(cfg)
+    stacked = np.stack(report.matrices)
+    assert stacked.shape == (25, 4, 4)
+    assert report.coop_calls == 8
+    assert (
+        hashlib.sha256(stacked.tobytes()).hexdigest()
+        == "6a80b1f47bbd71349c7c5e61238216ef1036160d60d10d8101528437cf953b2d"
+    )
 
 
 def test_local_disagreement_mean_of_distances(monkeypatch, sphere_small):
