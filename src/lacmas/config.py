@@ -77,6 +77,12 @@ class GuidanceSpec:
     llm_model: str | None = None
     llm_timeout: float = LLM_TIMEOUT
 
+    def __post_init__(self):
+        # A timeout of zero or less fails every request, so each refresh would
+        # silently fall back to the heuristic answer.
+        if not self.llm_timeout > 0:
+            raise ConfigError(f"guidance.llm_timeout must be > 0, got {self.llm_timeout}")
+
 
 @dataclass
 class ExperimentConfig:

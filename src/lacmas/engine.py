@@ -41,7 +41,7 @@ from .guidance import (
     LlmProvider,
 )
 from .scheduler import PcgConfig
-from .swarm import Population, SwarmParams
+from .swarm import AgentSwarm, Population, SwarmParams
 from .topology import CommGraph, validate
 
 VARIANTS = ("baseline", "act", "coop", "full")
@@ -104,17 +104,15 @@ class HistoryRecord(NamedTuple):
 class AgentHistory:
     """Bounded per-agent trajectory log feeding descriptors and prompts."""
 
-    def __init__(self, capacity: int = 32):
-        if capacity < ACT_WINDOW:
-            raise ConfigError(f"history capacity must cover the act window ({ACT_WINDOW})")
-        self.capacity = capacity
+    def __init__(self):
         self._records: list[HistoryRecord] = []
 
     def append(self, record: HistoryRecord) -> None:
         if self._records and record.iteration <= self._records[-1].iteration:
             raise ConfigError("history iterations must be strictly increasing")
         self._records.append(record)
-        if len(self._records) > self.capacity:
+        # No reader looks further back than the act window.
+        if len(self._records) > ACT_WINDOW:
             del self._records[0]
 
     def recent(self, window: int) -> list[HistoryRecord]:
@@ -280,14 +278,13 @@ def run(config: RunConfig, provider=None) -> RunReport:
         obj.upper,
         config.swarm_params,
         [np.random.default_rng(seq) for seq in agent_seqs],
-        coefficients=(D_DEFAULT, 1.0, C_DEFAULT),
+        coefficients=(D_DEFAULT, C_DEFAULT),
     )
-    swarms = population.swarms
+    swarms = [AgentSwarm(population, i) for i in range(n)]
     for i, swarm in enumerate(swarms):
         swarm.evaluate_initial(obj.eval_local_batch(i, swarm.positions))
 
     histories = [AgentHistory() for _ in range(n)]
-    coeffs = [(D_DEFAULT, C_DEFAULT) for _ in range(n)]
     neighbor_lists = [graph.neighbor_lists[i] for i in range(n)]
     round_cost = comm_cost_per_round(graph, dim)
     # Flattened directed-edge arrays for vectorized local-disagreement means.
@@ -328,8 +325,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
         # Fused states keep entering through the particle channel.
         late_stage = t >= config.pcg.horizon_T
         if t == config.pcg.horizon_T:
-            for swarm in swarms:
-                swarm.rebase_records()
+            population.rebase()
         stepped = 0
         try:
             for i, swarm in enumerate(swarms):
@@ -359,18 +355,18 @@ def run(config: RunConfig, provider=None) -> RunReport:
             gate_int_hits.append(t)
             for i in range(n):
                 records = histories[i].recent(ACT_WINDOW)
+                d, c = population.coefficients[i]
                 req = ActRequest(
                     iteration=t,
-                    current_d=coeffs[i][0],
-                    current_c=coeffs[i][1],
+                    current_d=d,
+                    current_c=c,
                     trajectory=tuple(
                         (r.iteration, r.best_fitness, r.local_disagreement) for r in records
                     ),
                 )
                 out = provider.advise_act(req)
                 act_calls += 1
-                coeffs[i] = (out.d, out.c)
-                swarms[i].set_coefficients(out.d, 1.0, out.c)
+                population.coefficients[i] = (out.d, out.c)
 
         if g_ext and config.variant in _COOP_VARIANTS and all(len(h) > 0 for h in histories):
             # A fresh copy, so matrices recorded in earlier rounds stay as they were.

@@ -334,8 +334,6 @@ def llm_advise(prompt: str, endpoint: LlmEndpoint) -> str:
 class HeuristicProvider:
     """Pure rule-based provider; the deterministic reference path."""
 
-    name = "heuristic"
-
     def __init__(self, params: HeuristicParams = HeuristicParams()):
         self.params = params
 
@@ -356,7 +354,6 @@ class LlmProvider:
 
     endpoint: LlmEndpoint
     params: HeuristicParams = field(default_factory=HeuristicParams)
-    name: str = "llm"
     fallback_count: int = 0
 
     def advise_act(self, req: ActRequest) -> ActGuidance:

@@ -235,16 +235,3 @@ def make_spec(
         bound=bound,
         rotation=rotation,
     )
-
-
-def make_suite(
-    num_agents: int,
-    dim: int,
-    hetero_sigma: float = DEFAULT_HETERO_SIGMA,
-    seed: int = 0,
-    bound: float = DEFAULT_BOUND,
-) -> list[BenchmarkSpec]:
-    """The full ten-function suite in fixed family order."""
-    return [
-        make_spec(fam, num_agents, dim, hetero_sigma, seed, bound) for fam in FAMILIES
-    ]

@@ -8,19 +8,19 @@ toward the particle's personal best and toward the agent's local attractor
     v <- w * (delta (.) v) + c_p * r1 (.) (pbest - x) + c_a * r2 (.) (attr - x)
     x <- clamp(x + v)
 
-The active coefficient w is selected from (w1, w0, w2) by the current particle
-divergence: a concentrated population gets the escape coefficient w2, a widely
-spread one the damping coefficient w1, and the middle band the neutral w0.
-delta is drawn element-wise uniform on [modulation_low, modulation_high], so
-w < 1 contracts the modulated term in the mean-square sense and w near the top
-of its range lets occasional large kicks through.
+The active coefficient w is selected from the agent's (d, c) pair by the
+current particle divergence: a concentrated population gets the escape
+coefficient c, a widely spread one the damping coefficient d, and the middle
+band the neutral 1.0. delta is drawn element-wise uniform on [modulation_low,
+modulation_high], so w < 1 contracts the modulated term in the mean-square
+sense and w near the top of its range lets occasional large kicks through.
 
-The swarm never calls an objective. All agents' particle records live in one
-Population, stacked as (N, P, D) and (N, P) arrays; each AgentSwarm works on
-row views of them. step_particles writes new positions into its row, the
-caller evaluates the whole positions buffer in one batch and hands the values
-back through Population.tell; evaluate_initial and inject_fused_state likewise
-take values.
+The swarm never calls an objective. All swarm state lives in one Population:
+particle records stacked as (N, P, D) and (N, P) arrays, and each agent's
+scalars. An AgentSwarm is agent i's dynamics on row i of those arrays.
+step_particles writes new positions into its row, the caller evaluates the
+whole positions buffer in one batch and hands the values back through
+Population.tell; evaluate_initial and inject_fused_state likewise take values.
 """
 
 from __future__ import annotations
@@ -121,15 +121,14 @@ class StepBuffers:
 
 
 class Population:
-    """Every agent's particle records, stacked.
+    """Every agent's swarm state, stacked; the only owner of it.
 
-    Owns positions and personal-best positions as (N, P, D), the best and
-    latest values as (N, P), each agent's all-time best value as (N,) and
-    which agents are in collapse recovery as (N,). Agent i's AgentSwarm (in
-    `swarms`) keeps its own generator, coefficients, velocities and kick scale
-    and works on row i of these buffers in place, so the batch operations here
-    see every swarm's last write. Swarms hold no reference back, so a finished
-    run's population is freed as soon as the run lets go of it.
+    Row i of each array is agent i's: positions, velocities and personal-best
+    positions as (N, P, D), best and latest values as (N, P), attractors as
+    (N, D). Per agent it also keeps the all-time best value `best_seen` and
+    whether collapse recovery runs (`kicking`) as (N,) arrays, and as lists of
+    Python floats the kick scale `kick_sigma` and the (d, c) regime pair
+    `coefficients`. The generators and the box are shared by all rows.
     """
 
     def __init__(
@@ -139,28 +138,53 @@ class Population:
         upper: np.ndarray,
         params: SwarmParams,
         rngs: list[np.random.Generator],
-        coefficients: tuple[float, float, float] = (0.7, 1.0, 1.3),
+        coefficients: tuple[float, float] = (0.7, 1.3),
     ):
-        shape = (len(rngs), params.population)
+        n, p = len(rngs), params.population
         self.params = params
-        self.positions = np.zeros(shape + (dim,))
-        self.best_positions = np.zeros(shape + (dim,))
-        self.best_values = np.full(shape, np.inf)
-        self.last_values = np.full(shape, np.inf)
-        self.best_seen = np.full(len(rngs), np.inf)
+        self.rngs = rngs
+        self.lower = np.asarray(lower, dtype=float)
+        self.upper = np.asarray(upper, dtype=float)
+        span = self.upper - self.lower
+        vmax = params.init_velocity_frac * span
+        self.span_mean = float(span.mean())
+        self.kick_floor = 1e-12 * self.span_mean
+        kick_sigma = float(params.init_velocity_frac * self.span_mean)
+        # Generator.uniform needs a finite width for both draws below, and the
+        # dead-velocity test squares kick_velocity_eps * kick_sigma, where
+        # kick_sigma never exceeds the larger of its start and the mean span.
+        if not (np.isfinite(span).all() and math.isfinite(2 * float(vmax.max()))):
+            raise ContractError("the box and the initial velocity range must have finite widths")
+        if params.kick_velocity_eps * max(kick_sigma, self.span_mean) >= _SQRT_MAX:
+            raise ContractError(
+                f"kick_velocity_eps times the box span must be below {_SQRT_MAX:.3g}"
+            )
+
+        self.positions = np.empty((n, p, dim))
+        self.velocities = np.empty((n, p, dim))
+        for i, rng in enumerate(rngs):
+            self.positions[i] = rng.uniform(self.lower, self.upper, size=(p, dim))
+            self.velocities[i] = rng.uniform(-vmax, vmax, size=(p, dim))
+        self.best_positions = self.positions.copy()
+        self.best_values = np.full((n, p), np.inf)
+        self.last_values = np.full((n, p), np.inf)
+        self.attractors = np.zeros((n, dim))
+        # All-time agent bests, kept apart from the working records so that
+        # reported fitness stays monotone even when records are re-based.
+        self.best_seen = np.full(n, np.inf)
         # Set once an agent's collapse recovery starts; it never stops again.
-        self.kicking = np.zeros(len(rngs), dtype=bool)
+        self.kicking = np.zeros(n, dtype=bool)
+        self.kick_sigma = [kick_sigma] * n
+        self.coefficients = [coefficients] * n
+        self.evaluated = [False] * n
         self.step_buffers = StepBuffers(params, dim)
-        self.swarms = [
-            AgentSwarm(self, i, lower, upper, rng, coefficients) for i, rng in enumerate(rngs)
-        ]
 
     def tell(self, values: np.ndarray, upto: int | None = None) -> None:
         """Take the (N, P) values of the positions the swarms last proposed.
 
         Only rows below `upto` (all rows by default) are taken: a round cut
         short by a fault tells just the agents that stepped. Personal bests
-        update greedily, and the kick scale of every told swarm in collapse
+        update greedily, and the kick scale of every told agent in collapse
         recovery adapts to its success rate.
         """
         values = np.asarray(values, dtype=float)
@@ -179,14 +203,13 @@ class Population:
         kicking = np.flatnonzero(self.kicking[rows]).tolist()
         if kicking:
             # Success-rate step-size control; holds at the initialization
-            # scale until a swarm's collapse recovery starts.
-            p = self.params
+            # scale until an agent's collapse recovery starts.
+            p, sigmas = self.params, self.kick_sigma
             successes = np.count_nonzero(improved, axis=1).tolist()
             for i in kicking:
-                swarm = self.swarms[i]
                 rate = successes[i] / p.population
-                swarm.kick_sigma *= math.exp(p.kick_adapt_rate * (rate - p.kick_target_rate))
-                swarm.kick_sigma = min(swarm.kick_sigma, swarm.span_mean)
+                sigma = sigmas[i] * math.exp(p.kick_adapt_rate * (rate - p.kick_target_rate))
+                sigmas[i] = min(sigma, self.span_mean)
 
     def representatives(self, upto: int | None = None) -> np.ndarray:
         """Each agent's representative state (see AgentSwarm.representative_state)
@@ -200,58 +223,42 @@ class Population:
         # Python's min(best_seen, record): the record only where strictly lower.
         return np.where(records < self.best_seen, records, self.best_seen)
 
+    def rebase(self) -> None:
+        """Replace every particle's record with its latest evaluation.
+
+        Used once at the refocus transition: records accumulated while the
+        populations tracked the fused states can sit far from where the search
+        has moved, and pulling toward them again would undo the tracking. The
+        records are folded into best_seen first, so agent_bests stays monotone.
+        """
+        self.best_seen[...] = self.agent_bests()
+        self.best_positions[...] = self.positions
+        self.best_values[...] = self.last_values
+
 
 class AgentSwarm:
-    """Dynamics of one agent's particle population, on its Population row."""
+    """Dynamics of agent `agent_id`'s swarm, on its Population row.
 
-    def __init__(
-        self,
-        population: Population,
-        agent_id: int,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        rng: np.random.Generator,
-        coefficients: tuple[float, float, float] = (0.7, 1.0, 1.3),
-    ):
+    Holds its generator and views of its rows, built once and never rebound,
+    so every write lands in the Population; its scalars are read and written
+    there too.
+    """
+
+    __slots__ = (
+        "population", "agent_id", "rng", "positions", "velocities",
+        "best_positions", "best_values", "last_values", "attractor",
+    )
+
+    def __init__(self, population: Population, agent_id: int):
+        self.population = population
         self.agent_id = agent_id
+        self.rng = population.rngs[agent_id]
         self.positions = population.positions[agent_id]
-        p, dim = self.positions.shape
-        self.dim = dim
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        self.params = params = population.params
-        self.rng = rng
-        # (w1, w0, w2): damping, neutral, escape.
-        self.w1, self.w0, self.w2 = coefficients
-
-        span = self.upper - self.lower
-        vmax = params.init_velocity_frac * span
-        self.span_mean = float(span.mean())
-        self._kick_floor = 1e-12 * self.span_mean
-        self.kick_sigma = float(params.init_velocity_frac * self.span_mean)
-        # Generator.uniform needs a finite width for both draws below, and the
-        # dead-velocity test squares kick_velocity_eps * kick_sigma, where
-        # kick_sigma never exceeds the larger of its start and the mean span.
-        if not (np.isfinite(span).all() and math.isfinite(2 * float(vmax.max()))):
-            raise ContractError("the box and the initial velocity range must have finite widths")
-        if params.kick_velocity_eps * max(self.kick_sigma, self.span_mean) >= _SQRT_MAX:
-            raise ContractError(
-                f"kick_velocity_eps times the box span must be below {_SQRT_MAX:.3g}"
-            )
-        self.positions[...] = rng.uniform(self.lower, self.upper, size=(p, dim))
-        self.velocities = rng.uniform(-vmax, vmax, size=(p, dim))
+        self.velocities = population.velocities[agent_id]
         self.best_positions = population.best_positions[agent_id]
-        self.best_positions[...] = self.positions
         self.best_values = population.best_values[agent_id]
         self.last_values = population.last_values[agent_id]
-        # All-time agent best (a one-element row), kept apart from the working
-        # records so that reported fitness stays monotone even when records
-        # are re-based.
-        self.best_seen = population.best_seen[agent_id:agent_id + 1]
-        self.kicking = population.kicking[agent_id:agent_id + 1]
-        self.local_attractor = np.zeros(dim)
-        self._evaluated = False
-        self._buf = population.step_buffers
+        self.attractor = population.attractors[agent_id]
 
     # -- setup -------------------------------------------------------------
 
@@ -261,54 +268,39 @@ class AgentSwarm:
         self.best_values[...] = values
         self.best_positions[...] = self.positions
         self.last_values[...] = self.best_values
-        self._evaluated = True
+        self.population.evaluated[self.agent_id] = True
         self._track_best_seen()
-        self.local_attractor[...] = self.representative_state()
+        self.attractor[...] = self.representative_state()
 
     def _track_best_seen(self) -> None:
         best = float(self.best_values.min())
-        if best < self.best_seen[0]:
-            self.best_seen[0] = best
-
-    def set_coefficients(self, w1: float, w0: float, w2: float) -> None:
-        self.w1, self.w0, self.w2 = w1, w0, w2
+        best_seen = self.population.best_seen
+        if best < best_seen[self.agent_id]:
+            best_seen[self.agent_id] = best
 
     # -- observations --------------------------------------------------------
 
-    def centroid(self, out: np.ndarray | None = None) -> np.ndarray:
-        n = len(self.positions)
-        if n == 0:
-            raise ContractError("empty population")
-        # sum / n is what ndarray.mean computes, without its Python wrapper.
-        c = _sum(self.positions, axis=0, out=out)
-        c /= n
-        return c
-
     def divergence(self) -> float:
         """Mean squared distance of the particles from their centroid."""
-        buf = self._buf
-        d = np.subtract(self.positions, self.centroid(out=buf.centroid), out=buf.scratch)
+        x, buf = self.positions, self.population.step_buffers
+        n = len(x)
+        # sum / n is what ndarray.mean computes, without its Python wrapper.
+        centroid = _sum(x, axis=0, out=buf.centroid)
+        centroid /= n
+        d = np.subtract(x, centroid, out=buf.scratch)
         d *= d
-        return float(_sum(d, axis=None) / len(d))
+        return float(_sum(d, axis=None) / n)
 
     def select_coefficient(self, div: float) -> float:
-        """Regime gate: escape below d1, neutral on [d1, d2], damping above d2."""
-        if div < self.params.d1:
-            return self.w2
-        if div <= self.params.d2:
-            return self.w0
-        return self.w1
-
-    def rebase_records(self) -> None:
-        """Replace every particle's record with its latest evaluation.
-
-        Used once at the refocus transition: records accumulated while the
-        population tracked the fused state can sit far from where the search
-        has moved, and pulling toward them again would undo the tracking.
-        """
-        self._track_best_seen()
-        self.best_positions[...] = self.positions
-        self.best_values[...] = self.last_values
+        """Regime gate: escape c below d1, neutral 1.0 on [d1, d2], damping d
+        above d2."""
+        pop = self.population
+        d, c = pop.coefficients[self.agent_id]
+        if div < pop.params.d1:
+            return c
+        if div <= pop.params.d2:
+            return 1.0
+        return d
 
     def representative_state(self) -> np.ndarray:
         """Position of the particle that evaluated best in the latest sweep
@@ -320,7 +312,7 @@ class AgentSwarm:
         pins to the first point found and consensus could never re-anchor it;
         the per-sweep best follows the attractor instead.
         """
-        if not self._evaluated:
+        if not self.population.evaluated[self.agent_id]:
             raise ContractError("representative_state before any evaluation")
         return self.positions[self.last_values.argmin()].copy()
 
@@ -337,7 +329,8 @@ class AgentSwarm:
         leaving the attractor as the only directed pull; the same random draws
         are consumed either way so the stream stays aligned.
         """
-        p, buf = self.params, self._buf
+        pop, i = self.population, self.agent_id
+        p, buf = pop.params, pop.step_buffers
         x, v, scratch = self.positions, self.velocities, buf.scratch
         draws = self.rng.random(out=buf.draws)
         draws *= buf.draw_scale
@@ -350,20 +343,21 @@ class AgentSwarm:
             pull = np.subtract(self.best_positions, x, out=scratch)
             pull *= buf.pull_pbest
             v += pull
-        pull = np.subtract(self.local_attractor, x, out=scratch)
+        pull = np.subtract(self.attractor, x, out=scratch)
         pull *= buf.pull_attractor
         v += pull
 
-        if p.kick_velocity_eps > 0 and self.kick_sigma > 0:
+        sigma = pop.kick_sigma[i]
+        if p.kick_velocity_eps > 0 and sigma > 0:
             speed2 = _sum(np.multiply(v, v, out=scratch), axis=1, out=buf.speed2)
-            dead = np.less(speed2, (p.kick_velocity_eps * self.kick_sigma) ** 2, out=buf.dead)
+            dead = np.less(speed2, (p.kick_velocity_eps * sigma) ** 2, out=buf.dead)
             if dead.any():
-                if not self.kicking[0]:
+                if not pop.kicking[i]:
                     # Seed the recovery scale from where the collapse happened.
                     abest = self.best_positions[self.best_values.argmin()]
                     spread = float(np.median(np.linalg.norm(x - abest, axis=1)))
-                    self.kick_sigma = max(min(self.kick_sigma, spread), self._kick_floor)
-                    self.kicking[0] = True
+                    pop.kick_sigma[i] = sigma = max(min(sigma, spread), pop.kick_floor)
+                    pop.kicking[i] = True
                 # The active regime coefficient scales the kick: the escape
                 # coefficient widens recovery jumps, the damping one narrows
                 # them, so coefficient guidance steers escape strength.
@@ -371,17 +365,17 @@ class AgentSwarm:
                 kick = self.rng.random(out=buf.kick)
                 kick *= 2.0
                 kick -= 1.0
-                kick *= self.kick_sigma * active_coeff
+                kick *= sigma * active_coeff
                 np.add(v, kick, out=v, where=dead[:, None])
 
         raw = np.add(x, v, out=scratch)
-        new = np.maximum(raw, self.lower, out=buf.proposed)
-        np.minimum(new, self.upper, out=new)
+        new = np.maximum(raw, pop.lower, out=buf.proposed)
+        np.minimum(new, pop.upper, out=new)
         np.putmask(v, np.not_equal(raw, new, out=buf.clamped), 0.0)
 
         total = float(_sum(new, axis=None)) + float(_sum(v, axis=None))
         if not math.isfinite(total):
-            raise NumericalFault(f"non-finite particle state for agent {self.agent_id}")
+            raise NumericalFault(f"non-finite particle state for agent {i}")
 
         x[...] = new
         return x
@@ -397,13 +391,15 @@ class AgentSwarm:
         particle channel stays open.
         """
         fused = np.asarray(fused, dtype=float)
-        if fused.shape != (self.dim,):
-            raise ContractError(f"fused state has shape {fused.shape}, expected ({self.dim},)")
+        if fused.shape != self.attractor.shape:
+            raise ContractError(
+                f"fused state has shape {fused.shape}, expected {self.attractor.shape}"
+            )
         worst = self.best_values.argmax()
         # The reported best is the min of best_seen and the records, so
         # overwriting the worst record can lower it only when that record is
         # below best_seen; fold the records in first in that case.
-        if self.best_values[worst] < self.best_seen[0]:
+        if self.best_values[worst] < self.population.best_seen[self.agent_id]:
             self._track_best_seen()
         self.positions[worst] = fused
         self.velocities[worst] = 0.0
@@ -411,6 +407,6 @@ class AgentSwarm:
         self.best_values[worst] = value
         self.last_values[worst] = value
         if refocus:
-            self.local_attractor[...] = self.best_positions[self.best_values.argmin()]
+            self.attractor[...] = self.best_positions[self.best_values.argmin()]
         else:
-            self.local_attractor[...] = fused
+            self.attractor[...] = fused

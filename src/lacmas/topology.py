@@ -33,9 +33,6 @@ class CommGraph:
         """Neighbors of i plus i itself, sorted."""
         return tuple(sorted((*self.neighbor_lists[i], i)))
 
-    def num_undirected_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.neighbor_lists) // 2
-
     def num_directed_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self.neighbor_lists)
 

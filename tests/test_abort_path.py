@@ -89,7 +89,7 @@ def _run_recording_tells(monkeypatch):
     told: list[int] = []
 
     def tell(self, values, upto=None):
-        told.extend(range(len(self.swarms) if upto is None else upto))
+        told.extend(range(len(self.positions) if upto is None else upto))
         return original(self, values, upto)
 
     monkeypatch.setattr(Population, "tell", tell)
@@ -122,31 +122,36 @@ def test_abort_tells_exactly_the_agents_that_stepped(fault_round, monkeypatch):
 
 SWARM_METHODS = (
     "evaluate_initial",
-    "set_coefficients",
     "divergence",
     "select_coefficient",
     "step_particles",
-    "rebase_records",
     "representative_state",
     "inject_fused_state",
 )
-ROW_BUFFERS = (
-    "positions", "best_positions", "best_values", "last_values", "best_seen", "kicking",
-)
+# Each swarm row view and the Population array it must stay a row of.
+ROW_VIEWS = {
+    "positions": "positions",
+    "velocities": "velocities",
+    "best_positions": "best_positions",
+    "best_values": "best_values",
+    "last_values": "last_values",
+    "attractor": "attractors",
+}
 
 
 def test_swarm_arrays_stay_population_rows(monkeypatch):
     # A swarm that rebinds one of its arrays instead of writing in place
-    # would drop out of the batched tell and picks without any error. The
-    # 60 rounds cover kicks, the horizon-40 rebase and injection.
-    calls = {name: 0 for name in SWARM_METHODS}
+    # would drop out of the batched tell, picks and rebase without any
+    # error. The 60 rounds cover kicks, the horizon-40 rebase and injection.
+    calls = {name: 0 for name in (*SWARM_METHODS, "rebase")}
     populations: list[Population] = []
+    swarms: list[AgentSwarm] = []
 
-    def assert_rows_shared(population, swarm):
-        i = swarm.agent_id
-        for name in ROW_BUFFERS:
-            rows = getattr(population, name)[i:i + 1]
-            assert np.shares_memory(getattr(swarm, name), rows), (name, i)
+    def assert_rows_shared(swarm):
+        population, i = populations[-1], swarm.agent_id
+        assert swarm.population is population
+        for view, array in ROW_VIEWS.items():
+            assert np.shares_memory(getattr(swarm, view), getattr(population, array)[i]), (view, i)
 
     def checked(name):
         original = getattr(AgentSwarm, name)
@@ -154,30 +159,44 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
         def method(self, *args, **kwargs):
             result = original(self, *args, **kwargs)
             calls[name] += 1
-            assert_rows_shared(populations[-1], self)
+            assert_rows_shared(self)
             return result
 
         return method
 
-    init, tell = Population.__init__, Population.tell
+    population_init, swarm_init = Population.__init__, AgentSwarm.__init__
+    tell, rebase = Population.tell, Population.rebase
 
-    def checked_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def checked_population_init(self, *args, **kwargs):
+        population_init(self, *args, **kwargs)
         populations.append(self)
+
+    def checked_swarm_init(self, *args, **kwargs):
+        swarm_init(self, *args, **kwargs)
+        swarms.append(self)
 
     def checked_tell(self, *args, **kwargs):
         tell(self, *args, **kwargs)
-        for swarm in self.swarms:
-            assert_rows_shared(self, swarm)
+        for swarm in swarms:
+            assert_rows_shared(swarm)
+
+    def checked_rebase(self):
+        rebase(self)
+        calls["rebase"] += 1
+        for swarm in swarms:
+            assert_rows_shared(swarm)
 
     for name in SWARM_METHODS:
         monkeypatch.setattr(AgentSwarm, name, checked(name))
-    monkeypatch.setattr(Population, "__init__", checked_init)
+    monkeypatch.setattr(Population, "__init__", checked_population_init)
+    monkeypatch.setattr(AgentSwarm, "__init__", checked_swarm_init)
     monkeypatch.setattr(Population, "tell", checked_tell)
+    monkeypatch.setattr(Population, "rebase", checked_rebase)
     report = run(_config())
     assert not report.aborted and len(report.disagreement_trace) == 60
     assert all(calls.values()), calls
     assert len(populations) == 1 and populations[0].kicking.any()
+    assert [swarm.agent_id for swarm in swarms] == [0, 1, 2, 3]
 
 
 def _regenerate() -> None:

@@ -130,6 +130,23 @@ def test_llm_provider_without_endpoint_writes_nothing(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("timeout", [0, -1])
+def test_non_positive_llm_timeout_gives_config_exit(tmp_path, capsys, monkeypatch, timeout):
+    # Such a timeout used to exit 0 with every guidance refresh fallen back.
+    monkeypatch.setenv("LACMAS_LLM_URL", "http://localhost:9")
+    monkeypatch.setenv("LACMAS_LLM_MODEL", "m")
+    cfg = write_config(tmp_path, {"guidance": {"llm_timeout": timeout}})
+    out = tmp_path / "r"
+    code = main(
+        ["run", "--config", str(cfg), "--suite", "sphere", "--provider", "llm", "--out", str(out)]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "guidance.llm_timeout" in err
+    assert "\n" not in err
+    assert not out.exists()
+
+
 def test_unknown_config_key_gives_config_exit(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"definitely_not_a_key": 1}))

@@ -136,6 +136,13 @@ def test_llm_config_url_wins_over_env(monkeypatch):
     assert run_cfg.llm == LlmEndpoint(base_url="http://env:1", model="cfg-model", timeout=30.0)
 
 
+@pytest.mark.parametrize("timeout", [0, 0.0, -1])
+def test_non_positive_llm_timeout_rejected(timeout):
+    # Such a timeout fails every request, so every refresh fell back silently.
+    with pytest.raises(ConfigError, match="guidance.llm_timeout"):
+        config_from_dict({"guidance": {"llm_timeout": timeout}})
+
+
 def test_llm_without_endpoint_rejected(monkeypatch):
     monkeypatch.delenv("LACMAS_LLM_URL", raising=False)
     monkeypatch.setenv("LACMAS_LLM_MODEL", "env-model")

@@ -17,7 +17,7 @@ def as_raw(weights, graph, owner):
 
 
 def history_from(rows):
-    h = AgentHistory(capacity=32)
+    h = AgentHistory()
     for t, (fit, div, delta) in enumerate(rows):
         h.append(
             HistoryRecord(
@@ -53,7 +53,7 @@ def test_descriptor_two_entry_mean():
 
 def test_descriptor_requires_history():
     with pytest.raises(ContractError):
-        build_descriptor(AgentHistory(capacity=32), window=5)
+        build_descriptor(AgentHistory(), window=5)
 
 
 def test_project_clamps_and_normalizes():

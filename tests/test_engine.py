@@ -14,6 +14,7 @@ from lacmas.engine import (
     write_trace_csv,
 )
 from lacmas.errors import ConfigError, ContractError, NumericalFault
+from lacmas.guidance import ACT_WINDOW
 from lacmas.objectives import make_spec
 from lacmas.scheduler import PcgConfig
 from lacmas.swarm import AgentSwarm
@@ -100,22 +101,22 @@ def record(t, fit=1.0):
 
 
 def test_history_capacity_bound():
-    h = AgentHistory(capacity=20)
+    h = AgentHistory()
     for t in range(50):
         h.append(record(t))
-    assert len(h) == 20
+    assert len(h) == ACT_WINDOW
     assert h.recent(5)[-1].iteration == 49
 
 
 def test_history_rejects_nonincreasing_iterations():
-    h = AgentHistory(capacity=20)
+    h = AgentHistory()
     h.append(record(3))
     with pytest.raises(ConfigError):
         h.append(record(3))
 
 
 def test_history_recent_window_order():
-    h = AgentHistory(capacity=32)
+    h = AgentHistory()
     for t in range(10):
         h.append(record(t, fit=float(t)))
     recent = h.recent(4)
@@ -125,16 +126,11 @@ def test_history_recent_window_order():
 @pytest.mark.parametrize("window", [0, -2])
 def test_history_recent_rejects_empty_window(window):
     # [-0:] is the whole list: an unchecked window 0 returns every record.
-    h = AgentHistory(capacity=32)
+    h = AgentHistory()
     for t in range(5):
         h.append(record(t))
     with pytest.raises(ContractError):
         h.recent(window)
-
-
-def test_history_requires_act_window_capacity():
-    with pytest.raises(ConfigError):
-        AgentHistory(capacity=10)
 
 
 # -- run loop ---------------------------------------------------------------------

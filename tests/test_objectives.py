@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacmas.errors import ContractError
-from lacmas.objectives import FAMILIES, make_spec, make_suite
+from lacmas.objectives import FAMILIES, make_spec
 
 
 def finite_difference_gradient(f, x, h=1e-5):
@@ -115,20 +115,20 @@ def test_eval_all_rejects_non_finite_point(bad):
 
 
 def test_suite_has_ten_specs_with_requested_shape():
-    suite = make_suite(num_agents=20, dim=100, hetero_sigma=5.0, seed=1)
+    suite = [make_spec(fam, num_agents=20, dim=100, hetero_sigma=5.0, seed=1) for fam in FAMILIES]
     assert len(suite) == 10
     assert [s.family for s in suite] == list(FAMILIES)
     assert all(s.num_agents == 20 and s.dim == 100 for s in suite)
 
 
 def test_zero_hetero_sigma_gives_homogeneous_specs():
-    suite = make_suite(num_agents=5, dim=8, hetero_sigma=0.0, seed=3)
+    suite = [make_spec(fam, num_agents=5, dim=8, hetero_sigma=0.0, seed=3) for fam in FAMILIES]
     assert all(s.heterogeneity == "homogeneous" for s in suite)
 
 
 def test_suite_generation_is_deterministic():
-    a = make_suite(num_agents=5, dim=8, hetero_sigma=4.0, seed=17)
-    b = make_suite(num_agents=5, dim=8, hetero_sigma=4.0, seed=17)
+    a = [make_spec(fam, num_agents=5, dim=8, hetero_sigma=4.0, seed=17) for fam in FAMILIES]
+    b = [make_spec(fam, num_agents=5, dim=8, hetero_sigma=4.0, seed=17) for fam in FAMILIES]
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.shifts, sb.shifts)
 

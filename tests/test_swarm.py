@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 
 from lacmas.errors import ContractError
-from lacmas.swarm import Population, SwarmParams
-
-
-# Swarms hold no reference to their Population, so the one-agent cases keep
-# it here for the batched tell and best values.
-POPULATIONS = {}
+from lacmas.swarm import AgentSwarm, Population, SwarmParams
 
 
 def new_swarm(dim, lower, upper, params, rng_seed):
-    """The one swarm of a fresh one-agent Population, not yet evaluated."""
+    """The swarm of a fresh one-agent Population, not yet evaluated."""
     population = Population(
         dim,
         np.full(dim, lower),
@@ -19,17 +14,15 @@ def new_swarm(dim, lower, upper, params, rng_seed):
         params,
         [np.random.default_rng(rng_seed)],
     )
-    swarm = population.swarms[0]
-    POPULATIONS[swarm] = population
-    return swarm
+    return AgentSwarm(population, 0)
 
 
 def make_swarm(positions, rng_seed=0, params=None, lower=-100.0, upper=100.0):
     positions = np.asarray(positions, dtype=float)
     p, dim = positions.shape
     swarm = new_swarm(dim, lower, upper, params or SwarmParams(population=p), rng_seed)
-    swarm.positions[...] = positions
-    swarm.velocities[...] = 0.0
+    swarm.population.positions[0] = positions
+    swarm.population.velocities[0] = 0.0
     evaluate_initial(swarm)
     return swarm
 
@@ -45,12 +38,16 @@ def evaluate_initial(swarm):
 def step(swarm, active_coeff):
     """One ask/tell round on the sphere: propose, evaluate, take the values."""
     swarm.step_particles(active_coeff)
-    population = POPULATIONS[swarm]
+    population = swarm.population
     population.tell(sphere_batch(population.positions))
 
 
 def best_value(swarm):
-    return float(POPULATIONS[swarm].agent_bests()[swarm.agent_id])
+    return float(swarm.population.agent_bests()[swarm.agent_id])
+
+
+def mean_squared_distance(points, center):
+    return float(np.mean(np.sum((np.asarray(points) - center) ** 2, axis=1)))
 
 
 def inject(swarm, fused):
@@ -64,19 +61,27 @@ def quiet_params(p):
     )
 
 
+# The divergence measures spread about the centroid, and the mean squared
+# distance from any other center is strictly larger: matching it pins the
+# centroid the divergence used.
+
+
 def test_centroid_of_identical_particles():
-    swarm = make_swarm([[3.0, -1.0]] * 4)
-    assert np.allclose(swarm.centroid(), [3.0, -1.0])
+    points = [[3.0, -1.0]] * 4
+    swarm = make_swarm(points)
+    assert swarm.divergence() == pytest.approx(mean_squared_distance(points, [3.0, -1.0]))
 
 
 def test_centroid_symmetric_pair():
-    swarm = make_swarm([[0.0, 0.0], [2.0, 2.0]])
-    assert np.allclose(swarm.centroid(), [1.0, 1.0])
+    points = [[0.0, 0.0], [2.0, 2.0]]
+    swarm = make_swarm(points)
+    assert swarm.divergence() == pytest.approx(mean_squared_distance(points, [1.0, 1.0]))
 
 
 def test_centroid_three_particles():
-    swarm = make_swarm([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
-    assert np.allclose(swarm.centroid(), [1.0, 1.0])
+    points = [[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]]
+    swarm = make_swarm(points)
+    assert swarm.divergence() == pytest.approx(mean_squared_distance(points, [1.0, 1.0]))
 
 
 def test_divergence_zero_for_identical_positions():
@@ -108,7 +113,7 @@ def test_divergence_nonnegative_random():
 def test_select_coefficient_regimes(div, expected):
     params = SwarmParams(population=2, d1=1.0, d2=4.0)
     swarm = make_swarm([[0.0], [1.0]], params=params)
-    swarm.set_coefficients(0.6, 1.0, 1.5)
+    swarm.population.coefficients[0] = (0.6, 1.5)
     value = swarm.select_coefficient(div)
     assert value == {"w1": 0.6, "w0": 1.0, "w2": 1.5}[expected]
 
@@ -116,11 +121,12 @@ def test_select_coefficient_regimes(div, expected):
 def test_step_with_zero_coefficients_freezes_positions():
     params = quiet_params(3)
     swarm = make_swarm([[1.0, 2.0], [3.0, 4.0], [-5.0, 0.5]], params=params)
-    swarm.velocities[...] = 1.0
-    before = swarm.positions.copy()
+    population = swarm.population
+    population.velocities[0] = 1.0
+    before = population.positions[0].copy()
     step(swarm, 0.0)
-    assert np.array_equal(swarm.positions, before)
-    assert np.all(swarm.velocities == 0.0)
+    assert np.array_equal(population.positions[0], before)
+    assert np.all(population.velocities[0] == 0.0)
 
 
 def test_degenerate_modulation_is_identity():
@@ -133,12 +139,13 @@ def test_degenerate_modulation_is_identity():
         kick_velocity_eps=0.0,
     )
     swarm = make_swarm([[1.0, 1.0], [2.0, -2.0]], params=params)
-    swarm.velocities[...] = [[0.5, -0.5], [1.0, 0.25]]
-    before_v = swarm.velocities.copy()
-    before_x = swarm.positions.copy()
+    population = swarm.population
+    population.velocities[0] = [[0.5, -0.5], [1.0, 0.25]]
+    before_v = population.velocities[0].copy()
+    before_x = population.positions[0].copy()
     step(swarm, 1.0)
-    assert np.allclose(swarm.velocities, before_v)
-    assert np.allclose(swarm.positions, before_x + before_v)
+    assert np.allclose(population.velocities[0], before_v)
+    assert np.allclose(population.positions[0], before_x + before_v)
 
 
 def test_step_is_deterministic_for_fixed_seed():
@@ -147,7 +154,7 @@ def test_step_is_deterministic_for_fixed_seed():
         evaluate_initial(swarm)
         for _ in range(20):
             step(swarm, 1.1)
-        return swarm.positions.copy(), swarm.best_values.copy()
+        return swarm.population.positions[0].copy(), swarm.population.best_values[0].copy()
 
     p1, b1 = run_once()
     p2, b2 = run_once()
@@ -162,13 +169,13 @@ def test_representative_single_particle():
 
 def test_representative_picks_lowest_latest_value():
     swarm = make_swarm([[1.0], [2.0]])
-    swarm.last_values[...] = [5.0, 3.0]
+    swarm.population.last_values[0] = [5.0, 3.0]
     assert np.allclose(swarm.representative_state(), [2.0])
 
 
 def test_representative_tie_breaks_to_lower_index():
     swarm = make_swarm([[1.0], [2.0]])
-    swarm.last_values[...] = [3.0, 3.0]
+    swarm.population.last_values[0] = [3.0, 3.0]
     assert np.allclose(swarm.representative_state(), [1.0])
 
 
@@ -182,17 +189,18 @@ def test_inject_sets_attractor_and_replaces_worst():
     swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]])
     fused = np.array([0.5, 0.5])
     inject(swarm, fused)
-    assert np.array_equal(swarm.local_attractor, fused)
-    assert np.array_equal(swarm.positions[1], fused)
-    assert np.all(swarm.velocities[1] == 0.0)
-    assert swarm.best_values[1] == pytest.approx(sphere_batch(fused[None, :])[0])
+    population = swarm.population
+    assert np.array_equal(population.attractors[0], fused)
+    assert np.array_equal(population.positions[0, 1], fused)
+    assert np.all(population.velocities[0, 1] == 0.0)
+    assert population.best_values[0, 1] == pytest.approx(sphere_batch(fused[None, :])[0])
 
 
 def test_inject_onto_best_duplicates_it():
     swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]])
-    best = swarm.positions[0].copy()
+    best = swarm.population.positions[0, 0].copy()
     inject(swarm, best)
-    assert np.array_equal(swarm.positions[1], best)
+    assert np.array_equal(swarm.population.positions[0, 1], best)
 
 
 def test_inject_dimension_mismatch_rejected():
@@ -207,8 +215,8 @@ def test_positions_stay_in_bounds():
     evaluate_initial(swarm)
     for _ in range(200):
         step(swarm, 1.5)
-        assert np.all(swarm.positions >= -2.0)
-        assert np.all(swarm.positions <= 2.0)
+        assert np.all(swarm.population.positions >= -2.0)
+        assert np.all(swarm.population.positions <= 2.0)
 
 
 def test_reported_best_is_monotone():
@@ -228,9 +236,10 @@ def test_rebase_keeps_reported_best_monotone():
     for _ in range(50):
         step(swarm, 1.0)
     before = best_value(swarm)
-    swarm.rebase_records()
+    population = swarm.population
+    population.rebase()
     assert best_value(swarm) <= before
-    assert np.array_equal(swarm.best_positions, swarm.positions)
+    assert np.array_equal(population.best_positions, population.positions)
 
 
 def test_velocity_contracts_without_attraction():
@@ -239,11 +248,12 @@ def test_velocity_contracts_without_attraction():
     params = quiet_params(10)
     swarm = new_swarm(5, -1e9, 1e9, params, 5)
     evaluate_initial(swarm)
-    swarm.velocities[...] = np.random.default_rng(6).uniform(-1, 1, size=(10, 5))
+    velocities = swarm.population.velocities[0]
+    velocities[...] = np.random.default_rng(6).uniform(-1, 1, size=(10, 5))
     norms = []
     for _ in range(1000):
         step(swarm, 0.9)
-        norms.append(float(np.mean(np.linalg.norm(swarm.velocities, axis=1))))
+        norms.append(float(np.mean(np.linalg.norm(velocities, axis=1))))
     first = np.mean(norms[:100])
     last = np.mean(norms[-100:])
     assert last < first
@@ -252,36 +262,39 @@ def test_velocity_contracts_without_attraction():
 def test_divergence_zero_iff_positions_equal():
     swarm = make_swarm([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
     assert swarm.divergence() == 0.0
-    swarm.positions[0, 0] += 1e-3
+    swarm.population.positions[0, 0, 0] += 1e-3
     assert swarm.divergence() > 0.0
 
 
 def test_step_proposes_and_tell_takes_the_values():
     swarm = make_swarm([[1.0, 1.0], [4.0, -2.0], [-3.0, 0.5]])
-    swarm.velocities[...] = [[-1.0, -1.0], [10.0, 0.0], [0.0, 0.0]]
-    best_before = swarm.best_values.copy()
+    population = swarm.population
+    population.velocities[0] = [[-1.0, -1.0], [10.0, 0.0], [0.0, 0.0]]
+    best_before = population.best_values[0].copy()
     proposed = swarm.step_particles(1.0).copy()
-    assert np.array_equal(proposed, POPULATIONS[swarm].positions[0])
+    assert np.array_equal(proposed, population.positions[0])
     values = sphere_batch(proposed)
-    POPULATIONS[swarm].tell(values[None, :])
-    assert np.array_equal(swarm.last_values, values)
-    assert np.array_equal(swarm.best_values, np.minimum(best_before, values))
+    population.tell(values[None, :])
+    assert np.array_equal(population.last_values[0], values)
+    assert np.array_equal(population.best_values[0], np.minimum(best_before, values))
     improved = values < best_before
-    assert np.array_equal(swarm.best_positions[improved], proposed[improved])
+    assert np.array_equal(population.best_positions[0][improved], proposed[improved])
 
 
-def make_population(n, p=4, dim=3, seed=0):
-    params = SwarmParams(population=p)
+def make_population(n, p=4, dim=3, seed=0, params=None):
+    """An evaluated n-agent Population and its swarms."""
+    params = params or SwarmParams(population=p)
     rngs = [np.random.default_rng(seed + i) for i in range(n)]
     population = Population(dim, np.full(dim, -10.0), np.full(dim, 10.0), params, rngs)
-    for swarm in population.swarms:
+    swarms = [AgentSwarm(population, i) for i in range(n)]
+    for swarm in swarms:
         evaluate_initial(swarm)
-    return population
+    return population, swarms
 
 
 def test_tell_upto_takes_only_the_leading_rows():
-    population = make_population(3)
-    for swarm in population.swarms:
+    population, swarms = make_population(3)
+    for swarm in swarms:
         swarm.step_particles(1.0)
     before = population.last_values.copy()
     values = sphere_batch(population.positions)
@@ -291,20 +304,52 @@ def test_tell_upto_takes_only_the_leading_rows():
 
 
 def test_tell_rejects_a_wrongly_shaped_batch():
-    population = make_population(2)
+    population, _ = make_population(2)
     with pytest.raises(ContractError):
         population.tell(np.zeros((1, 4)))
 
 
 def test_batched_picks_match_each_swarm():
-    population = make_population(4)
+    population, swarms = make_population(4)
     for _ in range(5):
-        for swarm in population.swarms:
+        for swarm in swarms:
             swarm.step_particles(1.2)
         population.tell(sphere_batch(population.positions))
     reps = population.representatives()
     bests = population.agent_bests()
-    for i, swarm in enumerate(population.swarms):
+    for i, swarm in enumerate(swarms):
         assert np.array_equal(reps[i], swarm.representative_state())
-        assert bests[i] == min(swarm.best_seen[0], swarm.best_values.min())
+        assert bests[i] == min(population.best_seen[i], population.best_values[i].min())
     assert np.array_equal(population.representatives(upto=2), reps[:2])
+
+
+def test_rebase_matches_the_per_agent_rule_on_a_kicked_population():
+    # Per agent, the old rule folded the records' minimum into best_seen only
+    # where strictly lower, then reset every record to the latest evaluation.
+    population, swarms = make_population(6, p=5, dim=2, seed=4)
+
+    def run_rounds(k):
+        for _ in range(k):
+            for swarm in swarms:
+                swarm.step_particles(1.0)
+            population.tell(sphere_batch(population.positions))
+
+    run_rounds(30)
+    population.rebase()
+    run_rounds(200)
+    assert population.kicking.any()
+    # Both sides of the rule: records above best_seen and records below it.
+    records = population.best_values.min(axis=1)
+    assert (records > population.best_seen).any() and (records < population.best_seen).any()
+
+    expected_seen = [
+        record if record < seen else seen
+        for record, seen in zip(records.tolist(), population.best_seen.tolist())
+    ]
+    before = population.agent_bests()
+    positions, last_values = population.positions.copy(), population.last_values.copy()
+    population.rebase()
+    assert population.best_seen.tolist() == expected_seen
+    assert np.array_equal(population.best_positions, positions)
+    assert np.array_equal(population.best_values, last_values)
+    assert np.all(population.agent_bests() <= before)

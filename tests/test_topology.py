@@ -40,7 +40,7 @@ def test_ring3_is_complete_triangle():
 def test_ring20_edge_count_and_connectivity():
     g = build_ring(20)
     assert g.num_agents == 20
-    assert g.num_undirected_edges() == 20
+    assert g.num_directed_edges() // 2 == 20
     assert bfs_component_size(g) == 20
 
 
@@ -51,13 +51,13 @@ def test_ring_rejects_small_n():
 
 def test_random_zero_prob_yields_spanning_tree():
     g = build_random_connected(5, 0.0, seed=9)
-    assert g.num_undirected_edges() == 4
+    assert g.num_directed_edges() // 2 == 4
     assert bfs_component_size(g) == 5
 
 
 def test_random_full_prob_yields_complete_graph():
     g = build_random_connected(5, 1.0, seed=9)
-    assert g.num_undirected_edges() == 5 * 4 // 2
+    assert g.num_directed_edges() // 2 == 5 * 4 // 2
     assert all(len(g.neighbors(i)) == 4 for i in range(5))
 
 
@@ -113,7 +113,7 @@ def test_explicit_rejects_disconnected():
 def test_ring_always_validates_with_n_edges(n):
     g = build_ring(n)
     assert validate(g).ok
-    assert g.num_undirected_edges() == n
+    assert g.num_directed_edges() // 2 == n
 
 
 @settings(max_examples=40, deadline=None)
