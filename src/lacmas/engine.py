@@ -1,10 +1,12 @@
 """Round-synchronous run loop.
 
 Each round has two phases. In phase one every agent reads its particle
-divergence, selects the active regime coefficient and writes new particle
-positions into its row of the stacked population; one batch call evaluates
-every agent's proposals on its own local objective, and one batched tell takes
-the values back, after which every agent publishes a representative state plus
+divergence, selects the active regime coefficient and draws its step's random
+numbers from its own generator (step_particles, per agent and in agent order,
+so each stream is consumed as before); then one Population.step moves every
+agent's particles on the stacked arrays. One batch call evaluates every
+agent's proposals on its own local objective, and one batched tell takes the
+values back, after which every agent publishes a representative state plus
 trajectory statistics. At the barrier, guidance refreshes fire if their gates
 are open, every agent fuses the published neighborhood states under its
 cooperation weights, and the fused states, scored in one more batch call, are
@@ -335,15 +337,20 @@ def run(config: RunConfig, provider=None) -> RunReport:
                 if late_stage:
                     # Late-stage stabilization: no expansion past the horizon.
                     active = min(active, 1.0)
-                swarm.step_particles(active, record_pull=late_stage)
+                swarm.step_particles(active)
                 stepped = i + 1
         except NumericalFault as exc:
             aborted, fault = True, str(exc)
-        # One objective call for all agents' rows. Those that stepped before a
-        # fault still take their values, so an abort leaves them as evaluated;
-        # the other rows hold their last (finite) positions and are not told.
-        population.tell(obj.eval_all(population.positions), upto=stepped)
-        reps[:stepped] = population.representatives(upto=stepped)
+        # One update moves every agent that drew; it commits the rows below
+        # the first whose new state is not finite.
+        committed = population.step(stepped, record_pull=late_stage)
+        if committed < stepped:
+            aborted, fault = True, f"non-finite particle state for agent {committed}"
+        # One objective call for all agents' rows. The committed ones still
+        # take their values, so an abort leaves them as evaluated; the other
+        # rows hold their last (finite) positions and are not told.
+        population.tell(obj.eval_all(population.positions), upto=committed)
+        reps[:committed] = population.representatives(upto=committed)
         if aborted:
             break
 

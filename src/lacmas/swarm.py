@@ -15,12 +15,12 @@ band the neutral 1.0. delta is drawn element-wise uniform on [modulation_low,
 modulation_high], so w < 1 contracts the modulated term in the mean-square
 sense and w near the top of its range lets occasional large kicks through.
 
-The swarm never calls an objective. All swarm state lives in one Population:
-particle records stacked as (N, P, D) and (N, P) arrays, and each agent's
-scalars. An AgentSwarm is agent i's dynamics on row i of those arrays.
-step_particles writes new positions into its row, the caller evaluates the
-whole positions buffer in one batch and hands the values back through
-Population.tell; evaluate_initial and inject_fused_state likewise take values.
+The swarm never calls an objective. All swarm state lives in one Population of
+stacked (N, P, D) and (N, P) arrays plus per-agent scalars. An agent draws and
+the population updates: AgentSwarm.step_particles, per agent as each has its
+own generator, fills its row of one draw buffer; one Population.step then
+moves every row that drew. The caller evaluates the positions in one batch
+and hands the values to Population.tell.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericalFault
+from .errors import ContractError
 
 _LOG_MAX = math.log(sys.float_info.max)
 _SQRT_MAX = math.sqrt(sys.float_info.max)
@@ -84,42 +84,6 @@ class SwarmParams:
             raise ContractError(f"bad attractor_gain mode {self.attractor_gain!r}")
 
 
-class StepBuffers:
-    """Preallocated scratch for one swarm step or divergence, so neither
-    allocates. The swarms of a Population step one at a time and share one set.
-    """
-
-    __slots__ = (
-        "draw_scale", "draws", "delta", "pull_pbest", "pull_attractor",
-        "kick", "scratch", "proposed", "clamped", "speed2", "dead", "centroid",
-    )
-
-    def __init__(self, params: SwarmParams, dim: int):
-        p = params.population
-        pd = p * dim
-        r2_shape = (p, 1) if params.attractor_gain == "scalar" else (p, dim)
-        # One uniform draw per step covers delta, r1 and r2 in that order.
-        # Scaling it by this vector gives (hi - lo) * u, c_p * r1 and c_a * r2
-        # with the same roundings as Generator.uniform followed by the pull
-        # products, so the stream and the arithmetic match three separate draws.
-        self.draw_scale = np.concatenate([
-            np.full(pd, params.modulation_high - params.modulation_low),
-            np.full(pd, params.pull_pbest),
-            np.full(math.prod(r2_shape), params.pull_attractor),
-        ])
-        self.draws = np.empty_like(self.draw_scale)
-        self.delta = self.draws[:pd].reshape(p, dim)
-        self.pull_pbest = self.draws[pd:2 * pd].reshape(p, dim)
-        self.pull_attractor = self.draws[2 * pd:].reshape(r2_shape)
-        self.kick = np.empty((p, dim))
-        self.scratch = np.empty((p, dim))
-        self.proposed = np.empty((p, dim))
-        self.clamped = np.empty((p, dim), dtype=bool)
-        self.speed2 = np.empty(p)
-        self.dead = np.empty(p, dtype=bool)
-        self.centroid = np.empty(dim)
-
-
 class Population:
     """Every agent's swarm state, stacked; the only owner of it.
 
@@ -128,7 +92,8 @@ class Population:
     (N, D). Per agent it also keeps the all-time best value `best_seen` and
     whether collapse recovery runs (`kicking`) as (N,) arrays, and as lists of
     Python floats the kick scale `kick_sigma` and the (d, c) regime pair
-    `coefficients`. The generators and the box are shared by all rows.
+    `coefficients`. It also holds the generators, the box and the step's
+    scratch, stacked like the state.
     """
 
     def __init__(
@@ -177,7 +142,94 @@ class Population:
         self.kick_sigma = [kick_sigma] * n
         self.coefficients = [coefficients] * n
         self.evaluated = [False] * n
-        self.step_buffers = StepBuffers(params, dim)
+
+        # Row i of `draws` is agent i's one uniform draw per round: delta, r1,
+        # r2. Times `draw_scale` it is (hi - lo) * u, c_p * r1 and c_a * r2,
+        # rounded as Generator.uniform and the pull products round them.
+        pd = p * dim
+        r2_shape = (n, p, 1) if params.attractor_gain == "scalar" else (n, p, dim)
+        self.draw_scale = np.concatenate([
+            np.full(pd, params.modulation_high - params.modulation_low),
+            np.full(pd, params.pull_pbest),
+            np.full(math.prod(r2_shape[1:]), params.pull_attractor),
+        ])
+        self.draws = np.empty((n, len(self.draw_scale)))
+        self.delta = self.draws[:, :pd].reshape(n, p, dim)
+        self.pull_pbest = self.draws[:, pd:2 * pd].reshape(n, p, dim)
+        self.pull_attractor = self.draws[:, 2 * pd:].reshape(r2_shape)
+        self.active = np.empty((n, 1, 1))
+        self.kick = np.zeros((n, p, dim))
+        self.scratch = np.empty((n, p, dim))
+        self.proposed = np.empty((n, p, dim))
+        self.centroid = np.empty(dim)
+        self.row_scratch = np.empty((p, dim))
+
+    def step(self, upto: int, record_pull: bool) -> int:
+        """Move the rows below `upto` by the draws and coefficients their
+        step_particles recorded; return how many rows were committed.
+
+        Clamped components get zero velocity, so modulation cannot wind up at
+        a wall. record_pull=False (consensus tracking) drops the personal-best
+        pull; its draws are consumed anyway. Rows from the first non-finite
+        one on keep their positions.
+        """
+        if upto == 0:
+            return 0
+        p, rows = self.params, slice(upto)
+        x, v, scratch = self.positions[rows], self.velocities[rows], self.scratch[rows]
+        draws = self.draws[rows]
+        draws *= self.draw_scale
+        delta = self.delta[rows]
+        delta += p.modulation_low
+
+        v *= delta
+        v *= self.active[rows]
+        if record_pull:
+            pull = np.subtract(self.best_positions[rows], x, out=scratch)
+            pull *= self.pull_pbest[rows]
+            v += pull
+        pull = np.subtract(self.attractors[rows, None], x, out=scratch)
+        pull *= self.pull_attractor[rows]
+        v += pull
+
+        # A limit of 0 (eps or kick scale 0) marks no particle dead.
+        eps, sigmas = p.kick_velocity_eps, self.kick_sigma
+        speed2 = _sum(np.multiply(v, v, out=scratch), axis=2)
+        limits = np.array([(eps * sigma) ** 2 for sigma in sigmas[rows]])
+        dead = speed2 < limits[:, None]
+        active, scales = self.active.ravel().tolist(), [0.0] * upto
+        for i in np.flatnonzero(dead.any(axis=1)).tolist():
+            if not self.kicking[i]:
+                # Seed the recovery scale from where the collapse happened.
+                abest = self.best_positions[i, self.best_values[i].argmin()]
+                spread = float(np.median(np.linalg.norm(x[i] - abest, axis=1)))
+                sigmas[i] = max(min(sigmas[i], spread), self.kick_floor)
+                self.kicking[i] = True
+            self.rngs[i].random(out=self.kick[i])
+            # The active regime coefficient scales the kick: the escape
+            # coefficient widens recovery jumps, the damping one narrows them,
+            # so coefficient guidance steers escape strength.
+            scales[i] = sigmas[i] * active[i]
+        # -1 + 2u is Generator.uniform(-1, 1) on the same stream. Rows not
+        # kicked scale by 0, stay finite and have no dead entry.
+        kick = self.kick[rows]
+        kick *= 2.0
+        kick -= 1.0
+        kick *= np.array(scales)[:, None, None]
+        np.add(v, kick, out=v, where=dead[:, :, None])
+
+        raw = np.add(x, v, out=scratch)
+        new = np.maximum(raw, self.lower, out=self.proposed[rows])
+        np.minimum(new, self.upper, out=new)
+        np.putmask(v, raw != new, 0.0)
+
+        # Sums along contiguous (P * D) rows round like per-agent sums.
+        flat = (upto, -1)
+        total = _sum(new.reshape(flat), axis=1) + _sum(v.reshape(flat), axis=1)
+        finite = np.isfinite(total)
+        committed = upto if finite.all() else int(finite.argmin())
+        x[:committed] = new[:committed]
+        return committed
 
     def tell(self, values: np.ndarray, upto: int | None = None) -> None:
         """Take the (N, P) values of the positions the swarms last proposed.
@@ -246,7 +298,7 @@ class AgentSwarm:
 
     __slots__ = (
         "population", "agent_id", "rng", "positions", "velocities",
-        "best_positions", "best_values", "last_values", "attractor",
+        "best_positions", "best_values", "last_values", "attractor", "draws",
     )
 
     def __init__(self, population: Population, agent_id: int):
@@ -259,6 +311,7 @@ class AgentSwarm:
         self.best_values = population.best_values[agent_id]
         self.last_values = population.last_values[agent_id]
         self.attractor = population.attractors[agent_id]
+        self.draws = population.draws[agent_id]
 
     # -- setup -------------------------------------------------------------
 
@@ -282,12 +335,12 @@ class AgentSwarm:
 
     def divergence(self) -> float:
         """Mean squared distance of the particles from their centroid."""
-        x, buf = self.positions, self.population.step_buffers
+        x, pop = self.positions, self.population
         n = len(x)
         # sum / n is what ndarray.mean computes, without its Python wrapper.
-        centroid = _sum(x, axis=0, out=buf.centroid)
+        centroid = _sum(x, axis=0, out=pop.centroid)
         centroid /= n
-        d = np.subtract(x, centroid, out=buf.scratch)
+        d = np.subtract(x, centroid, out=pop.row_scratch)
         d *= d
         return float(_sum(d, axis=None) / n)
 
@@ -318,67 +371,12 @@ class AgentSwarm:
 
     # -- dynamics ------------------------------------------------------------
 
-    def step_particles(self, active_coeff: float, record_pull: bool = True) -> np.ndarray:
-        """One velocity/position update of the whole population. The new
-        positions go into this agent's Population row, which is returned;
-        the caller evaluates them and passes the values to Population.tell.
-
-        Clamped components get their velocity zeroed so the multiplicative
-        modulation cannot wind up against a wall. With record_pull=False the
-        personal-best term is suppressed (the consensus-tracking phase),
-        leaving the attractor as the only directed pull; the same random draws
-        are consumed either way so the stream stays aligned.
-        """
-        pop, i = self.population, self.agent_id
-        p, buf = pop.params, pop.step_buffers
-        x, v, scratch = self.positions, self.velocities, buf.scratch
-        draws = self.rng.random(out=buf.draws)
-        draws *= buf.draw_scale
-        delta = buf.delta
-        delta += p.modulation_low
-
-        v *= delta
-        v *= active_coeff
-        if record_pull:
-            pull = np.subtract(self.best_positions, x, out=scratch)
-            pull *= buf.pull_pbest
-            v += pull
-        pull = np.subtract(self.attractor, x, out=scratch)
-        pull *= buf.pull_attractor
-        v += pull
-
-        sigma = pop.kick_sigma[i]
-        if p.kick_velocity_eps > 0 and sigma > 0:
-            speed2 = _sum(np.multiply(v, v, out=scratch), axis=1, out=buf.speed2)
-            dead = np.less(speed2, (p.kick_velocity_eps * sigma) ** 2, out=buf.dead)
-            if dead.any():
-                if not pop.kicking[i]:
-                    # Seed the recovery scale from where the collapse happened.
-                    abest = self.best_positions[self.best_values.argmin()]
-                    spread = float(np.median(np.linalg.norm(x - abest, axis=1)))
-                    pop.kick_sigma[i] = sigma = max(min(sigma, spread), pop.kick_floor)
-                    pop.kicking[i] = True
-                # The active regime coefficient scales the kick: the escape
-                # coefficient widens recovery jumps, the damping one narrows
-                # them, so coefficient guidance steers escape strength.
-                # -1 + 2u is Generator.uniform(-1, 1) on the same stream.
-                kick = self.rng.random(out=buf.kick)
-                kick *= 2.0
-                kick -= 1.0
-                kick *= sigma * active_coeff
-                np.add(v, kick, out=v, where=dead[:, None])
-
-        raw = np.add(x, v, out=scratch)
-        new = np.maximum(raw, pop.lower, out=buf.proposed)
-        np.minimum(new, pop.upper, out=new)
-        np.putmask(v, np.not_equal(raw, new, out=buf.clamped), 0.0)
-
-        total = float(_sum(new, axis=None)) + float(_sum(v, axis=None))
-        if not math.isfinite(total):
-            raise NumericalFault(f"non-finite particle state for agent {i}")
-
-        x[...] = new
-        return x
+    def step_particles(self, active_coeff: float) -> None:
+        """Draw this agent's uniforms for a step into its row of
+        Population.draws and record its active coefficient; Population.step
+        then moves every agent that drew."""
+        self.rng.random(out=self.draws)
+        self.population.active[self.agent_id, 0, 0] = active_coeff
 
     def inject_fused_state(self, fused: np.ndarray, value: float, refocus: bool = False) -> None:
         """Fold the fused consensus state back into the population.

@@ -2,13 +2,14 @@
 
 A wrapper around AgentSwarm.step_particles raises NumericalFault for agent 2
 in a chosen round of a 4-agent sphere ring. Agents 0 and 1 have already
-stepped in that round; their proposals must still be evaluated and folded in
-before the run stops, and no other agent may take values that round. So the
-rows the batched Population.tell takes are exactly the agents that stepped,
-and the report's best value,
-final states and trace CSV match the recorded ones in
-tests/data/abort_path.json. A change that moves
-these on purpose regenerates the data and says why in CHANGES.md:
+drawn in that round; the batched update moves just them, their proposals must
+still be evaluated and folded in before the run stops, and no other agent may
+take values that round. So the rows the batched Population.tell takes are
+exactly the agents that stepped, and the report's best value, final states and
+trace CSV match the recorded ones in tests/data/abort_path.json. A real
+non-finite state in agent 2 (NaN velocities, found by Population.step) must
+end the run the same way. A change that moves these on purpose regenerates the
+data and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_abort_path.py --regenerate
 """
@@ -48,16 +49,20 @@ def _config() -> RunConfig:
     )
 
 
-def _faulting_step(fault_round: int):
-    """step_particles that raises for FAULTY_AGENT on its fault_round-th call
-    (one call per agent-round, so the call count is the round)."""
+def _faulting_step(fault_round: int, nan_velocities: bool = False):
+    """step_particles that faults for FAULTY_AGENT on its fault_round-th call
+    (one call per agent-round, so the call count is the round). It raises
+    NumericalFault, or with nan_velocities first makes the agent's velocities
+    NaN: a real non-finite state for the batched update to find."""
     original = AgentSwarm.step_particles
     calls = {"n": 0}
 
     def step(self, *args, **kwargs):
         if self.agent_id == FAULTY_AGENT:
             if calls["n"] == fault_round:
-                raise NumericalFault(f"synthetic fault in round {fault_round}")
+                if not nan_velocities:
+                    raise NumericalFault(f"synthetic fault in round {fault_round}")
+                self.velocities[...] = np.nan
             calls["n"] += 1
         return original(self, *args, **kwargs)
 
@@ -73,7 +78,10 @@ def fingerprint(fault_round: int, scratch: Path, monkeypatch) -> dict:
     report, _ = _run_recording_tells(monkeypatch)
     assert report.aborted
     assert f"round {fault_round}" in report.fault
-    csv = scratch / f"abort-round{fault_round}.csv"
+    return _report_digest(report, scratch / f"abort-round{fault_round}.csv")
+
+
+def _report_digest(report, csv: Path) -> dict:
     write_trace_csv(report, csv)
     return {
         "final_best_agent_value": report.final_best_agent_value,
@@ -118,6 +126,19 @@ def test_abort_tells_exactly_the_agents_that_stepped(fault_round, monkeypatch):
     report, told = _run_recording_tells(monkeypatch)
     assert report.aborted
     assert told == [0, 1, 2, 3] * fault_round + list(range(FAULTY_AGENT))
+
+
+@pytest.mark.parametrize("fault_round", FAULT_ROUNDS)
+def test_a_non_finite_step_aborts_like_the_pinned_fault(fault_round, pinned, tmp_path, monkeypatch):
+    # Agents 2 and 3 drew too, but neither is moved nor told, so the report
+    # matches the one pinned for a fault raised before agent 2 drew.
+    step = _faulting_step(fault_round, nan_velocities=True)
+    monkeypatch.setattr(AgentSwarm, "step_particles", step)
+    report, told = _run_recording_tells(monkeypatch)
+    assert report.aborted
+    assert report.fault == f"non-finite particle state for agent {FAULTY_AGENT}"
+    assert told == [0, 1, 2, 3] * fault_round + list(range(FAULTY_AGENT))
+    assert _report_digest(report, tmp_path / "abort.csv") == pinned[f"round{fault_round}"]
 
 
 SWARM_METHODS = (

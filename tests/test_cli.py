@@ -6,6 +6,7 @@ import pytest
 
 from lacmas.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_VERIFY, main
 from lacmas.engine import CSV_HEADER
+from lacmas.swarm import AgentSwarm
 
 TINY = {
     "objective": {"num_agents": 4, "dim": 3, "hetero_sigma": 0.0},
@@ -350,6 +351,26 @@ def test_overflowing_run_aborts_as_numerical_fault(tmp_path, capsys, argv, extra
     assert "configuration error:" not in err
     assert "RuntimeWarning" not in err
     assert "aborted=true fault=non-finite best value" in err
+
+
+def test_non_finite_particle_state_exits_as_numerical_fault(tmp_path, capsys, monkeypatch):
+    # NaN velocities in agent 2: the batched swarm update finds them.
+    original = AgentSwarm.step_particles
+
+    def step(self, *args, **kwargs):
+        if self.agent_id == 2:
+            self.velocities[...] = np.nan
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AgentSwarm, "step_particles", step)
+    cfg = write_config(tmp_path)
+    argv = ["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    assert code == EXIT_FAULT
+    err = capsys.readouterr().err
+    assert "aborted=true fault=non-finite particle state for agent 2" in err
 
 
 def test_suite_table_has_row_per_function_variant(tmp_path):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -36,10 +38,17 @@ def evaluate_initial(swarm):
 
 
 def step(swarm, active_coeff):
-    """One ask/tell round on the sphere: propose, evaluate, take the values."""
-    swarm.step_particles(active_coeff)
+    """One ask/tell round on the sphere: draw, update, evaluate, take the values."""
     population = swarm.population
+    assert step_all(population, [swarm], active_coeff) == 1
     population.tell(sphere_batch(population.positions))
+
+
+def step_all(population, swarms, active_coeff, record_pull=True):
+    """Every swarm draws, then one batched update; returns the committed rows."""
+    for swarm in swarms:
+        swarm.step_particles(active_coeff)
+    return population.step(len(swarms), record_pull)
 
 
 def best_value(swarm):
@@ -271,8 +280,10 @@ def test_step_proposes_and_tell_takes_the_values():
     population = swarm.population
     population.velocities[0] = [[-1.0, -1.0], [10.0, 0.0], [0.0, 0.0]]
     best_before = population.best_values[0].copy()
-    proposed = swarm.step_particles(1.0).copy()
-    assert np.array_equal(proposed, population.positions[0])
+    before = population.positions[0].copy()
+    assert step_all(population, [swarm], 1.0) == 1
+    proposed = population.positions[0].copy()
+    assert not np.array_equal(proposed, before)
     values = sphere_batch(proposed)
     population.tell(values[None, :])
     assert np.array_equal(population.last_values[0], values)
@@ -294,8 +305,7 @@ def make_population(n, p=4, dim=3, seed=0, params=None):
 
 def test_tell_upto_takes_only_the_leading_rows():
     population, swarms = make_population(3)
-    for swarm in swarms:
-        swarm.step_particles(1.0)
+    step_all(population, swarms, 1.0)
     before = population.last_values.copy()
     values = sphere_batch(population.positions)
     population.tell(values, upto=2)
@@ -312,8 +322,7 @@ def test_tell_rejects_a_wrongly_shaped_batch():
 def test_batched_picks_match_each_swarm():
     population, swarms = make_population(4)
     for _ in range(5):
-        for swarm in swarms:
-            swarm.step_particles(1.2)
+        step_all(population, swarms, 1.2)
         population.tell(sphere_batch(population.positions))
     reps = population.representatives()
     bests = population.agent_bests()
@@ -330,8 +339,7 @@ def test_rebase_matches_the_per_agent_rule_on_a_kicked_population():
 
     def run_rounds(k):
         for _ in range(k):
-            for swarm in swarms:
-                swarm.step_particles(1.0)
+            step_all(population, swarms, 1.0)
             population.tell(sphere_batch(population.positions))
 
     run_rounds(30)
@@ -353,3 +361,118 @@ def test_rebase_matches_the_per_agent_rule_on_a_kicked_population():
     assert np.array_equal(population.best_positions, positions)
     assert np.array_equal(population.best_values, last_values)
     assert np.all(population.agent_bests() <= before)
+
+
+def reference_step(population, i, active, record_pull):
+    """Agent i's step written from the update rule in the module docstring,
+    one agent at a time: v <- w (delta . v) + c_p r1 . (pbest - x)
+    + c_a r2 . (attr - x), a kick for dead particles, x <- clamp(x + v).
+    Returns False, and commits nothing, when the new state is not finite."""
+    p, rng = population.params, population.rngs[i]
+    x, v = population.positions[i], population.velocities[i]
+    pbest, attractor = population.best_positions[i], population.attractors[i]
+    n_r2 = x.shape[0] if p.attractor_gain == "scalar" else x.size
+    u = rng.random(2 * x.size + n_r2)
+    delta = (p.modulation_high - p.modulation_low) * u[: x.size].reshape(x.shape)
+    delta += p.modulation_low
+    r1 = p.pull_pbest * u[x.size : 2 * x.size].reshape(x.shape)
+    r2 = p.pull_attractor * u[2 * x.size :].reshape(x.shape[0], -1)
+
+    v = v * delta * active
+    if record_pull:
+        v = v + (pbest - x) * r1
+    v = v + (attractor - x) * r2
+
+    sigma = population.kick_sigma[i]
+    dead = np.sum(v * v, axis=1) < (p.kick_velocity_eps * sigma) ** 2
+    if dead.any():
+        if not population.kicking[i]:
+            best = pbest[population.best_values[i].argmin()]
+            spread = float(np.median(np.linalg.norm(x - best, axis=1)))
+            sigma = max(min(sigma, spread), population.kick_floor)
+            population.kick_sigma[i] = sigma
+            population.kicking[i] = True
+        kick = rng.uniform(-1.0, 1.0, size=x.shape) * (sigma * active)
+        v = np.where(dead[:, None], v + kick, v)
+
+    raw = x + v
+    new = np.minimum(np.maximum(raw, population.lower), population.upper)
+    v = np.where(raw != new, 0.0, v)
+    if not np.isfinite(new.sum() + v.sum()):
+        return False
+    population.positions[i] = new
+    population.velocities[i] = v
+    return True
+
+
+def assert_same_state(population, reference):
+    assert np.array_equal(population.positions, reference.positions)
+    assert np.array_equal(population.velocities, reference.velocities)
+    assert population.kick_sigma == reference.kick_sigma
+    assert np.array_equal(population.kicking, reference.kicking)
+    for rng, ref_rng in zip(population.rngs, reference.rngs):
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("attractor_gain", ["scalar", "elementwise"])
+@pytest.mark.parametrize("record_pull", [True, False])
+def test_batched_step_matches_the_per_agent_rule(attractor_gain, record_pull):
+    n, p, dim = 5, 6, 4
+    params = SwarmParams(population=p, attractor_gain=attractor_gain, kick_velocity_eps=0.3)
+    population, swarms = make_population(n, p=p, dim=dim, seed=8, params=params)
+    for i in range(n):
+        population.coefficients[i] = (0.5 + 0.1 * i, 1.1 + 0.15 * i)
+        population.attractors[i] = np.linspace(-3.0, 3.0, dim) * (i - 2)
+    # Particle 0 of every agent sits on the upper wall and keeps pushing into it.
+    population.positions[:, 0] = 10.0
+    population.velocities[:, 0] = 4.0
+    # Kick scale 0 keeps agents 2 and 4 out of collapse recovery until their
+    # scale is restored, so their kicks start partway through.
+    start_sigma = population.kick_sigma[0]
+    population.kick_sigma[2] = population.kick_sigma[4] = 0.0
+    reference = copy.deepcopy(population)
+    walls = 0
+    started = {}
+
+    for round_ in range(40):
+        if round_ in (6, 15):
+            i = 2 if round_ == 6 else 4
+            population.kick_sigma[i] = reference.kick_sigma[i] = start_sigma
+        actives = []
+        for i, swarm in enumerate(swarms):
+            d, c = population.coefficients[i]
+            actives.append((d, 1.0, c)[(round_ + i) % 3])
+            swarm.step_particles(actives[i])
+        assert population.step(n, record_pull) == n
+        assert all(reference_step(reference, i, actives[i], record_pull) for i in range(n))
+        assert_same_state(population, reference)
+        walls += np.count_nonzero(np.abs(population.positions) == 10.0)
+        for i in np.flatnonzero(population.kicking):
+            started.setdefault(int(i), round_)
+        population.tell(sphere_batch(population.positions))
+        reference.tell(sphere_batch(reference.positions))
+
+    # Clamps happened, and every agent kicked: 2 and 4 only once restored.
+    assert walls > 0
+    assert sorted(started) == list(range(n))
+    assert started[2] >= 6 and started[4] >= 15
+
+
+def test_a_non_finite_row_stops_the_commit_there():
+    population, swarms = make_population(4)
+    population.velocities[2] = np.nan
+    before = population.positions.copy()
+    assert step_all(population, swarms, 1.0) == 2
+    assert np.isfinite(population.positions).all()
+    assert not np.array_equal(population.positions[:2], before[:2])
+    assert np.array_equal(population.positions[2:], before[2:])
+
+
+def test_a_step_of_no_rows_changes_nothing():
+    population, _ = make_population(3)
+    positions, velocities = population.positions.copy(), population.velocities.copy()
+    states = [rng.bit_generator.state for rng in population.rngs]
+    assert population.step(0, record_pull=True) == 0
+    assert np.array_equal(population.positions, positions)
+    assert np.array_equal(population.velocities, velocities)
+    assert [rng.bit_generator.state for rng in population.rngs] == states
