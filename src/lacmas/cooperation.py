@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,36 +21,23 @@ from .topology import CommGraph
 ROW_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class NeighborDescriptor:
-    """Window means of a neighbor's published trajectory statistics."""
+def build_descriptor(history, window: int) -> np.ndarray:
+    """Every agent's descriptor: the means of its fitness, divergence and
+    state delta over the most recent `window` rounds, as an (N, 3) array.
 
-    avg_fitness: float
-    avg_divergence: float
-    avg_state_delta: float
-
-    def __post_init__(self):
-        for name in ("avg_fitness", "avg_divergence", "avg_state_delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ContractError(f"{name} must be finite")
-        if self.avg_divergence < 0 or self.avg_state_delta < 0:
-            raise ContractError("divergence and state-delta means must be nonnegative")
-
-
-def build_descriptor(history, window: int) -> NeighborDescriptor:
-    """Summarize the most recent `window` records of a neighbor's history.
-
-    `history` is any object exposing recent(window) -> list of records with
-    best_fitness / divergence / state_delta fields (see engine.AgentHistory).
+    `history` is an engine.AgentHistory. The means reduce the contiguous last
+    axis of its window, so each rounds like np.mean over the same records.
     """
-    records = history.recent(window)
-    if not records:
+    _, values = history.recent(window)
+    count = values.shape[2]
+    if not count:
         raise ContractError("descriptor requires a non-empty history")
-    return NeighborDescriptor(
-        avg_fitness=float(np.mean([r.best_fitness for r in records])),
-        avg_divergence=float(np.mean([r.divergence for r in records])),
-        avg_state_delta=float(np.mean([r.state_delta for r in records])),
-    )
+    means = values[:, :3].sum(axis=2) / count
+    if not np.isfinite(means).all():
+        raise ContractError("descriptor means must be finite")
+    if (means[:, 1:] < 0).any():
+        raise ContractError("divergence and state-delta means must be nonnegative")
+    return means
 
 
 def project_weights(raw: Sequence[float], graph: CommGraph, owner: int) -> np.ndarray:

@@ -2,17 +2,20 @@
 
 Each round has two phases. In phase one every agent reads its particle
 divergence, selects the active regime coefficient and draws its step's random
-numbers from its own generator (step_particles, per agent and in agent order,
-so each stream is consumed as before); then one Population.step moves every
-agent's particles on the stacked arrays. One batch call evaluates every
-agent's proposals on its own local objective, and one batched tell takes the
-values back, after which every agent publishes a representative state plus
-trajectory statistics. At the barrier, guidance refreshes fire if their gates
-are open, every agent fuses the published neighborhood states under its
+numbers, kick uniforms included, from its own generator in one call
+(step_particles, per agent and in agent order); then one Population.step
+moves every agent's particles on the stacked arrays and hands unused kick
+draws back, so each stream is consumed as before. One batch call evaluates
+every agent's proposals on its own local objective, and one batched tell takes
+the values back, after which every agent publishes a representative state
+plus trajectory statistics. At the barrier, guidance refreshes fire if their
+gates are open, every agent fuses the published neighborhood states under its
 cooperation weights, and the fused states, scored in one more batch call, are
-injected back into the populations. Histories, metrics, and the admissibility
-check run once per round; a non-finite best value or divergence aborts the run
-there, before it reaches the histories.
+injected back into the populations. Metrics and the admissibility check run
+once per round, and one append records every agent's statistics in the
+stacked AgentHistory, from which a cooperation refresh takes all descriptors
+in one build_descriptor call. A non-finite best value or divergence aborts the
+run before it reaches the history.
 
 Serial agent order plus per-agent RNG streams derived from the master seed
 make runs bit-reproducible with the heuristic provider.
@@ -22,14 +25,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol
+from typing import Protocol
 
 import numpy as np
 
 from . import scheduler
 from .cooperation import assemble_mixing_matrix, build_descriptor, project_weights
 from .analysis import check_admissibility
-from .errors import ConfigError, ContractError, NumericalFault
+from .errors import ConfigError, ContractError
 from .guidance import (
     ACT_WINDOW,
     C_DEFAULT,
@@ -93,39 +96,50 @@ def comm_cost_per_round(graph: CommGraph, dim: int) -> int:
 # -- history -------------------------------------------------------------------
 
 
-class HistoryRecord(NamedTuple):
-    """One agent's published statistics for one round (a tuple: cheap to build)."""
-
-    iteration: int
-    best_fitness: float
-    divergence: float
-    state_delta: float
-    local_disagreement: float
-
-
 class AgentHistory:
-    """Bounded per-agent trajectory log feeding descriptors and prompts."""
+    """Every agent's published statistics over the last W = ACT_WINDOW rounds,
+    the furthest back any reader looks.
 
-    def __init__(self):
-        self._records: list[HistoryRecord] = []
+    `values[i, f]` holds agent i's statistic f (FIELDS order) and
+    `iterations` the round of each slot. The k-th appended round goes to
+    slots k % W and k % W + W, so every window of recent rounds is one
+    contiguous, oldest-first slice of the last axis, and a mean along it
+    rounds like np.mean over the same records in a list.
+    """
 
-    def append(self, record: HistoryRecord) -> None:
-        if self._records and record.iteration <= self._records[-1].iteration:
+    FIELDS = ("best_fitness", "divergence", "state_delta", "local_disagreement")
+
+    def __init__(self, num_agents: int):
+        self.values = np.zeros((num_agents, len(self.FIELDS), 2 * ACT_WINDOW))
+        self.iterations = np.zeros(2 * ACT_WINDOW, dtype=int)
+        self._count = 0
+
+    def append(self, t: int, cols) -> None:
+        """Record round t: `cols` holds one (N,) array per field, in FIELDS order."""
+        if self._count and t <= self.iterations[self._slot]:
             raise ConfigError("history iterations must be strictly increasing")
-        self._records.append(record)
-        # No reader looks further back than the act window.
-        if len(self._records) > ACT_WINDOW:
-            del self._records[0]
+        self._count += 1
+        slot, col = self._slot, np.array(cols).T
+        self.values[:, :, slot] = self.values[:, :, slot + ACT_WINDOW] = col
+        self.iterations[slot] = self.iterations[slot + ACT_WINDOW] = t
 
-    def recent(self, window: int) -> list[HistoryRecord]:
-        """The most recent min(window, len) records, oldest first."""
+    @property
+    def _slot(self) -> int:
+        """The latest round's slot in the lower copy."""
+        return (self._count - 1) % ACT_WINDOW
+
+    def recent(self, window: int) -> tuple[np.ndarray, np.ndarray]:
+        """The iterations (w,) and values (N, 4, w) of the most recent
+        w = min(window, len) rounds, oldest first, as views."""
         if window < 1:
-            # [-0:] would be the whole history, not an empty window.
+            # An unchecked 0 would read as an empty window, not a bad request.
             raise ContractError(f"history window must be >= 1, got {window}")
-        return self._records[-window:]
+        end = self._slot + ACT_WINDOW + 1
+        span = slice(end - min(window, len(self)), end)
+        return self.iterations[span], self.values[:, :, span]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return min(self._count, ACT_WINDOW)
 
 
 # -- configuration and report ----------------------------------------------------
@@ -279,14 +293,14 @@ def run(config: RunConfig, provider=None) -> RunReport:
         obj.lower,
         obj.upper,
         config.swarm_params,
-        [np.random.default_rng(seq) for seq in agent_seqs],
+        [np.random.Generator(np.random.PCG64(seq)) for seq in agent_seqs],
         coefficients=(D_DEFAULT, C_DEFAULT),
     )
     swarms = [AgentSwarm(population, i) for i in range(n)]
     for i, swarm in enumerate(swarms):
         swarm.evaluate_initial(obj.eval_local_batch(i, swarm.positions))
 
-    histories = [AgentHistory() for _ in range(n)]
+    history = AgentHistory(n)
     neighbor_lists = [graph.neighbor_lists[i] for i in range(n)]
     round_cost = comm_cost_per_round(graph, dim)
     # Flattened directed-edge arrays for vectorized local-disagreement means.
@@ -328,23 +342,18 @@ def run(config: RunConfig, provider=None) -> RunReport:
         late_stage = t >= config.pcg.horizon_T
         if t == config.pcg.horizon_T:
             population.rebase()
-        stepped = 0
-        try:
-            for i, swarm in enumerate(swarms):
-                div = swarm.divergence()
-                divergences[i] = div
-                active = swarm.select_coefficient(div)
-                if late_stage:
-                    # Late-stage stabilization: no expansion past the horizon.
-                    active = min(active, 1.0)
-                swarm.step_particles(active)
-                stepped = i + 1
-        except NumericalFault as exc:
-            aborted, fault = True, str(exc)
-        # One update moves every agent that drew; it commits the rows below
-        # the first whose new state is not finite.
-        committed = population.step(stepped, record_pull=late_stage)
-        if committed < stepped:
+        for i, swarm in enumerate(swarms):
+            div = swarm.divergence()
+            divergences[i] = div
+            active = swarm.select_coefficient(div)
+            if late_stage:
+                # Late-stage stabilization: no expansion past the horizon.
+                active = min(active, 1.0)
+            swarm.step_particles(active)
+        # One update moves every agent; it commits the rows below the first
+        # whose new state is not finite.
+        committed = population.step(n, record_pull=late_stage)
+        if committed < n:
             aborted, fault = True, f"non-finite particle state for agent {committed}"
         # One objective call for all agents' rows. The committed ones still
         # take their values, so an abort leaves them as evaluated; the other
@@ -358,36 +367,36 @@ def run(config: RunConfig, provider=None) -> RunReport:
         g_int = scheduler.gate_int(t, config.pcg)
         g_ext = scheduler.gate_ext(t, config.pcg)
 
-        if g_int and config.variant in _ACT_VARIANTS and all(len(h) > 0 for h in histories):
+        if g_int and config.variant in _ACT_VARIANTS and len(history):
             gate_int_hits.append(t)
+            iterations, values = history.recent(ACT_WINDOW)
+            iterations = iterations.tolist()
+            # Best fitness and local disagreement, per agent.
+            fitness, local_dis = values[:, 0].tolist(), values[:, 3].tolist()
             for i in range(n):
-                records = histories[i].recent(ACT_WINDOW)
                 d, c = population.coefficients[i]
                 req = ActRequest(
                     iteration=t,
                     current_d=d,
                     current_c=c,
-                    trajectory=tuple(
-                        (r.iteration, r.best_fitness, r.local_disagreement) for r in records
-                    ),
+                    trajectory=tuple(zip(iterations, fitness[i], local_dis[i])),
                 )
                 out = provider.advise_act(req)
                 act_calls += 1
                 population.coefficients[i] = (out.d, out.c)
 
-        if g_ext and config.variant in _COOP_VARIANTS and all(len(h) > 0 for h in histories):
+        if g_ext and config.variant in _COOP_VARIANTS and len(history):
             # A fresh copy, so matrices recorded in earlier rounds stay as they were.
             matrix = matrix.copy()
+            # Each agent's (avg fitness, avg divergence), computed once for all.
+            stats = list(zip(*build_descriptor(history, COOP_WINDOW)[:, :2].T.tolist()))
             for i in range(n):
                 nbrs = neighbor_lists[i]
                 if not nbrs:
                     continue
-                descriptors = [build_descriptor(histories[k], COOP_WINDOW) for k in nbrs]
                 req = CoopRequest(
                     neighbor_ids=tuple(nbrs),
-                    neighbor_stats=tuple(
-                        (d.avg_fitness, d.avg_divergence) for d in descriptors
-                    ),
+                    neighbor_stats=tuple(stats[k] for k in nbrs),
                 )
                 out = provider.advise_coop(req)
                 coop_calls += 1
@@ -428,11 +437,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
                 f"{float(divergences[bad])!r} for agent {bad} in round {t}"
             )
             break
-        records = zip(
-            bests.tolist(), divergences.tolist(), state_deltas.tolist(), local_dis.tolist()
-        )
-        for history, (best, div, delta, ld) in zip(histories, records):
-            history.append(HistoryRecord(t, best, div, delta, ld))
+        history.append(t, (bests, divergences, state_deltas, local_dis))
 
         dis = disagreement(fused)
         dis_trace.append(dis)

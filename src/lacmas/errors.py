@@ -9,10 +9,6 @@ class ContractError(ValueError):
     """A caller violated an operation precondition (dimension mismatch, NaN input, ...)."""
 
 
-class NumericalFault(RuntimeError):
-    """Non-finite state encountered during a run; the run is aborted."""
-
-
 class GuidanceParseError(ValueError):
     """A guidance response could not be parsed into the expected format."""
 

@@ -10,11 +10,8 @@ refresh, so a run can never stall on guidance.
 
 from __future__ import annotations
 
-import http.client
-import json
 import math
 import re
-import urllib.request
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,6 +301,12 @@ class LlmEndpoint:
 
 def llm_advise(prompt: str, endpoint: LlmEndpoint) -> str:
     """Single non-streaming completion request; returns the generated text."""
+    # Imported here: a heuristic run never needs the HTTP stack, which pulls
+    # in ssl, email and some forty other modules.
+    import http.client
+    import json
+    import urllib.request
+
     url = endpoint.base_url.rstrip("/") + "/api/generate"
     payload = {"model": endpoint.model, "prompt": prompt, "stream": False}
     request = urllib.request.Request(

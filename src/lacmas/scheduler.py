@@ -63,8 +63,12 @@ def gate_ext(t: int, cfg: PcgConfig) -> bool:
     if t < 1:
         return False
     interval = cfg.rho_ext * cfg.horizon_T
+    # Steps of at most one round put every round on the grid; for a tiny step
+    # t // interval would not even fit a float.
+    if interval <= 1:
+        return True
     # Distinct m can collide on one t after the ceiling; membership is what counts.
-    m_near = int(t // interval) if interval > 0 else 1
+    m_near = int(t // interval)
     for m in range(max(1, m_near - 1), m_near + 3):
         if _ceil(m * interval) == t:
             return True

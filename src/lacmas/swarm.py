@@ -16,11 +16,13 @@ modulation_high], so w < 1 contracts the modulated term in the mean-square
 sense and w near the top of its range lets occasional large kicks through.
 
 The swarm never calls an objective. All swarm state lives in one Population of
-stacked (N, P, D) and (N, P) arrays plus per-agent scalars. An agent draws and
-the population updates: AgentSwarm.step_particles, per agent as each has its
-own generator, fills its row of one draw buffer; one Population.step then
-moves every row that drew. The caller evaluates the positions in one batch
-and hands the values to Population.tell.
+stacked (N, P, D), (N, P) and (N,) arrays. An agent draws and the population
+updates: AgentSwarm.step_particles, per agent as each has its own generator,
+fills its row of one draw buffer with a single call, kick uniforms included;
+one Population.step then moves every row that drew and steps back the
+generator of each agent that needed no kick, so every stream is consumed
+exactly as if the kick were drawn only when a particle is dead. The caller
+evaluates the positions in one batch and hands the values to Population.tell.
 """
 
 from __future__ import annotations
@@ -89,10 +91,10 @@ class Population:
 
     Row i of each array is agent i's: positions, velocities and personal-best
     positions as (N, P, D), best and latest values as (N, P), attractors as
-    (N, D). Per agent it also keeps the all-time best value `best_seen` and
-    whether collapse recovery runs (`kicking`) as (N,) arrays, and as lists of
-    Python floats the kick scale `kick_sigma` and the (d, c) regime pair
-    `coefficients`. It also holds the generators, the box and the step's
+    (N, D). Per agent it also keeps the all-time best value `best_seen`, the
+    kick scale `kick_sigma` and whether collapse recovery runs (`kicking`) as
+    (N,) arrays, and the (d, c) regime pair `coefficients` as a list of
+    tuples. It also holds the PCG64 generators, the box and the step's
     scratch, stacked like the state.
     """
 
@@ -106,6 +108,9 @@ class Population:
         coefficients: tuple[float, float] = (0.7, 1.3),
     ):
         n, p = len(rngs), params.population
+        if not all(isinstance(rng.bit_generator, np.random.PCG64) for rng in rngs):
+            # Population.step steps a stream back by PCG64's exact jump-ahead.
+            raise ContractError("every agent generator must run on PCG64")
         self.params = params
         self.rngs = rngs
         self.lower = np.asarray(lower, dtype=float)
@@ -139,13 +144,17 @@ class Population:
         self.best_seen = np.full(n, np.inf)
         # Set once an agent's collapse recovery starts; it never stops again.
         self.kicking = np.zeros(n, dtype=bool)
-        self.kick_sigma = [kick_sigma] * n
+        self.kick_sigma = np.full(n, kick_sigma)
         self.coefficients = [coefficients] * n
         self.evaluated = [False] * n
 
         # Row i of `draws` is agent i's one uniform draw per round: delta, r1,
-        # r2. Times `draw_scale` it is (hi - lo) * u, c_p * r1 and c_a * r2,
-        # rounded as Generator.uniform and the pull products round them.
+        # r2, then the kick. Times `draw_scale` the first L entries are
+        # (hi - lo) * u, c_p * r1 and c_a * r2, rounded as Generator.uniform
+        # and the pull products round them. An agent with no dead particle
+        # hands its P * D kick uniforms back: one float64 uniform is one PCG64
+        # step and the period is 2**128, so advancing by 2**128 - P * D steps
+        # its stream back to where a draw without the kick would leave it.
         pd = p * dim
         r2_shape = (n, p, 1) if params.attractor_gain == "scalar" else (n, p, dim)
         self.draw_scale = np.concatenate([
@@ -153,12 +162,21 @@ class Population:
             np.full(pd, params.pull_pbest),
             np.full(math.prod(r2_shape[1:]), params.pull_attractor),
         ])
-        self.draws = np.empty((n, len(self.draw_scale)))
+        main = len(self.draw_scale)
+        self.draws = np.empty((n, main + pd))
+        self.main_draws = self.draws[:, :main]
         self.delta = self.draws[:, :pd].reshape(n, p, dim)
         self.pull_pbest = self.draws[:, pd:2 * pd].reshape(n, p, dim)
-        self.pull_attractor = self.draws[:, 2 * pd:].reshape(r2_shape)
+        self.pull_attractor = self.draws[:, 2 * pd:main].reshape(r2_shape)
+        self.kick = self.draws[:, main:].reshape(n, p, dim)
+        self.rewind = 2**128 - pd
+        # The kick-scale factor exp(rate * (k / P - target)) of each success
+        # count k, as tell's per-agent rule computed it.
+        self.kick_factors = np.array([
+            math.exp(params.kick_adapt_rate * (k / p - params.kick_target_rate))
+            for k in range(p + 1)
+        ])
         self.active = np.empty((n, 1, 1))
-        self.kick = np.zeros((n, p, dim))
         self.scratch = np.empty((n, p, dim))
         self.proposed = np.empty((n, p, dim))
         self.centroid = np.empty(dim)
@@ -170,14 +188,15 @@ class Population:
 
         Clamped components get zero velocity, so modulation cannot wind up at
         a wall. record_pull=False (consensus tracking) drops the personal-best
-        pull; its draws are consumed anyway. Rows from the first non-finite
-        one on keep their positions.
+        pull; its draws are consumed anyway. Each row without a dead particle
+        steps its generator back over the unused kick draws. Rows from the
+        first non-finite one on keep their positions.
         """
         if upto == 0:
             return 0
         p, rows = self.params, slice(upto)
         x, v, scratch = self.positions[rows], self.velocities[rows], self.scratch[rows]
-        draws = self.draws[rows]
+        draws = self.main_draws[rows]
         draws *= self.draw_scale
         delta = self.delta[rows]
         delta += p.modulation_low
@@ -193,29 +212,27 @@ class Population:
         v += pull
 
         # A limit of 0 (eps or kick scale 0) marks no particle dead.
-        eps, sigmas = p.kick_velocity_eps, self.kick_sigma
+        sigmas = self.kick_sigma[rows]
         speed2 = _sum(np.multiply(v, v, out=scratch), axis=2)
-        limits = np.array([(eps * sigma) ** 2 for sigma in sigmas[rows]])
+        limits = np.square(p.kick_velocity_eps * sigmas)
         dead = speed2 < limits[:, None]
-        active, scales = self.active.ravel().tolist(), [0.0] * upto
-        for i in np.flatnonzero(dead.any(axis=1)).tolist():
-            if not self.kicking[i]:
-                # Seed the recovery scale from where the collapse happened.
-                abest = self.best_positions[i, self.best_values[i].argmin()]
-                spread = float(np.median(np.linalg.norm(x[i] - abest, axis=1)))
-                sigmas[i] = max(min(sigmas[i], spread), self.kick_floor)
-                self.kicking[i] = True
-            self.rngs[i].random(out=self.kick[i])
-            # The active regime coefficient scales the kick: the escape
-            # coefficient widens recovery jumps, the damping one narrows them,
-            # so coefficient guidance steers escape strength.
-            scales[i] = sigmas[i] * active[i]
-        # -1 + 2u is Generator.uniform(-1, 1) on the same stream. Rows not
-        # kicked scale by 0, stay finite and have no dead entry.
+        dying = dead.any(axis=1)
+        for i in np.flatnonzero(dying & ~self.kicking[rows]).tolist():
+            # Seed the recovery scale from where the collapse happened.
+            abest = self.best_positions[i, self.best_values[i].argmin()]
+            spread = float(np.median(np.linalg.norm(x[i] - abest, axis=1)))
+            sigmas[i] = max(min(float(sigmas[i]), spread), self.kick_floor)
+        self.kicking[rows] |= dying
+        for i in np.flatnonzero(~dying).tolist():
+            self.rngs[i].bit_generator.advance(self.rewind)
+        # -1 + 2u is Generator.uniform(-1, 1) on the same stream. The active
+        # regime coefficient scales the kick: the escape coefficient widens
+        # recovery jumps, the damping one narrows them, so coefficient
+        # guidance steers escape strength. Only dead entries take it.
         kick = self.kick[rows]
         kick *= 2.0
         kick -= 1.0
-        kick *= np.array(scales)[:, None, None]
+        kick *= (sigmas * self.active[rows, 0, 0])[:, None, None]
         np.add(v, kick, out=v, where=dead[:, :, None])
 
         raw = np.add(x, v, out=scratch)
@@ -252,16 +269,11 @@ class Population:
         np.copyto(self.best_positions[rows], self.positions[rows], where=improved[:, :, None])
         np.copyto(best, values, where=improved)
 
-        kicking = np.flatnonzero(self.kicking[rows]).tolist()
-        if kicking:
-            # Success-rate step-size control; holds at the initialization
-            # scale until an agent's collapse recovery starts.
-            p, sigmas = self.params, self.kick_sigma
-            successes = np.count_nonzero(improved, axis=1).tolist()
-            for i in kicking:
-                rate = successes[i] / p.population
-                sigma = sigmas[i] * math.exp(p.kick_adapt_rate * (rate - p.kick_target_rate))
-                sigmas[i] = min(sigma, self.span_mean)
+        # Success-rate step-size control; holds at the initialization scale
+        # until an agent's collapse recovery starts.
+        sigmas = self.kick_sigma[rows]
+        scaled = sigmas * self.kick_factors[np.count_nonzero(improved, axis=1)]
+        np.minimum(scaled, self.span_mean, out=sigmas, where=self.kicking[rows])
 
     def representatives(self, upto: int | None = None) -> np.ndarray:
         """Each agent's representative state (see AgentSwarm.representative_state)
@@ -372,9 +384,9 @@ class AgentSwarm:
     # -- dynamics ------------------------------------------------------------
 
     def step_particles(self, active_coeff: float) -> None:
-        """Draw this agent's uniforms for a step into its row of
-        Population.draws and record its active coefficient; Population.step
-        then moves every agent that drew."""
+        """Draw this agent's uniforms for a step, kick included, into its row
+        of Population.draws with one generator call and record its active
+        coefficient; Population.step then moves every agent that drew."""
         self.rng.random(out=self.draws)
         self.population.active[self.agent_id, 0, 0] = active_coeff
 

@@ -1,15 +1,14 @@
-"""Abort-path pins: a NumericalFault mid-round stops the run the same way.
+"""Abort-path pins: a non-finite state mid-round stops the run the same way.
 
-A wrapper around AgentSwarm.step_particles raises NumericalFault for agent 2
-in a chosen round of a 4-agent sphere ring. Agents 0 and 1 have already
-drawn in that round; the batched update moves just them, their proposals must
-still be evaluated and folded in before the run stops, and no other agent may
-take values that round. So the rows the batched Population.tell takes are
-exactly the agents that stepped, and the report's best value, final states and
-trace CSV match the recorded ones in tests/data/abort_path.json. A real
-non-finite state in agent 2 (NaN velocities, found by Population.step) must
-end the run the same way. A change that moves these on purpose regenerates the
-data and says why in CHANGES.md:
+A wrapper around AgentSwarm.step_particles makes agent 2's velocities NaN in a
+chosen round of a 4-agent sphere ring, a real non-finite state for the batched
+Population.step to find. Every agent draws in that round, but only agents 0
+and 1 are moved: their proposals must still be evaluated and folded in before
+the run stops, and no other agent may take values that round. So the rows the
+batched Population.tell takes are exactly the agents below the faulty one, and
+the report's best value, final states and trace CSV match the recorded ones in
+tests/data/abort_path.json. A change that moves these on purpose regenerates
+the data and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_abort_path.py --regenerate
 """
@@ -25,7 +24,6 @@ import numpy as np
 import pytest
 
 from lacmas.engine import RunConfig, run, write_trace_csv
-from lacmas.errors import NumericalFault
 from lacmas.objectives import make_spec
 from lacmas.scheduler import PcgConfig
 from lacmas.swarm import AgentSwarm, Population
@@ -49,19 +47,16 @@ def _config() -> RunConfig:
     )
 
 
-def _faulting_step(fault_round: int, nan_velocities: bool = False):
-    """step_particles that faults for FAULTY_AGENT on its fault_round-th call
-    (one call per agent-round, so the call count is the round). It raises
-    NumericalFault, or with nan_velocities first makes the agent's velocities
-    NaN: a real non-finite state for the batched update to find."""
+def _faulting_step(fault_round: int):
+    """step_particles that makes FAULTY_AGENT's velocities NaN on its
+    fault_round-th call (one call per agent-round, so the call count is the
+    round) before it draws."""
     original = AgentSwarm.step_particles
     calls = {"n": 0}
 
     def step(self, *args, **kwargs):
         if self.agent_id == FAULTY_AGENT:
             if calls["n"] == fault_round:
-                if not nan_velocities:
-                    raise NumericalFault(f"synthetic fault in round {fault_round}")
                 self.velocities[...] = np.nan
             calls["n"] += 1
         return original(self, *args, **kwargs)
@@ -77,7 +72,6 @@ def fingerprint(fault_round: int, scratch: Path, monkeypatch) -> dict:
     monkeypatch.setattr(AgentSwarm, "step_particles", _faulting_step(fault_round))
     report, _ = _run_recording_tells(monkeypatch)
     assert report.aborted
-    assert f"round {fault_round}" in report.fault
     return _report_digest(report, scratch / f"abort-round{fault_round}.csv")
 
 
@@ -129,16 +123,15 @@ def test_abort_tells_exactly_the_agents_that_stepped(fault_round, monkeypatch):
 
 
 @pytest.mark.parametrize("fault_round", FAULT_ROUNDS)
-def test_a_non_finite_step_aborts_like_the_pinned_fault(fault_round, pinned, tmp_path, monkeypatch):
-    # Agents 2 and 3 drew too, but neither is moved nor told, so the report
-    # matches the one pinned for a fault raised before agent 2 drew.
-    step = _faulting_step(fault_round, nan_velocities=True)
-    monkeypatch.setattr(AgentSwarm, "step_particles", step)
-    report, told = _run_recording_tells(monkeypatch)
+def test_a_non_finite_step_aborts_like_the_pinned_fault(fault_round, monkeypatch):
+    # The run names the faulty agent and stops in the faulting round, before
+    # that round reaches fusion, the histories or the trace.
+    monkeypatch.setattr(AgentSwarm, "step_particles", _faulting_step(fault_round))
+    report = run(_config())
     assert report.aborted
     assert report.fault == f"non-finite particle state for agent {FAULTY_AGENT}"
-    assert told == [0, 1, 2, 3] * fault_round + list(range(FAULTY_AGENT))
-    assert _report_digest(report, tmp_path / "abort.csv") == pinned[f"round{fault_round}"]
+    assert len(report.disagreement_trace) == fault_round
+    assert [row.iteration for row in report.rows] == list(range(fault_round))
 
 
 SWARM_METHODS = (

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lacmas.analysis import check_admissibility
 from lacmas.cooperation import assemble_mixing_matrix, build_descriptor, project_weights
-from lacmas.engine import AgentHistory, HistoryRecord
+from lacmas.engine import AgentHistory
 from lacmas.errors import ContractError
 from lacmas.topology import build_ring
 
@@ -17,43 +17,40 @@ def as_raw(weights, graph, owner):
 
 
 def history_from(rows):
-    h = AgentHistory()
+    """A one-agent history of (fitness, divergence, state delta) rows."""
+    h = AgentHistory(1)
     for t, (fit, div, delta) in enumerate(rows):
-        h.append(
-            HistoryRecord(
-                iteration=t,
-                best_fitness=fit,
-                divergence=div,
-                state_delta=delta,
-                local_disagreement=0.0,
-            )
-        )
+        h.append(t, np.array([[fit], [div], [delta], [0.0]]))
     return h
 
 
 def test_descriptor_of_constant_history():
     h = history_from([(5.0, 2.0, 0.1)] * 6)
-    d = build_descriptor(h, window=4)
-    assert (d.avg_fitness, d.avg_divergence, d.avg_state_delta) == (5.0, 2.0, 0.1)
+    assert build_descriptor(h, window=4).tolist() == [[5.0, 2.0, 0.1]]
 
 
 def test_descriptor_window_larger_than_history():
     h = history_from([(1.0, 0.0, 0.0), (3.0, 0.0, 0.0)])
     d = build_descriptor(h, window=10)
-    assert d.avg_fitness == pytest.approx(2.0)
+    assert d[0, 0] == pytest.approx(2.0)
 
 
 def test_descriptor_two_entry_mean():
     h = history_from([(4.0, 1.0, 0.2), (6.0, 3.0, 0.4)])
     d = build_descriptor(h, window=2)
-    assert d.avg_fitness == pytest.approx(5.0)
-    assert d.avg_divergence == pytest.approx(2.0)
-    assert d.avg_state_delta == pytest.approx(0.3)
+    assert d.shape == (1, 3)
+    assert d[0].tolist() == pytest.approx([5.0, 2.0, 0.3])
 
 
 def test_descriptor_requires_history():
     with pytest.raises(ContractError):
-        build_descriptor(AgentHistory(), window=5)
+        build_descriptor(AgentHistory(3), window=5)
+
+
+@pytest.mark.parametrize("row", [(np.inf, 0.0, 0.0), (1.0, -1.0, 0.0), (1.0, 0.0, -0.5)])
+def test_descriptor_rejects_non_finite_or_negative_means(row):
+    with pytest.raises(ContractError):
+        build_descriptor(history_from([row]), window=1)
 
 
 def test_project_clamps_and_normalizes():

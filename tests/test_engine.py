@@ -6,14 +6,13 @@ import pytest
 from lacmas import scheduler
 from lacmas.engine import (
     AgentHistory,
-    HistoryRecord,
     RunConfig,
     comm_cost_per_round,
     disagreement,
     run,
     write_trace_csv,
 )
-from lacmas.errors import ConfigError, ContractError, NumericalFault
+from lacmas.errors import ConfigError, ContractError
 from lacmas.guidance import ACT_WINDOW
 from lacmas.objectives import make_spec
 from lacmas.scheduler import PcgConfig
@@ -94,41 +93,42 @@ def test_comm_cost_ring4_dim5():
 # -- history ---------------------------------------------------------------------
 
 
-def record(t, fit=1.0):
-    return HistoryRecord(
-        iteration=t, best_fitness=fit, divergence=0.0, state_delta=0.0, local_disagreement=0.0
-    )
+def append(h, t, fit=1.0, n=1):
+    """One round of constant statistics for each of the n agents."""
+    h.append(t, np.array([[fit], [0.0], [0.0], [0.0]]).repeat(n, axis=1))
 
 
 def test_history_capacity_bound():
-    h = AgentHistory()
+    h = AgentHistory(1)
     for t in range(50):
-        h.append(record(t))
+        append(h, t)
     assert len(h) == ACT_WINDOW
-    assert h.recent(5)[-1].iteration == 49
+    assert h.recent(5)[0].tolist()[-1] == 49
 
 
 def test_history_rejects_nonincreasing_iterations():
-    h = AgentHistory()
-    h.append(record(3))
+    h = AgentHistory(1)
+    append(h, 3)
     with pytest.raises(ConfigError):
-        h.append(record(3))
+        append(h, 3)
 
 
 def test_history_recent_window_order():
-    h = AgentHistory()
+    h = AgentHistory(2)
     for t in range(10):
-        h.append(record(t, fit=float(t)))
-    recent = h.recent(4)
-    assert [r.iteration for r in recent] == [6, 7, 8, 9]
+        append(h, t, fit=float(t), n=2)
+    iterations, values = h.recent(4)
+    assert iterations.tolist() == [6, 7, 8, 9]
+    assert values.shape == (2, 4, 4)
+    assert values[:, 0].tolist() == [[6.0, 7.0, 8.0, 9.0]] * 2
 
 
 @pytest.mark.parametrize("window", [0, -2])
 def test_history_recent_rejects_empty_window(window):
-    # [-0:] is the whole list: an unchecked window 0 returns every record.
-    h = AgentHistory()
+    # A window of 0 would read as an empty slice, not as a bad request.
+    h = AgentHistory(1)
     for t in range(5):
-        h.append(record(t))
+        append(h, t)
     with pytest.raises(ContractError):
         h.recent(window)
 
@@ -251,13 +251,18 @@ def test_recorded_matrices_replay(sphere_small, ring4):
 
 
 def test_numerical_fault_aborts_with_flag(sphere_small, ring4, monkeypatch):
-    def explode(self, *args, **kwargs):
-        raise NumericalFault("synthetic fault")
+    original = AgentSwarm.step_particles
 
-    monkeypatch.setattr(AgentSwarm, "step_particles", explode)
+    def step(self, *args, **kwargs):
+        if self.agent_id == 1:
+            self.velocities[...] = np.nan
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AgentSwarm, "step_particles", step)
     report = run(small_config(sphere_small, ring4))
     assert report.aborted
-    assert "synthetic fault" in report.fault
+    assert report.fault == "non-finite particle state for agent 1"
+    assert report.disagreement_trace == []
 
 
 def test_graph_objective_size_mismatch_rejected(sphere_small):
@@ -305,24 +310,27 @@ def test_recorded_matrices_are_pinned(sphere_small, ring4):
 def test_local_disagreement_mean_of_distances(monkeypatch, sphere_small):
     # Unequal degrees (1, 3, 2, 2), so a wrong divisor shows.
     graph = build_explicit(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
-    records = []
+    rounds = []
     append = AgentHistory.append
 
-    def spy(history, record):
-        records.append(record)
-        append(history, record)
+    def spy(history, t, cols):
+        rounds.append((t, np.array(cols)))
+        append(history, t, cols)
 
     monkeypatch.setattr(AgentHistory, "append", spy)
     report = run(small_config(sphere_small, graph, max_iterations=30, stop_at_convergence=False))
     states = report.final_states
-    # The last round appends one record per agent, in agent order.
-    for i, rec in enumerate(records[-4:]):
-        assert rec.iteration == 29
+    # One append per round, every agent's statistics in FIELDS order.
+    assert [t for t, _ in rounds] == list(range(30))
+    t, cols = rounds[-1]
+    assert cols.shape == (len(AgentHistory.FIELDS), 4)
+    local_dis = cols[AgentHistory.FIELDS.index("local_disagreement")]
+    for i in range(4):
         expected = np.mean(
             [np.linalg.norm(states[i] - states[k]) for k in graph.neighbor_lists[i]]
         )
         assert expected > 0
-        assert rec.local_disagreement == pytest.approx(expected, rel=1e-12)
+        assert local_dis[i] == pytest.approx(expected, rel=1e-12)
 
 
 def test_xi_trace_measures_rep_deviation(sphere_small, ring4):

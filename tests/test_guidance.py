@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lacmas
 from lacmas.errors import ContractError, GuidanceParseError, LlmTransportError
 from lacmas.guidance import (
     ActGuidance,
@@ -310,3 +315,18 @@ def test_heuristic_act_always_in_range(fitness, g, d, c):
     out = heuristic_advise_act(ActRequest(iteration=0, current_d=d, current_c=c, trajectory=traj))
     assert 0.5 <= out.d <= 1.0
     assert 1.0 <= out.c <= 1.8
+
+
+def test_engine_import_leaves_out_the_http_stack():
+    # Only llm_advise needs it; a heuristic run should not pay for importing it.
+    src = str(Path(lacmas.__file__).resolve().parents[1])
+    code = (
+        "import sys, lacmas.engine; "
+        "print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

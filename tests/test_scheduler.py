@@ -37,6 +37,14 @@ def test_gate_ext_never_fires_at_zero():
         assert not gate_ext(0, cfg)
 
 
+@pytest.mark.parametrize("rho_ext", [5e-324, 1e-300, 0.5 / 500, 1 / 500])
+def test_gate_ext_fires_every_round_for_a_step_of_one_round_or_less(rho_ext):
+    # With a subnormal step, t / interval does not fit a float.
+    cfg = PcgConfig(horizon_T=500, rho_ext=rho_ext)
+    assert not gate_ext(0, cfg)
+    assert all(gate_ext(t, cfg) for t in range(1, 200))
+
+
 def test_gate_ext_continues_past_horizon():
     assert gate_ext(200, REF)
     assert not gate_ext(15, REF)

@@ -408,7 +408,7 @@ def reference_step(population, i, active, record_pull):
 def assert_same_state(population, reference):
     assert np.array_equal(population.positions, reference.positions)
     assert np.array_equal(population.velocities, reference.velocities)
-    assert population.kick_sigma == reference.kick_sigma
+    assert np.array_equal(population.kick_sigma, reference.kick_sigma)
     assert np.array_equal(population.kicking, reference.kicking)
     for rng, ref_rng in zip(population.rngs, reference.rngs):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -476,3 +476,36 @@ def test_a_step_of_no_rows_changes_nothing():
     assert np.array_equal(population.positions, positions)
     assert np.array_equal(population.velocities, velocities)
     assert [rng.bit_generator.state for rng in population.rngs] == states
+
+
+@pytest.mark.parametrize("eps, kicked", [(0.0, False), (1e6, True)])
+def test_step_draws_the_kick_only_for_dead_particles(eps, kicked):
+    # eps 0 marks no particle dead, so every agent steps its generator back
+    # over the kick uniforms; eps 1e6 marks every particle dead, so every
+    # agent keeps them. Either way the streams and states match the
+    # per-agent reference, which draws a kick only when it needs one.
+    n, p, dim = 4, 5, 3
+    params = SwarmParams(population=p, kick_velocity_eps=eps)
+    population, swarms = make_population(n, p=p, dim=dim, seed=2, params=params)
+    reference = copy.deepcopy(population)
+    main = population.main_draws.shape[1]
+    per_round = main + p * dim if kicked else main
+    counters = [copy.deepcopy(rng) for rng in population.rngs]
+    for _ in range(12):
+        assert step_all(population, swarms, 1.1) == n
+        assert all(reference_step(reference, i, 1.1, True) for i in range(n))
+        for rng in counters:
+            rng.random(per_round)
+        assert_same_state(population, reference)
+        assert [rng.bit_generator.state for rng in population.rngs] == [
+            rng.bit_generator.state for rng in counters
+        ]
+        assert population.kicking.all() == kicked
+        population.tell(sphere_batch(population.positions))
+        reference.tell(sphere_batch(reference.positions))
+
+
+def test_population_needs_pcg64_generators():
+    rngs = [np.random.Generator(np.random.MT19937(0))]
+    with pytest.raises(ContractError):
+        Population(2, np.full(2, -1.0), np.full(2, 1.0), SwarmParams(population=3), rngs)
