@@ -10,7 +10,6 @@ measured by the engine as RunReport.xi_norm_trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -18,17 +17,6 @@ from .errors import ContractError
 from .topology import CommGraph
 
 ROW_SUM_CHECK_TOL = 1e-9
-
-
-@lru_cache(maxsize=8)
-def _allowed_mask(graph: CommGraph) -> np.ndarray:
-    n = graph.num_agents
-    allowed = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for k in graph.closed_neighborhood(i):
-            allowed[i, k] = True
-    allowed.setflags(write=False)
-    return allowed
 
 
 @dataclass(frozen=True)
@@ -56,7 +44,7 @@ def check_admissibility(matrix: np.ndarray, graph: CommGraph) -> AdmissibilityRe
     min_entry = float(a.min())
 
     first_violation = None
-    offenders = np.argwhere((~_allowed_mask(graph)) & (a != 0.0))
+    offenders = np.argwhere((~graph.allowed) & (a != 0.0))
     if len(offenders):
         first_violation = (int(offenders[0][0]), int(offenders[0][1]))
 

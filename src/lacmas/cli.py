@@ -168,7 +168,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     record = args.record_matrices
-    # Every run is built, and so validated, before anything is written.
+    # Every run is built, and so checked, before anything is written.
     runs = []
     for family in cfg.suite:
         objective = build_benchmark(cfg, family)

@@ -248,7 +248,7 @@ def build_run_config(
     cfg: ExperimentConfig, objective, graph, master_seed: int, **overrides
 ) -> RunConfig:
     """The RunConfig of one seeded run of `cfg`. Keyword `overrides` replace
-    RunConfig fields before RunConfig validates them, so every setting a
+    RunConfig fields before RunConfig checks them, so every setting a
     caller changes is checked like one read from the file."""
     settings = dict(
         objective=objective,

@@ -43,20 +43,20 @@ def build_descriptor(history, window: int) -> np.ndarray:
 def project_weights(raw: Sequence[float], graph: CommGraph, owner: int) -> np.ndarray:
     """Project a guidance answer onto the feasible simplex for `owner`.
 
-    `raw` lists one weight per neighbor in graph.neighbors(owner) order, then
-    the self weight, as CoopGuidance.raw_weights does. Negatives and
-    non-finite values clamp to zero. A degenerate all-zero row falls back to
-    the uniform distribution so information keeps flowing. Returns the
+    `raw` lists one weight per neighbor in graph.neighbor_lists[owner]
+    order, then the self weight, as CoopGuidance.raw_weights does. Negatives
+    and non-finite values clamp to zero. A degenerate all-zero row falls back
+    to the uniform distribution so information keeps flowing. Returns the
     owner's dense row of the mixing matrix, zero off its closed neighborhood.
     """
-    nbrs = graph.neighbors(owner)
+    nbrs = graph.neighbor_lists[owner]
     if len(raw) != len(nbrs) + 1:
         raise ContractError(
             f"agent {owner} needs {len(nbrs) + 1} raw weights (neighbors, then self), "
             f"got {len(raw)}"
         )
     proposed = dict(zip((*nbrs, owner), raw))
-    members = graph.closed_neighborhood(owner)
+    members = graph.neighborhoods[owner]
     # Python float sums in ascending agent order: numpy's pairwise sum groups
     # the additions differently and can change the last bit of a row.
     clamped = []
@@ -83,9 +83,5 @@ def project_weights(raw: Sequence[float], graph: CommGraph, owner: int) -> np.nd
 def assemble_mixing_matrix(graph: CommGraph) -> np.ndarray:
     """The uniform N x N matrix a run starts from: row i spreads equal weight
     over agent i's closed neighborhood."""
-    n = graph.num_agents
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        members = graph.closed_neighborhood(i)
-        matrix[i, list(members)] = 1.0 / len(members)
-    return matrix
+    allowed = graph.allowed
+    return allowed / allowed.sum(axis=1, keepdims=True)

@@ -38,7 +38,6 @@ _ROTATED = {"rotated_rastrigin", "rotated_elliptic"}
 _BASE_SHIFTED = {"shifted_rosenbrock", "rotated_rastrigin", "rotated_elliptic"}
 
 DEFAULT_BOUND = 100.0
-DEFAULT_HETERO_SIGMA = 5.0
 _BASE_SHIFT_HALF_WIDTH = 20.0
 
 
@@ -46,16 +45,16 @@ _BASE_SHIFT_HALF_WIDTH = 20.0
 class BenchmarkSpec:
     """One distributed benchmark instance.
 
-    shifts is an (N, D) array; in homogeneous mode every row equals the base
-    shift o*, in heterogeneous mode row i is o* + eta_i with eta_i componentwise
-    uniform in [-hetero_sigma, +hetero_sigma].
+    shifts is an (N, D) array whose row i is agent i's shift: the base shift
+    o* for every agent of a homogeneous instance, o* + eta_i with eta_i
+    componentwise uniform in [-hetero_sigma, +hetero_sigma] for a
+    heterogeneous one.
     """
 
     family: str
     dim: int
     num_agents: int
     shifts: np.ndarray
-    heterogeneity: str
     bound: float = DEFAULT_BOUND
     rotation: np.ndarray | None = field(default=None, repr=False)
 
@@ -66,13 +65,8 @@ class BenchmarkSpec:
             raise ContractError(
                 f"shifts shape {self.shifts.shape} != ({self.num_agents}, {self.dim})"
             )
-        if self.heterogeneity not in ("homogeneous", "heterogeneous"):
-            raise ContractError(f"bad heterogeneity mode {self.heterogeneity!r}")
         if np.abs(self.shifts).max(initial=0.0) > self.bound:
             raise ContractError("shift outside box bounds")
-        if self.heterogeneity == "homogeneous" and self.num_agents > 1:
-            if not np.all(self.shifts == self.shifts[0]):
-                raise ContractError("homogeneous mode requires identical shifts")
 
     @property
     def lower(self) -> np.ndarray:
@@ -221,17 +215,14 @@ def make_spec(
     if hetero_sigma > 0:
         eta = rng.uniform(-hetero_sigma, hetero_sigma, size=(num_agents, dim))
         shifts = base + eta
-        mode = "heterogeneous"
     else:
         shifts = np.tile(base, (num_agents, 1))
-        mode = "homogeneous"
     rotation = random_rotation(dim, rng) if family in _ROTATED else None
     return BenchmarkSpec(
         family=family,
         dim=dim,
         num_agents=num_agents,
         shifts=shifts,
-        heterogeneity=mode,
         bound=bound,
         rotation=rotation,
     )

@@ -52,10 +52,6 @@ class SwarmParams:
     init_velocity_frac: float = 0.05
     d1: float = 1.0
     d2: float = 10.0
-    # Attractor gain r2 drawn per component or once per particle. The scalar
-    # mode lets a particle take near-zero-drag steps with positive probability,
-    # which keeps personal-best refinement unbiased in high dimension.
-    attractor_gain: str = "scalar"  # scalar | elementwise
     # Collapse recovery: a particle whose velocity has died gets a fresh kick.
     # The multiplicative modulation cannot re-expand a population from zero
     # velocity on its own, so this is what keeps refinement going instead of
@@ -82,8 +78,6 @@ class SwarmParams:
             raise ContractError(
                 f"kick_adapt_rate must lie in [0, {_LOG_MAX:.1f}), got {self.kick_adapt_rate}"
             )
-        if self.attractor_gain not in ("scalar", "elementwise"):
-            raise ContractError(f"bad attractor_gain mode {self.attractor_gain!r}")
 
 
 class Population:
@@ -149,25 +143,27 @@ class Population:
         self.evaluated = [False] * n
 
         # Row i of `draws` is agent i's one uniform draw per round: delta, r1,
-        # r2, then the kick. Times `draw_scale` the first L entries are
+        # r2, then the kick. r2 is one gain per particle, not per component,
+        # which lets a particle take near-zero-drag steps with positive
+        # probability and keeps personal-best refinement unbiased in high
+        # dimension. Times `draw_scale` the first L entries are
         # (hi - lo) * u, c_p * r1 and c_a * r2, rounded as Generator.uniform
         # and the pull products round them. An agent with no dead particle
         # hands its P * D kick uniforms back: one float64 uniform is one PCG64
         # step and the period is 2**128, so advancing by 2**128 - P * D steps
         # its stream back to where a draw without the kick would leave it.
         pd = p * dim
-        r2_shape = (n, p, 1) if params.attractor_gain == "scalar" else (n, p, dim)
         self.draw_scale = np.concatenate([
             np.full(pd, params.modulation_high - params.modulation_low),
             np.full(pd, params.pull_pbest),
-            np.full(math.prod(r2_shape[1:]), params.pull_attractor),
+            np.full(p, params.pull_attractor),
         ])
         main = len(self.draw_scale)
         self.draws = np.empty((n, main + pd))
         self.main_draws = self.draws[:, :main]
         self.delta = self.draws[:, :pd].reshape(n, p, dim)
         self.pull_pbest = self.draws[:, pd:2 * pd].reshape(n, p, dim)
-        self.pull_attractor = self.draws[:, 2 * pd:main].reshape(r2_shape)
+        self.pull_attractor = self.draws[:, 2 * pd:main].reshape(n, p, 1)
         self.kick = self.draws[:, main:].reshape(n, p, dim)
         self.rewind = 2**128 - pd
         # The kick-scale factor exp(rate * (k / P - target)) of each success

@@ -1,14 +1,18 @@
 """Fixed communication graphs for the agent network.
 
-The graph is built once, validated, and never mutated afterwards; only the
-cooperation weights on top of it adapt during a run. Neighbor sets exclude the
-node itself; the self-term is reintroduced at fusion time.
+A CommGraph checks itself when it is built, so a graph that exists is valid,
+and it is never mutated afterwards; only the cooperation weights on top of it
+adapt during a run. Neighbor lists exclude the node itself. The graph also
+owns everything derived from the lists: the closed neighborhoods (neighbors
+plus self), the (N, N) mask of entries a mixing matrix may fill and the
+directed-edge arrays, each computed once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,28 +23,68 @@ from .errors import ConfigError
 class CommGraph:
     """Undirected connected graph over agents 0..num_agents-1.
 
-    neighbor_lists[i] is the sorted tuple of agents adjacent to i, never
-    containing i itself.
+    neighbor_lists[i] is the strictly increasing tuple of agents adjacent to
+    i, never containing i itself. Construction raises ConfigError("invalid
+    graph: ...") on any other input.
     """
 
     num_agents: int
     neighbor_lists: tuple[tuple[int, ...], ...]
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.neighbor_lists[i]
+    def __post_init__(self):
+        violation = _violation(self.num_agents, self.neighbor_lists)
+        if violation:
+            raise ConfigError(f"invalid graph: {violation}")
 
-    def closed_neighborhood(self, i: int) -> tuple[int, ...]:
-        """Neighbors of i plus i itself, sorted."""
-        return tuple(sorted((*self.neighbor_lists[i], i)))
+    @cached_property
+    def neighborhoods(self) -> tuple[tuple[int, ...], ...]:
+        """Each agent's closed neighborhood, its neighbors plus itself, in
+        increasing order."""
+        return tuple(tuple(sorted((*nbrs, i))) for i, nbrs in enumerate(self.neighbor_lists))
+
+    @cached_property
+    def allowed(self) -> np.ndarray:
+        """Read-only (N, N) mask, True where row i may weigh agent k: on i's
+        closed neighborhood."""
+        n = self.num_agents
+        rows = np.repeat(np.arange(n), [len(members) for members in self.neighborhoods])
+        allowed = np.zeros((n, n), dtype=bool)
+        allowed[rows, [k for members in self.neighborhoods for k in members]] = True
+        allowed.setflags(write=False)
+        return allowed
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (src, dst) arrays of the directed edges i -> k, in
+        neighbor-list order."""
+        src = np.repeat(np.arange(self.num_agents), [len(nb) for nb in self.neighbor_lists])
+        dst = np.array([k for nbrs in self.neighbor_lists for k in nbrs], dtype=src.dtype)
+        src.setflags(write=False)
+        dst.setflags(write=False)
+        return src, dst
 
     def num_directed_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.neighbor_lists)
+        return len(self.edges[0])
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violation: str | None = None
+def _violation(n: int, lists) -> str | None:
+    """The first invariant `lists` breaks as neighbor lists of n agents, None
+    if it breaks none."""
+    if n < 1 or len(lists) != n:
+        return "shape: neighbor_lists length != num_agents"
+    for i, nbrs in enumerate(lists):
+        if i in nbrs:
+            return f"self-loop: {i} in its own neighbor list"
+        if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
+            return f"order: N({i}) = {tuple(nbrs)} does not strictly increase"
+        for j in nbrs:
+            if not 0 <= j < n:
+                return f"range: neighbor {j} of {i} out of range"
+            if i not in lists[j]:
+                return f"symmetry: {j} in N({i}) but {i} not in N({j})"
+    if len(_components(lists)) > 1:
+        return "connectivity: graph has more than one component"
+    return None
 
 
 def build_ring(n: int) -> CommGraph:
@@ -90,59 +134,19 @@ def build_random_connected(n: int, edge_prob: float, seed: int) -> CommGraph:
 
 
 def build_explicit(n: int, edges: list[tuple[int, int]]) -> CommGraph:
-    """Graph from an explicit undirected edge list; validated before return."""
-    if n < 1:
-        raise ConfigError(f"need at least one agent, got {n}")
+    """Graph from an explicit undirected edge list."""
     adj: list[set[int]] = [set() for _ in range(n)]
     for (a, b) in edges:
+        # A negative index would silently wrap around in adj.
         if not (0 <= a < n and 0 <= b < n):
             raise ConfigError(f"edge ({a}, {b}) out of range for {n} agents")
-        if a == b:
-            raise ConfigError(f"self-loop ({a}, {b}) not allowed")
         adj[a].add(b)
         adj[b].add(a)
-    graph = CommGraph(num_agents=n, neighbor_lists=tuple(tuple(sorted(s)) for s in adj))
-    report = validate(graph)
-    if not report.ok:
-        raise ConfigError(f"explicit edge list rejected: {report.violation}")
-    return graph
+    return CommGraph(num_agents=n, neighbor_lists=tuple(tuple(sorted(s)) for s in adj))
 
 
-def validate(graph: CommGraph) -> ValidationReport:
-    """Check symmetry, absence of self-loops, and connectivity.
-
-    Returns the first violated invariant; passing means the graph is safe to
-    share read-only across agent workers.
-    """
-    n = graph.num_agents
-    if n < 1 or len(graph.neighbor_lists) != n:
-        return ValidationReport(False, "shape: neighbor_lists length != num_agents")
-    for i, nbrs in enumerate(graph.neighbor_lists):
-        if i in nbrs:
-            return ValidationReport(False, f"self-loop: {i} in its own neighbor list")
-        for j in nbrs:
-            if not 0 <= j < n:
-                return ValidationReport(False, f"range: neighbor {j} of {i} out of range")
-            if i not in graph.neighbor_lists[j]:
-                return ValidationReport(False, f"symmetry: {j} in N({i}) but {i} not in N({j})")
-    if n > 1 and not _is_connected(graph):
-        return ValidationReport(False, "connectivity: graph has more than one component")
-    return ValidationReport(True)
-
-
-def _is_connected(graph: CommGraph) -> bool:
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in graph.neighbor_lists[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == graph.num_agents
-
-
-def _components(adj: list[set[int]]) -> list[list[int]]:
+def _components(adj) -> list[list[int]]:
+    """The connected components of adjacency rows adj[i] (any iterables)."""
     n = len(adj)
     seen = [False] * n
     comps = []

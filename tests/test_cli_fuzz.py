@@ -49,12 +49,11 @@ PINNED = {
 }
 
 WORDS = ["ring", "random", "explicit", "full", "baseline", "act", "coop", "heuristic",
-         "llm", "scalar", "elementwise", "sphere", "http://127.0.0.1:9", ""]
+         "llm", "sphere", "http://127.0.0.1:9", ""]
 # Valid choices of the string keys, drawn more often than other words.
 CHOICES = {
     "kind": ["ring", "random", "explicit"],
     "variant": ["baseline", "act", "coop", "full"],
-    "attractor_gain": ["scalar", "elementwise"],
 }
 floats = st.one_of(
     st.floats(-3.0, 3.0),

@@ -91,7 +91,7 @@ def test_build_graph_variants():
     assert g.num_agents == 8
     cfg2 = config_from_dict({"graph": {"kind": "explicit", "edges": [[0, 1], [1, 2]]}})
     g2 = build_graph(cfg2, 3)
-    assert g2.neighbors(1) == (0, 2)
+    assert g2.neighbor_lists[1] == (0, 2)
 
 
 def test_build_wsn_objective_dimensions():

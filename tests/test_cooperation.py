@@ -13,7 +13,7 @@ from lacmas.topology import build_ring
 def as_raw(weights, graph, owner):
     """Weights keyed by agent, in the order guidance returns them: the owner's
     neighbors, then the owner."""
-    return [weights[k] for k in (*graph.neighbors(owner), owner)]
+    return [weights[k] for k in (*graph.neighbor_lists[owner], owner)]
 
 
 def history_from(rows):
@@ -155,5 +155,5 @@ def test_fusion_stays_in_convex_hull(raw, states):
         m[i] = project_weights(r, g, owner=i)
     fused = m @ np.array(states)[:, None]
     for i in range(4):
-        members = [states[k] for k in g.closed_neighborhood(i)]
+        members = [states[k] for k in g.neighborhoods[i]]
         assert min(members) - 1e-9 <= fused[i, 0] <= max(members) + 1e-9

@@ -29,7 +29,6 @@ import pytest
 from lacmas.engine import RunConfig, run, write_trace_csv
 from lacmas.objectives import make_spec
 from lacmas.scheduler import PcgConfig
-from lacmas.swarm import SwarmParams
 from lacmas.topology import build_ring
 from lacmas.wsn import WsnObjectiveSet, gen_measurements, gen_scenario
 
@@ -54,7 +53,7 @@ def _objective(family: str):
     return make_spec(family, NUM_AGENTS, DIM, hetero_sigma=sigma, seed=3)
 
 
-def _config(family: str, variant: str, seed: int, attractor_gain: str = "scalar") -> RunConfig:
+def _config(family: str, variant: str, seed: int) -> RunConfig:
     return RunConfig(
         objective=_objective(family),
         graph=build_ring(NUM_AGENTS),
@@ -64,17 +63,15 @@ def _config(family: str, variant: str, seed: int, attractor_gain: str = "scalar"
         stop_at_convergence=False,
         log_every=1,
         pcg=PcgConfig(horizon_T=HORIZON_T),
-        swarm_params=SwarmParams(attractor_gain=attractor_gain),
     )
 
 
 CASES = {
-    f"{family}-{variant}-seed{seed}": (family, variant, seed, "scalar")
+    f"{family}-{variant}-seed{seed}": (family, variant, seed)
     for family in FAMILIES
     for variant in VARIANTS
     for seed in SEEDS
 }
-CASES["rastrigin-full-seed0-elementwise"] = ("rastrigin", "full", 0, "elementwise")
 
 
 def _sha256(data: bytes) -> str:

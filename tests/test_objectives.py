@@ -50,7 +50,6 @@ def test_two_agent_sphere_midpoint_value():
         dim=3,
         num_agents=2,
         shifts=shifts,
-        heterogeneity="heterogeneous",
     )
     assert spec.eval_global(np.zeros(3)) == pytest.approx(1.0)
 
@@ -123,7 +122,7 @@ def test_suite_has_ten_specs_with_requested_shape():
 
 def test_zero_hetero_sigma_gives_homogeneous_specs():
     suite = [make_spec(fam, num_agents=5, dim=8, hetero_sigma=0.0, seed=3) for fam in FAMILIES]
-    assert all(s.heterogeneity == "homogeneous" for s in suite)
+    assert all(np.all(s.shifts == s.shifts[0]) for s in suite)
 
 
 def test_suite_generation_is_deterministic():

@@ -371,12 +371,11 @@ def reference_step(population, i, active, record_pull):
     p, rng = population.params, population.rngs[i]
     x, v = population.positions[i], population.velocities[i]
     pbest, attractor = population.best_positions[i], population.attractors[i]
-    n_r2 = x.shape[0] if p.attractor_gain == "scalar" else x.size
-    u = rng.random(2 * x.size + n_r2)
+    u = rng.random(2 * x.size + x.shape[0])
     delta = (p.modulation_high - p.modulation_low) * u[: x.size].reshape(x.shape)
     delta += p.modulation_low
     r1 = p.pull_pbest * u[x.size : 2 * x.size].reshape(x.shape)
-    r2 = p.pull_attractor * u[2 * x.size :].reshape(x.shape[0], -1)
+    r2 = p.pull_attractor * u[2 * x.size :].reshape(x.shape[0], 1)
 
     v = v * delta * active
     if record_pull:
@@ -414,11 +413,10 @@ def assert_same_state(population, reference):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("attractor_gain", ["scalar", "elementwise"])
 @pytest.mark.parametrize("record_pull", [True, False])
-def test_batched_step_matches_the_per_agent_rule(attractor_gain, record_pull):
+def test_batched_step_matches_the_per_agent_rule(record_pull):
     n, p, dim = 5, 6, 4
-    params = SwarmParams(population=p, attractor_gain=attractor_gain, kick_velocity_eps=0.3)
+    params = SwarmParams(population=p, kick_velocity_eps=0.3)
     population, swarms = make_population(n, p=p, dim=dim, seed=8, params=params)
     for i in range(n):
         population.coefficients[i] = (0.5 + 0.1 * i, 1.1 + 0.15 * i)
