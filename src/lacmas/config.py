@@ -247,25 +247,20 @@ def build_wsn_objective(cfg: ExperimentConfig) -> WsnObjectiveSet:
 def build_run_config(
     cfg: ExperimentConfig, objective, graph, master_seed: int, **overrides
 ) -> RunConfig:
-    """The RunConfig of one seeded run of `cfg`. Keyword `overrides` replace
-    RunConfig fields before RunConfig checks them, so every setting a
-    caller changes is checked like one read from the file."""
-    settings = dict(
-        objective=objective,
-        graph=graph,
-        variant=cfg.variant,
-        provider=cfg.provider,
-        max_iterations=cfg.max_iterations,
-        convergence_threshold=cfg.convergence_threshold,
-        master_seed=master_seed,
-        log_every=cfg.log_every,
-        pcg=cfg.pcg,
-        swarm_params=cfg.swarm,
-        heuristic=cfg.heuristic,
-        llm=_llm_endpoint(cfg.guidance),
-    )
-    settings.update(overrides)
-    return RunConfig(**settings)
+    """The RunConfig of one seeded run of `cfg`. Every RunConfig field that
+    `cfg` has under the same name is copied; the built objective and graph,
+    the seed and the resolved LLM endpoint replace the rest. Keyword
+    `overrides` replace RunConfig fields before RunConfig checks them, so
+    every setting a caller changes is checked like one read from the file."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(RunConfig) if hasattr(cfg, f.name)}
+    return RunConfig(**{
+        **shared,
+        "objective": objective,
+        "graph": graph,
+        "master_seed": master_seed,
+        "llm": _llm_endpoint(cfg.guidance),
+        **overrides,
+    })
 
 
 def _llm_endpoint(g: GuidanceSpec) -> LlmEndpoint | None:

@@ -64,6 +64,12 @@ def project_weights(raw: Sequence[float], graph: CommGraph, owner: int) -> np.nd
         w = proposed[k]
         clamped.append(float(w) if math.isfinite(w) and w >= 0 else 0.0)
     total = sum(clamped)
+    if math.isinf(total):
+        # Finite weights near the float limit overflow their sum; rescaled by
+        # the largest, they keep their proportions instead of all becoming 0.
+        top = max(clamped)
+        clamped = [w / top for w in clamped]
+        total = sum(clamped)
     if abs(total - 1.0) <= ROW_SUM_TOL:
         # Already on the feasible simplex: return unchanged (idempotence).
         weights = clamped

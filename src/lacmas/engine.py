@@ -160,7 +160,7 @@ class RunConfig:
     master_seed: int = 0
     log_every: int = 10
     pcg: PcgConfig = field(default_factory=PcgConfig)
-    swarm_params: SwarmParams = field(default_factory=SwarmParams)
+    swarm: SwarmParams = field(default_factory=SwarmParams)
     heuristic: HeuristicParams = field(default_factory=HeuristicParams)
     llm: LlmEndpoint | None = None
     record_matrices: bool = False
@@ -289,7 +289,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
         dim,
         obj.lower,
         obj.upper,
-        config.swarm_params,
+        config.swarm,
         [np.random.Generator(np.random.PCG64(seq)) for seq in agent_seqs],
         coefficients=(D_DEFAULT, C_DEFAULT),
     )
@@ -348,7 +348,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
             swarm.step_particles(active)
         # One update moves every agent; it commits the rows below the first
         # whose new state is not finite.
-        committed = population.step(n, record_pull=late_stage)
+        committed = population.step(record_pull=late_stage)
         if committed < n:
             aborted, fault = True, f"non-finite particle state for agent {committed}"
         # One objective call for all agents' rows. The committed ones still

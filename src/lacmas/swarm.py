@@ -178,9 +178,9 @@ class Population:
         self.centroid = np.empty(dim)
         self.row_scratch = np.empty((p, dim))
 
-    def step(self, upto: int, record_pull: bool) -> int:
-        """Move the rows below `upto` by the draws and coefficients their
-        step_particles recorded; return how many rows were committed.
+    def step(self, record_pull: bool) -> int:
+        """Move every row by the draws and coefficients its step_particles
+        recorded; return how many rows were committed.
 
         Clamped components get zero velocity, so modulation cannot wind up at
         a wall. record_pull=False (consensus tracking) drops the personal-best
@@ -188,59 +188,58 @@ class Population:
         steps its generator back over the unused kick draws. Rows from the
         first non-finite one on keep their positions.
         """
-        if upto == 0:
-            return 0
-        p, rows = self.params, slice(upto)
-        x, v, scratch = self.positions[rows], self.velocities[rows], self.scratch[rows]
-        draws = self.main_draws[rows]
+        p = self.params
+        x, v, scratch = self.positions, self.velocities, self.scratch
+        draws = self.main_draws
         draws *= self.draw_scale
-        delta = self.delta[rows]
+        delta = self.delta
         delta += p.modulation_low
 
         v *= delta
-        v *= self.active[rows]
+        v *= self.active
         if record_pull:
-            pull = np.subtract(self.best_positions[rows], x, out=scratch)
-            pull *= self.pull_pbest[rows]
+            pull = np.subtract(self.best_positions, x, out=scratch)
+            pull *= self.pull_pbest
             v += pull
-        pull = np.subtract(self.attractors[rows, None], x, out=scratch)
-        pull *= self.pull_attractor[rows]
+        pull = np.subtract(self.attractors[:, None], x, out=scratch)
+        pull *= self.pull_attractor
         v += pull
 
         # A limit of 0 (eps or kick scale 0) marks no particle dead.
-        sigmas = self.kick_sigma[rows]
+        sigmas = self.kick_sigma
         speed2 = _sum(np.multiply(v, v, out=scratch), axis=2)
         limits = np.square(p.kick_velocity_eps * sigmas)
         dead = speed2 < limits[:, None]
         dying = dead.any(axis=1)
-        for i in np.flatnonzero(dying & ~self.kicking[rows]).tolist():
+        for i in np.flatnonzero(dying & ~self.kicking).tolist():
             # Seed the recovery scale from where the collapse happened.
             abest = self.best_positions[i, self.best_values[i].argmin()]
             spread = float(np.median(np.linalg.norm(x[i] - abest, axis=1)))
             sigmas[i] = max(min(float(sigmas[i]), spread), self.kick_floor)
-        self.kicking[rows] |= dying
+        self.kicking |= dying
         for i in np.flatnonzero(~dying).tolist():
             self.rngs[i].bit_generator.advance(self.rewind)
         # -1 + 2u is Generator.uniform(-1, 1) on the same stream. The active
         # regime coefficient scales the kick: the escape coefficient widens
         # recovery jumps, the damping one narrows them, so coefficient
         # guidance steers escape strength. Only dead entries take it.
-        kick = self.kick[rows]
+        kick = self.kick
         kick *= 2.0
         kick -= 1.0
-        kick *= (sigmas * self.active[rows, 0, 0])[:, None, None]
+        kick *= (sigmas * self.active[:, 0, 0])[:, None, None]
         np.add(v, kick, out=v, where=dead[:, :, None])
 
         raw = np.add(x, v, out=scratch)
-        new = np.maximum(raw, self.lower, out=self.proposed[rows])
+        new = np.maximum(raw, self.lower, out=self.proposed)
         np.minimum(new, self.upper, out=new)
         np.putmask(v, raw != new, 0.0)
 
         # Sums along contiguous (P * D) rows round like per-agent sums.
-        flat = (upto, -1)
+        n = len(x)
+        flat = (n, -1)
         total = _sum(new.reshape(flat), axis=1) + _sum(v.reshape(flat), axis=1)
         finite = np.isfinite(total)
-        committed = upto if finite.all() else int(finite.argmin())
+        committed = n if finite.all() else int(finite.argmin())
         x[:committed] = new[:committed]
         return committed
 

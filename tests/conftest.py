@@ -1,8 +1,14 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lacmas.config import load_config
 from lacmas.objectives import make_spec
 from lacmas.topology import build_ring
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -19,3 +25,25 @@ def sphere_small():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def load_preset():
+    """Load configs/<name>.json, the one definition of an experiment instance."""
+    return lambda name: load_config(REPO / "configs" / f"{name}.json")
+
+
+@pytest.fixture(scope="session")
+def load_script():
+    """Import scripts/<name>.py as a module. Importing runs nothing (each
+    script guards on __main__), but it resolves every lacmas name it uses."""
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"script_{name}", REPO / "scripts" / f"{name}.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -1,58 +1,53 @@
 """Acceptance suite.
 
-Each test prints one PASS/FAIL line (run with -s to see them). The reference
-instances are fixed here: homogeneous and heterogeneous distributed spheres on
-a 20-agent ring for the consensus and optimum checks, a six-function desk
-suite for the ablation trends, and the noiseless localization task for the
+Each test prints one PASS/FAIL line (run with -s to see them). The instances
+are fixed in configs/, their only definition, and built through the config
+path users run (load_config, the build_* functions, build_run_config):
+reference.json, a homogeneous distributed sphere on a ring, for the consensus,
+admissibility, perturbation and determinism checks, and with heterogeneous
+shifts for the optimum check; desk.json, a six-function suite, for the
+ablation trends; wsn_sweep.json, the noiseless localization task, for the
 transfer check.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lacmas import guidance as gd
 from lacmas.analysis import check_admissibility
+from lacmas.config import build_benchmark, build_graph, build_run_config
 from lacmas.cooperation import project_weights
-from lacmas.engine import RunConfig, run, write_trace_csv
+from lacmas.engine import run, write_trace_csv
 from lacmas.errors import GuidanceParseError
-from lacmas.objectives import make_spec
 from lacmas.scheduler import PcgConfig, gate_ext, gate_int, stage
 from lacmas.topology import build_ring
-from lacmas.wsn import WsnObjectiveSet, gen_measurements, gen_scenario, system_error
-
-NUM_REFERENCE_RUNS = 25
-DESK_SEEDS = 10
-# First six suite families: unimodal, ill-conditioned, non-separable, valley,
-# and two multimodal landscapes.
-DESK_FAMILIES = ("sphere", "elliptic", "schwefel_1_2", "rosenbrock", "rastrigin", "ackley")
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
 
 
+def _seeded_runs(cfg, family, **overrides):
+    """The RunConfigs of `cfg`'s seeds on `family`, with their graph."""
+    spec = build_benchmark(cfg, family)
+    graph = build_graph(cfg, spec.num_agents)
+    run_cfgs = [
+        build_run_config(cfg, spec, graph, cfg.master_seed + k, **overrides)
+        for k in range(cfg.num_runs)
+    ]
+    return run_cfgs, graph
+
+
 @pytest.fixture(scope="module")
-def reference_runs():
-    """Criterion-1 reference: homogeneous sphere, N=20, D=10, ring, full
-    variant, heuristic provider, 25 seeds, matrices recorded."""
-    spec = make_spec("sphere", num_agents=20, dim=10, hetero_sigma=0.0, seed=7)
-    graph = build_ring(20)
-    reports = []
+def reference_runs(load_preset):
+    """Criterion-1 reference (configs/reference.json), matrices recorded."""
+    cfg = load_preset("reference")
+    run_cfgs, graph = _seeded_runs(cfg, cfg.suite[0], record_matrices=True)
     start = time.perf_counter()
-    for seed in range(NUM_REFERENCE_RUNS):
-        cfg = RunConfig(
-            objective=spec,
-            graph=graph,
-            variant="full",
-            provider="heuristic",
-            master_seed=seed,
-            max_iterations=5000,
-            convergence_threshold=1e-7,
-            record_matrices=True,
-        )
-        reports.append(run(cfg))
+    reports = [run(run_cfg) for run_cfg in run_cfgs]
     elapsed = time.perf_counter() - start
     return reports, graph, elapsed
 
@@ -63,7 +58,7 @@ def test_criterion_1_consensus(reference_runs):
     ok_all = all(c is not None and c < 5000 for c in converged)
     ok_time = elapsed < 120.0
     detail = (
-        f"{sum(c is not None for c in converged)}/{NUM_REFERENCE_RUNS} runs below 1e-7 "
+        f"{sum(c is not None for c in converged)}/{len(reports)} runs below 1e-7 "
         f"within 5000 iterations (median {int(np.median([c for c in converged if c is not None]))}), "
         f"total {elapsed:.1f}s"
     )
@@ -91,25 +86,26 @@ def test_criterion_2_admissibility(reference_runs):
     assert violations == 0
 
 
-def test_criterion_3_analytic_optimum():
-    spec = make_spec("sphere", num_agents=20, dim=10, hetero_sigma=5.0, seed=7)
-    graph = build_ring(20)
-    target = spec.shifts.mean(axis=0)
+def test_criterion_3_analytic_optimum(load_preset):
+    # The reference instance with heterogeneous shifts: the consensus optimum
+    # of a sum of shifted spheres is the mean shift.
+    cfg = load_preset("reference")
+    cfg = replace(
+        cfg,
+        objective=replace(cfg.objective, hetero_sigma=5.0),
+        variant="act",
+        max_iterations=1200,
+    )
+    run_cfgs, _ = _seeded_runs(cfg, cfg.suite[0])
+    target = run_cfgs[0].objective.shifts.mean(axis=0)
     hits = 0
     errors = []
-    for seed in range(NUM_REFERENCE_RUNS):
-        cfg = RunConfig(
-            objective=spec,
-            graph=graph,
-            variant="act",
-            master_seed=seed,
-            max_iterations=1200,
-        )
-        report = run(cfg)
+    for run_cfg in run_cfgs:
+        report = run(run_cfg)
         err = float(np.linalg.norm(report.final_mean_state - target))
         errors.append(err)
         hits += err <= 1e-2
-    detail = f"{hits}/{NUM_REFERENCE_RUNS} runs with |xbar - mean(o)| <= 1e-2 (median {np.median(errors):.2e})"
+    detail = f"{hits}/{len(run_cfgs)} runs with |xbar - mean(o)| <= 1e-2 (median {np.median(errors):.2e})"
     _report("criterion 3 analytic optimum", hits >= 20, detail)
     assert hits >= 20
 
@@ -142,30 +138,26 @@ def test_criterion_5_perturbation_decay(reference_runs):
     assert worst < 1e-3
 
 
-def test_criterion_6_ablation_trends():
+def test_criterion_6_ablation_trends(load_preset):
     """Desk-scale ablation: cooperation learning must cut communication cost
     to the consensus threshold on most functions, and the full variant must
     match or beat the baseline's best found solution at an equal evaluation
     budget. Fitness is compared on the best agent value (the collective's best
     solution, one of the engine's reported fitness readings) so the comparison
-    measures solution quality rather than termination timing."""
-    graph = build_ring(10)
-    budget = 1500
+    measures solution quality rather than termination timing. The instances
+    are configs/desk.json's: the first six suite families, a unimodal, an
+    ill-conditioned, a non-separable, a valley and two multimodal landscapes."""
+    cfg = load_preset("desk")
     cost_wins = 0
     fitness_wins = 0
     lines = []
-    for family in DESK_FAMILIES:
-        spec = make_spec(family, num_agents=10, dim=10, hetero_sigma=0.0, seed=3)
+    for family in cfg.suite:
+        baseline, _ = _seeded_runs(cfg, family, variant="baseline", stop_at_convergence=False)
+        coop, _ = _seeded_runs(cfg, family, variant="coop")
+        full, _ = _seeded_runs(cfg, family, variant="full", stop_at_convergence=False)
         cost_b, cost_c, best_b, best_f = [], [], [], []
-        for seed in range(DESK_SEEDS):
-            rb = run(RunConfig(objective=spec, graph=graph, variant="baseline",
-                               master_seed=seed, max_iterations=budget,
-                               stop_at_convergence=False))
-            rc = run(RunConfig(objective=spec, graph=graph, variant="coop",
-                               master_seed=seed, max_iterations=budget))
-            rf = run(RunConfig(objective=spec, graph=graph, variant="full",
-                               master_seed=seed, max_iterations=budget,
-                               stop_at_convergence=False))
+        for cb, cc, cf in zip(baseline, coop, full):
+            rb, rc, rf = run(cb), run(cc), run(cf)
             cost_b.append(rb.comm_cost_at_convergence)
             cost_c.append(rc.comm_cost_at_convergence)
             best_b.append(rb.final_best_agent_value)
@@ -177,7 +169,8 @@ def test_criterion_6_ablation_trends():
         lines.append(f"{family}: coop-cost {'<' if coop_better else '>='} base, "
                      f"full-fit {'<=' if full_better else '>'} base")
     detail = (
-        f"coop cost wins {cost_wins}/6, full fitness wins {fitness_wins}/6 | "
+        f"coop cost wins {cost_wins}/{len(cfg.suite)}, "
+        f"full fitness wins {fitness_wins}/{len(cfg.suite)} | "
         + "; ".join(lines)
     )
     _report("criterion 6 ablation trends", cost_wins >= 4 and fitness_wins >= 4, detail)
@@ -185,13 +178,12 @@ def test_criterion_6_ablation_trends():
     assert fitness_wins >= 4
 
 
-def test_criterion_7_determinism(tmp_path):
-    spec = make_spec("sphere", num_agents=20, dim=10, hetero_sigma=0.0, seed=7)
-    graph = build_ring(20)
+def test_criterion_7_determinism(tmp_path, load_preset):
+    cfg = replace(load_preset("reference"), master_seed=123, num_runs=1)
+    (run_cfg,), _ = _seeded_runs(cfg, cfg.suite[0])
     payloads = []
     for name in ("first.csv", "second.csv"):
-        cfg = RunConfig(objective=spec, graph=graph, variant="full", master_seed=123)
-        report = run(cfg)
+        report = run(run_cfg)
         path = tmp_path / name
         write_trace_csv(report, path)
         payloads.append(path.read_bytes())
@@ -247,38 +239,24 @@ def test_criterion_8_guidance_robustness(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def wsn_sweep():
-    graph = build_ring(8)
-    errors = {}
-    for num_targets in (1, 2, 3):
-        errs = []
-        for seed in range(10):
-            scenario = gen_scenario(num_sensors=8, num_targets=num_targets, seed=seed, noise_sigma=0.0)
-            phi = gen_measurements(scenario, seed=seed)
-            objective = WsnObjectiveSet(scenario=scenario, phi=phi)
-            cfg = RunConfig(
-                objective=objective,
-                graph=graph,
-                variant="full",
-                master_seed=seed,
-                max_iterations=3000,
-            )
-            report = run(cfg)
-            errs.append(system_error(scenario, phi, report.final_states))
-        errors[num_targets] = errs
-    return errors
+def wsn_sweep(load_preset, load_script):
+    """scripts/wsn_sweep.py on configs/wsn_sweep.json: the errors by target
+    count and their means floored at the success threshold."""
+    script = load_script("wsn_sweep")
+    errors = script.sweep(load_preset("wsn_sweep"))
+    return errors, script.floored_means(errors)
 
 
 def test_criterion_9_wsn_sanity(wsn_sweep):
-    single = wsn_sweep[1]
-    hits = sum(e < 1e-3 for e in single)
     # Difficulty comparison at the shared budget: errors below the success
     # threshold are all "solved" and their sub-threshold depths are numerical
-    # floor noise, so means are floored at 1e-3 before ordering.
-    means = {nt: float(np.mean(np.maximum(wsn_sweep[nt], 1e-3))) for nt in (1, 2, 3)}
+    # floor noise, so the means are floored at 1e-3 before ordering.
+    errors, means = wsn_sweep
+    single = errors[1]
+    hits = sum(e < 1e-3 for e in single)
     trend = means[1] <= means[2] <= means[3]
     detail = (
-        f"{hits}/10 single-target runs below 1e-3 (median {np.median(single):.2e}); "
+        f"{hits}/{len(single)} single-target runs below 1e-3 (median {np.median(single):.2e}); "
         f"floored mean err by targets {means[1]:.2e} <= {means[2]:.2e} <= {means[3]:.2e}: {trend}"
     )
     _report("criterion 9 wsn sanity", hits >= 8 and trend, detail)

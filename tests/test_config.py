@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -11,8 +12,9 @@ from lacmas.config import (
     config_from_dict,
     load_config,
 )
+from lacmas.engine import RunConfig
 from lacmas.errors import ConfigError
-from lacmas.guidance import HeuristicParams, LlmEndpoint
+from lacmas.guidance import LlmEndpoint
 
 
 def test_empty_config_is_runnable():
@@ -150,12 +152,35 @@ def test_llm_without_endpoint_rejected(monkeypatch):
         _llm_run_config({})
 
 
-def test_heuristic_section_reaches_the_run_config():
-    cfg = config_from_dict({"heuristic": {"c_step": 0.2, "self_weight": 0.3}})
+# A non-default value of every field ExperimentConfig and RunConfig share.
+# objective and graph share only the name: the file holds a spec, the run a
+# built objective and graph.
+SHARED_FIELD_CASES = {
+    "variant": {"variant": "coop"},
+    "provider": {"provider": "llm", "guidance": {"llm_url": "http://cfg:2", "llm_model": "m"}},
+    "max_iterations": {"max_iterations": 77},
+    "convergence_threshold": {"convergence_threshold": 1e-3},
+    "master_seed": {"master_seed": 9},
+    "log_every": {"log_every": 3},
+    "pcg": {"pcg": {"horizon_T": 99, "alphas": [0.1, 0.4, 0.8]}},
+    "swarm": {"swarm": {"population": 7, "d2": 4.0}},
+    "heuristic": {"heuristic": {"c_step": 0.2, "self_weight": 0.3}},
+}
+
+
+def test_every_shared_field_has_a_case():
+    shared = {f.name for f in fields(ExperimentConfig)} & {f.name for f in fields(RunConfig)}
+    assert shared - {"objective", "graph"} == set(SHARED_FIELD_CASES)
+
+
+@pytest.mark.parametrize("name", SHARED_FIELD_CASES)
+def test_shared_field_reaches_the_run_config(name):
+    cfg = config_from_dict(SHARED_FIELD_CASES[name])
+    assert getattr(cfg, name) != getattr(ExperimentConfig(), name)
     objective = build_benchmark(cfg, "sphere")
     graph = build_graph(cfg, objective.num_agents)
-    run_cfg = build_run_config(cfg, objective, graph, master_seed=0)
-    assert run_cfg.heuristic == HeuristicParams(c_step=0.2, self_weight=0.3)
+    run_cfg = build_run_config(cfg, objective, graph, master_seed=cfg.master_seed)
+    assert getattr(run_cfg, name) == getattr(cfg, name)
 
 
 def test_heuristic_values_are_not_guidance_keys():
@@ -180,8 +205,6 @@ def test_build_run_config_overrides_are_validated():
 
 
 def test_every_none_default_has_a_type_check():
-    from dataclasses import fields
-
     from lacmas.config import _NESTED, _OPTIONAL
 
     none_keys = {

@@ -85,6 +85,13 @@ def test_project_drops_foreign_keys_and_handles_nonfinite():
     assert w[0] == 1.0
 
 
+def test_project_keeps_proportions_when_the_sum_overflows():
+    # 1e308 + 1e308 is inf: dividing by it made every weight 0, and the drift
+    # then put the whole row on agent 0, which proposed nothing.
+    w = project_weights([1e308, 1e308, 0.0], build_ring(4), owner=0)
+    assert w.tolist() == [0.0, 0.5, 0.0, 0.5]
+
+
 def test_project_takes_neighbors_then_self():
     g = build_ring(5)
     # Neighbors of 2 are (1, 3); the last entry is the self weight.

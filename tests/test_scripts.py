@@ -1,52 +1,62 @@
-"""The experiment scripts under scripts/: each imports, exposes main() and
-reproduces the acceptance criterion it is named after.
+"""The experiment scripts under scripts/ and the presets under configs/.
 
-Importing runs nothing (each script guards on __main__), but it does resolve
-every lacmas name the script uses, so a script broken by a name the package
-dropped fails here instead of at its next run.
+Each script imports and exposes main(); a script broken by a name the package
+dropped fails here instead of at its next run. Each preset builds every one of
+its runs, so a typo in a preset fails here in well under a second instead of
+in the acceptance gate or a long run.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
 from lacmas.cli import EXIT_OK, main
-from lacmas.config import build_benchmark, build_graph, build_run_config, config_from_dict
+from lacmas.config import (
+    build_benchmark,
+    build_graph,
+    build_run_config,
+    config_from_dict,
+    load_config,
+)
 from lacmas.engine import run
 
-SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
-SCRIPTS = sorted(SCRIPTS_DIR.glob("*.py"))
-
-
-def load(path):
-    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+REPO = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((REPO / "scripts").glob("*.py"))
+PRESETS = sorted((REPO / "configs").glob("*.json"))
 
 
 def test_scripts_are_found():
     assert SCRIPTS
 
 
+def test_presets_are_found():
+    assert PRESETS
+
+
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
-def test_script_imports_and_exposes_main(path):
-    assert callable(load(path).main)
+def test_script_imports_and_exposes_main(path, load_script):
+    assert callable(load_script(path.stem).main)
 
 
-def test_ablation_desk_runs_criterion_6_instances():
-    # Criterion 6 (tests/test_acceptance.py): the first six suite families,
-    # 10 agents, D=10, homogeneous, suite seed 3, 10 seeds, 1500 rounds.
-    config = load(SCRIPTS_DIR / "ablation_desk.py").CONFIG
-    assert config["suite"] == [
-        "sphere", "elliptic", "schwefel_1_2", "rosenbrock", "rastrigin", "ackley"
-    ]
-    assert config["objective"] == {
-        "num_agents": 10, "dim": 10, "hetero_sigma": 0.0, "suite_seed": 3
-    }
-    assert (config["num_runs"], config["max_iterations"]) == (10, 1500)
+@pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.stem)
+def test_preset_builds_every_run(path, load_script):
+    cfg = load_config(path)
+    if path.stem == "wsn_sweep":
+        # Targets x seeds, as the sweep script builds them.
+        runs = load_script("wsn_sweep").sweep_runs(cfg)
+        assert len(runs) == cfg.wsn.num_targets * cfg.num_runs
+    else:
+        # Families x seeds, as `lacmas run` and `lacmas suite` build them.
+        runs = []
+        for family in cfg.suite:
+            objective = build_benchmark(cfg, family)
+            graph = build_graph(cfg, objective.num_agents)
+            runs += [
+                build_run_config(cfg, objective, graph, cfg.master_seed + k)
+                for k in range(cfg.num_runs)
+            ]
+        assert len(runs) == len(cfg.suite) * cfg.num_runs
 
 
 def test_suite_table_has_criterion_6_fitness_reading(tmp_path):
@@ -71,9 +81,9 @@ def test_suite_table_has_criterion_6_fitness_reading(tmp_path):
     assert float(cells["mean_best_agent_value"]) == sum(bests) / 2
 
 
-def test_wsn_sweep_floors_errors_before_ordering():
+def test_wsn_sweep_floors_errors_before_ordering(load_script):
     # Criterion 9 floors errors at 1e-3: sub-threshold depths are floor noise,
     # and unfloored they would order 1 target (1e-9) after 2 targets (1e-12).
-    sweep = load(SCRIPTS_DIR / "wsn_sweep.py")
+    sweep = load_script("wsn_sweep")
     means = sweep.floored_means({1: [1e-9, 1e-5], 2: [1e-12], 3: [0.5, 1e-4]})
     assert means == {1: 1e-3, 2: 1e-3, 3: (0.5 + 1e-3) / 2}

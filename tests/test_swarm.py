@@ -48,7 +48,7 @@ def step_all(population, swarms, active_coeff, record_pull=True):
     """Every swarm draws, then one batched update; returns the committed rows."""
     for swarm in swarms:
         swarm.step_particles(active_coeff)
-    return population.step(len(swarms), record_pull)
+    return population.step(record_pull)
 
 
 def best_value(swarm):
@@ -441,7 +441,7 @@ def test_batched_step_matches_the_per_agent_rule(record_pull):
             d, c = population.coefficients[i]
             actives.append((d, 1.0, c)[(round_ + i) % 3])
             swarm.step_particles(actives[i])
-        assert population.step(n, record_pull) == n
+        assert population.step(record_pull) == n
         assert all(reference_step(reference, i, actives[i], record_pull) for i in range(n))
         assert_same_state(population, reference)
         walls += np.count_nonzero(np.abs(population.positions) == 10.0)
@@ -464,16 +464,6 @@ def test_a_non_finite_row_stops_the_commit_there():
     assert np.isfinite(population.positions).all()
     assert not np.array_equal(population.positions[:2], before[:2])
     assert np.array_equal(population.positions[2:], before[2:])
-
-
-def test_a_step_of_no_rows_changes_nothing():
-    population, _ = make_population(3)
-    positions, velocities = population.positions.copy(), population.velocities.copy()
-    states = [rng.bit_generator.state for rng in population.rngs]
-    assert population.step(0, record_pull=True) == 0
-    assert np.array_equal(population.positions, positions)
-    assert np.array_equal(population.velocities, velocities)
-    assert [rng.bit_generator.state for rng in population.rngs] == states
 
 
 @pytest.mark.parametrize("eps, kicked", [(0.0, False), (1e6, True)])
