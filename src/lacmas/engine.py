@@ -55,6 +55,8 @@ _COOP_VARIANTS = ("coop", "full")
 
 DESCRIPTOR_SCALARS = 3  # fitness / divergence / state-delta means per exchange
 
+_sum = np.add.reduce
+
 
 class ObjectiveSet(Protocol):
     num_agents: int
@@ -83,8 +85,8 @@ def disagreement(states: np.ndarray) -> float:
     states = np.asarray(states, dtype=float)
     n = len(states)
     # sum / n is what ndarray.mean computes, without its Python wrapper.
-    d = states - states.sum(axis=0) / n
-    return float((d * d).sum() / n)
+    d = states - _sum(states, axis=0) / n
+    return float(_sum(d * d, axis=None) / n)
 
 
 def comm_cost_per_round(graph: CommGraph, dim: int) -> int:
@@ -414,13 +416,13 @@ def run(config: RunConfig, provider=None) -> RunReport:
             swarm.inject_fused_state(state, value, refocus=late_stage)
 
         diffs = fused - consensus_prev
-        state_deltas = np.sqrt((diffs * diffs).sum(axis=1))
+        state_deltas = np.sqrt(_sum(diffs * diffs, axis=1))
         e = fused[edge_src] - fused[edge_dst]
-        edge_norms = np.sqrt((e * e).sum(axis=1))
+        edge_norms = np.sqrt(_sum(e * e, axis=1))
         local_dis = np.bincount(edge_src, weights=edge_norms, minlength=n) / degrees
         bests = population.agent_bests()
         finite = np.isfinite(bests) & np.isfinite(divergences)
-        if not finite.all():
+        if not np.logical_and.reduce(finite):
             # Caught here, a run whose values overflow stops as a numerical
             # fault instead of failing later in a descriptor's range checks.
             bad = int(np.argmin(finite))
@@ -445,7 +447,7 @@ def run(config: RunConfig, provider=None) -> RunReport:
             rows.append(
                 TraceRow(
                     iteration=t,
-                    global_fitness_mean_state=obj.eval_global(fused.mean(axis=0)),
+                    global_fitness_mean_state=obj.eval_global(_sum(fused, axis=0) / n),
                     disagreement=dis,
                     comm_cost=comm_cost,
                     stage=scheduler.stage(t, config.pcg),

@@ -144,6 +144,28 @@ class HeuristicParams:
     self_weight: float = 0.2
 
 
+def _sorted_percentile(ordered: list[float], q: float) -> float:
+    """np.percentile(ordered, 100 * q) for a sorted list and 0 < q < 1.
+
+    numpy's default 'linear' rule, step for step: the virtual index
+    n*q + (1-q) - 1, its floor j and fraction g, then a + d*g, or
+    b - d*(1-g) once g >= 0.5, with a, b the entries at j, j+1 and d = b - a.
+    For one entry numpy takes j, j+1 = -1, -1 and g = 1, so it returns
+    b - d*0: the entry itself, or NaN for an infinite one. With no NaN in the
+    list the bits are numpy's.
+    """
+    n = len(ordered)
+    if n == 1:
+        b = ordered[0]
+        return b - (b - b) * 0.0
+    virtual = n * q + (1 - q) - 1
+    j = math.floor(virtual)
+    g = virtual - j
+    a, b = ordered[j], ordered[j + 1]
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 def heuristic_advise_act(req: ActRequest, params: HeuristicParams = HeuristicParams()) -> ActGuidance:
     """Rule-based (d, c) update from the trajectory window.
 
@@ -157,9 +179,10 @@ def heuristic_advise_act(req: ActRequest, params: HeuristicParams = HeuristicPar
     fitness = [f for (_, f, _) in req.trajectory]
     disagreement = [g for (_, _, g) in req.trajectory]
     improvement = (fitness[0] - fitness[-1]) / max(abs(fitness[0]), 1e-12)
-    g_mean = float(np.mean(disagreement))
-    g_low = float(np.percentile(disagreement, 25))
-    g_high = float(np.percentile(disagreement, 75))
+    # sum / n is what np.mean computes, without its Python wrappers.
+    g_mean = float(np.add.reduce(disagreement) / len(disagreement))
+    ordered = sorted(disagreement)
+    g_low, g_high = _sorted_percentile(ordered, 0.25), _sorted_percentile(ordered, 0.75)
 
     d, c = req.current_d, req.current_c
     if improvement < params.stall_eps and g_mean <= g_low:

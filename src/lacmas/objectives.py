@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import ContractError
 
+_sum = np.add.reduce
+
 FAMILIES = (
     "sphere",
     "elliptic",
@@ -117,16 +119,16 @@ def checked_points(xs: np.ndarray, ndim: int, dim: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != ndim or xs.shape[-1] != dim:
         raise ContractError(f"expected a {ndim}-axis batch of {dim}-vectors, got {xs.shape}")
-    if not math.isfinite(float(xs.sum())):
+    if not math.isfinite(float(_sum(xs, axis=None))):
         raise ContractError("non-finite evaluation point")
     return xs
 
 
-# Base functions g: (M, D) -> (M,), each with g(0) = 0 and g >= 0. Row sums use
-# the ndarray methods, which skip the np.sum dispatch layer.
+# Base functions g: (M, D) -> (M,), each with g(0) = 0 and g >= 0. Row sums and
+# products call the ufunc reductions that ndarray.sum and .prod wrap.
 
 def _sphere(z):
-    return (z * z).sum(axis=1)
+    return _sum(z * z, axis=1)
 
 
 def _elliptic(z):
@@ -134,12 +136,12 @@ def _elliptic(z):
     if d == 1:
         return z[:, 0] ** 2
     coef = 1e6 ** (np.arange(d) / (d - 1))
-    return (coef * z * z).sum(axis=1)
+    return _sum(coef * z * z, axis=1)
 
 
 def _schwefel_1_2(z):
     partial = np.cumsum(z, axis=1)
-    return (partial * partial).sum(axis=1)
+    return _sum(partial * partial, axis=1)
 
 
 def _rosenbrock(z):
@@ -147,24 +149,24 @@ def _rosenbrock(z):
     if z.shape[1] == 1:
         return z[:, 0] ** 2
     y = z + 1.0
-    return (100.0 * (y[:, 1:] - y[:, :-1] ** 2) ** 2 + (y[:, :-1] - 1.0) ** 2).sum(axis=1)
+    return _sum(100.0 * (y[:, 1:] - y[:, :-1] ** 2) ** 2 + (y[:, :-1] - 1.0) ** 2, axis=1)
 
 
 def _rastrigin(z):
-    return (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=1)
+    return _sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, axis=1)
 
 
 def _ackley(z):
     d = z.shape[1]
-    a = -20.0 * np.exp(-0.2 * np.sqrt((z * z).sum(axis=1) / d))
-    b = -np.exp(np.cos(2.0 * np.pi * z).sum(axis=1) / d)
+    a = -20.0 * np.exp(-0.2 * np.sqrt(_sum(z * z, axis=1) / d))
+    b = -np.exp(_sum(np.cos(2.0 * np.pi * z), axis=1) / d)
     return a + b + 20.0 + np.e
 
 
 def _griewank(z):
     d = z.shape[1]
-    s = (z * z).sum(axis=1) / 4000.0
-    p = np.cos(z / np.sqrt(np.arange(1, d + 1))).prod(axis=1)
+    s = _sum(z * z, axis=1) / 4000.0
+    p = np.multiply.reduce(np.cos(z / np.sqrt(np.arange(1, d + 1))), axis=1)
     return s - p + 1.0
 
 

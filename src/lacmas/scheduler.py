@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigError
 
@@ -49,11 +50,13 @@ class PcgConfig:
         if not 0 < a1 < a2 < a3 <= 1:
             raise ConfigError("need 0 < alpha_1 < alpha_2 < alpha_3 <= 1")
 
-    @property
+    # Read by gate_int and stage every round; the config is frozen, so each
+    # ceiling is computed once per instance.
+    @cached_property
     def int_refresh_points(self) -> tuple[int, int]:
         return (_ceil(self.rho_1 * self.horizon_T), _ceil(self.rho_2 * self.horizon_T))
 
-    @property
+    @cached_property
     def stage_breakpoints(self) -> tuple[int, int, int]:
         return tuple(_ceil(a * self.horizon_T) for a in self.alphas)
 

@@ -177,6 +177,7 @@ class Population:
         self.proposed = np.empty((n, p, dim))
         self.centroid = np.empty(dim)
         self.row_scratch = np.empty((p, dim))
+        self.row_index = np.arange(n)
 
     def step(self, record_pull: bool) -> int:
         """Move every row by the draws and coefficients its step_particles
@@ -210,14 +211,15 @@ class Population:
         speed2 = _sum(np.multiply(v, v, out=scratch), axis=2)
         limits = np.square(p.kick_velocity_eps * sigmas)
         dead = speed2 < limits[:, None]
-        dying = dead.any(axis=1)
-        for i in np.flatnonzero(dying & ~self.kicking).tolist():
+        dying = np.logical_or.reduce(dead, axis=1)
+        # dying > kicking is dying & ~kicking: agents whose recovery starts now.
+        for i in (dying > self.kicking).nonzero()[0].tolist():
             # Seed the recovery scale from where the collapse happened.
             abest = self.best_positions[i, self.best_values[i].argmin()]
             spread = float(np.median(np.linalg.norm(x[i] - abest, axis=1)))
             sigmas[i] = max(min(float(sigmas[i]), spread), self.kick_floor)
         self.kicking |= dying
-        for i in np.flatnonzero(~dying).tolist():
+        for i in (~dying).nonzero()[0].tolist():
             self.rngs[i].bit_generator.advance(self.rewind)
         # -1 + 2u is Generator.uniform(-1, 1) on the same stream. The active
         # regime coefficient scales the kick: the escape coefficient widens
@@ -239,7 +241,7 @@ class Population:
         flat = (n, -1)
         total = _sum(new.reshape(flat), axis=1) + _sum(v.reshape(flat), axis=1)
         finite = np.isfinite(total)
-        committed = n if finite.all() else int(finite.argmin())
+        committed = n if np.logical_and.reduce(finite) else int(finite.argmin())
         x[:committed] = new[:committed]
         return committed
 
@@ -267,18 +269,18 @@ class Population:
         # Success-rate step-size control; holds at the initialization scale
         # until an agent's collapse recovery starts.
         sigmas = self.kick_sigma[rows]
-        scaled = sigmas * self.kick_factors[np.count_nonzero(improved, axis=1)]
+        scaled = sigmas * self.kick_factors[_sum(improved, axis=1, dtype=np.intp)]
         np.minimum(scaled, self.span_mean, out=sigmas, where=self.kicking[rows])
 
     def representatives(self, upto: int | None = None) -> np.ndarray:
         """Each agent's representative state (see AgentSwarm.representative_state)
         for rows below `upto`, as a new (upto, D) array."""
         picks = self.last_values[:upto].argmin(axis=1)
-        return self.positions[np.arange(len(picks)), picks]
+        return self.positions[self.row_index[:upto], picks]
 
     def agent_bests(self) -> np.ndarray:
         """Each agent's all-time best value (N,), monotone across rebases."""
-        records = self.best_values.min(axis=1)
+        records = np.minimum.reduce(self.best_values, axis=1)
         # Python's min(best_seen, record): the record only where strictly lower.
         return np.where(records < self.best_seen, records, self.best_seen)
 

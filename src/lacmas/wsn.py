@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .objectives import checked_points
 
+_sum = np.add.reduce
+
 DEFAULT_P0 = -40.0
 DEFAULT_D0 = 1.0
 DEFAULT_PATH_LOSS_EXP = 3.0
@@ -140,7 +142,7 @@ def local_objective_batch(
     layouts = decode_targets(scn, checked_points(xs, 2, scn.dim))  # (M, N_t, 3)
     dists = _norm_last_axis(layouts - scn.sensor_positions[sensor])
     residual = phi[sensor] - rss_model(scn, dists)
-    return (residual * residual).sum(axis=1)
+    return _sum(residual * residual, axis=1)
 
 
 def all_local_objectives(scn: WsnScenario, phi: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -153,7 +155,7 @@ def all_local_objectives(scn: WsnScenario, phi: np.ndarray, xs: np.ndarray) -> n
     layouts = decode_targets(scn, xs)  # (n, M, N_t, 3)
     dists = _norm_last_axis(layouts - scn.sensor_positions[:, None, None, :])
     residual = phi[:, None, :] - rss_model(scn, dists)
-    return (residual * residual).sum(axis=-1)
+    return _sum(residual * residual, axis=-1)
 
 
 def global_objective(scn: WsnScenario, phi: np.ndarray, x: np.ndarray) -> float:
@@ -167,7 +169,7 @@ def global_objective(scn: WsnScenario, phi: np.ndarray, x: np.ndarray) -> float:
 
 def _norm_last_axis(d: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, computed as np.linalg.norm does."""
-    return np.sqrt((d * d).sum(axis=-1))
+    return np.sqrt(_sum(d * d, axis=-1))
 
 
 def system_error(scn: WsnScenario, phi: np.ndarray, agent_states: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 The history array, its window means and the kick-scale factor table replace
 per-agent Python code: a list of records per agent averaged with np.mean, and
-a math.exp per agent and round. Each must give the same bits, for every
+a math.exp per agent and round. The act rule's quartiles come from one sort
+in place of two np.percentile calls. Each must give the same bits, for every
 window length and with the ring buffer wrapped, or the traces move.
 """
 
@@ -16,7 +17,18 @@ from hypothesis import strategies as st
 
 from lacmas.cooperation import build_descriptor
 from lacmas.engine import AgentHistory
-from lacmas.guidance import ACT_WINDOW
+from lacmas.guidance import (
+    ACT_WINDOW,
+    C_DEFAULT,
+    C_RANGE,
+    D_DEFAULT,
+    D_RANGE,
+    ActGuidance,
+    ActRequest,
+    HeuristicParams,
+    _sorted_percentile,
+    heuristic_advise_act,
+)
 from lacmas.swarm import Population, SwarmParams
 
 FIELDS = len(AgentHistory.FIELDS)
@@ -98,3 +110,84 @@ def test_tell_kick_scale_matches_the_math_exp_rule(p, adapt, target, data):
         for sigma, k, kick in zip(sigmas, successes, kicking)
     ]
     assert population.kick_sigma.tolist() == expected
+
+
+magnitude = st.floats(1e-300, 1e300)
+entry = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
+finite_windows = st.one_of(
+    st.lists(entry, min_size=1, max_size=ACT_WINDOW),
+    # Drawn from a pool of at most three values, so most windows hold ties.
+    st.lists(entry, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=ACT_WINDOW)
+    ),
+)
+infinite = st.sampled_from([math.inf, -math.inf])
+
+
+def with_one_of(entries):
+    """A finite window, or one with an entry drawn from `entries` put in at random."""
+
+    @st.composite
+    def windows(draw):
+        window = draw(finite_windows)
+        if draw(st.booleans()):
+            window[draw(st.integers(0, len(window) - 1))] = draw(entries)
+        return window
+
+    return windows()
+
+
+act_windows = with_one_of(st.one_of(infinite, st.just(math.nan)))
+
+
+def numpy_act_rule(req: ActRequest, params: HeuristicParams = HeuristicParams()) -> ActGuidance:
+    """The act rule with np.mean and np.percentile, as first written."""
+    fitness = [f for (_, f, _) in req.trajectory]
+    disagreement = [g for (_, _, g) in req.trajectory]
+    improvement = (fitness[0] - fitness[-1]) / max(abs(fitness[0]), 1e-12)
+    g_mean = float(np.mean(disagreement))
+    g_low = float(np.percentile(disagreement, 25))
+    g_high = float(np.percentile(disagreement, 75))
+    d, c = req.current_d, req.current_c
+    if improvement < params.stall_eps and g_mean <= g_low:
+        c = c + params.c_step
+    elif improvement < params.stall_eps and g_mean >= g_high:
+        d = d + params.d_step
+    else:
+        d = d + params.decay * (D_DEFAULT - d)
+        c = c + params.decay * (C_DEFAULT - c)
+    return ActGuidance(d=d, c=c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(with_one_of(infinite))
+def test_sorted_quartiles_match_np_percentile(window):
+    # An infinite entry makes inf - inf and inf * 0 in both rules: NaN alike.
+    ordered = sorted(window)
+    for q in (25, 75):
+        got = _sorted_percentile(ordered, q / 100)
+        with np.errstate(invalid="ignore"):
+            expected = float(np.percentile(window, q))
+        assert got.hex() == expected.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    disagreement=act_windows,
+    data=st.data(),
+    d=st.floats(*D_RANGE),
+    c=st.floats(*C_RANGE),
+)
+def test_act_rule_matches_the_numpy_percentile_rule(disagreement, data, d, c):
+    n = len(disagreement)
+    # Few fitness values, so stalled windows (improvement 0) are common.
+    fitness = data.draw(st.lists(st.sampled_from([1.0, 0.5, 1e-9, 3e5]), min_size=n, max_size=n))
+    req = ActRequest(
+        iteration=n,
+        current_d=d,
+        current_c=c,
+        trajectory=tuple(zip(range(n), fitness, disagreement)),
+    )
+    with np.errstate(invalid="ignore"):
+        got, expected = heuristic_advise_act(req), numpy_act_rule(req)
+    assert (got.d.hex(), got.c.hex()) == (expected.d.hex(), expected.c.hex())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacmas.errors import ConfigError
-from lacmas.scheduler import PcgConfig, calibrate_horizon, gate_ext, gate_int, stage
+from lacmas.scheduler import PcgConfig, _ceil, calibrate_horizon, gate_ext, gate_int, stage
 
 REF = PcgConfig(horizon_T=100, rho_ext=0.1, rho_1=0.2, rho_2=0.6, alphas=(0.2, 0.5, 0.9))
 
@@ -142,3 +143,60 @@ def test_gate_int_properties(horizon, rho_ext, rho_pair):
 def test_stage_partitions_time(horizon, t):
     cfg = PcgConfig(horizon_T=horizon)
     assert stage(t, cfg) in (1, 2, 3, 4)
+
+
+@st.composite
+def pcg_configs(draw):
+    ratio = st.floats(0.01, 0.99)
+    rho_1, rho_2 = sorted(draw(st.lists(ratio, min_size=2, max_size=2, unique=True)))
+    alphas = sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3, unique=True)))
+    return PcgConfig(
+        horizon_T=draw(st.integers(1, 300)),
+        rho_ext=draw(st.floats(0.01, 1.5)),
+        rho_1=rho_1,
+        rho_2=rho_2,
+        alphas=tuple(alphas),
+    )
+
+
+def fresh_schedule(cfg: PcgConfig, t_max: int) -> tuple[list[bool], list[bool], list[int]]:
+    """gate_int, gate_ext and stage for t in [0, t_max], every ceiling
+    recomputed from the config's fields, nothing cached."""
+    horizon = cfg.horizon_T
+    interval = cfg.rho_ext * horizon
+    grid, m = set(), 1
+    while (point := _ceil(m * interval)) <= t_max:
+        grid.add(point)
+        m += 1
+    ts = range(t_max + 1)
+    internal = [
+        t < horizon and t in (_ceil(cfg.rho_1 * horizon), _ceil(cfg.rho_2 * horizon)) for t in ts
+    ]
+    external = [t >= 1 and t in grid for t in ts]
+    stages = [1 + sum(t >= _ceil(a * horizon) for a in cfg.alphas) for t in ts]
+    return internal, external, stages
+
+
+@settings(max_examples=100, deadline=None)
+@given(pcg_configs())
+def test_gates_and_stage_match_a_fresh_recomputation(cfg):
+    t_max = 3 * cfg.horizon_T
+    internal, external, stages = fresh_schedule(cfg, t_max)
+    ts = range(t_max + 1)
+    assert [gate_int(t, cfg) for t in ts] == internal
+    assert [gate_ext(t, cfg) for t in ts] == external
+    assert [stage(t, cfg) for t in ts] == stages
+
+
+@settings(max_examples=60, deadline=None)
+@given(pcg_configs(), st.integers(1, 300))
+def test_cached_ceilings_stay_with_their_instance(cfg, horizon):
+    twin = dataclasses.replace(cfg)
+    before = (hash(cfg), cfg == twin)
+    # Reading the ceilings caches them on cfg alone.
+    cached = (cfg.int_refresh_points, cfg.stage_breakpoints)
+    assert (hash(cfg), cfg == twin) == before == (hash(twin), True)
+    moved = dataclasses.replace(cfg, horizon_T=horizon)
+    assert moved.int_refresh_points == (_ceil(cfg.rho_1 * horizon), _ceil(cfg.rho_2 * horizon))
+    assert moved.stage_breakpoints == tuple(_ceil(a * horizon) for a in cfg.alphas)
+    assert (cfg.int_refresh_points, cfg.stage_breakpoints) == cached
