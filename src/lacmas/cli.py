@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .config import (
     build_run_config,
     build_wsn_objective,
     load_config,
+    seeded_runs,
 )
 from .errors import ConfigError, ContractError
 from .objectives import FAMILIES
@@ -149,14 +151,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         top["output_dir"] = args.out
     if getattr(args, "suite", None):
         top["suite"] = [f.strip() for f in args.suite.split(",") if f.strip()]
-    cfg = replace(cfg, **top)
-    if cfg.variant == "baseline" and cfg.provider == "llm":
-        print(
-            "warning: provider 'llm' has no effect for the baseline variant; using heuristic",
-            file=sys.stderr,
-        )
-        cfg = replace(cfg, provider="heuristic")
-    return cfg
+    return replace(cfg, **top)
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -169,15 +164,11 @@ def cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     record = args.record_matrices
     # Every run is built, and so checked, before anything is written.
-    runs = []
-    for family in cfg.suite:
-        objective = build_benchmark(cfg, family)
-        graph = build_graph(cfg, objective.num_agents)
-        for k in range(cfg.num_runs):
-            run_cfg = build_run_config(
-                cfg, objective, graph, cfg.master_seed + k, record_matrices=record
-            )
-            runs.append((family, run_cfg))
+    runs = [
+        (family, run_cfg)
+        for family in cfg.suite
+        for run_cfg in seeded_runs(cfg, build_benchmark(cfg, family), record_matrices=record)
+    ]
     out = _outdir(cfg)
     summaries = []
     for family, run_cfg in runs:
@@ -201,25 +192,17 @@ def cmd_run(args) -> int:
 def cmd_suite(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:
-        if v not in engine.VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}")
+    if not variants:
+        raise ConfigError("--variants must name at least one variant")
     # Variants run to the full budget so final fitness is compared at equal
     # evaluation counts; communication cost is counted up to the first
-    # disagreement-threshold crossing.
+    # disagreement-threshold crossing. Every cell is built, and so checked,
+    # before anything is written.
     cells = []
     for family in cfg.suite:
         objective = build_benchmark(cfg, family)
-        graph = build_graph(cfg, objective.num_agents)
         for variant in variants:
-            provider = "heuristic" if variant == "baseline" else cfg.provider
-            run_cfgs = [
-                build_run_config(
-                    cfg, objective, graph, cfg.master_seed + k,
-                    variant=variant, provider=provider, stop_at_convergence=False,
-                )
-                for k in range(cfg.num_runs)
-            ]
+            run_cfgs = seeded_runs(cfg, objective, variant=variant, stop_at_convergence=False)
             cells.append((family, variant, run_cfgs))
     out = _outdir(cfg)
     lines = [
@@ -273,7 +256,7 @@ def cmd_calibrate(args) -> int:
     graph = build_graph(cfg, objective.num_agents)
     run_cfg = build_run_config(
         cfg, objective, graph, cfg.master_seed,
-        variant="baseline", provider="heuristic", max_iterations=args.probe_length,
+        variant="baseline", max_iterations=args.probe_length,
     )
     report = engine.run(run_cfg)
     if report.aborted:
@@ -288,15 +271,34 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
+def _read_matrices(path) -> list[np.ndarray]:
+    """The arrays of an .npz file, each a square matrix of real numbers.
+    Anything else is a ConfigError, raised before a graph is built."""
     try:
-        with np.load(args.matrices) as data:
-            matrices = [data[key] for key in data.files]
-    except OSError as exc:
+        data = np.load(path)
+        if isinstance(data, np.lib.npyio.NpzFile):
+            with data:
+                matrices = {key: data[key] for key in data.files}
+    # A short or foreign file ends in EOFError or ValueError (numpy takes
+    # what it cannot parse for pickled data), a broken archive in BadZipFile.
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read matrices file: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ConfigError(f"matrices file {path} is not an .npz archive")
     if not matrices:
         raise ConfigError("matrices file is empty")
+    for key, m in matrices.items():
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.dtype.kind not in "biuf":
+            raise ConfigError(
+                f"matrices file entry {key!r} is not a square real matrix "
+                f"(shape {m.shape}, dtype {m.dtype})"
+            )
+    return list(matrices.values())
+
+
+def cmd_verify(args) -> int:
+    cfg = load_config(args.config)
+    matrices = _read_matrices(args.matrices)
     graph = build_graph(cfg, matrices[0].shape[0])
     failures = 0
     for idx, matrix in enumerate(matrices):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .engine import RunConfig
 from .errors import ConfigError
-from .guidance import LLM_TIMEOUT, HeuristicParams, LlmEndpoint
+from .guidance import LLM_TIMEOUT, LlmEndpoint
 from .objectives import FAMILIES, BenchmarkSpec, make_spec
 from .scheduler import PcgConfig
 from .swarm import SwarmParams
@@ -101,7 +101,6 @@ class ExperimentConfig:
     pcg: PcgConfig = field(default_factory=PcgConfig)
     swarm: SwarmParams = field(default_factory=SwarmParams)
     guidance: GuidanceSpec = field(default_factory=GuidanceSpec)
-    heuristic: HeuristicParams = field(default_factory=HeuristicParams)
 
     def __post_init__(self):
         if self.num_runs < 1:
@@ -120,7 +119,6 @@ _NESTED = {
     "pcg": PcgConfig,
     "swarm": SwarmParams,
     "guidance": GuidanceSpec,
-    "heuristic": HeuristicParams,
 }
 
 
@@ -261,6 +259,17 @@ def build_run_config(
         "llm": _llm_endpoint(cfg.guidance),
         **overrides,
     })
+
+
+def seeded_runs(cfg: ExperimentConfig, objective, **overrides) -> list[RunConfig]:
+    """The `cfg.num_runs` seeded runs of `cfg` on `objective`: run k has seed
+    `cfg.master_seed + k`, and all share one graph. `overrides` go to
+    build_run_config."""
+    graph = build_graph(cfg, objective.num_agents)
+    return [
+        build_run_config(cfg, objective, graph, cfg.master_seed + k, **overrides)
+        for k in range(cfg.num_runs)
+    ]
 
 
 def _llm_endpoint(g: GuidanceSpec) -> LlmEndpoint | None:

@@ -40,7 +40,6 @@ from .guidance import (
     D_DEFAULT,
     ActRequest,
     CoopRequest,
-    HeuristicParams,
     HeuristicProvider,
     LlmEndpoint,
     LlmProvider,
@@ -52,6 +51,7 @@ from .topology import CommGraph
 VARIANTS = ("baseline", "act", "coop", "full")
 _ACT_VARIANTS = ("act", "full")
 _COOP_VARIANTS = ("coop", "full")
+_GUIDED_VARIANTS = ("act", "coop", "full")
 
 DESCRIPTOR_SCALARS = 3  # fitness / divergence / state-delta means per exchange
 
@@ -163,7 +163,6 @@ class RunConfig:
     log_every: int = 10
     pcg: PcgConfig = field(default_factory=PcgConfig)
     swarm: SwarmParams = field(default_factory=SwarmParams)
-    heuristic: HeuristicParams = field(default_factory=HeuristicParams)
     llm: LlmEndpoint | None = None
     record_matrices: bool = False
 
@@ -172,7 +171,8 @@ class RunConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.provider not in ("heuristic", "llm"):
             raise ConfigError(f"provider must be heuristic or llm, got {self.provider!r}")
-        if self.provider == "llm" and self.llm is None:
+        # A baseline run consults no guidance, so it needs no endpoint.
+        if self.provider == "llm" and self.llm is None and self.variant in _GUIDED_VARIANTS:
             raise ConfigError(
                 "provider 'llm' needs guidance.llm_url and guidance.llm_model, "
                 "or LACMAS_LLM_URL and LACMAS_LLM_MODEL in the environment"
@@ -270,21 +270,20 @@ def summarize(report: RunReport) -> str:
 
 
 def _make_provider(config: RunConfig):
-    if config.provider == "llm":
-        return LlmProvider(endpoint=config.llm, params=config.heuristic)
-    return HeuristicProvider(config.heuristic)
+    if config.provider == "llm" and config.variant in _GUIDED_VARIANTS:
+        return LlmProvider(endpoint=config.llm)
+    return HeuristicProvider()
 
 
 # Overflow and invalid operations yield inf or NaN values, which the round loop
 # reports as a numerical fault; numpy's warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
-def run(config: RunConfig, provider=None) -> RunReport:
+def run(config: RunConfig) -> RunReport:
     """Execute one seeded run to convergence or the iteration cap."""
     start = time.perf_counter()
     obj, graph = config.objective, config.graph
     n, dim = obj.num_agents, obj.dim
-    if provider is None:
-        provider = _make_provider(config)
+    provider = _make_provider(config)
 
     agent_seqs = np.random.SeedSequence(config.master_seed).spawn(n)
     population = Population(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,13 +135,16 @@ class CoopGuidance:
 # -- heuristic rules -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeuristicParams:
-    stall_eps: float = 1e-3
-    c_step: float = 0.1
-    d_step: float = 0.05
-    decay: float = 0.1
-    self_weight: float = 0.2
+# Relative fitness improvement over the act window below which a run counts
+# as stalled.
+STALL_EPS = 1e-3
+# (d, c) steps of a stall, and the fraction of the way back to the defaults
+# the pair relaxes otherwise.
+C_STEP = 0.1
+D_STEP = 0.05
+DECAY = 0.1
+# The raw self weight every cooperation answer ends with.
+SELF_WEIGHT = 0.2
 
 
 def _sorted_percentile(ordered: list[float], q: float) -> float:
@@ -166,7 +169,7 @@ def _sorted_percentile(ordered: list[float], q: float) -> float:
     return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
-def heuristic_advise_act(req: ActRequest, params: HeuristicParams = HeuristicParams()) -> ActGuidance:
+def heuristic_advise_act(req: ActRequest) -> ActGuidance:
     """Rule-based (d, c) update from the trajectory window.
 
     Stagnation with low disagreement raises the escape coefficient c;
@@ -185,17 +188,17 @@ def heuristic_advise_act(req: ActRequest, params: HeuristicParams = HeuristicPar
     g_low, g_high = _sorted_percentile(ordered, 0.25), _sorted_percentile(ordered, 0.75)
 
     d, c = req.current_d, req.current_c
-    if improvement < params.stall_eps and g_mean <= g_low:
-        c = c + params.c_step
-    elif improvement < params.stall_eps and g_mean >= g_high:
-        d = d + params.d_step
+    if improvement < STALL_EPS and g_mean <= g_low:
+        c = c + C_STEP
+    elif improvement < STALL_EPS and g_mean >= g_high:
+        d = d + D_STEP
     else:
-        d = d + params.decay * (D_DEFAULT - d)
-        c = c + params.decay * (C_DEFAULT - c)
+        d = d + DECAY * (D_DEFAULT - d)
+        c = c + DECAY * (C_DEFAULT - c)
     return ActGuidance(d=d, c=c)
 
 
-def heuristic_advise_coop(req: CoopRequest, params: HeuristicParams = HeuristicParams()) -> CoopGuidance:
+def heuristic_advise_coop(req: CoopRequest) -> CoopGuidance:
     """Rank-based neighbor weighting.
 
     Neighbors are scored by fitness rank (double weight) plus disagreement
@@ -210,7 +213,7 @@ def heuristic_advise_coop(req: CoopRequest, params: HeuristicParams = HeuristicP
     dis = [s[1] for s in req.neighbor_stats]
     n = len(fit)
     if n == 1:
-        return CoopGuidance(raw_weights=(0.4, params.self_weight))
+        return CoopGuidance(raw_weights=(0.4, SELF_WEIGHT))
     sep_f = _relative_separation(fit)
     sep_g = _relative_separation(dis)
     f_level = [r / (n - 1) * sep_f for r in _avg_ranks(fit)]
@@ -223,7 +226,7 @@ def heuristic_advise_coop(req: CoopRequest, params: HeuristicParams = HeuristicP
         increase = (1.0 - f) ** 2 * (1.0 - g)
         decrease = f * f * g
         weights.append(0.25 + 0.15 * increase - 0.10 * decrease)
-    return CoopGuidance(raw_weights=(*weights, params.self_weight))
+    return CoopGuidance(raw_weights=(*weights, SELF_WEIGHT))
 
 
 def _relative_separation(values: list[float]) -> float:
@@ -360,14 +363,11 @@ def llm_advise(prompt: str, endpoint: LlmEndpoint) -> str:
 class HeuristicProvider:
     """Pure rule-based provider; the deterministic reference path."""
 
-    def __init__(self, params: HeuristicParams = HeuristicParams()):
-        self.params = params
-
     def advise_act(self, req: ActRequest) -> ActGuidance:
-        return heuristic_advise_act(req, self.params)
+        return heuristic_advise_act(req)
 
     def advise_coop(self, req: CoopRequest) -> CoopGuidance:
-        return heuristic_advise_coop(req, self.params)
+        return heuristic_advise_coop(req)
 
 
 @dataclass
@@ -379,7 +379,6 @@ class LlmProvider:
     """
 
     endpoint: LlmEndpoint
-    params: HeuristicParams = field(default_factory=HeuristicParams)
     fallback_count: int = 0
 
     def advise_act(self, req: ActRequest) -> ActGuidance:
@@ -387,7 +386,7 @@ class LlmProvider:
             return parse_act_response(llm_advise(build_act_prompt(req), self.endpoint))
         except (LlmTransportError, GuidanceParseError):
             self.fallback_count += 1
-            return heuristic_advise_act(req, self.params)
+            return heuristic_advise_act(req)
 
     def advise_coop(self, req: CoopRequest) -> CoopGuidance:
         # The endpoint is asked for neighbour weights only; the constant self
@@ -398,5 +397,5 @@ class LlmProvider:
             )
         except (LlmTransportError, GuidanceParseError):
             self.fallback_count += 1
-            return heuristic_advise_coop(req, self.params)
-        return CoopGuidance(raw_weights=(*values, self.params.self_weight))
+            return heuristic_advise_coop(req)
+        return CoopGuidance(raw_weights=(*values, SELF_WEIGHT))

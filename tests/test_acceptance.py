@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (run with -s to see them). The instances
 are fixed in configs/, their only definition, and built through the config
-path users run (load_config, the build_* functions, build_run_config):
+path users run (load_config, the build_* functions, seeded_runs):
 reference.json, a homogeneous distributed sphere on a ring, for the consensus,
 admissibility, perturbation and determinism checks, and with heterogeneous
 shifts for the optimum check; desk.json, a six-function suite, for the
@@ -18,7 +18,7 @@ import pytest
 
 from lacmas import guidance as gd
 from lacmas.analysis import check_admissibility
-from lacmas.config import build_benchmark, build_graph, build_run_config
+from lacmas.config import build_benchmark, seeded_runs
 from lacmas.cooperation import project_weights
 from lacmas.engine import run, write_trace_csv
 from lacmas.errors import GuidanceParseError
@@ -30,26 +30,15 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
 
 
-def _seeded_runs(cfg, family, **overrides):
-    """The RunConfigs of `cfg`'s seeds on `family`, with their graph."""
-    spec = build_benchmark(cfg, family)
-    graph = build_graph(cfg, spec.num_agents)
-    run_cfgs = [
-        build_run_config(cfg, spec, graph, cfg.master_seed + k, **overrides)
-        for k in range(cfg.num_runs)
-    ]
-    return run_cfgs, graph
-
-
 @pytest.fixture(scope="module")
 def reference_runs(load_preset):
     """Criterion-1 reference (configs/reference.json), matrices recorded."""
     cfg = load_preset("reference")
-    run_cfgs, graph = _seeded_runs(cfg, cfg.suite[0], record_matrices=True)
+    run_cfgs = seeded_runs(cfg, build_benchmark(cfg, cfg.suite[0]), record_matrices=True)
     start = time.perf_counter()
     reports = [run(run_cfg) for run_cfg in run_cfgs]
     elapsed = time.perf_counter() - start
-    return reports, graph, elapsed
+    return reports, run_cfgs[0].graph, elapsed
 
 
 def test_criterion_1_consensus(reference_runs):
@@ -96,7 +85,7 @@ def test_criterion_3_analytic_optimum(load_preset):
         variant="act",
         max_iterations=1200,
     )
-    run_cfgs, _ = _seeded_runs(cfg, cfg.suite[0])
+    run_cfgs = seeded_runs(cfg, build_benchmark(cfg, cfg.suite[0]))
     target = run_cfgs[0].objective.shifts.mean(axis=0)
     hits = 0
     errors = []
@@ -152,9 +141,10 @@ def test_criterion_6_ablation_trends(load_preset):
     fitness_wins = 0
     lines = []
     for family in cfg.suite:
-        baseline, _ = _seeded_runs(cfg, family, variant="baseline", stop_at_convergence=False)
-        coop, _ = _seeded_runs(cfg, family, variant="coop")
-        full, _ = _seeded_runs(cfg, family, variant="full", stop_at_convergence=False)
+        spec = build_benchmark(cfg, family)
+        baseline = seeded_runs(cfg, spec, variant="baseline", stop_at_convergence=False)
+        coop = seeded_runs(cfg, spec, variant="coop")
+        full = seeded_runs(cfg, spec, variant="full", stop_at_convergence=False)
         cost_b, cost_c, best_b, best_f = [], [], [], []
         for cb, cc, cf in zip(baseline, coop, full):
             rb, rc, rf = run(cb), run(cc), run(cf)
@@ -180,7 +170,7 @@ def test_criterion_6_ablation_trends(load_preset):
 
 def test_criterion_7_determinism(tmp_path, load_preset):
     cfg = replace(load_preset("reference"), master_seed=123, num_runs=1)
-    (run_cfg,), _ = _seeded_runs(cfg, cfg.suite[0])
+    (run_cfg,) = seeded_runs(cfg, build_benchmark(cfg, cfg.suite[0]))
     payloads = []
     for name in ("first.csv", "second.csv"):
         report = run(run_cfg)

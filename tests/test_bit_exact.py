@@ -21,11 +21,14 @@ from lacmas.guidance import (
     ACT_WINDOW,
     C_DEFAULT,
     C_RANGE,
+    C_STEP,
     D_DEFAULT,
     D_RANGE,
+    D_STEP,
+    DECAY,
+    STALL_EPS,
     ActGuidance,
     ActRequest,
-    HeuristicParams,
     _sorted_percentile,
     heuristic_advise_act,
 )
@@ -140,7 +143,7 @@ def with_one_of(entries):
 act_windows = with_one_of(st.one_of(infinite, st.just(math.nan)))
 
 
-def numpy_act_rule(req: ActRequest, params: HeuristicParams = HeuristicParams()) -> ActGuidance:
+def numpy_act_rule(req: ActRequest) -> ActGuidance:
     """The act rule with np.mean and np.percentile, as first written."""
     fitness = [f for (_, f, _) in req.trajectory]
     disagreement = [g for (_, _, g) in req.trajectory]
@@ -149,13 +152,13 @@ def numpy_act_rule(req: ActRequest, params: HeuristicParams = HeuristicParams())
     g_low = float(np.percentile(disagreement, 25))
     g_high = float(np.percentile(disagreement, 75))
     d, c = req.current_d, req.current_c
-    if improvement < params.stall_eps and g_mean <= g_low:
-        c = c + params.c_step
-    elif improvement < params.stall_eps and g_mean >= g_high:
-        d = d + params.d_step
+    if improvement < STALL_EPS and g_mean <= g_low:
+        c = c + C_STEP
+    elif improvement < STALL_EPS and g_mean >= g_high:
+        d = d + D_STEP
     else:
-        d = d + params.decay * (D_DEFAULT - d)
-        c = c + params.decay * (C_DEFAULT - c)
+        d = d + DECAY * (D_DEFAULT - d)
+        c = c + DECAY * (C_DEFAULT - c)
     return ActGuidance(d=d, c=c)
 
 

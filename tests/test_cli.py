@@ -54,19 +54,25 @@ def test_run_is_byte_deterministic(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_baseline_llm_provider_downgraded_with_warning(tmp_path, capsys):
+def test_baseline_llm_provider_needs_no_endpoint(tmp_path, capsys, monkeypatch):
+    # A baseline run consults no guidance: provider llm without an endpoint
+    # runs, silently, exactly as the heuristic provider does.
+    monkeypatch.delenv("LACMAS_LLM_URL", raising=False)
+    monkeypatch.delenv("LACMAS_LLM_MODEL", raising=False)
     cfg = write_config(tmp_path)
-    out = tmp_path / "results"
-    code = main(
-        [
-            "run", "--config", str(cfg), "--suite", "sphere", "--out", str(out),
-            "--variant", "baseline", "--provider", "llm", "--seeds", "1",
-        ]
-    )
-    assert code == EXIT_OK
-    captured = capsys.readouterr()
-    assert "warning" in captured.err
-    assert "warning" not in captured.out
+    traces = {}
+    for provider in ("llm", "heuristic"):
+        out = tmp_path / provider
+        code = main(
+            [
+                "run", "--config", str(cfg), "--suite", "sphere", "--out", str(out),
+                "--variant", "baseline", "--provider", provider, "--seeds", "1",
+            ]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        traces[provider] = [p.read_bytes() for p in sorted(out.glob("trace_*.csv"))]
+    assert traces["llm"] and traces["llm"] == traces["heuristic"]
 
 
 @pytest.mark.parametrize(
@@ -148,12 +154,20 @@ def test_non_positive_llm_timeout_gives_config_exit(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_unknown_config_key_gives_config_exit(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"definitely_not_a_key": 1}, "definitely_not_a_key"),
+        # The heuristic rule parameters are constants of guidance.py.
+        ({"heuristic": {"self_weight": 0.2}}, "heuristic"),
+    ],
+)
+def test_unknown_config_key_gives_config_exit(tmp_path, capsys, data, key):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"definitely_not_a_key": 1}))
+    path.write_text(json.dumps(data))
     code = main(["run", "--config", str(path)])
     assert code == EXIT_CONFIG
-    assert "definitely_not_a_key" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -183,7 +197,6 @@ def test_bad_guidance_window_fails_before_first_round(tmp_path, capsys, guidance
         ({"pcg": {"horizon_T": "30"}}, "pcg.horizon_T"),
         ({"pcg": {"alphas": [0.2, "0.5", 0.9]}}, "pcg.alphas"),
         ({"pcg": {"alphas": [0.2, 0.5]}}, "pcg.alphas"),
-        ({"heuristic": {"decay": "0.1"}}, "heuristic.decay"),
     ],
 )
 def test_wrongly_typed_value_gives_config_exit(tmp_path, capsys, extra, key):
@@ -389,6 +402,18 @@ def test_suite_table_has_row_per_function_variant(tmp_path):
     assert sum(1 for l in lines if l.startswith("sphere,")) == 4
 
 
+def test_empty_variant_list_gives_config_exit(tmp_path, capsys):
+    # An empty list used to write an ablation.csv holding only the header.
+    cfg = write_config(tmp_path)
+    out = tmp_path / "r"
+    code = main(["suite", "--config", str(cfg), "--variants", ",", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "--variants" in err
+    assert "\n" not in err
+    assert not out.exists()
+
+
 def test_wsn_subcommand_emits_trace(tmp_path, capsys):
     cfg = write_config(tmp_path, {"wsn": {"num_sensors": 4, "num_targets": 1, "seed": 2}})
     out = tmp_path / "results"
@@ -449,3 +474,42 @@ def test_verify_output_positive(tmp_path, capsys):
     code = main(["verify", "--config", str(cfg), str(path)])
     assert code == EXIT_OK
     assert "admissible: true" in capsys.readouterr().out
+
+
+def _write_npy(path):
+    np.save(path, np.eye(4))
+
+
+def _write_bytes(path):
+    path.write_bytes(b"not an archive of matrices")
+
+
+def _write_0d_npz(path):
+    np.savez(path, np.float64(0.25), np.eye(4))
+
+
+def _write_object_npz(path):
+    np.savez(path, np.array([[None]], dtype=object))
+
+
+@pytest.mark.parametrize(
+    "name, write",
+    [
+        ("m.npy", _write_npy),
+        ("m.npz", _write_bytes),
+        ("m.npz", _write_0d_npz),
+        ("m.npz", _write_object_npz),
+    ],
+    ids=["npy", "not-a-zip", "0-d", "object"],
+)
+def test_verify_rejects_unusable_matrices_file(tmp_path, capsys, name, write):
+    # Each of these used to end in a traceback: an ndarray is no context
+    # manager, foreign bytes read as pickled data, a 0-d array has no rows,
+    # and object arrays cannot be loaded without pickle.
+    path = tmp_path / name
+    write(path)
+    code = main(["verify", "--config", str(write_config(tmp_path)), str(path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:")
+    assert "\n" not in err

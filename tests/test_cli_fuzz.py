@@ -1,11 +1,12 @@
-"""Property test: no configuration file makes the CLI crash.
+"""Property tests: no configuration file or matrices file makes the CLI crash.
 
 Random JSON configs are drawn from the schema's own keys plus unknown keys,
 with values of mixed types, NaN and inf included, and sent through
 `lacmas.cli.main`. Whatever the file says, the command must end with exit 0,
 a one-line `configuration error:` (exit 1) or a reported runtime fault
 (exit 2); never with an uncaught exception. Budgets are pinned small so every
-example that loads runs in milliseconds.
+example that loads runs in milliseconds. Random files sent through `verify`
+must likewise end with exit 0, 1 or 3 (verification failure).
 """
 
 import contextlib
@@ -16,12 +17,16 @@ import tempfile
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lacmas.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, main
+from lacmas.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_VERIFY, main
 from lacmas.config import _NESTED, ExperimentConfig
+from lacmas.cooperation import assemble_mixing_matrix
 from lacmas.objectives import FAMILIES
+from lacmas.topology import build_ring
 
 
 def _default(f):
@@ -143,10 +148,64 @@ def test_any_config_ends_in_a_known_exit(config, command):
         argv = [*COMMANDS[command], "--config", str(path)]
         if command != "calibrate":  # calibrate writes no files and takes no --out
             argv += ["--out", str(Path(tmp) / "out")]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+        code, err = _main_quietly(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_FAULT)
+    _check_config_error(code, err)
+
+
+def _main_quietly(argv):
+    """main(argv)'s exit code and stderr, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _check_config_error(code, err):
     if code == EXIT_CONFIG:
-        message = err.getvalue().strip()
+        message = err.strip()
         assert message.startswith("configuration error:") and "\n" not in message
+
+
+# What a matrices file may hold: 0-d, 1-d, non-square, object-dtype, square
+# real matrices of any values, and admissible ones on the default ring graph.
+matrix_entries = st.floats(allow_nan=True, allow_infinity=True)
+held_arrays = st.one_of(
+    arrays(np.float64, (), elements=matrix_entries),
+    arrays(np.float64, st.integers(0, 5), elements=matrix_entries),
+    arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(0, 5)), elements=matrix_entries),
+    st.lists(st.lists(scalars, max_size=3), max_size=3).map(lambda v: np.array(v, dtype=object)),
+    st.integers(1, 6).flatmap(lambda n: arrays(np.float64, (n, n), elements=matrix_entries)),
+    st.integers(3, 6).map(lambda n: assemble_mixing_matrix(build_ring(n))),
+)
+
+
+@st.composite
+def matrices_files(draw):
+    """(file name, bytes): random bytes, some behind a zip or .npy magic
+    number, an .npy file, or an .npz archive, whole or cut short."""
+    kind = draw(st.sampled_from(["bytes", "npy", "npz"]))
+    if kind == "bytes":
+        magic = draw(st.sampled_from([b"", b"PK\x03\x04", b"\x93NUMPY\x01\x00"]))
+        return "m.npz", magic + draw(st.binary(max_size=64))
+    buffer = io.BytesIO()
+    if kind == "npy":
+        np.save(buffer, draw(held_arrays))
+        return "m.npy", buffer.getvalue()
+    np.savez(buffer, *draw(st.lists(held_arrays, max_size=3)))
+    data = buffer.getvalue()
+    if draw(st.integers(0, 4)) == 0:
+        data = data[: draw(st.integers(0, len(data)))]
+    return "m.npz", data
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrices_files())
+def test_any_matrices_file_ends_in_a_known_exit(file):
+    name, data = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        code, err = _main_quietly(["verify", str(path)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY)
+    _check_config_error(code, err)

@@ -164,7 +164,6 @@ SHARED_FIELD_CASES = {
     "log_every": {"log_every": 3},
     "pcg": {"pcg": {"horizon_T": 99, "alphas": [0.1, 0.4, 0.8]}},
     "swarm": {"swarm": {"population": 7, "d2": 4.0}},
-    "heuristic": {"heuristic": {"c_step": 0.2, "self_weight": 0.3}},
 }
 
 

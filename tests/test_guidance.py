@@ -18,7 +18,6 @@ from lacmas.guidance import (
     ActRequest,
     CoopRequest,
     HeuristicProvider,
-    HeuristicParams,
     LlmEndpoint,
     LlmProvider,
     build_act_prompt,

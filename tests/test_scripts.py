@@ -12,13 +12,7 @@ from pathlib import Path
 import pytest
 
 from lacmas.cli import EXIT_OK, main
-from lacmas.config import (
-    build_benchmark,
-    build_graph,
-    build_run_config,
-    config_from_dict,
-    load_config,
-)
+from lacmas.config import build_benchmark, config_from_dict, load_config, seeded_runs
 from lacmas.engine import run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -48,14 +42,11 @@ def test_preset_builds_every_run(path, load_script):
         assert len(runs) == cfg.wsn.num_targets * cfg.num_runs
     else:
         # Families x seeds, as `lacmas run` and `lacmas suite` build them.
-        runs = []
-        for family in cfg.suite:
-            objective = build_benchmark(cfg, family)
-            graph = build_graph(cfg, objective.num_agents)
-            runs += [
-                build_run_config(cfg, objective, graph, cfg.master_seed + k)
-                for k in range(cfg.num_runs)
-            ]
+        runs = [
+            run_cfg
+            for family in cfg.suite
+            for run_cfg in seeded_runs(cfg, build_benchmark(cfg, family))
+        ]
         assert len(runs) == len(cfg.suite) * cfg.num_runs
 
 
@@ -71,13 +62,8 @@ def test_suite_table_has_criterion_6_fitness_reading(tmp_path):
     header, row = (out / "ablation.csv").read_text().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     cfg = config_from_dict(data)
-    objective = build_benchmark(cfg, "sphere")
-    graph = build_graph(cfg, objective.num_agents)
-    bests = [
-        run(build_run_config(cfg, objective, graph, seed, stop_at_convergence=False))
-        .final_best_agent_value
-        for seed in range(2)
-    ]
+    run_cfgs = seeded_runs(cfg, build_benchmark(cfg, "sphere"), stop_at_convergence=False)
+    bests = [run(run_cfg).final_best_agent_value for run_cfg in run_cfgs]
     assert float(cells["mean_best_agent_value"]) == sum(bests) / 2
 
 
