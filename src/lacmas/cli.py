@@ -3,7 +3,9 @@
 Subcommands:
   run        benchmark runs for selected suite functions and seeds
   suite      ablation table across variants
-  wsn        distributed localization task
+  wsn        WSN localization sweep: every target count from 1 to
+             wsn.num_targets (--targets), num_runs (--seeds) seeded runs
+             each; traces, summary and err_by_targets.csv
   calibrate  probe run estimating the scheduling horizon T
   verify     admissibility check over recorded mixing matrices
 
@@ -24,13 +26,15 @@ import numpy as np
 from . import engine, scheduler
 from .analysis import check_admissibility
 from .config import (
+    SUCCESS_ERROR,
     ExperimentConfig,
     build_benchmark,
     build_graph,
     build_run_config,
-    build_wsn_objective,
+    floored_means,
     load_config,
     seeded_runs,
+    wsn_runs,
 )
 from .errors import ConfigError, ContractError
 from .objectives import FAMILIES
@@ -101,9 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--suite", default=None)
     p_suite.add_argument("--seeds", type=int, default=None)
 
-    p_wsn = add("wsn", cmd_wsn, "distributed localization task", *run_flags)
+    p_wsn = add("wsn", cmd_wsn, "localization error against target count", *run_flags)
     p_wsn.add_argument("-n", "--sensors", type=int, default=None)
-    p_wsn.add_argument("--targets", type=int, default=None)
+    p_wsn.add_argument("--targets", type=int, default=None, help="largest target count")
+    p_wsn.add_argument("--seeds", type=int, default=None, help="seeded runs per target count")
     p_wsn.add_argument("--noise", type=float, default=None)
 
     p_cal = add("calibrate", cmd_calibrate, "estimate the horizon T", "--seed", "--agents", "--dim")
@@ -234,19 +239,33 @@ def cmd_suite(args) -> int:
 
 def cmd_wsn(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    objective = build_wsn_objective(cfg)
-    graph = build_graph(cfg, objective.num_agents)
-    run_cfg = build_run_config(cfg, objective, graph, cfg.master_seed)
+    # Every run is built, and so checked, before anything is written.
+    runs = wsn_runs(cfg)
     out = _outdir(cfg)
-    report = engine.run(run_cfg)
-    if report.aborted:
-        print(engine.summarize(report), file=sys.stderr)
-        return EXIT_FAULT
-    stem = f"wsn_n{cfg.wsn.num_sensors}_t{cfg.wsn.num_targets}_seed{cfg.master_seed}"
-    engine.write_trace_csv(report, out / f"{stem}.csv")
-    err = system_error(objective.scenario, objective.phi, report.final_states)
-    print(f"final estimation error: {err!r}")
-    print(engine.summarize(report))
+    errors, summaries, rows = {}, [], ["num_targets,seed,final_err"]
+    for nt, objective, run_cfg in runs:
+        report = engine.run(run_cfg)
+        if report.aborted:
+            print(engine.summarize(report), file=sys.stderr)
+            return EXIT_FAULT
+        stem = f"wsn_n{cfg.wsn.num_sensors}_t{nt}_seed{run_cfg.master_seed}"
+        engine.write_trace_csv(report, out / f"{stem}.csv")
+        summaries.append((stem, report))
+        err = system_error(objective.scenario, objective.phi, report.final_states)
+        errors.setdefault(nt, []).append(err)
+        rows.append(f"{nt},{run_cfg.master_seed},{err!r}")
+    with open(out / "summary_wsn.txt", "w") as fh:
+        for stem, report in summaries:
+            fh.write(f"[{stem}]\n{engine.summarize(report)}\n\n")
+    (out / "err_by_targets.csv").write_text("\n".join(rows) + "\n")
+    hits = sum(e < SUCCESS_ERROR for e in errors[1])
+    print(f"single-target runs below {SUCCESS_ERROR:g}: {hits}/{len(errors[1])}")
+    means = floored_means(errors)
+    for nt, mean in means.items():
+        print(f"targets={nt}: mean final err (floored at {SUCCESS_ERROR:g}) {mean:.3e}")
+    counts = list(means)
+    trend = all(means[a] <= means[b] for a, b in zip(counts, counts[1:]))
+    print(f"floored error non-decreasing in target count: {trend}")
     return EXIT_OK
 
 

@@ -14,6 +14,8 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .engine import RunConfig
 from .errors import ConfigError
 from .guidance import LLM_TIMEOUT, LlmEndpoint
@@ -60,10 +62,11 @@ class WsnSpec:
     num_sensors: int = 8
     num_targets: int = 1
     noise_sigma: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
-        _check_seed("wsn.seed", self.seed)
+        # The sweep runs target counts 1..num_targets: with none it would run nothing.
+        if self.num_sensors < 1 or self.num_targets < 1:
+            raise ConfigError("wsn.num_sensors and wsn.num_targets must be >= 1")
 
 
 # Where the LLM endpoint comes from when the config leaves it out.
@@ -103,6 +106,7 @@ class ExperimentConfig:
     guidance: GuidanceSpec = field(default_factory=GuidanceSpec)
 
     def __post_init__(self):
+        _check_seed("master_seed", self.master_seed)
         if self.num_runs < 1:
             raise ConfigError("num_runs must be positive")
         if not self.suite:
@@ -230,15 +234,15 @@ def build_benchmark(cfg: ExperimentConfig, family: str) -> BenchmarkSpec:
     )
 
 
-def build_wsn_objective(cfg: ExperimentConfig) -> WsnObjectiveSet:
+def build_wsn_objective(cfg: ExperimentConfig, num_targets: int, seed: int) -> WsnObjectiveSet:
     w = cfg.wsn
     scenario = gen_scenario(
         num_sensors=w.num_sensors,
-        num_targets=w.num_targets,
-        seed=w.seed,
+        num_targets=num_targets,
+        seed=seed,
         noise_sigma=w.noise_sigma,
     )
-    phi = gen_measurements(scenario, seed=w.seed)
+    phi = gen_measurements(scenario, seed=seed)
     return WsnObjectiveSet(scenario=scenario, phi=phi)
 
 
@@ -270,6 +274,34 @@ def seeded_runs(cfg: ExperimentConfig, objective, **overrides) -> list[RunConfig
         build_run_config(cfg, objective, graph, cfg.master_seed + k, **overrides)
         for k in range(cfg.num_runs)
     ]
+
+
+def wsn_runs(cfg: ExperimentConfig) -> list[tuple[int, WsnObjectiveSet, RunConfig]]:
+    """The WSN sweep of `cfg` as (num_targets, objective, RunConfig) triples:
+    every target count from 1 to `cfg.wsn.num_targets`, and for each, run k
+    with seed `cfg.master_seed + k` for both its scenario and its run, for
+    `k < cfg.num_runs`. All share one graph. Every run is built, and so
+    checked, before any of them runs."""
+    graph = build_graph(cfg, cfg.wsn.num_sensors)
+    runs = []
+    for nt in range(1, cfg.wsn.num_targets + 1):
+        for k in range(cfg.num_runs):
+            seed = cfg.master_seed + k
+            objective = build_wsn_objective(cfg, nt, seed)
+            runs.append((nt, objective, build_run_config(cfg, objective, graph, seed)))
+    return runs
+
+
+# A WSN run whose final error is below this has solved its task; acceptance
+# criterion 9 counts the single-target runs below it.
+SUCCESS_ERROR = 1e-3
+
+
+def floored_means(errors: dict[int, list[float]]) -> dict[int, float]:
+    """Mean final error per target count, each error floored at SUCCESS_ERROR:
+    depths below it are all "solved", and their differences are numerical
+    floor noise, so they must not order one target count after another."""
+    return {nt: float(np.mean(np.maximum(errs, SUCCESS_ERROR))) for nt, errs in errors.items()}
 
 
 def _llm_endpoint(g: GuidanceSpec) -> LlmEndpoint | None:

@@ -29,6 +29,26 @@ def _ceil(value: float) -> int:
     return math.ceil(value - _CEIL_EPS * max(1.0, abs(value)))
 
 
+class _Grid:
+    """The points ceil(m * step), m >= 1, of a step above one round. They are
+    computed in order as far as a query needs and kept, so a run asks each
+    ceiling once; the points never decrease, so a point at or past t decides
+    whether t is one of them. Extending is not thread-safe: query it from one
+    thread, as the round loop does."""
+
+    __slots__ = ("step", "points", "m", "last")
+
+    def __init__(self, step: float):
+        self.step, self.points, self.m, self.last = step, set(), 0, 0
+
+    def __contains__(self, t: int) -> bool:
+        while self.last < t:
+            self.m += 1
+            self.last = _ceil(self.m * self.step)
+            self.points.add(self.last)
+        return t in self.points
+
+
 @dataclass(frozen=True)
 class PcgConfig:
     horizon_T: int = 500
@@ -50,7 +70,7 @@ class PcgConfig:
         if not 0 < a1 < a2 < a3 <= 1:
             raise ConfigError("need 0 < alpha_1 < alpha_2 < alpha_3 <= 1")
 
-    # Read by gate_int and stage every round; the config is frozen, so each
+    # Read by the gates and stage every round; the config is frozen, so each
     # ceiling is computed once per instance.
     @cached_property
     def int_refresh_points(self) -> tuple[int, int]:
@@ -60,22 +80,21 @@ class PcgConfig:
     def stage_breakpoints(self) -> tuple[int, int, int]:
         return tuple(_ceil(a * self.horizon_T) for a in self.alphas)
 
+    @cached_property
+    def ext_grid(self) -> _Grid | None:
+        """The cooperation grid, None when its step is at most one round: then
+        every round from 1 on is on it (and for a tiny step, enumerating it
+        would never reach the round asked)."""
+        interval = self.rho_ext * self.horizon_T
+        return None if interval <= 1 else _Grid(interval)
+
 
 def gate_ext(t: int, cfg: PcgConfig) -> bool:
     """True iff t lies on the cooperation-refresh grid {ceil(m*rho_ext*T)}, m >= 1."""
     if t < 1:
         return False
-    interval = cfg.rho_ext * cfg.horizon_T
-    # Steps of at most one round put every round on the grid; for a tiny step
-    # t // interval would not even fit a float.
-    if interval <= 1:
-        return True
-    # Distinct m can collide on one t after the ceiling; membership is what counts.
-    m_near = int(t // interval)
-    for m in range(max(1, m_near - 1), m_near + 3):
-        if _ceil(m * interval) == t:
-            return True
-    return False
+    grid = cfg.ext_grid
+    return grid is None or t in grid
 
 
 def gate_int(t: int, cfg: PcgConfig) -> bool:

@@ -1,4 +1,3 @@
-import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -31,19 +30,3 @@ def rng():
 def load_preset():
     """Load configs/<name>.json, the one definition of an experiment instance."""
     return lambda name: load_config(REPO / "configs" / f"{name}.json")
-
-
-@pytest.fixture(scope="session")
-def load_script():
-    """Import scripts/<name>.py as a module. Importing runs nothing (each
-    script guards on __main__), but it resolves every lacmas name it uses."""
-
-    def load(name):
-        spec = importlib.util.spec_from_file_location(
-            f"script_{name}", REPO / "scripts" / f"{name}.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    return load

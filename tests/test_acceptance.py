@@ -18,12 +18,13 @@ import pytest
 
 from lacmas import guidance as gd
 from lacmas.analysis import check_admissibility
-from lacmas.config import build_benchmark, seeded_runs
+from lacmas.config import build_benchmark, floored_means, seeded_runs, wsn_runs
 from lacmas.cooperation import project_weights
 from lacmas.engine import run, write_trace_csv
 from lacmas.errors import GuidanceParseError
 from lacmas.scheduler import PcgConfig, gate_ext, gate_int, stage
 from lacmas.topology import build_ring
+from lacmas.wsn import system_error
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -229,12 +230,15 @@ def test_criterion_8_guidance_robustness(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def wsn_sweep(load_preset, load_script):
-    """scripts/wsn_sweep.py on configs/wsn_sweep.json: the errors by target
-    count and their means floored at the success threshold."""
-    script = load_script("wsn_sweep")
-    errors = script.sweep(load_preset("wsn_sweep"))
-    return errors, script.floored_means(errors)
+def wsn_sweep(load_preset):
+    """configs/wsn_sweep.json run as `lacmas wsn` runs it: the final errors by
+    target count and their means floored at the success threshold."""
+    errors = {}
+    for nt, objective, run_cfg in wsn_runs(load_preset("wsn_sweep")):
+        report = run(run_cfg)
+        err = system_error(objective.scenario, objective.phi, report.final_states)
+        errors.setdefault(nt, []).append(err)
+    return errors, floored_means(errors)
 
 
 def test_criterion_9_wsn_sanity(wsn_sweep):

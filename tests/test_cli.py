@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from lacmas.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_VERIFY, main
-from lacmas.engine import CSV_HEADER
+from lacmas.config import config_from_dict, wsn_runs
+from lacmas.engine import CSV_HEADER, run, write_trace_csv
 from lacmas.swarm import AgentSwarm
+from lacmas.wsn import system_error
 
 TINY = {
     "objective": {"num_agents": 4, "dim": 3, "hetero_sigma": 0.0},
@@ -160,6 +162,8 @@ def test_non_positive_llm_timeout_gives_config_exit(tmp_path, capsys, monkeypatc
         ({"definitely_not_a_key": 1}, "definitely_not_a_key"),
         # The heuristic rule parameters are constants of guidance.py.
         ({"heuristic": {"self_weight": 0.2}}, "heuristic"),
+        # The scenario seed of a WSN run is its run seed.
+        ({"wsn": {"seed": 0}}, "wsn.'seed'"),
     ],
 )
 def test_unknown_config_key_gives_config_exit(tmp_path, capsys, data, key):
@@ -279,7 +283,7 @@ def test_zero_numeric_flag_gives_config_exit(tmp_path, capsys, argv):
         ("run", {"master_seed": -1}, [], "master_seed"),
         ("run", {"objective": {"suite_seed": -3}}, [], "objective.suite_seed"),
         ("run", {"graph": {"kind": "random", "seed": -2}}, [], "graph.seed"),
-        ("wsn", {"wsn": {"seed": -4}}, [], "wsn.seed"),
+        ("wsn", {"master_seed": -4}, [], "master_seed"),
         ("run", None, ["--seed", "-1"], "master_seed"),
         ("wsn", None, ["--seed", "-1"], "master_seed"),
     ],
@@ -415,15 +419,46 @@ def test_empty_variant_list_gives_config_exit(tmp_path, capsys):
 
 
 def test_wsn_subcommand_emits_trace(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"wsn": {"num_sensors": 4, "num_targets": 1, "seed": 2}})
+    cfg = write_config(tmp_path, {"wsn": {"num_sensors": 4, "num_targets": 1}})
     out = tmp_path / "results"
     code = main(
         ["wsn", "--config", str(cfg), "--out", str(out), "-n", "4", "--targets", "1"]
     )
     assert code == EXIT_OK
-    traces = list(out.glob("wsn_*.csv"))
-    assert len(traces) == 1
-    assert "final estimation error" in capsys.readouterr().out
+    # One run per seed of the config's num_runs (2), each with its trace.
+    traces = sorted(p.name for p in out.glob("wsn_*.csv"))
+    assert traces == ["wsn_n4_t1_seed0.csv", "wsn_n4_t1_seed1.csv"]
+    assert (out / "summary_wsn.txt").read_text().count("[wsn_n4_t1_seed") == 2
+    assert len((out / "err_by_targets.csv").read_text().splitlines()) == 1 + 2
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("single-target runs below 0.001: ")
+    assert printed[0].endswith("/2")
+    assert printed[1].startswith("targets=1: mean final err (floored at 0.001) ")
+    assert printed[2].startswith("floored error non-decreasing in target count: ")
+
+
+def test_wsn_sweep_rows_are_the_errors_of_its_runs(tmp_path):
+    # Every (target count, seed) run of the sweep, each row of err_by_targets.csv
+    # the final error of that run built on its own through config.wsn_runs.
+    data = {**TINY, "master_seed": 3, "num_runs": 1, "wsn": {"num_sensors": 4, "num_targets": 2}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "results"
+    assert main(["wsn", "--config", str(path), "--seeds", "2", "--out", str(out)]) == EXIT_OK
+    assert len(list(out.glob("wsn_*.csv"))) == 4
+    header, *rows = (out / "err_by_targets.csv").read_text().splitlines()
+    assert header == "num_targets,seed,final_err"
+    expected = []
+    for nt, objective, run_cfg in wsn_runs(config_from_dict({**data, "num_runs": 2})):
+        report = run(run_cfg)
+        seed = run_cfg.master_seed
+        err = system_error(objective.scenario, objective.phi, report.final_states)
+        expected.append(f"{nt},{seed},{err!r}")
+        write_trace_csv(report, tmp_path / "trace.csv")
+        trace = out / f"wsn_n4_t{nt}_seed{seed}.csv"
+        assert trace.read_bytes() == (tmp_path / "trace.csv").read_bytes()
+    assert rows == expected
+    assert [row.split(",")[:2] for row in rows] == [["1", "3"], ["1", "4"], ["2", "3"], ["2", "4"]]
 
 
 def test_calibrate_prints_positive_integer(tmp_path, capsys):

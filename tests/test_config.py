@@ -97,8 +97,8 @@ def test_build_graph_variants():
 
 
 def test_build_wsn_objective_dimensions():
-    cfg = config_from_dict({"wsn": {"num_sensors": 5, "num_targets": 2, "seed": 1}})
-    obj = build_wsn_objective(cfg)
+    cfg = config_from_dict({"wsn": {"num_sensors": 5, "num_targets": 3}})
+    obj = build_wsn_objective(cfg, num_targets=2, seed=1)
     assert obj.num_agents == 5
     assert obj.dim == 6
 

@@ -213,7 +213,11 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever's next poll; the default poll of
+    # 0.5 s would cost each test about that much at teardown.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     _StubHandler.reply = "(0.7, 1.3)"
     _StubHandler.status = 200
@@ -221,6 +225,7 @@ def stub_server():
     _StubHandler.delay_s = 0.0
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_llm_advise_round_trip(stub_server):

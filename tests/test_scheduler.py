@@ -188,6 +188,27 @@ def test_gates_and_stage_match_a_fresh_recomputation(cfg):
     assert [stage(t, cfg) for t in ts] == stages
 
 
+@pytest.mark.parametrize(
+    "horizon, rho_ext",
+    [
+        # Decimal ratios whose products land on or near integers.
+        (100, 0.1), (100, 0.3), (70, 0.7), (37, 0.13), (500, 0.35), (3, 1.1),
+        # Steps of one round or less: every round from 1 on.
+        (100, 0.01), (100, 0.007), (1, 0.5), (3, 0.3333333333333333),
+    ],
+)
+def test_gate_ext_matches_a_fresh_grid(horizon, rho_ext):
+    cfg = PcgConfig(horizon_T=horizon, rho_ext=rho_ext)
+    t_max = 4 * horizon + 50
+    _, external, _ = fresh_schedule(cfg, t_max)
+    # Queried backwards first, so the grid is built by the largest query and
+    # then read; a fresh instance then builds it round by round, as a run does.
+    backwards = [gate_ext(t, cfg) for t in reversed(range(t_max + 1))]
+    assert backwards[::-1] == external
+    fresh = PcgConfig(horizon_T=horizon, rho_ext=rho_ext)
+    assert [gate_ext(t, fresh) for t in range(t_max + 1)] == external
+
+
 @settings(max_examples=60, deadline=None)
 @given(pcg_configs(), st.integers(1, 300))
 def test_cached_ceilings_stay_with_their_instance(cfg, horizon):
