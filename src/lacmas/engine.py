@@ -1,21 +1,21 @@
 """Round-synchronous run loop.
 
 Each round has two phases. In phase one every agent reads its particle
-divergence, selects the active regime coefficient and draws its step's random
-numbers, kick uniforms included, from its own generator in one call
-(step_particles, per agent and in agent order); then one Population.step
-moves every agent's particles on the stacked arrays and hands unused kick
-draws back, so each stream is consumed as before. One batch call evaluates
-every agent's proposals on its own local objective, and one batched tell takes
-the values back, after which every agent publishes a representative state
-plus trajectory statistics. At the barrier, guidance refreshes fire if their
-gates are open, every agent fuses the published neighborhood states under its
-cooperation weights, and the fused states, scored in one more batch call, are
-injected back into the populations. Metrics and the admissibility check run
-once per round, and one append records every agent's statistics in the
-stacked AgentHistory, from which a cooperation refresh takes all descriptors
-in one build_descriptor call. A non-finite best value or divergence aborts the
-run before it reaches the history.
+divergence, then every agent draws its step's uniforms, kicks included, from
+its own generator in one call (per agent, in agent order); one
+Population.select gates every active regime coefficient, and one
+Population.step moves every agent's particles on the stacked arrays and hands
+unused kick draws back, so each stream is consumed as before. One batch call
+evaluates every agent's proposals on its own local objective, and one batched
+tell takes the values back, after which every agent publishes a representative
+state plus trajectory statistics. At the barrier, guidance refreshes fire if
+their gates are open, every agent fuses the published neighborhood states
+under its cooperation weights, and the fused states, scored in one more batch
+call, are injected back into the populations. Metrics and the admissibility
+check run once per round, and one append records every agent's statistics in
+the stacked AgentHistory, from which a cooperation refresh takes all
+descriptors in one build_descriptor call. A non-finite best value or
+divergence aborts the run before it reaches the history.
 
 Serial agent order plus per-agent RNG streams derived from the master seed
 make runs bit-reproducible with the heuristic provider.
@@ -23,6 +23,7 @@ make runs bit-reproducible with the heuristic provider.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -297,6 +298,9 @@ def run(config: RunConfig) -> RunReport:
     swarms = [AgentSwarm(population, i) for i in range(n)]
     for i, swarm in enumerate(swarms):
         swarm.evaluate_initial(obj.eval_local_batch(i, swarm.positions))
+    # A round's per-agent calls, bound once and made in agent order.
+    divergence_calls = [swarm.divergence for swarm in swarms]
+    draw_calls = [swarm.step_particles for swarm in swarms]
 
     history = AgentHistory(n)
     round_cost = comm_cost_per_round(graph, dim)
@@ -306,7 +310,6 @@ def run(config: RunConfig) -> RunReport:
     degrees = np.maximum(np.bincount(edge_src, minlength=n), 1)
 
     reps = population.representatives()
-    divergences = np.empty(n)
     consensus_prev = reps.copy()
     fused_prev: np.ndarray | None = None
 
@@ -339,14 +342,10 @@ def run(config: RunConfig) -> RunReport:
         late_stage = t >= config.pcg.horizon_T
         if t == config.pcg.horizon_T:
             population.rebase()
-        for i, swarm in enumerate(swarms):
-            div = swarm.divergence()
-            divergences[i] = div
-            active = swarm.select_coefficient(div)
-            if late_stage:
-                # Late-stage stabilization: no expansion past the horizon.
-                active = min(active, 1.0)
-            swarm.step_particles(active)
+        divergences = np.array([divergence() for divergence in divergence_calls])
+        for draw in draw_calls:
+            draw()
+        population.select(divergences, late_stage)
         # One update moves every agent; it commits the rows below the first
         # whose new state is not finite.
         committed = population.step(record_pull=late_stage)
@@ -370,8 +369,9 @@ def run(config: RunConfig) -> RunReport:
             iterations = iterations.tolist()
             # Best fitness and local disagreement, per agent.
             fitness, local_dis = values[:, 0].tolist(), values[:, 3].tolist()
+            coefficients = population.coefficients.tolist()
             for i in range(n):
-                d, c = population.coefficients[i]
+                d, c = coefficients[i]
                 req = ActRequest(
                     iteration=t,
                     current_d=d,
@@ -380,7 +380,7 @@ def run(config: RunConfig) -> RunReport:
                 )
                 out = provider.advise_act(req)
                 act_calls += 1
-                population.coefficients[i] = (out.d, out.c)
+                population.coefficients[i] = out.d, out.c
 
         if g_ext and config.variant in _COOP_VARIANTS and len(history):
             # A fresh copy, so matrices recorded in earlier rounds stay as they were.
@@ -408,11 +408,13 @@ def run(config: RunConfig) -> RunReport:
             matrices.append(matrix)
 
         if fused_prev is not None:
-            xi_trace.append(float(np.linalg.norm(reps - fused_prev)))
+            # np.linalg.norm's Frobenius norm, without its wrapper.
+            drift = (reps - fused_prev).ravel()
+            xi_trace.append(math.sqrt(drift.dot(drift)))
 
         fused_values = obj.eval_all(fused[:, None, :])[:, 0].tolist()
         for swarm, state, value in zip(swarms, fused, fused_values):
-            swarm.inject_fused_state(state, value, refocus=late_stage)
+            swarm.inject_fused_state(state, value, late_stage)
 
         diffs = fused - consensus_prev
         state_deltas = np.sqrt(_sum(diffs * diffs, axis=1))

@@ -16,11 +16,11 @@ modulation_high], so w < 1 contracts the modulated term in the mean-square
 sense and w near the top of its range lets occasional large kicks through.
 
 The swarm never calls an objective. All swarm state lives in one Population of
-stacked (N, P, D), (N, P) and (N,) arrays. An agent draws and the population
-updates: AgentSwarm.step_particles, per agent as each has its own generator,
-fills its row of one draw buffer with a single call, kick uniforms included;
-one Population.step then moves every row that drew and steps back the
-generator of each agent that needed no kick, so every stream is consumed
+stacked (N, P, D), (N, P), (N, 2) and (N,) arrays. AgentSwarm.step_particles,
+per agent as each has its own generator, fills its row of one draw buffer with
+a single call, kick uniforms included; one Population.select gates every
+agent's coefficient, and one Population.step moves every row and steps back
+the generator of each agent that needed no kick, so every stream is consumed
 exactly as if the kick were drawn only when a particle is dead. The caller
 evaluates the positions in one batch and hands the values to Population.tell.
 """
@@ -68,6 +68,12 @@ class SwarmParams:
             raise ContractError("population must be >= 1")
         if not self.d1 < self.d2:
             raise ContractError(f"need d1 < d2, got ({self.d1}, {self.d2})")
+        # The width scales delta's draws; an infinite one makes velocities NaN.
+        lo, hi = self.modulation_low, self.modulation_high
+        if not (lo <= hi and math.isfinite(hi - lo)):
+            raise ContractError(f"need finite modulation_high - modulation_low >= 0, got {lo, hi}")
+        if not self.kick_velocity_eps >= 0:
+            raise ContractError(f"kick_velocity_eps must be >= 0, got {self.kick_velocity_eps}")
         if self.init_velocity_frac < 0:
             raise ContractError(f"init_velocity_frac must be >= 0, got {self.init_velocity_frac}")
         if not 0 <= self.kick_target_rate <= 1:
@@ -87,9 +93,9 @@ class Population:
     positions as (N, P, D), best and latest values as (N, P), attractors as
     (N, D). Per agent it also keeps the all-time best value `best_seen`, the
     kick scale `kick_sigma` and whether collapse recovery runs (`kicking`) as
-    (N,) arrays, and the (d, c) regime pair `coefficients` as a list of
-    tuples. It also holds the PCG64 generators, the box and the step's
-    scratch, stacked like the state.
+    (N,) arrays, the (d, c) regime pairs as the (N, 2) array `coefficients`
+    and the gated coefficient of the next step as `active`. It also holds the
+    PCG64 generators, the box and the step's scratch, stacked like the state.
     """
 
     def __init__(
@@ -139,28 +145,25 @@ class Population:
         # Set once an agent's collapse recovery starts; it never stops again.
         self.kicking = np.zeros(n, dtype=bool)
         self.kick_sigma = np.full(n, kick_sigma)
-        self.coefficients = [coefficients] * n
+        self.coefficients = np.array([coefficients] * n, dtype=float)
         self.evaluated = [False] * n
 
         # Row i of `draws` is agent i's one uniform draw per round: delta, r1,
         # r2, then the kick. r2 is one gain per particle, not per component,
         # which lets a particle take near-zero-drag steps with positive
         # probability and keeps personal-best refinement unbiased in high
-        # dimension. Times `draw_scale` the first L entries are
-        # (hi - lo) * u, c_p * r1 and c_a * r2, rounded as Generator.uniform
-        # and the pull products round them. An agent with no dead particle
-        # hands its P * D kick uniforms back: one float64 uniform is one PCG64
-        # step and the period is 2**128, so advancing by 2**128 - P * D steps
-        # its stream back to where a draw without the kick would leave it.
-        pd = p * dim
-        self.draw_scale = np.concatenate([
-            np.full(pd, params.modulation_high - params.modulation_low),
-            np.full(pd, params.pull_pbest),
-            np.full(p, params.pull_attractor),
-        ])
-        main = len(self.draw_scale)
+        # dimension. Times `draw_scale` plus `draw_offset` (x + -0.0 is x, bit
+        # for bit) a row holds lo + (hi - lo) * u, c_p * r1, c_a * r2 and the
+        # kick's 2u - 1, rounded as Generator.uniform and the products round
+        # them. An agent with no dead particle hands its P * D kick uniforms
+        # back: one float64 uniform is one PCG64 step and the period is 2**128,
+        # so advancing by 2**128 - P * D steps its stream back to where it was.
+        pd, main = p * dim, 2 * p * dim + p
+        lo, width = params.modulation_low, params.modulation_high - params.modulation_low
+        parts = [pd, pd, p, pd]
+        self.draw_scale = np.repeat([width, params.pull_pbest, params.pull_attractor, 2.0], parts)
+        self.draw_offset = np.repeat([lo, -0.0, -0.0, -1.0], parts)
         self.draws = np.empty((n, main + pd))
-        self.main_draws = self.draws[:, :main]
         self.delta = self.draws[:, :pd].reshape(n, p, dim)
         self.pull_pbest = self.draws[:, pd:2 * pd].reshape(n, p, dim)
         self.pull_attractor = self.draws[:, 2 * pd:main].reshape(n, p, 1)
@@ -172,16 +175,30 @@ class Population:
             math.exp(params.kick_adapt_rate * (k / p - params.kick_target_rate))
             for k in range(p + 1)
         ])
-        self.active = np.empty((n, 1, 1))
+        self.active = np.ones(n)
         self.scratch = np.empty((n, p, dim))
         self.proposed = np.empty((n, p, dim))
-        self.centroid = np.empty(dim)
-        self.row_scratch = np.empty((p, dim))
+        # The divergence's scratch, shared by every agent: a centroid, the
+        # count P as an array (a ufunc divides by it with the bits of / P,
+        # without converting a scalar), a (P, D) spread and its flat view.
+        spread = np.empty((p, dim))
+        self.divergence_scratch = (np.empty(dim), np.full(dim, float(p)), spread, spread.ravel())
         self.row_index = np.arange(n)
 
+    def select(self, divergences: np.ndarray, late_stage: bool) -> None:
+        """Set every agent's `active` coefficient from its (N,) divergence:
+        escape c below d1, neutral 1.0 on [d1, d2], damping d above d2 or at
+        NaN. Late-stage stabilization caps it at 1.0 past the horizon."""
+        d, c = self.coefficients.T
+        np.copyto(self.active, d)
+        np.copyto(self.active, 1.0, where=divergences <= self.params.d2)
+        np.copyto(self.active, c, where=divergences < self.params.d1)
+        if late_stage:
+            np.minimum(self.active, 1.0, out=self.active)
+
     def step(self, record_pull: bool) -> int:
-        """Move every row by the draws and coefficients its step_particles
-        recorded; return how many rows were committed.
+        """Move every row by the draws its step_particles recorded and the
+        coefficients select gated; return how many rows were committed.
 
         Clamped components get zero velocity, so modulation cannot wind up at
         a wall. record_pull=False (consensus tracking) drops the personal-best
@@ -191,13 +208,12 @@ class Population:
         """
         p = self.params
         x, v, scratch = self.positions, self.velocities, self.scratch
-        draws = self.main_draws
+        draws = self.draws
         draws *= self.draw_scale
-        delta = self.delta
-        delta += p.modulation_low
+        draws += self.draw_offset
 
-        v *= delta
-        v *= self.active
+        v *= self.delta
+        v *= self.active[:, None, None]
         if record_pull:
             pull = np.subtract(self.best_positions, x, out=scratch)
             pull *= self.pull_pbest
@@ -221,15 +237,11 @@ class Population:
         self.kicking |= dying
         for i in (~dying).nonzero()[0].tolist():
             self.rngs[i].bit_generator.advance(self.rewind)
-        # -1 + 2u is Generator.uniform(-1, 1) on the same stream. The active
-        # regime coefficient scales the kick: the escape coefficient widens
-        # recovery jumps, the damping one narrows them, so coefficient
-        # guidance steers escape strength. Only dead entries take it.
-        kick = self.kick
-        kick *= 2.0
-        kick -= 1.0
-        kick *= (sigmas * self.active[:, 0, 0])[:, None, None]
-        np.add(v, kick, out=v, where=dead[:, :, None])
+        # The active regime coefficient scales the kick: the escape
+        # coefficient widens recovery jumps, the damping one narrows them, so
+        # coefficient guidance steers escape strength. Only dead entries take it.
+        self.kick *= (sigmas * self.active)[:, None, None]
+        np.add(v, self.kick, out=v, where=dead[:, :, None])
 
         raw = np.add(x, v, out=scratch)
         new = np.maximum(raw, self.lower, out=self.proposed)
@@ -308,6 +320,7 @@ class AgentSwarm:
     __slots__ = (
         "population", "agent_id", "rng", "positions", "velocities",
         "best_positions", "best_values", "last_values", "attractor", "draws",
+        "divergence_scratch",
     )
 
     def __init__(self, population: Population, agent_id: int):
@@ -321,6 +334,7 @@ class AgentSwarm:
         self.last_values = population.last_values[agent_id]
         self.attractor = population.attractors[agent_id]
         self.draws = population.draws[agent_id]
+        self.divergence_scratch = population.divergence_scratch
 
     # -- setup -------------------------------------------------------------
 
@@ -344,25 +358,15 @@ class AgentSwarm:
 
     def divergence(self) -> float:
         """Mean squared distance of the particles from their centroid."""
-        x, pop = self.positions, self.population
-        n = len(x)
-        # sum / n is what ndarray.mean computes, without its Python wrapper.
-        centroid = _sum(x, axis=0, out=pop.centroid)
-        centroid /= n
-        d = np.subtract(x, centroid, out=pop.row_scratch)
-        d *= d
-        return float(_sum(d, axis=None) / n)
-
-    def select_coefficient(self, div: float) -> float:
-        """Regime gate: escape c below d1, neutral 1.0 on [d1, d2], damping d
-        above d2."""
-        pop = self.population
-        d, c = pop.coefficients[self.agent_id]
-        if div < pop.params.d1:
-            return c
-        if div <= pop.params.d2:
-            return 1.0
-        return d
+        x = self.positions
+        centroid, counts, spread, squares = self.divergence_scratch
+        # sum / n is what ndarray.mean computes, without its Python wrapper;
+        # the flat sum rounds like the sum over the whole (P, D) block.
+        _sum(x, 0, None, centroid)
+        np.divide(centroid, counts, centroid)
+        np.subtract(x, centroid, spread)
+        np.multiply(squares, squares, squares)
+        return float(_sum(squares)) / len(x)
 
     def representative_state(self) -> np.ndarray:
         """Position of the particle that evaluated best in the latest sweep
@@ -380,15 +384,14 @@ class AgentSwarm:
 
     # -- dynamics ------------------------------------------------------------
 
-    def step_particles(self, active_coeff: float) -> None:
+    def step_particles(self) -> None:
         """Draw this agent's uniforms for a step, kick included, into its row
-        of Population.draws with one generator call and record its active
-        coefficient; Population.step then moves every agent that drew."""
+        of Population.draws with one generator call; Population.step then
+        moves every agent that drew."""
         self.rng.random(out=self.draws)
-        self.population.active[self.agent_id, 0, 0] = active_coeff
 
     def inject_fused_state(self, fused: np.ndarray, value: float, refocus: bool = False) -> None:
-        """Fold the fused consensus state back into the population.
+        """Fold the fused consensus state, a (D,) array, back into the population.
 
         The attractor moves to the fused point and the worst particle is
         teleported there with zero velocity; its personal best is reset to
@@ -397,23 +400,18 @@ class AgentSwarm:
         attractor follows the agent's own best record instead, while the
         particle channel stays open.
         """
-        fused = np.asarray(fused, dtype=float)
         if fused.shape != self.attractor.shape:
             raise ContractError(
                 f"fused state has shape {fused.shape}, expected {self.attractor.shape}"
             )
-        worst = self.best_values.argmax()
+        best_values = self.best_values
+        worst = best_values.argmax()
         # The reported best is the min of best_seen and the records, so
         # overwriting the worst record can lower it only when that record is
         # below best_seen; fold the records in first in that case.
-        if self.best_values[worst] < self.population.best_seen[self.agent_id]:
+        if best_values[worst] < self.population.best_seen[self.agent_id]:
             self._track_best_seen()
-        self.positions[worst] = fused
+        self.positions[worst] = self.best_positions[worst] = fused
         self.velocities[worst] = 0.0
-        self.best_positions[worst] = fused
-        self.best_values[worst] = value
-        self.last_values[worst] = value
-        if refocus:
-            self.attractor[...] = self.best_positions[self.best_values.argmin()]
-        else:
-            self.attractor[...] = fused
+        best_values[worst] = self.last_values[worst] = value
+        self.attractor[...] = self.best_positions[best_values.argmin()] if refocus else fused

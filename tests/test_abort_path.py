@@ -137,7 +137,6 @@ def test_a_non_finite_step_aborts_like_the_pinned_fault(fault_round, monkeypatch
 SWARM_METHODS = (
     "evaluate_initial",
     "divergence",
-    "select_coefficient",
     "step_particles",
     "representative_state",
     "inject_fused_state",
@@ -157,7 +156,7 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
     # A swarm that rebinds one of its arrays instead of writing in place
     # would drop out of the batched tell, picks and rebase without any
     # error. The 60 rounds cover kicks, the horizon-40 rebase and injection.
-    calls = {name: 0 for name in (*SWARM_METHODS, "rebase")}
+    calls = {name: 0 for name in (*SWARM_METHODS, "rebase", "select")}
     populations: list[Population] = []
     swarms: list[AgentSwarm] = []
 
@@ -179,7 +178,7 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
         return method
 
     population_init, swarm_init = Population.__init__, AgentSwarm.__init__
-    tell, rebase = Population.tell, Population.rebase
+    tell, rebase, select = Population.tell, Population.rebase, Population.select
 
     def checked_population_init(self, *args, **kwargs):
         population_init(self, *args, **kwargs)
@@ -200,15 +199,22 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
         for swarm in swarms:
             assert_rows_shared(swarm)
 
+    def checked_select(self, *args, **kwargs):
+        select(self, *args, **kwargs)
+        calls["select"] += 1
+
     for name in SWARM_METHODS:
         monkeypatch.setattr(AgentSwarm, name, checked(name))
     monkeypatch.setattr(Population, "__init__", checked_population_init)
     monkeypatch.setattr(AgentSwarm, "__init__", checked_swarm_init)
     monkeypatch.setattr(Population, "tell", checked_tell)
     monkeypatch.setattr(Population, "rebase", checked_rebase)
+    monkeypatch.setattr(Population, "select", checked_select)
     report = run(_config())
     assert not report.aborted and len(report.disagreement_trace) == 60
     assert all(calls.values()), calls
+    # One batched regime gate per round, one draw per agent and round.
+    assert calls["select"] == 60 and calls["step_particles"] == 4 * 60
     assert len(populations) == 1 and populations[0].kicking.any()
     assert [swarm.agent_id for swarm in swarms] == [0, 1, 2, 3]
 

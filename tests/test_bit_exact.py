@@ -4,7 +4,10 @@ The history array, its window means and the kick-scale factor table replace
 per-agent Python code: a list of records per agent averaged with np.mean, and
 a math.exp per agent and round. The act rule's quartiles come from one sort
 in place of two np.percentile calls. Each must give the same bits, for every
-window length and with the ring buffer wrapped, or the traces move.
+window length and with the ring buffer wrapped, or the traces move. So must
+the batched regime gate against the per-agent one, the step's folded draw
+table against its four separate draw operations, and the divergence body and
+the xi-norm against the numpy calls they replace.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from lacmas.guidance import (
     _sorted_percentile,
     heuristic_advise_act,
 )
-from lacmas.swarm import Population, SwarmParams
+from lacmas.swarm import AgentSwarm, Population, SwarmParams
 
 FIELDS = len(AgentHistory.FIELDS)
 value = st.floats(-1e100, 1e100, allow_nan=False)
@@ -194,3 +197,129 @@ def test_act_rule_matches_the_numpy_percentile_rule(disagreement, data, d, c):
     with np.errstate(invalid="ignore"):
         got, expected = heuristic_advise_act(req), numpy_act_rule(req)
     assert (got.d.hex(), got.c.hex()) == (expected.d.hex(), expected.c.hex())
+
+
+def per_agent_gate(div, d, c, d1, d2, late_stage):
+    """One agent's regime gate and the engine's late-stage cap, as first written."""
+    if div < d1:
+        active = c
+    elif div <= d2:
+        active = 1.0
+    else:
+        active = d
+    if late_stage:
+        # Late-stage stabilization: no expansion past the horizon.
+        active = min(active, 1.0)
+    return active
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d1=st.floats(0.0, 1e3),
+    gap=st.floats(1e-9, 1e3),
+    late_stage=st.booleans(),
+    data=st.data(),
+)
+def test_select_matches_the_per_agent_gate(d1, gap, late_stage, data):
+    d2 = d1 + gap
+    params = SwarmParams(population=2, d1=d1, d2=d2)
+    n = data.draw(st.integers(1, 8))
+    edges = st.sampled_from([d1, d2, 0.0, math.inf, math.nan])
+    divergences = data.draw(
+        st.lists(st.one_of(edges, st.floats(0.0, 1e300)), min_size=n, max_size=n)
+    )
+    coefficients = data.draw(
+        st.lists(st.tuples(st.floats(*D_RANGE), st.floats(*C_RANGE)), min_size=n, max_size=n)
+    )
+    rngs = [np.random.default_rng(i) for i in range(n)]
+    population = Population(1, np.full(1, -1.0), np.full(1, 1.0), params, rngs)
+    population.coefficients[:] = coefficients
+    population.select(np.array(divergences), late_stage)
+    expected = [
+        per_agent_gate(div, d, c, d1, d2, late_stage)
+        for div, (d, c) in zip(divergences, coefficients)
+    ]
+    assert [a.hex() for a in population.active.tolist()] == [e.hex() for e in expected]
+
+
+unit = st.one_of(st.just(0.0), st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    dim=st.integers(1, 4),
+    low=st.floats(-10.0, 10.0),
+    width=st.floats(0.0, 10.0),
+    pulls=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    sigma=st.floats(0.0, 10.0),
+    active=st.floats(0.0, 2.0),
+    data=st.data(),
+)
+def test_folded_draw_table_matches_the_four_draw_operations(
+    p, dim, low, width, pulls, sigma, active, data
+):
+    params = SwarmParams(
+        population=p,
+        modulation_low=low,
+        modulation_high=low + width,
+        pull_pbest=pulls[0],
+        pull_attractor=pulls[1],
+    )
+    box = np.full(dim, -1.0), np.full(dim, 1.0)
+    population = Population(dim, *box, params, [np.random.default_rng(0)])
+    pd = p * dim
+    row = np.array(data.draw(st.lists(unit, min_size=3 * pd + p, max_size=3 * pd + p)))
+    population.draws[0] = row
+    population.kick_sigma[:] = sigma
+    population.active[:] = active
+    population.step(record_pull=True)
+
+    # The parent's step: scale the first L entries, add the low end to delta,
+    # then 2u - 1 on the kick before its scale.
+    main = row[: 2 * pd + p] * np.concatenate([
+        np.full(pd, params.modulation_high - params.modulation_low),
+        np.full(pd, params.pull_pbest),
+        np.full(p, params.pull_attractor),
+    ])
+    delta = main[:pd]
+    delta += params.modulation_low
+    kick = row[2 * pd + p :].copy()
+    kick *= 2.0
+    kick -= 1.0
+    kick *= population.kick_sigma[0] * active
+    # Byte equality tells -0.0 from 0.0.
+    assert population.draws[0].tobytes() == np.concatenate([main, kick]).tobytes()
+
+
+def parent_divergence(x):
+    """AgentSwarm.divergence as first written."""
+    n = len(x)
+    centroid = np.add.reduce(x, axis=0)
+    centroid /= n
+    d = np.subtract(x, centroid)
+    d *= d
+    return float(np.add.reduce(d, axis=None) / n)
+
+
+coordinate = st.one_of(st.floats(-1e200, 1e200), st.floats(-1e-3, 1e-3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 24), dim=st.integers(1, 24), data=st.data())
+def test_divergence_and_xi_norm_match_the_numpy_calls(p, dim, data):
+    entries = data.draw(st.lists(coordinate, min_size=p * dim, max_size=p * dim))
+    x = np.array(entries).reshape(p, dim)
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    box = np.full(dim, -1.0), np.full(dim, 1.0)
+    population = Population(dim, *box, SwarmParams(population=p), rngs)
+    population.positions[1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = AgentSwarm(population, 1).divergence()
+        expected = parent_divergence(x)
+        assert got.hex() == expected.hex()
+
+        # The engine's xi-norm, rows of states against rows of fused states.
+        fused = x[::-1].copy()
+        drift = (x - fused).ravel()
+        assert math.sqrt(drift.dot(drift)).hex() == float(np.linalg.norm(x - fused)).hex()

@@ -319,6 +319,12 @@ def test_negative_seed_gives_config_exit(tmp_path, capsys, command, extra, flags
         ({"swarm": {"kick_velocity_eps": 1e200}}, "kick_velocity_eps"),
         ({"swarm": {"kick_adapt_rate": 1000.0}}, "kick_adapt_rate"),
         ({"swarm": {"kick_target_rate": 1.5}}, "kick_target_rate"),
+        ({"swarm": {"kick_velocity_eps": -1}}, "kick_velocity_eps"),
+        ({"swarm": {"modulation_low": 2.0, "modulation_high": 1.0}}, "modulation_low"),
+        (
+            {"swarm": {"modulation_low": -1e308, "modulation_high": 1e308}},
+            "modulation_high - modulation_low",
+        ),
     ],
 )
 def test_unusable_number_gives_config_exit(tmp_path, capsys, extra, key):
@@ -327,6 +333,8 @@ def test_unusable_number_gives_config_exit(tmp_path, capsys, extra, key):
     # ended in a ValueError or OverflowError traceback: from a float
     # conversion, a uniform draw, math.exp, a squared float or a ceiling of
     # infinity. A success-rate target outside [0, 1] can overflow math.exp too.
+    # An infinite modulation width aborted the run at its first step, and an
+    # inverted interval or a negative kick threshold ran silently.
     cfg = write_config(tmp_path, extra)
     code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG

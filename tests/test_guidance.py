@@ -258,7 +258,9 @@ def test_llm_advise_error_status(stub_server):
 
 
 def test_llm_advise_timeout(stub_server):
-    _StubHandler.delay_s = 0.5
+    # Just above the 0.1 s client timeout: the single-threaded stub finishes
+    # this sleep before its shutdown at teardown returns.
+    _StubHandler.delay_s = 0.2
     endpoint = LlmEndpoint(base_url=stub_server, model="x", timeout=0.1)
     with pytest.raises(LlmTransportError):
         llm_advise("prompt", endpoint)

@@ -45,9 +45,11 @@ def step(swarm, active_coeff):
 
 
 def step_all(population, swarms, active_coeff, record_pull=True):
-    """Every swarm draws, then one batched update; returns the committed rows."""
+    """Every swarm draws, then one batched update with every agent's active
+    coefficient set to active_coeff; returns the committed rows."""
+    population.active[...] = active_coeff
     for swarm in swarms:
-        swarm.step_particles(active_coeff)
+        swarm.step_particles()
     return population.step(record_pull)
 
 
@@ -121,10 +123,13 @@ def test_divergence_nonnegative_random():
 )
 def test_select_coefficient_regimes(div, expected):
     params = SwarmParams(population=2, d1=1.0, d2=4.0)
-    swarm = make_swarm([[0.0], [1.0]], params=params)
-    swarm.population.coefficients[0] = (0.6, 1.5)
-    value = swarm.select_coefficient(div)
-    assert value == {"w1": 0.6, "w0": 1.0, "w2": 1.5}[expected]
+    population, _ = make_population(1, params=params)
+    population.coefficients[0] = (0.6, 1.5)
+    value = {"w1": 0.6, "w0": 1.0, "w2": 1.5}[expected]
+    # Past the horizon the gate caps every coefficient at 1.0.
+    for late_stage, gated in ((False, value), (True, min(value, 1.0))):
+        population.select(np.array([div]), late_stage)
+        assert population.active[0] == gated
 
 
 def test_step_with_zero_coefficients_freezes_positions():
@@ -436,11 +441,11 @@ def test_batched_step_matches_the_per_agent_rule(record_pull):
         if round_ in (6, 15):
             i = 2 if round_ == 6 else 4
             population.kick_sigma[i] = reference.kick_sigma[i] = start_sigma
-        actives = []
-        for i, swarm in enumerate(swarms):
-            d, c = population.coefficients[i]
-            actives.append((d, 1.0, c)[(round_ + i) % 3])
-            swarm.step_particles(actives[i])
+        coefficients = population.coefficients.tolist()
+        actives = [(d, 1.0, c)[(round_ + i) % 3] for i, (d, c) in enumerate(coefficients)]
+        population.active[:] = actives
+        for swarm in swarms:
+            swarm.step_particles()
         assert population.step(record_pull) == n
         assert all(reference_step(reference, i, actives[i], record_pull) for i in range(n))
         assert_same_state(population, reference)
@@ -476,7 +481,7 @@ def test_step_draws_the_kick_only_for_dead_particles(eps, kicked):
     params = SwarmParams(population=p, kick_velocity_eps=eps)
     population, swarms = make_population(n, p=p, dim=dim, seed=2, params=params)
     reference = copy.deepcopy(population)
-    main = population.main_draws.shape[1]
+    main = 2 * p * dim + p
     per_round = main + p * dim if kicked else main
     counters = [copy.deepcopy(rng) for rng in population.rngs]
     for _ in range(12):
