@@ -31,6 +31,7 @@ from .config import (
     build_benchmark,
     build_graph,
     build_run_config,
+    checked_field,
     floored_means,
     load_config,
     seeded_runs,
@@ -139,17 +140,17 @@ _FLAG_FIELDS = {
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """`cfg` with the given flags folded in. A flag counts as given when it is
-    not None, so an explicit 0 reaches validation; replace() re-runs the
-    config's own checks."""
+    not None, so an explicit 0 reaches validation. Each value passes the
+    check a config file's value does, and replace() re-runs the config's own
+    checks."""
     top, sections = {}, {}
     for flag, (section, name) in _FLAG_FIELDS.items():
         value = getattr(args, flag, None)
         if value is None:
             continue
-        if section is None:
-            top[name] = value
-        else:
-            sections.setdefault(section, {})[name] = value
+        owner = cfg if section is None else getattr(cfg, section)
+        target = top if section is None else sections.setdefault(section, {})
+        target[name] = checked_field(owner, name, value, "--" + flag.replace("_", "-"))
     for section, values in sections.items():
         top[section] = replace(getattr(cfg, section), **values)
     if getattr(args, "out", None):

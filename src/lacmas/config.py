@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,12 +117,7 @@ class ExperimentConfig:
 
 
 _NESTED = {
-    "graph": GraphSpec,
-    "objective": ObjectiveSpec,
-    "wsn": WsnSpec,
-    "pcg": PcgConfig,
-    "swarm": SwarmParams,
-    "guidance": GuidanceSpec,
+    f.name: f.default_factory for f in fields(ExperimentConfig) if is_dataclass(f.default_factory)
 }
 
 
@@ -173,10 +168,17 @@ def _checked(value, default, key: str):
     return value
 
 
+def checked_field(spec, name: str, value, key: str):
+    """`value` for field `name` of dataclass `spec`, checked against the
+    field's default as a config file's value is; errors name `key`."""
+    f = next(f for f in fields(spec) if f.name == name)
+    return _checked(value, f.default if f.default is not MISSING else f.default_factory(), key)
+
+
 def _from_dict(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
+    known = {f.name for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
         if key not in known:
@@ -184,9 +186,7 @@ def _from_dict(cls, data: dict, context: str):
         if key in _NESTED and cls is ExperimentConfig:
             kwargs[key] = _from_dict(_NESTED[key], value, context=f"{key}.")
         else:
-            f = known[key]
-            default = f.default if f.default is not MISSING else f.default_factory()
-            kwargs[key] = _checked(value, default, context + key)
+            kwargs[key] = checked_field(cls, key, value, context + key)
     return cls(**kwargs)
 
 

@@ -1,24 +1,27 @@
 """Round-synchronous run loop.
 
-Each round has two phases. In phase one every agent reads its particle
-divergence, then every agent draws its step's uniforms, kicks included, from
-its own generator in one call (per agent, in agent order); one
-Population.select gates every active regime coefficient, and one
-Population.step moves every agent's particles on the stacked arrays and hands
-unused kick draws back, so each stream is consumed as before. One batch call
-evaluates every agent's proposals on its own local objective, and one batched
-tell takes the values back, after which every agent publishes a representative
-state plus trajectory statistics. At the barrier, guidance refreshes fire if
-their gates are open, every agent fuses the published neighborhood states
-under its cooperation weights, and the fused states, scored in one more batch
-call, are injected back into the populations. Metrics and the admissibility
-check run once per round, and one append records every agent's statistics in
-the stacked AgentHistory, from which a cooperation refresh takes all
-descriptors in one build_descriptor call. A non-finite best value or
-divergence aborts the run before it reaches the history.
+`RunState(config)` sets a run up: the provider, every agent's generator and
+swarm rows in one Population, the initial evaluation and the uniform mixing
+matrix. Each round then runs the seven PHASES over that state, in order:
 
-Serial agent order plus per-agent RNG streams derived from the master seed
-make runs bit-reproducible with the heuristic provider.
+1. `_step`: every agent reads its particle divergence and draws its step's
+   uniforms, kicks included, from its own generator, in agent order; one
+   Population.select gates every regime and one Population.step moves all;
+2. `_evaluate`: one batch call scores every agent's proposals on its local
+   objective, one tell takes the values back, and agents publish states;
+3. `_guide_act`: at an open inner gate, act guidance resets the (d, c) pairs;
+4. `_guide_coop`: at an open outer gate, cooperation guidance re-weights the
+   mixing matrix from one build_descriptor call;
+5. `_fuse_inject`: every agent fuses the published states under its weights,
+   and the fused states, scored in one more batch call, go back in;
+6. `_bookkeep`: metrics, the fault check and one AgentHistory append;
+7. `_trace`: the sampled trace row and the convergence test.
+
+A non-finite particle state stops the run after `_evaluate`; a non-finite best
+value or divergence stops it in `_bookkeep`, before it reaches the history.
+RunReport is the run's only accumulator; its `phase_ns` times set-up, each
+phase and `_finish`. Serial agent order plus per-agent RNG streams derived
+from the master seed make runs bit-reproducible with the heuristic provider.
 """
 
 from __future__ import annotations
@@ -206,29 +209,38 @@ class TraceRow:
 
 @dataclass
 class RunReport:
+    """What one run produced. The round phases update it in place, so it is
+    the run's only accumulator; `_finish` sets the final-state fields."""
+
     variant: str
     master_seed: int
-    rows: list[TraceRow]
-    disagreement_trace: list[float]
-    xi_norm_trace: list[float]
-    comm_cost_total: int
-    comm_cost_at_convergence: int
-    converged_at: int | None
-    final_states: np.ndarray
-    final_mean_state: np.ndarray
-    final_fitness_mean_state: float
-    final_mean_local_fitness: float
-    final_best_agent_value: float
-    act_calls: int
-    coop_calls: int
-    provider_fallbacks: int
-    admissibility_violations: int
-    max_row_deviation: float
-    gate_int_iterations: list[int]
-    wall_clock: float
+    rows: list[TraceRow] = field(default_factory=list)
+    disagreement_trace: list[float] = field(default_factory=list)
+    xi_norm_trace: list[float] = field(default_factory=list)
+    comm_cost_total: int = 0
+    comm_cost_at_convergence: int = 0
+    converged_at: int | None = None
+    final_states: np.ndarray | None = None
+    final_mean_state: np.ndarray | None = None
+    final_fitness_mean_state: float = math.nan
+    final_mean_local_fitness: float = math.nan
+    final_best_agent_value: float = math.nan
+    act_calls: int = 0
+    coop_calls: int = 0
+    provider_fallbacks: int = 0
+    admissibility_violations: int = 0
+    max_row_deviation: float = 0.0
+    gate_int_iterations: list[int] = field(default_factory=list)
+    # Nanoseconds in set-up ("start"), in each phase of PHASES and in "finish".
+    phase_ns: dict[str, int] = field(default_factory=dict)
     aborted: bool = False
     fault: str | None = None
     matrices: list[np.ndarray] | None = None
+
+    @property
+    def wall_clock(self) -> float:
+        """Seconds from the start of set-up to the end of the run."""
+        return sum(self.phase_ns.values()) / 1e9
 
 
 CSV_HEADER = "iteration,global_fitness_mean_state,disagreement,comm_cost,stage,gate_int,gate_ext"
@@ -270,10 +282,219 @@ def summarize(report: RunReport) -> str:
 # -- run loop -------------------------------------------------------------------
 
 
-def _make_provider(config: RunConfig):
-    if config.provider == "llm" and config.variant in _GUIDED_VARIANTS:
-        return LlmProvider(endpoint=config.llm)
-    return HeuristicProvider()
+class RunState:
+    """One run's set-up and everything its rounds carry: the provider, the
+    agents' generators and population after the initial evaluation, the
+    history and the mixing matrix. Within a round, each phase leaves on it what
+    later phases read (divergences, committed rows, gates, fused states)."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.objective, self.graph = obj, graph = config.objective, config.graph
+        self.n = n = obj.num_agents
+        guided_llm = config.provider == "llm" and config.variant in _GUIDED_VARIANTS
+        self.provider = LlmProvider(endpoint=config.llm) if guided_llm else HeuristicProvider()
+        agent_seqs = np.random.SeedSequence(config.master_seed).spawn(n)
+        rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in agent_seqs]
+        self.population = population = Population(
+            obj.dim, obj.lower, obj.upper, config.swarm, rngs, coefficients=(D_DEFAULT, C_DEFAULT)
+        )
+        swarms = [AgentSwarm(population, i) for i in range(n)]
+        for i, swarm in enumerate(swarms):
+            swarm.evaluate_initial(obj.eval_local_batch(i, swarm.positions))
+        # A round's per-agent calls, bound once and made in agent order.
+        self.divergence_calls = [swarm.divergence for swarm in swarms]
+        self.draw_calls = [swarm.step_particles for swarm in swarms]
+        self.inject_calls = [swarm.inject_fused_state for swarm in swarms]
+
+        self.history = AgentHistory(n)
+        self.round_cost = comm_cost_per_round(graph, obj.dim)
+        # Directed-edge arrays for vectorized local-disagreement means; a lone
+        # agent has no edges and a local disagreement of 0.
+        self.edge_src, self.edge_dst = graph.edges
+        self.degrees = np.maximum(np.bincount(self.edge_src, minlength=n), 1)
+        self.reps = population.representatives()
+        # The last completed round's fused states; before one, the initial reps.
+        self.prev = self.reps.copy()
+        # The mixing matrix is the only copy of the cooperation weights. It starts
+        # uniform and changes only on cooperation refreshes, which verify it again.
+        self.matrix = assemble_mixing_matrix(graph)
+        self.adm = check_admissibility(self.matrix, graph)
+        matrices = [] if config.record_matrices else None
+        self.report = RunReport(config.variant, config.master_seed, matrices=matrices)
+
+
+def _step(state: RunState, t: int) -> bool:
+    """Adaptive swarm execution: divergences, draws, one select, one step."""
+    # Past the scheduling horizon each attractor follows its agent's own
+    # best instead of the fused state, and the personal-best pull switches
+    # on: the consensus coupling noise stops limiting local refinement,
+    # which is what lets personal bests close in on their local optima.
+    # Fused states keep entering through the particle channel.
+    population, horizon = state.population, state.config.pcg.horizon_T
+    state.late_stage = late_stage = t >= horizon
+    if t == horizon:
+        population.rebase()
+    state.divergences = divergences = np.array([d() for d in state.divergence_calls])
+    for draw in state.draw_calls:
+        draw()
+    population.select(divergences, late_stage)
+    # It commits the rows below the first whose new state is not finite.
+    state.committed = population.step(record_pull=late_stage)
+    return False
+
+
+def _evaluate(state: RunState, t: int) -> bool:
+    """One objective call for all agents' rows; publish representatives."""
+    population, committed = state.population, state.committed
+    # The committed rows still take their values, so an abort leaves them as
+    # evaluated; the other rows hold their last (finite) positions, untold.
+    population.tell(state.objective.eval_all(population.positions), upto=committed)
+    state.reps[:committed] = population.representatives(upto=committed)
+    if committed < state.n:
+        state.report.aborted = True
+        state.report.fault = f"non-finite particle state for agent {committed}"
+        return True
+    return False
+
+
+def _guide_act(state: RunState, t: int) -> bool:
+    """At an open inner gate, act guidance refreshes every agent's (d, c)."""
+    config, history = state.config, state.history
+    state.gate_int = scheduler.gate_int(t, config.pcg)
+    if state.gate_int and config.variant in _ACT_VARIANTS and len(history):
+        report, population = state.report, state.population
+        report.gate_int_iterations.append(t)
+        iterations, values = history.recent(ACT_WINDOW)
+        iterations = iterations.tolist()
+        # Best fitness and local disagreement, per agent.
+        fitness, local_dis = values[:, 0].tolist(), values[:, 3].tolist()
+        coefficients = population.coefficients.tolist()
+        for i in range(state.n):
+            d, c = coefficients[i]
+            trajectory = tuple(zip(iterations, fitness[i], local_dis[i]))
+            out = state.provider.advise_act(ActRequest(t, d, c, trajectory))
+            report.act_calls += 1
+            population.coefficients[i] = out.d, out.c
+    return False
+
+
+def _guide_coop(state: RunState, t: int) -> bool:
+    """At an open outer gate, cooperation guidance re-weights every agent's
+    row of the mixing matrix: projection, assembly and admissibility."""
+    config, history, graph = state.config, state.history, state.graph
+    state.gate_ext = scheduler.gate_ext(t, config.pcg)
+    if state.gate_ext and config.variant in _COOP_VARIANTS and len(history):
+        # A fresh copy, so matrices recorded in earlier rounds stay as they were.
+        state.matrix = matrix = state.matrix.copy()
+        # Each agent's (avg fitness, avg divergence), computed once for all.
+        stats = list(zip(*build_descriptor(history, COOP_WINDOW)[:, :2].T.tolist()))
+        for i in range(state.n):
+            nbrs = graph.neighbor_lists[i]
+            if not nbrs:
+                continue
+            req = CoopRequest(tuple(nbrs), tuple(stats[k] for k in nbrs))
+            out = state.provider.advise_coop(req)
+            state.report.coop_calls += 1
+            matrix[i] = project_weights(out.raw_weights, graph, i)
+        state.adm = check_admissibility(matrix, graph)
+    return False
+
+
+def _fuse_inject(state: RunState, t: int) -> bool:
+    """Every agent fuses the published states under its weights; the fused
+    states, scored in one batch call, go back into the populations."""
+    report, adm, reps = state.report, state.adm, state.reps
+    state.fused = fused = state.matrix @ reps
+    if not adm.passed:
+        report.admissibility_violations += 1
+    report.max_row_deviation = max(report.max_row_deviation, adm.max_row_deviation)
+    if report.matrices is not None:
+        report.matrices.append(state.matrix)
+    if report.disagreement_trace:
+        # np.linalg.norm's Frobenius norm, without its wrapper.
+        drift = (reps - state.prev).ravel()
+        report.xi_norm_trace.append(math.sqrt(drift.dot(drift)))
+    fused_values = state.objective.eval_all(fused[:, None, :])[:, 0].tolist()
+    late_stage = state.late_stage
+    for inject, fused_state, value in zip(state.inject_calls, fused, fused_values):
+        inject(fused_state, value, late_stage)
+    return False
+
+
+def _bookkeep(state: RunState, t: int) -> bool:
+    """Round metrics, the fault check and one history append."""
+    fused, divergences, report = state.fused, state.divergences, state.report
+    diffs = fused - state.prev
+    state_deltas = np.sqrt(_sum(diffs * diffs, axis=1))
+    # take gathers the rows fused[edges] would, at about half the cost.
+    e = fused.take(state.edge_src, 0) - fused.take(state.edge_dst, 0)
+    edge_norms = np.sqrt(_sum(e * e, axis=1))
+    local_dis = np.bincount(state.edge_src, weights=edge_norms, minlength=state.n) / state.degrees
+    bests = state.population.agent_bests()
+    finite = np.isfinite(bests) & np.isfinite(divergences)
+    if not np.logical_and.reduce(finite):
+        # Caught here, a run whose values overflow stops as a numerical
+        # fault instead of failing later in a descriptor's range checks.
+        bad = int(np.argmin(finite))
+        report.aborted = True
+        report.fault = (
+            f"non-finite best value {float(bests[bad])!r} or divergence "
+            f"{float(divergences[bad])!r} for agent {bad} in round {t}"
+        )
+        return True
+    state.history.append(t, (bests, divergences, state_deltas, local_dis))
+    report.disagreement_trace.append(disagreement(fused))
+    report.comm_cost_total += state.round_cost
+    # fused is a fresh product every round and is never written to.
+    state.prev = fused
+    return False
+
+
+def _trace(state: RunState, t: int) -> bool:
+    """The sampled trace row and the convergence test."""
+    config, report = state.config, state.report
+    dis = report.disagreement_trace[-1]
+    hit_threshold = dis < config.convergence_threshold and report.converged_at is None
+    stopping = hit_threshold and config.stop_at_convergence
+    if t % config.log_every == 0 or stopping or t == config.max_iterations - 1:
+        mean_state = _sum(state.fused, axis=0) / state.n
+        report.rows.append(
+            TraceRow(
+                iteration=t,
+                global_fitness_mean_state=state.objective.eval_global(mean_state),
+                disagreement=dis,
+                comm_cost=report.comm_cost_total,
+                stage=scheduler.stage(t, config.pcg),
+                gate_int=int(state.gate_int),
+                gate_ext=int(state.gate_ext),
+            )
+        )
+    if hit_threshold:
+        report.converged_at = t
+    return stopping
+
+
+# Each phase takes (state, t) and returns True only when the run stops after it.
+PHASES = (_step, _evaluate, _guide_act, _guide_coop, _fuse_inject, _bookkeep, _trace)
+PHASE_KEYS = ("start", *(phase.__name__[1:] for phase in PHASES), "finish")
+
+
+def _finish(state: RunState) -> None:
+    """The final-state fields of the report."""
+    report, obj = state.report, state.objective
+    # A completed round leaves its fused states in prev.
+    final_states = state.prev if report.disagreement_trace else state.reps.copy()
+    report.final_states = final_states
+    report.final_mean_state = mean_state = final_states.mean(axis=0)
+    if not report.aborted:
+        report.final_fitness_mean_state = obj.eval_global(mean_state)
+        report.final_mean_local_fitness = float(obj.eval_all(final_states[:, None, :]).mean())
+    report.final_best_agent_value = float(state.population.agent_bests().min())
+    report.provider_fallbacks = getattr(state.provider, "fallback_count", 0)
+    conv = report.converged_at
+    cost = report.comm_cost_total if conv is None else (conv + 1) * state.round_cost
+    report.comm_cost_at_convergence = cost
 
 
 # Overflow and invalid operations yield inf or NaN values, which the round loop
@@ -281,221 +502,23 @@ def _make_provider(config: RunConfig):
 @np.errstate(over="ignore", invalid="ignore")
 def run(config: RunConfig) -> RunReport:
     """Execute one seeded run to convergence or the iteration cap."""
-    start = time.perf_counter()
-    obj, graph = config.objective, config.graph
-    n, dim = obj.num_agents, obj.dim
-    provider = _make_provider(config)
-
-    agent_seqs = np.random.SeedSequence(config.master_seed).spawn(n)
-    population = Population(
-        dim,
-        obj.lower,
-        obj.upper,
-        config.swarm,
-        [np.random.Generator(np.random.PCG64(seq)) for seq in agent_seqs],
-        coefficients=(D_DEFAULT, C_DEFAULT),
-    )
-    swarms = [AgentSwarm(population, i) for i in range(n)]
-    for i, swarm in enumerate(swarms):
-        swarm.evaluate_initial(obj.eval_local_batch(i, swarm.positions))
-    # A round's per-agent calls, bound once and made in agent order.
-    divergence_calls = [swarm.divergence for swarm in swarms]
-    draw_calls = [swarm.step_particles for swarm in swarms]
-
-    history = AgentHistory(n)
-    round_cost = comm_cost_per_round(graph, dim)
-    # Directed-edge arrays for vectorized local-disagreement means; a lone
-    # agent has no edges and a local disagreement of 0.
-    edge_src, edge_dst = graph.edges
-    degrees = np.maximum(np.bincount(edge_src, minlength=n), 1)
-
-    reps = population.representatives()
-    consensus_prev = reps.copy()
-    fused_prev: np.ndarray | None = None
-
-    rows: list[TraceRow] = []
-    dis_trace: list[float] = []
-    xi_trace: list[float] = []
-    matrices: list[np.ndarray] | None = [] if config.record_matrices else None
-    comm_cost = 0
-    act_calls = coop_calls = 0
-    adm_violations = 0
-    max_row_dev = 0.0
-    gate_int_hits: list[int] = []
-    converged_at: int | None = None
-    aborted = False
-    fault: str | None = None
-    t = -1
-
-    # The mixing matrix is the only copy of the cooperation weights. It starts
-    # uniform and changes only on cooperation refreshes, which verify it again.
-    matrix = assemble_mixing_matrix(graph)
-    adm = check_admissibility(matrix, graph)
-
+    clock = time.perf_counter_ns
+    begin = clock()
+    state = RunState(config)
+    mark = clock()
+    spent = [mark - begin] + [0] * len(PHASES) + [0]
+    phases = tuple(enumerate(PHASES, 1))
     for t in range(config.max_iterations):
-        # Phase 1: local adaptive swarm steps; publish representatives.
-        # Past the scheduling horizon each attractor follows its agent's own
-        # best instead of the fused state, and the personal-best pull switches
-        # on: the consensus coupling noise stops limiting local refinement,
-        # which is what lets personal bests close in on their local optima.
-        # Fused states keep entering through the particle channel.
-        late_stage = t >= config.pcg.horizon_T
-        if t == config.pcg.horizon_T:
-            population.rebase()
-        divergences = np.array([divergence() for divergence in divergence_calls])
-        for draw in draw_calls:
-            draw()
-        population.select(divergences, late_stage)
-        # One update moves every agent; it commits the rows below the first
-        # whose new state is not finite.
-        committed = population.step(record_pull=late_stage)
-        if committed < n:
-            aborted, fault = True, f"non-finite particle state for agent {committed}"
-        # One objective call for all agents' rows. The committed ones still
-        # take their values, so an abort leaves them as evaluated; the other
-        # rows hold their last (finite) positions and are not told.
-        population.tell(obj.eval_all(population.positions), upto=committed)
-        reps[:committed] = population.representatives(upto=committed)
-        if aborted:
-            break
-
-        # Phase 2: guidance refreshes, weighted fusion, bookkeeping.
-        g_int = scheduler.gate_int(t, config.pcg)
-        g_ext = scheduler.gate_ext(t, config.pcg)
-
-        if g_int and config.variant in _ACT_VARIANTS and len(history):
-            gate_int_hits.append(t)
-            iterations, values = history.recent(ACT_WINDOW)
-            iterations = iterations.tolist()
-            # Best fitness and local disagreement, per agent.
-            fitness, local_dis = values[:, 0].tolist(), values[:, 3].tolist()
-            coefficients = population.coefficients.tolist()
-            for i in range(n):
-                d, c = coefficients[i]
-                req = ActRequest(
-                    iteration=t,
-                    current_d=d,
-                    current_c=c,
-                    trajectory=tuple(zip(iterations, fitness[i], local_dis[i])),
-                )
-                out = provider.advise_act(req)
-                act_calls += 1
-                population.coefficients[i] = out.d, out.c
-
-        if g_ext and config.variant in _COOP_VARIANTS and len(history):
-            # A fresh copy, so matrices recorded in earlier rounds stay as they were.
-            matrix = matrix.copy()
-            # Each agent's (avg fitness, avg divergence), computed once for all.
-            stats = list(zip(*build_descriptor(history, COOP_WINDOW)[:, :2].T.tolist()))
-            for i in range(n):
-                nbrs = graph.neighbor_lists[i]
-                if not nbrs:
-                    continue
-                req = CoopRequest(
-                    neighbor_ids=tuple(nbrs),
-                    neighbor_stats=tuple(stats[k] for k in nbrs),
-                )
-                out = provider.advise_coop(req)
-                coop_calls += 1
-                matrix[i] = project_weights(out.raw_weights, graph, i)
-            adm = check_admissibility(matrix, graph)
-
-        fused = matrix @ reps
-        if not adm.passed:
-            adm_violations += 1
-        max_row_dev = max(max_row_dev, adm.max_row_deviation)
-        if matrices is not None:
-            matrices.append(matrix)
-
-        if fused_prev is not None:
-            # np.linalg.norm's Frobenius norm, without its wrapper.
-            drift = (reps - fused_prev).ravel()
-            xi_trace.append(math.sqrt(drift.dot(drift)))
-
-        fused_values = obj.eval_all(fused[:, None, :])[:, 0].tolist()
-        for swarm, state, value in zip(swarms, fused, fused_values):
-            swarm.inject_fused_state(state, value, late_stage)
-
-        diffs = fused - consensus_prev
-        state_deltas = np.sqrt(_sum(diffs * diffs, axis=1))
-        e = fused[edge_src] - fused[edge_dst]
-        edge_norms = np.sqrt(_sum(e * e, axis=1))
-        local_dis = np.bincount(edge_src, weights=edge_norms, minlength=n) / degrees
-        bests = population.agent_bests()
-        finite = np.isfinite(bests) & np.isfinite(divergences)
-        if not np.logical_and.reduce(finite):
-            # Caught here, a run whose values overflow stops as a numerical
-            # fault instead of failing later in a descriptor's range checks.
-            bad = int(np.argmin(finite))
-            aborted = True
-            fault = (
-                f"non-finite best value {float(bests[bad])!r} or divergence "
-                f"{float(divergences[bad])!r} for agent {bad} in round {t}"
-            )
-            break
-        history.append(t, (bests, divergences, state_deltas, local_dis))
-
-        dis = disagreement(fused)
-        dis_trace.append(dis)
-        comm_cost += round_cost
-        # fused is a fresh product every round and is never written to.
-        consensus_prev = fused_prev = fused
-
-        hit_threshold = dis < config.convergence_threshold and converged_at is None
-        stopping = hit_threshold and config.stop_at_convergence
-        last_round = t == config.max_iterations - 1
-        if t % config.log_every == 0 or stopping or last_round:
-            rows.append(
-                TraceRow(
-                    iteration=t,
-                    global_fitness_mean_state=obj.eval_global(_sum(fused, axis=0) / n),
-                    disagreement=dis,
-                    comm_cost=comm_cost,
-                    stage=scheduler.stage(t, config.pcg),
-                    gate_int=int(g_int),
-                    gate_ext=int(g_ext),
-                )
-            )
-        if hit_threshold:
-            converged_at = t
-            if config.stop_at_convergence:
+        for k, phase in phases:
+            stop = phase(state, t)
+            now = clock()
+            spent[k] += now - mark
+            mark = now
+            if stop:
                 break
-
-    if fused_prev is not None:
-        final_states = fused_prev
-    else:
-        final_states = reps.copy()
-    mean_state = final_states.mean(axis=0)
-    fallbacks = getattr(provider, "fallback_count", 0)
-    if converged_at is not None:
-        cost_at_conv = (converged_at + 1) * round_cost
-    else:
-        cost_at_conv = comm_cost
-
-    return RunReport(
-        variant=config.variant,
-        master_seed=config.master_seed,
-        rows=rows,
-        disagreement_trace=dis_trace,
-        xi_norm_trace=xi_trace,
-        comm_cost_total=comm_cost,
-        comm_cost_at_convergence=cost_at_conv,
-        converged_at=converged_at,
-        final_states=final_states,
-        final_mean_state=mean_state,
-        final_fitness_mean_state=obj.eval_global(mean_state) if not aborted else float("nan"),
-        final_mean_local_fitness=float(obj.eval_all(final_states[:, None, :]).mean())
-        if not aborted
-        else float("nan"),
-        final_best_agent_value=float(population.agent_bests().min()),
-        act_calls=act_calls,
-        coop_calls=coop_calls,
-        provider_fallbacks=fallbacks,
-        admissibility_violations=adm_violations,
-        max_row_deviation=max_row_dev,
-        gate_int_iterations=gate_int_hits,
-        wall_clock=time.perf_counter() - start,
-        aborted=aborted,
-        fault=fault,
-        matrices=matrices,
-    )
+        if stop:
+            break
+    _finish(state)
+    spent[-1] = clock() - mark
+    state.report.phase_ns = dict(zip(PHASE_KEYS, spent))
+    return state.report

@@ -146,7 +146,6 @@ class Population:
         self.kicking = np.zeros(n, dtype=bool)
         self.kick_sigma = np.full(n, kick_sigma)
         self.coefficients = np.array([coefficients] * n, dtype=float)
-        self.evaluated = [False] * n
 
         # Row i of `draws` is agent i's one uniform draw per round: delta, r1,
         # r2, then the kick. r2 is one gain per particle, not per component,
@@ -344,7 +343,6 @@ class AgentSwarm:
         self.best_values[...] = values
         self.best_positions[...] = self.positions
         self.last_values[...] = self.best_values
-        self.population.evaluated[self.agent_id] = True
         self._track_best_seen()
         self.attractor[...] = self.representative_state()
 
@@ -378,8 +376,6 @@ class AgentSwarm:
         pins to the first point found and consensus could never re-anchor it;
         the per-sweep best follows the attractor instead.
         """
-        if not self.population.evaluated[self.agent_id]:
-            raise ContractError("representative_state before any evaluation")
         return self.positions[self.last_values.argmin()].copy()
 
     # -- dynamics ------------------------------------------------------------

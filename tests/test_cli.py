@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lacmas.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_VERIFY, main
-from lacmas.config import config_from_dict, wsn_runs
+from lacmas.config import build_benchmark, config_from_dict, seeded_runs, wsn_runs
 from lacmas.engine import CSV_HEADER, run, write_trace_csv
 from lacmas.swarm import AgentSwarm
 from lacmas.wsn import system_error
@@ -343,6 +343,21 @@ def test_unusable_number_gives_config_exit(tmp_path, capsys, extra, key):
     assert "\n" not in err
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_non_finite_flag_gives_config_exit(tmp_path, capsys, noise):
+    # A flag's value passes the check a config file's value does. Unchecked,
+    # --noise nan ran as if there were no noise and --noise inf aborted in
+    # round 0.
+    out = tmp_path / "r"
+    argv = ["wsn", "--noise", noise, "--config", str(write_config(tmp_path)), "--out", str(out)]
+    code = main(argv)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "--noise" in err
+    assert "\n" not in err
+    assert not out.exists()
+
+
 def test_contract_error_gives_config_exit(tmp_path, capsys):
     cfg = write_config(tmp_path, {"swarm": {"population": 0}})
     code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
@@ -556,3 +571,20 @@ def test_verify_rejects_unusable_matrices_file(tmp_path, capsys, name, write):
     err = capsys.readouterr().err.strip()
     assert err.startswith("configuration error:")
     assert "\n" not in err
+
+
+def test_suite_table_has_criterion_6_fitness_reading(tmp_path):
+    # Criterion 6 compares final_best_agent_value; the table must carry its mean.
+    data = {"objective": {"num_agents": 4, "dim": 3}, "max_iterations": 30, "num_runs": 2}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = ["suite", "--config", str(path), "--suite", "sphere", "--variants", "full",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    header, row = (out / "ablation.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    cfg = config_from_dict(data)
+    run_cfgs = seeded_runs(cfg, build_benchmark(cfg, "sphere"), stop_at_convergence=False)
+    bests = [run(run_cfg).final_best_agent_value for run_cfg in run_cfgs]
+    assert float(cells["mean_best_agent_value"]) == sum(bests) / 2

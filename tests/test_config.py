@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,10 @@ from lacmas.config import (
     build_run_config,
     build_wsn_objective,
     config_from_dict,
+    floored_means,
     load_config,
+    seeded_runs,
+    wsn_runs,
 )
 from lacmas.engine import RunConfig
 from lacmas.errors import ConfigError
@@ -214,3 +218,39 @@ def test_every_none_default_has_a_type_check():
     }
     none_keys |= {f.name for f in fields(ExperimentConfig) if f.default is None}
     assert none_keys == set(_OPTIONAL)
+
+
+# -- presets ---------------------------------------------------------------------
+# Each preset under configs/ builds every one of its runs, so a typo in a
+# preset fails here in well under a second instead of in the acceptance gate
+# or a long run.
+
+PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def test_presets_are_found():
+    assert PRESETS
+
+
+@pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.stem)
+def test_preset_builds_every_run(path):
+    cfg = load_config(path)
+    if path.stem == "wsn_sweep":
+        # Targets x seeds, as `lacmas wsn` builds them.
+        runs = wsn_runs(cfg)
+        assert len(runs) == cfg.wsn.num_targets * cfg.num_runs
+    else:
+        # Families x seeds, as `lacmas run` and `lacmas suite` build them.
+        runs = [
+            run_cfg
+            for family in cfg.suite
+            for run_cfg in seeded_runs(cfg, build_benchmark(cfg, family))
+        ]
+        assert len(runs) == len(cfg.suite) * cfg.num_runs
+
+
+def test_wsn_sweep_floors_errors_before_ordering():
+    # Criterion 9 floors errors at 1e-3: sub-threshold depths are floor noise,
+    # and unfloored they would order 1 target (1e-9) after 2 targets (1e-12).
+    means = floored_means({1: [1e-9, 1e-5], 2: [1e-12], 3: [0.5, 1e-4]})
+    assert means == {1: 1e-3, 2: 1e-3, 3: (0.5 + 1e-3) / 2}

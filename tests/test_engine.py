@@ -1,12 +1,18 @@
 import hashlib
+import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lacmas import scheduler
 from lacmas.engine import (
+    PHASES,
     AgentHistory,
     RunConfig,
+    RunState,
+    _trace,
     comm_cost_per_round,
     disagreement,
     run,
@@ -337,3 +343,81 @@ def test_xi_trace_measures_rep_deviation(sphere_small, ring4):
     report = run(small_config(sphere_small, ring4, max_iterations=30, convergence_threshold=1e-30))
     assert len(report.xi_norm_trace) == 29
     assert all(x >= 0 for x in report.xi_norm_trace)
+
+
+# -- phases ----------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_traces.json"
+
+
+def golden_sphere_config(**kw):
+    """The golden case sphere-full-seed0 (tests/test_golden_traces.py)."""
+    defaults = dict(
+        objective=make_spec("sphere", 6, 4, hetero_sigma=0.0, seed=3),
+        graph=build_ring(6),
+        variant="full",
+        master_seed=0,
+        max_iterations=200,
+        stop_at_convergence=False,
+        log_every=1,
+        pcg=PcgConfig(horizon_T=80),
+    )
+    defaults.update(kw)
+    return RunConfig(**defaults)
+
+
+def drive(config):
+    """Set-up and PHASES driven by hand; returns the report and the phase
+    after which the run stopped, None at the iteration cap."""
+    state = RunState(config)
+    for t in range(config.max_iterations):
+        stopped_by = next((phase for phase in PHASES if phase(state, t)), None)
+        if stopped_by is not None:
+            return state.report, stopped_by
+    return state.report, None
+
+
+def csv_sha256(report, path):
+    write_trace_csv(report, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_phase_ns_has_every_phase_in_order(sphere_small, ring4):
+    report = run(small_config(sphere_small, ring4))
+    assert list(report.phase_ns) == [
+        "start", "step", "evaluate", "guide_act", "guide_coop",
+        "fuse_inject", "bookkeep", "trace", "finish",
+    ]
+    assert all(ns >= 0 for ns in report.phase_ns.values())
+    assert report.wall_clock == sum(report.phase_ns.values()) / 1e9
+
+
+def test_phase_ns_accounts_for_the_whole_run(sphere_small, ring4):
+    cfg = small_config(sphere_small, ring4, max_iterations=300, stop_at_convergence=False)
+    start = time.perf_counter()
+    report = run(cfg)
+    outside = time.perf_counter() - start
+    assert len(report.disagreement_trace) == 300
+    assert report.wall_clock == pytest.approx(outside, rel=0.05)
+
+
+def test_phases_driven_by_hand_give_the_run_trace(tmp_path):
+    cfg = golden_sphere_config()
+    by_hand, stopped_by = drive(cfg)
+    assert stopped_by is None
+    digest = csv_sha256(by_hand, tmp_path / "by_hand.csv")
+    assert digest == csv_sha256(run(cfg), tmp_path / "run.csv")
+    golden = json.loads(GOLDEN.read_text())["sphere-full-seed0"]
+    assert digest == golden["trace_csv_sha256"]
+
+
+def test_convergence_stops_the_run_after_trace(tmp_path):
+    # Trace rows pinned from the build before the round was split into phases.
+    report, stopped_by = drive(golden_sphere_config(stop_at_convergence=True))
+    assert stopped_by is _trace
+    assert report.converged_at == 154 == report.rows[-1].iteration
+    assert len(report.rows) == 155
+    assert (
+        csv_sha256(report, tmp_path / "trace.csv")
+        == "4327f20e0a7e427c08a1749fc026eace9576759a5018d7670c96b8497791ab6d"
+    )

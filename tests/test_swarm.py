@@ -193,12 +193,6 @@ def test_representative_tie_breaks_to_lower_index():
     assert np.allclose(swarm.representative_state(), [1.0])
 
 
-def test_representative_requires_evaluation():
-    swarm = new_swarm(2, -1.0, 1.0, SwarmParams(population=2), 0)
-    with pytest.raises(ContractError):
-        swarm.representative_state()
-
-
 def test_inject_sets_attractor_and_replaces_worst():
     swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]])
     fused = np.array([0.5, 0.5])
