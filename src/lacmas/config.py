@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from .errors import ConfigError
 from .guidance import LLM_TIMEOUT, LlmEndpoint
 from .objectives import FAMILIES, BenchmarkSpec, make_spec
 from .scheduler import PcgConfig
-from .swarm import SwarmParams
 from .topology import CommGraph, build_explicit, build_random_connected, build_ring
 from .wsn import WsnObjectiveSet, gen_measurements, gen_scenario
 
@@ -82,9 +82,13 @@ class GuidanceSpec:
 
     def __post_init__(self):
         # A timeout of zero or less fails every request, so each refresh would
-        # silently fall back to the heuristic answer.
-        if not self.llm_timeout > 0:
-            raise ConfigError(f"guidance.llm_timeout must be > 0, got {self.llm_timeout}")
+        # silently fall back to the heuristic answer; one above TIMEOUT_MAX
+        # makes the socket raise OverflowError at the first request.
+        if not 0 < self.llm_timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(
+                f"guidance.llm_timeout must lie in (0, {threading.TIMEOUT_MAX:.0f}], "
+                f"got {self.llm_timeout}"
+            )
 
 
 @dataclass
@@ -102,7 +106,6 @@ class ExperimentConfig:
     objective: ObjectiveSpec = field(default_factory=ObjectiveSpec)
     wsn: WsnSpec = field(default_factory=WsnSpec)
     pcg: PcgConfig = field(default_factory=PcgConfig)
-    swarm: SwarmParams = field(default_factory=SwarmParams)
     guidance: GuidanceSpec = field(default_factory=GuidanceSpec)
 
     def __post_init__(self):

@@ -49,7 +49,7 @@ from .guidance import (
     LlmProvider,
 )
 from .scheduler import PcgConfig
-from .swarm import AgentSwarm, Population, SwarmParams
+from .swarm import POPULATION, AgentSwarm, Population
 from .topology import CommGraph
 
 VARIANTS = ("baseline", "act", "coop", "full")
@@ -166,7 +166,6 @@ class RunConfig:
     master_seed: int = 0
     log_every: int = 10
     pcg: PcgConfig = field(default_factory=PcgConfig)
-    swarm: SwarmParams = field(default_factory=SwarmParams)
     llm: LlmEndpoint | None = None
     record_matrices: bool = False
 
@@ -297,7 +296,7 @@ class RunState:
         agent_seqs = np.random.SeedSequence(config.master_seed).spawn(n)
         rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in agent_seqs]
         self.population = population = Population(
-            obj.dim, obj.lower, obj.upper, config.swarm, rngs, coefficients=(D_DEFAULT, C_DEFAULT)
+            POPULATION, obj.dim, obj.lower, obj.upper, rngs, (D_DEFAULT, C_DEFAULT)
         )
         swarms = [AgentSwarm(population, i) for i in range(n)]
         for i, swarm in enumerate(swarms):

@@ -11,8 +11,8 @@ toward the particle's personal best and toward the agent's local attractor
 The active coefficient w is selected from the agent's (d, c) pair by the
 current particle divergence: a concentrated population gets the escape
 coefficient c, a widely spread one the damping coefficient d, and the middle
-band the neutral 1.0. delta is drawn element-wise uniform on [modulation_low,
-modulation_high], so w < 1 contracts the modulated term in the mean-square
+band the neutral 1.0. delta is drawn element-wise uniform on [MODULATION_LOW,
+MODULATION_HIGH], so w < 1 contracts the modulated term in the mean-square
 sense and w near the top of its range lets occasional large kicks through.
 
 The swarm never calls an objective. All swarm state lives in one Population of
@@ -29,61 +29,49 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
 
-_LOG_MAX = math.log(sys.float_info.max)
 _SQRT_MAX = math.sqrt(sys.float_info.max)
 # What ndarray.sum calls, without its Python wrapper: same reduction, same bits.
 _sum = np.add.reduce
 
 
-@dataclass(frozen=True)
-class SwarmParams:
-    population: int = 10
-    pull_pbest: float = 0.8
-    pull_attractor: float = 0.8
-    modulation_low: float = -0.5
-    modulation_high: float = 1.5
-    # Fraction of the full box span; 0.05 of [-B, B] is the [-B/10, B/10] start.
-    init_velocity_frac: float = 0.05
-    d1: float = 1.0
-    d2: float = 10.0
-    # Collapse recovery: a particle whose velocity has died gets a fresh kick.
-    # The multiplicative modulation cannot re-expand a population from zero
-    # velocity on its own, so this is what keeps refinement going instead of
-    # freezing at the scale where the swarm first collapsed. The kick scale
-    # adapts to the personal-best success rate (expand while improvements are
-    # frequent, contract when they dry up), which makes it track the distance
-    # to the local optimum without knowing it.
-    kick_velocity_eps: float = 1e-3
-    kick_adapt_rate: float = 0.3
-    kick_target_rate: float = 0.2
+# The method's constants, none of them a setting: particles per agent, the
+# pull gains c_p and c_a, delta's interval and the regime gate's divergence
+# thresholds.
+POPULATION = 10
+PULL_PBEST = 0.8
+PULL_ATTRACTOR = 0.8
+MODULATION_LOW = -0.5
+MODULATION_HIGH = 1.5
+D1 = 1.0
+D2 = 10.0
+# Fraction of the full box span; 0.05 of [-B, B] is the [-B/10, B/10] start.
+INIT_VELOCITY_FRAC = 0.05
+# Collapse recovery: a particle whose velocity has died gets a fresh kick.
+# The multiplicative modulation cannot re-expand a population from zero
+# velocity on its own, so this is what keeps refinement going instead of
+# freezing at the scale where the swarm first collapsed. The kick scale
+# adapts to the personal-best success rate (expand while improvements are
+# frequent, contract when they dry up), which makes it track the distance
+# to the local optimum without knowing it.
+KICK_VELOCITY_EPS = 1e-3
+KICK_ADAPT_RATE = 0.3
+KICK_TARGET_RATE = 0.2
 
-    def __post_init__(self):
-        if self.population < 1:
-            raise ContractError("population must be >= 1")
-        if not self.d1 < self.d2:
-            raise ContractError(f"need d1 < d2, got ({self.d1}, {self.d2})")
-        # The width scales delta's draws; an infinite one makes velocities NaN.
-        lo, hi = self.modulation_low, self.modulation_high
-        if not (lo <= hi and math.isfinite(hi - lo)):
-            raise ContractError(f"need finite modulation_high - modulation_low >= 0, got {lo, hi}")
-        if not self.kick_velocity_eps >= 0:
-            raise ContractError(f"kick_velocity_eps must be >= 0, got {self.kick_velocity_eps}")
-        if self.init_velocity_frac < 0:
-            raise ContractError(f"init_velocity_frac must be >= 0, got {self.init_velocity_frac}")
-        if not 0 <= self.kick_target_rate <= 1:
-            raise ContractError(f"kick_target_rate must lie in [0, 1], got {self.kick_target_rate}")
-        # The success rate minus the target lies in [-1, 1], so this keeps the
-        # kick-scale factor exp(rate * (success - target)) finite.
-        if not 0 <= self.kick_adapt_rate < _LOG_MAX:
-            raise ContractError(
-                f"kick_adapt_rate must lie in [0, {_LOG_MAX:.1f}), got {self.kick_adapt_rate}"
-            )
+
+def _median(values: list[float]) -> float:
+    """np.median of a list of non-NaN floats, bit for bit: the middle entry,
+    or (a + b) / 2 of the two middle ones. np.median's first call imports
+    numpy.ma, which costs milliseconds inside a round."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 class Population:
@@ -100,34 +88,33 @@ class Population:
 
     def __init__(
         self,
+        particles: int,
         dim: int,
         lower: np.ndarray,
         upper: np.ndarray,
-        params: SwarmParams,
         rngs: list[np.random.Generator],
-        coefficients: tuple[float, float] = (0.7, 1.3),
+        coefficients: tuple[float, float],
     ):
-        n, p = len(rngs), params.population
+        n, p = len(rngs), particles
         if not all(isinstance(rng.bit_generator, np.random.PCG64) for rng in rngs):
             # Population.step steps a stream back by PCG64's exact jump-ahead.
             raise ContractError("every agent generator must run on PCG64")
-        self.params = params
         self.rngs = rngs
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         span = self.upper - self.lower
-        vmax = params.init_velocity_frac * span
+        vmax = INIT_VELOCITY_FRAC * span
         self.span_mean = float(span.mean())
         self.kick_floor = 1e-12 * self.span_mean
-        kick_sigma = float(params.init_velocity_frac * self.span_mean)
+        kick_sigma = float(INIT_VELOCITY_FRAC * self.span_mean)
         # Generator.uniform needs a finite width for both draws below, and the
-        # dead-velocity test squares kick_velocity_eps * kick_sigma, where
-        # kick_sigma never exceeds the larger of its start and the mean span.
-        if not (np.isfinite(span).all() and math.isfinite(2 * float(vmax.max()))):
-            raise ContractError("the box and the initial velocity range must have finite widths")
-        if params.kick_velocity_eps * max(kick_sigma, self.span_mean) >= _SQRT_MAX:
+        # dead-velocity test squares KICK_VELOCITY_EPS * kick_sigma, where
+        # kick_sigma never exceeds the mean span.
+        if not np.isfinite(span).all():
+            raise ContractError("the box must have finite widths")
+        if KICK_VELOCITY_EPS * self.span_mean >= _SQRT_MAX:
             raise ContractError(
-                f"kick_velocity_eps times the box span must be below {_SQRT_MAX:.3g}"
+                f"the box's mean span must be below {_SQRT_MAX / KICK_VELOCITY_EPS:.3g}"
             )
 
         self.positions = np.empty((n, p, dim))
@@ -158,10 +145,10 @@ class Population:
         # back: one float64 uniform is one PCG64 step and the period is 2**128,
         # so advancing by 2**128 - P * D steps its stream back to where it was.
         pd, main = p * dim, 2 * p * dim + p
-        lo, width = params.modulation_low, params.modulation_high - params.modulation_low
+        width = MODULATION_HIGH - MODULATION_LOW
         parts = [pd, pd, p, pd]
-        self.draw_scale = np.repeat([width, params.pull_pbest, params.pull_attractor, 2.0], parts)
-        self.draw_offset = np.repeat([lo, -0.0, -0.0, -1.0], parts)
+        self.draw_scale = np.repeat([width, PULL_PBEST, PULL_ATTRACTOR, 2.0], parts)
+        self.draw_offset = np.repeat([MODULATION_LOW, -0.0, -0.0, -1.0], parts)
         self.draws = np.empty((n, main + pd))
         self.delta = self.draws[:, :pd].reshape(n, p, dim)
         self.pull_pbest = self.draws[:, pd:2 * pd].reshape(n, p, dim)
@@ -171,7 +158,7 @@ class Population:
         # The kick-scale factor exp(rate * (k / P - target)) of each success
         # count k, as tell's per-agent rule computed it.
         self.kick_factors = np.array([
-            math.exp(params.kick_adapt_rate * (k / p - params.kick_target_rate))
+            math.exp(KICK_ADAPT_RATE * (k / p - KICK_TARGET_RATE))
             for k in range(p + 1)
         ])
         self.active = np.ones(n)
@@ -186,12 +173,12 @@ class Population:
 
     def select(self, divergences: np.ndarray, late_stage: bool) -> None:
         """Set every agent's `active` coefficient from its (N,) divergence:
-        escape c below d1, neutral 1.0 on [d1, d2], damping d above d2 or at
+        escape c below D1, neutral 1.0 on [D1, D2], damping d above D2 or at
         NaN. Late-stage stabilization caps it at 1.0 past the horizon."""
         d, c = self.coefficients.T
         np.copyto(self.active, d)
-        np.copyto(self.active, 1.0, where=divergences <= self.params.d2)
-        np.copyto(self.active, c, where=divergences < self.params.d1)
+        np.copyto(self.active, 1.0, where=divergences <= D2)
+        np.copyto(self.active, c, where=divergences < D1)
         if late_stage:
             np.minimum(self.active, 1.0, out=self.active)
 
@@ -205,7 +192,6 @@ class Population:
         steps its generator back over the unused kick draws. Rows from the
         first non-finite one on keep their positions.
         """
-        p = self.params
         x, v, scratch = self.positions, self.velocities, self.scratch
         draws = self.draws
         draws *= self.draw_scale
@@ -224,14 +210,14 @@ class Population:
         # A limit of 0 (eps or kick scale 0) marks no particle dead.
         sigmas = self.kick_sigma
         speed2 = _sum(np.multiply(v, v, out=scratch), axis=2)
-        limits = np.square(p.kick_velocity_eps * sigmas)
+        limits = np.square(KICK_VELOCITY_EPS * sigmas)
         dead = speed2 < limits[:, None]
         dying = np.logical_or.reduce(dead, axis=1)
         # dying > kicking is dying & ~kicking: agents whose recovery starts now.
         for i in (dying > self.kicking).nonzero()[0].tolist():
             # Seed the recovery scale from where the collapse happened.
             abest = self.best_positions[i, self.best_values[i].argmin()]
-            spread = float(np.median(np.linalg.norm(x[i] - abest, axis=1)))
+            spread = _median(np.linalg.norm(x[i] - abest, axis=1).tolist())
             sigmas[i] = max(min(float(sigmas[i]), spread), self.kick_floor)
         self.kicking |= dying
         for i in (~dying).nonzero()[0].tolist():

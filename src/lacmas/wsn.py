@@ -140,9 +140,7 @@ def local_objective_batch(
     if not 0 <= sensor < scn.num_sensors:
         raise ContractError(f"sensor index {sensor} out of range")
     layouts = decode_targets(scn, checked_points(xs, 2, scn.dim))  # (M, N_t, 3)
-    dists = _norm_last_axis(layouts - scn.sensor_positions[sensor])
-    residual = phi[sensor] - rss_model(scn, dists)
-    return _sum(residual * residual, axis=1)
+    return _mismatch(scn, phi[sensor], layouts, scn.sensor_positions[sensor])
 
 
 def all_local_objectives(scn: WsnScenario, phi: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -153,8 +151,15 @@ def all_local_objectives(scn: WsnScenario, phi: np.ndarray, xs: np.ndarray) -> n
     if len(xs) != scn.num_sensors:
         raise ContractError(f"expected ({scn.num_sensors}, M, {scn.dim}) batch, got {xs.shape}")
     layouts = decode_targets(scn, xs)  # (n, M, N_t, 3)
-    dists = _norm_last_axis(layouts - scn.sensor_positions[:, None, None, :])
-    residual = phi[:, None, :] - rss_model(scn, dists)
+    return _mismatch(scn, phi[:, None, :], layouts, scn.sensor_positions[:, None, None, :])
+
+
+def _mismatch(
+    scn: WsnScenario, phi: np.ndarray, layouts: np.ndarray, sensors: np.ndarray
+) -> np.ndarray:
+    """Squared RSS mismatch summed over targets: `phi` (measurements) and
+    `sensors` (positions) broadcast against the (..., N_t, 3) `layouts`."""
+    residual = phi - rss_model(scn, _norm_last_axis(layouts - sensors))
     return _sum(residual * residual, axis=-1)
 
 

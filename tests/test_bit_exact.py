@@ -6,8 +6,8 @@ a math.exp per agent and round. The act rule's quartiles come from one sort
 in place of two np.percentile calls. Each must give the same bits, for every
 window length and with the ring buffer wrapped, or the traces move. So must
 the batched regime gate against the per-agent one, the step's folded draw
-table against its four separate draw operations, and the divergence body and
-the xi-norm against the numpy calls they replace.
+table against its four separate draw operations, and the divergence body, the
+xi-norm and the kick-start median against the numpy calls they replace.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lacmas.cooperation import build_descriptor
@@ -35,7 +35,19 @@ from lacmas.guidance import (
     _sorted_percentile,
     heuristic_advise_act,
 )
-from lacmas.swarm import AgentSwarm, Population, SwarmParams
+from lacmas.swarm import (
+    D1,
+    D2,
+    KICK_ADAPT_RATE,
+    KICK_TARGET_RATE,
+    MODULATION_HIGH,
+    MODULATION_LOW,
+    PULL_ATTRACTOR,
+    PULL_PBEST,
+    AgentSwarm,
+    Population,
+    _median,
+)
 
 FIELDS = len(AgentHistory.FIELDS)
 value = st.floats(-1e100, 1e100, allow_nan=False)
@@ -86,18 +98,18 @@ def test_history_windows_and_descriptors_match_record_lists(case):
             assert means[i].tolist() == expected
 
 
+def new_population(p, dim, rngs, bound=1.0):
+    box = np.full(dim, -bound), np.full(dim, bound)
+    return Population(p, dim, *box, rngs, (D_DEFAULT, C_DEFAULT))
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    p=st.integers(1, 12),
-    adapt=st.floats(0.0, 5.0),
-    target=st.floats(0.0, 1.0),
-    data=st.data(),
-)
-def test_tell_kick_scale_matches_the_math_exp_rule(p, adapt, target, data):
+@given(p=st.integers(1, 12), data=st.data())
+def test_tell_kick_scale_matches_the_math_exp_rule(p, data):
     n = 4
-    params = SwarmParams(population=p, kick_adapt_rate=adapt, kick_target_rate=target)
+    adapt, target = KICK_ADAPT_RATE, KICK_TARGET_RATE
     rngs = [np.random.default_rng(i) for i in range(n)]
-    population = Population(1, np.full(1, -10.0), np.full(1, 10.0), params, rngs)
+    population = new_population(p, 1, rngs, bound=10.0)
     # Every table entry is the per-agent factor of its success count.
     assert population.kick_factors.tolist() == [
         math.exp(adapt * (k / p - target)) for k in range(p + 1)
@@ -214,17 +226,10 @@ def per_agent_gate(div, d, c, d1, d2, late_stage):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    d1=st.floats(0.0, 1e3),
-    gap=st.floats(1e-9, 1e3),
-    late_stage=st.booleans(),
-    data=st.data(),
-)
-def test_select_matches_the_per_agent_gate(d1, gap, late_stage, data):
-    d2 = d1 + gap
-    params = SwarmParams(population=2, d1=d1, d2=d2)
+@given(late_stage=st.booleans(), data=st.data())
+def test_select_matches_the_per_agent_gate(late_stage, data):
     n = data.draw(st.integers(1, 8))
-    edges = st.sampled_from([d1, d2, 0.0, math.inf, math.nan])
+    edges = st.sampled_from([D1, D2, 0.0, math.inf, math.nan])
     divergences = data.draw(
         st.lists(st.one_of(edges, st.floats(0.0, 1e300)), min_size=n, max_size=n)
     )
@@ -232,11 +237,11 @@ def test_select_matches_the_per_agent_gate(d1, gap, late_stage, data):
         st.lists(st.tuples(st.floats(*D_RANGE), st.floats(*C_RANGE)), min_size=n, max_size=n)
     )
     rngs = [np.random.default_rng(i) for i in range(n)]
-    population = Population(1, np.full(1, -1.0), np.full(1, 1.0), params, rngs)
+    population = new_population(2, 1, rngs)
     population.coefficients[:] = coefficients
     population.select(np.array(divergences), late_stage)
     expected = [
-        per_agent_gate(div, d, c, d1, d2, late_stage)
+        per_agent_gate(div, d, c, D1, D2, late_stage)
         for div, (d, c) in zip(divergences, coefficients)
     ]
     assert [a.hex() for a in population.active.tolist()] == [e.hex() for e in expected]
@@ -249,25 +254,12 @@ unit = st.one_of(st.just(0.0), st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0, excl
 @given(
     p=st.integers(1, 5),
     dim=st.integers(1, 4),
-    low=st.floats(-10.0, 10.0),
-    width=st.floats(0.0, 10.0),
-    pulls=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     sigma=st.floats(0.0, 10.0),
     active=st.floats(0.0, 2.0),
     data=st.data(),
 )
-def test_folded_draw_table_matches_the_four_draw_operations(
-    p, dim, low, width, pulls, sigma, active, data
-):
-    params = SwarmParams(
-        population=p,
-        modulation_low=low,
-        modulation_high=low + width,
-        pull_pbest=pulls[0],
-        pull_attractor=pulls[1],
-    )
-    box = np.full(dim, -1.0), np.full(dim, 1.0)
-    population = Population(dim, *box, params, [np.random.default_rng(0)])
+def test_folded_draw_table_matches_the_four_draw_operations(p, dim, sigma, active, data):
+    population = new_population(p, dim, [np.random.default_rng(0)])
     pd = p * dim
     row = np.array(data.draw(st.lists(unit, min_size=3 * pd + p, max_size=3 * pd + p)))
     population.draws[0] = row
@@ -278,12 +270,12 @@ def test_folded_draw_table_matches_the_four_draw_operations(
     # The parent's step: scale the first L entries, add the low end to delta,
     # then 2u - 1 on the kick before its scale.
     main = row[: 2 * pd + p] * np.concatenate([
-        np.full(pd, params.modulation_high - params.modulation_low),
-        np.full(pd, params.pull_pbest),
-        np.full(p, params.pull_attractor),
+        np.full(pd, MODULATION_HIGH - MODULATION_LOW),
+        np.full(pd, PULL_PBEST),
+        np.full(p, PULL_ATTRACTOR),
     ])
     delta = main[:pd]
-    delta += params.modulation_low
+    delta += MODULATION_LOW
     kick = row[2 * pd + p :].copy()
     kick *= 2.0
     kick -= 1.0
@@ -310,9 +302,7 @@ coordinate = st.one_of(st.floats(-1e200, 1e200), st.floats(-1e-3, 1e-3))
 def test_divergence_and_xi_norm_match_the_numpy_calls(p, dim, data):
     entries = data.draw(st.lists(coordinate, min_size=p * dim, max_size=p * dim))
     x = np.array(entries).reshape(p, dim)
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-    box = np.full(dim, -1.0), np.full(dim, 1.0)
-    population = Population(dim, *box, SwarmParams(population=p), rngs)
+    population = new_population(p, dim, [np.random.default_rng(0), np.random.default_rng(1)])
     population.positions[1] = x
     with np.errstate(over="ignore", invalid="ignore"):
         got = AgentSwarm(population, 1).divergence()
@@ -323,3 +313,17 @@ def test_divergence_and_xi_norm_match_the_numpy_calls(p, dim, data):
         fused = x[::-1].copy()
         drift = (x - fused).ravel()
         assert math.sqrt(drift.dot(drift)).hex() == float(np.linalg.norm(x - fused)).hex()
+
+
+distance = st.one_of(st.floats(0.0, 1e300), st.just(math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(distance, min_size=1, max_size=12))
+@example([2.0, 0.5, 1.0])
+@example([0.1, 0.2])
+@example([3.0, math.inf])
+@example([math.inf, 1.0, math.inf])
+def test_kick_start_median_matches_np_median(distances):
+    # Odd and even counts, ties and infinite distances alike.
+    assert _median(distances).hex() == float(np.median(distances)).hex()

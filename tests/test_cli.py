@@ -139,9 +139,7 @@ def test_llm_provider_without_endpoint_writes_nothing(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("timeout", [0, -1])
-def test_non_positive_llm_timeout_gives_config_exit(tmp_path, capsys, monkeypatch, timeout):
-    # Such a timeout used to exit 0 with every guidance refresh fallen back.
+def assert_llm_timeout_gives_config_exit(tmp_path, capsys, monkeypatch, timeout):
     monkeypatch.setenv("LACMAS_LLM_URL", "http://localhost:9")
     monkeypatch.setenv("LACMAS_LLM_MODEL", "m")
     cfg = write_config(tmp_path, {"guidance": {"llm_timeout": timeout}})
@@ -156,6 +154,19 @@ def test_non_positive_llm_timeout_gives_config_exit(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("timeout", [0, -1])
+def test_non_positive_llm_timeout_gives_config_exit(tmp_path, capsys, monkeypatch, timeout):
+    # Such a timeout used to exit 0 with every guidance refresh fallen back.
+    assert_llm_timeout_gives_config_exit(tmp_path, capsys, monkeypatch, timeout)
+
+
+def test_llm_timeout_beyond_the_socket_limit_gives_config_exit(tmp_path, capsys, monkeypatch):
+    # Above threading.TIMEOUT_MAX the socket raises OverflowError, which the
+    # provider's fallback does not catch: the run ended in a traceback at its
+    # first cooperation refresh.
+    assert_llm_timeout_gives_config_exit(tmp_path, capsys, monkeypatch, 1e10)
+
+
 @pytest.mark.parametrize(
     "data, key",
     [
@@ -164,6 +175,8 @@ def test_non_positive_llm_timeout_gives_config_exit(tmp_path, capsys, monkeypatc
         ({"heuristic": {"self_weight": 0.2}}, "heuristic"),
         # The scenario seed of a WSN run is its run seed.
         ({"wsn": {"seed": 0}}, "wsn.'seed'"),
+        # The swarm's coefficients and particle count are constants of swarm.py.
+        ({"swarm": {"population": 10}}, "unknown configuration key 'swarm'"),
     ],
 )
 def test_unknown_config_key_gives_config_exit(tmp_path, capsys, data, key):
@@ -315,26 +328,13 @@ def test_negative_seed_gives_config_exit(tmp_path, capsys, command, extra, flags
         ({"objective": {"bound": 1e308}}, "finite widths"),
         ({"objective": {"hetero_sigma": 1e308}}, "hetero_sigma"),
         ({"pcg": {"rho_ext": 1e308}}, "rho_ext"),
-        ({"swarm": {"init_velocity_frac": -0.1}}, "init_velocity_frac"),
-        ({"swarm": {"kick_velocity_eps": 1e200}}, "kick_velocity_eps"),
-        ({"swarm": {"kick_adapt_rate": 1000.0}}, "kick_adapt_rate"),
-        ({"swarm": {"kick_target_rate": 1.5}}, "kick_target_rate"),
-        ({"swarm": {"kick_velocity_eps": -1}}, "kick_velocity_eps"),
-        ({"swarm": {"modulation_low": 2.0, "modulation_high": 1.0}}, "modulation_low"),
-        (
-            {"swarm": {"modulation_low": -1e308, "modulation_high": 1e308}},
-            "modulation_high - modulation_low",
-        ),
     ],
 )
 def test_unusable_number_gives_config_exit(tmp_path, capsys, extra, key):
     # Python's JSON reader accepts NaN, Infinity and integers of any size.
     # Unchecked, a NaN threshold never stopped a run, and the other values
     # ended in a ValueError or OverflowError traceback: from a float
-    # conversion, a uniform draw, math.exp, a squared float or a ceiling of
-    # infinity. A success-rate target outside [0, 1] can overflow math.exp too.
-    # An infinite modulation width aborted the run at its first step, and an
-    # inverted interval or a negative kick threshold ran silently.
+    # conversion, a uniform draw, a squared float or a ceiling of infinity.
     cfg = write_config(tmp_path, extra)
     code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
@@ -359,11 +359,13 @@ def test_non_finite_flag_gives_config_exit(tmp_path, capsys, noise):
 
 
 def test_contract_error_gives_config_exit(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"swarm": {"population": 0}})
+    # A box this wide would overflow the squared dead-velocity limit; the
+    # swarm rejects it with a ContractError when the first run is set up.
+    cfg = write_config(tmp_path, {"objective": {"bound": 1e200}})
     code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.strip()
-    assert err.startswith("configuration error:") and "population" in err
+    assert err.startswith("configuration error:") and "mean span" in err
     assert "\n" not in err
 
 

@@ -49,7 +49,6 @@ PINNED = {
         "provider": st.just("heuristic"),
     },
     "objective": {"num_agents": st.integers(1, 8), "dim": st.integers(1, 5)},
-    "swarm": {"population": st.integers(1, 12)},
     "wsn": {"num_sensors": st.integers(1, 8), "num_targets": st.integers(1, 3)},
 }
 

@@ -1,4 +1,6 @@
 import json
+import re
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -62,13 +64,11 @@ def test_nested_values_applied():
         {
             "objective": {"num_agents": 6, "dim": 4, "hetero_sigma": 1.5},
             "pcg": {"horizon_T": 99, "alphas": [0.1, 0.4, 0.8]},
-            "swarm": {"population": 7},
         }
     )
     assert cfg.objective.num_agents == 6
     assert cfg.pcg.horizon_T == 99
     assert cfg.pcg.alphas == (0.1, 0.4, 0.8)
-    assert cfg.swarm.population == 7
 
 
 def test_load_config_file_roundtrip(tmp_path):
@@ -149,6 +149,14 @@ def test_non_positive_llm_timeout_rejected(timeout):
         config_from_dict({"guidance": {"llm_timeout": timeout}})
 
 
+def test_llm_timeout_up_to_the_thread_limit_accepted():
+    # The socket takes any timeout up to threading.TIMEOUT_MAX, and no more.
+    limit = threading.TIMEOUT_MAX
+    assert config_from_dict({"guidance": {"llm_timeout": limit}}).guidance.llm_timeout == limit
+    with pytest.raises(ConfigError, match="guidance.llm_timeout"):
+        config_from_dict({"guidance": {"llm_timeout": limit * 2}})
+
+
 def test_llm_without_endpoint_rejected(monkeypatch):
     monkeypatch.delenv("LACMAS_LLM_URL", raising=False)
     monkeypatch.setenv("LACMAS_LLM_MODEL", "env-model")
@@ -167,7 +175,6 @@ SHARED_FIELD_CASES = {
     "master_seed": {"master_seed": 9},
     "log_every": {"log_every": 3},
     "pcg": {"pcg": {"horizon_T": 99, "alphas": [0.1, 0.4, 0.8]}},
-    "swarm": {"swarm": {"population": 7, "d2": 4.0}},
 }
 
 
@@ -247,6 +254,18 @@ def test_preset_builds_every_run(path):
             for run_cfg in seeded_runs(cfg, build_benchmark(cfg, family))
         ]
         assert len(runs) == len(cfg.suite) * cfg.num_runs
+
+
+def test_readme_configuration_example_loads():
+    # The documented schema is the code's: the README's JSON example, with its
+    # `//` comments stripped, loads through config_from_dict.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    data = json.loads(re.sub(r"\s+//[^\n]*", "", example))
+    config_from_dict(data)
+    # It shows every section and top-level key.
+    assert set(data) == {f.name for f in fields(ExperimentConfig)}
 
 
 def test_wsn_sweep_floors_errors_before_ordering():

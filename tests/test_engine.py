@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lacmas
 from lacmas import scheduler
 from lacmas.engine import (
     PHASES,
@@ -421,3 +425,35 @@ def test_convergence_stops_the_run_after_trace(tmp_path):
         csv_sha256(report, tmp_path / "trace.csv")
         == "4327f20e0a7e427c08a1749fc026eace9576759a5018d7670c96b8497791ab6d"
     )
+
+
+def test_a_run_does_not_import_numpy_ma():
+    # np.median's first call imports numpy.ma, milliseconds inside the round
+    # that starts the first kick; the kick-start median must not pay that.
+    src = str(Path(lacmas.__file__).resolve().parents[1])
+    code = """
+import sys
+import lacmas.swarm as swarm
+from lacmas.engine import RunConfig, run
+from lacmas.objectives import make_spec
+from lacmas.topology import build_ring
+
+medians = []
+median = swarm._median
+
+def counted(values):
+    medians.append(values)
+    return median(values)
+
+swarm._median = counted
+spec = make_spec("sphere", num_agents=4, dim=3, hetero_sigma=0.0, seed=0)
+run(RunConfig(objective=spec, graph=build_ring(4), max_iterations=30))
+print(len(medians) > 0, "numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    # A kick started, and numpy.ma stayed out.
+    assert done.stdout.split() == ["True", "False"]

@@ -4,25 +4,36 @@ import numpy as np
 import pytest
 
 from lacmas.errors import ContractError
-from lacmas.swarm import AgentSwarm, Population, SwarmParams
+from lacmas.guidance import C_DEFAULT, D_DEFAULT
+from lacmas.swarm import (
+    D1,
+    D2,
+    KICK_VELOCITY_EPS,
+    MODULATION_HIGH,
+    MODULATION_LOW,
+    PULL_ATTRACTOR,
+    PULL_PBEST,
+    AgentSwarm,
+    Population,
+)
 
 
-def new_swarm(dim, lower, upper, params, rng_seed):
+def new_population(p, dim, lower, upper, rngs):
+    """A fresh Population of p particles per agent, not yet evaluated."""
+    box = np.full(dim, lower), np.full(dim, upper)
+    return Population(p, dim, *box, rngs, (D_DEFAULT, C_DEFAULT))
+
+
+def new_swarm(dim, lower, upper, p, rng_seed):
     """The swarm of a fresh one-agent Population, not yet evaluated."""
-    population = Population(
-        dim,
-        np.full(dim, lower),
-        np.full(dim, upper),
-        params,
-        [np.random.default_rng(rng_seed)],
-    )
+    population = new_population(p, dim, lower, upper, [np.random.default_rng(rng_seed)])
     return AgentSwarm(population, 0)
 
 
-def make_swarm(positions, rng_seed=0, params=None, lower=-100.0, upper=100.0):
+def make_swarm(positions, rng_seed=0, lower=-100.0, upper=100.0):
     positions = np.asarray(positions, dtype=float)
     p, dim = positions.shape
-    swarm = new_swarm(dim, lower, upper, params or SwarmParams(population=p), rng_seed)
+    swarm = new_swarm(dim, lower, upper, p, rng_seed)
     swarm.population.positions[0] = positions
     swarm.population.velocities[0] = 0.0
     evaluate_initial(swarm)
@@ -63,13 +74,6 @@ def mean_squared_distance(points, center):
 
 def inject(swarm, fused):
     swarm.inject_fused_state(fused, sphere_batch(fused[None, :])[0])
-
-
-def quiet_params(p):
-    """No attraction, no kicks: isolates the modulated-velocity term."""
-    return SwarmParams(
-        population=p, pull_pbest=0.0, pull_attractor=0.0, kick_velocity_eps=0.0
-    )
 
 
 # The divergence measures spread about the centroid, and the mean squared
@@ -119,11 +123,10 @@ def test_divergence_nonnegative_random():
 
 @pytest.mark.parametrize(
     "div,expected",
-    [(0.5, "w2"), (1.0, "w0"), (2.5, "w0"), (4.0, "w0"), (10.0, "w1")],
+    [(D1 / 2, "w2"), (D1, "w0"), (2.5, "w0"), (4.0, "w0"), (D2, "w0"), (D2 + 0.5, "w1")],
 )
 def test_select_coefficient_regimes(div, expected):
-    params = SwarmParams(population=2, d1=1.0, d2=4.0)
-    population, _ = make_population(1, params=params)
+    population, _ = make_population(1, p=2)
     population.coefficients[0] = (0.6, 1.5)
     value = {"w1": 0.6, "w0": 1.0, "w2": 1.5}[expected]
     # Past the horizon the gate caps every coefficient at 1.0.
@@ -133,8 +136,9 @@ def test_select_coefficient_regimes(div, expected):
 
 
 def test_step_with_zero_coefficients_freezes_positions():
-    params = quiet_params(3)
-    swarm = make_swarm([[1.0, 2.0], [3.0, 4.0], [-5.0, 0.5]], params=params)
+    # Every particle sits on its personal best and the attractor, so neither
+    # pull moves it, and coefficient 0 zeroes the modulated term and the kick.
+    swarm = make_swarm([[1.0, 2.0]] * 3)
     population = swarm.population
     population.velocities[0] = 1.0
     before = population.positions[0].copy()
@@ -144,27 +148,27 @@ def test_step_with_zero_coefficients_freezes_positions():
 
 
 def test_degenerate_modulation_is_identity():
-    params = SwarmParams(
-        population=2,
-        pull_pbest=0.0,
-        pull_attractor=0.0,
-        modulation_low=1.0,
-        modulation_high=1.0,
-        kick_velocity_eps=0.0,
-    )
-    swarm = make_swarm([[1.0, 1.0], [2.0, -2.0]], params=params)
+    # A draw row with every delta uniform at u gives delta = 1, and zero pull
+    # uniforms give no pull; kick scale 0 marks no particle dead.
+    swarm = make_swarm([[1.0, 1.0], [2.0, -2.0]])
     population = swarm.population
     population.velocities[0] = [[0.5, -0.5], [1.0, 0.25]]
+    population.kick_sigma[0] = 0.0
+    u = (1.0 - MODULATION_LOW) / (MODULATION_HIGH - MODULATION_LOW)
+    population.draws[0] = 0.0
+    population.draws[0, : population.delta[0].size] = u
+    population.active[0] = 1.0
     before_v = population.velocities[0].copy()
     before_x = population.positions[0].copy()
-    step(swarm, 1.0)
-    assert np.allclose(population.velocities[0], before_v)
-    assert np.allclose(population.positions[0], before_x + before_v)
+    assert population.step(record_pull=True) == 1
+    assert np.array_equal(population.delta[0], np.ones((2, 2)))
+    assert np.array_equal(population.velocities[0], before_v)
+    assert np.array_equal(population.positions[0], before_x + before_v)
 
 
 def test_step_is_deterministic_for_fixed_seed():
     def run_once():
-        swarm = new_swarm(4, -10.0, 10.0, SwarmParams(population=6), 99)
+        swarm = new_swarm(4, -10.0, 10.0, 6, 99)
         evaluate_initial(swarm)
         for _ in range(20):
             step(swarm, 1.1)
@@ -218,8 +222,7 @@ def test_inject_dimension_mismatch_rejected():
 
 
 def test_positions_stay_in_bounds():
-    params = SwarmParams(population=5)
-    swarm = new_swarm(3, -2.0, 2.0, params, 7)
+    swarm = new_swarm(3, -2.0, 2.0, 5, 7)
     evaluate_initial(swarm)
     for _ in range(200):
         step(swarm, 1.5)
@@ -228,7 +231,7 @@ def test_positions_stay_in_bounds():
 
 
 def test_reported_best_is_monotone():
-    swarm = new_swarm(4, -50.0, 50.0, SwarmParams(population=8), 21)
+    swarm = new_swarm(4, -50.0, 50.0, 8, 21)
     evaluate_initial(swarm)
     best = best_value(swarm)
     for _ in range(300):
@@ -239,7 +242,7 @@ def test_reported_best_is_monotone():
 
 
 def test_rebase_keeps_reported_best_monotone():
-    swarm = new_swarm(3, -10.0, 10.0, SwarmParams(population=5), 2)
+    swarm = new_swarm(3, -10.0, 10.0, 5, 2)
     evaluate_initial(swarm)
     for _ in range(50):
         step(swarm, 1.0)
@@ -252,16 +255,21 @@ def test_rebase_keeps_reported_best_monotone():
 
 def test_velocity_contracts_without_attraction():
     # With a sub-unit coefficient and no pulls, the modulated velocity should
-    # trend downward in magnitude over many steps.
-    params = quiet_params(10)
-    swarm = new_swarm(5, -1e9, 1e9, params, 5)
-    evaluate_initial(swarm)
-    velocities = swarm.population.velocities[0]
-    velocities[...] = np.random.default_rng(6).uniform(-1, 1, size=(10, 5))
+    # trend downward in magnitude over many steps. Ten one-particle agents
+    # whose personal bests and attractors follow their particles feel no
+    # pull, and kick scale 0 marks no particle dead.
+    rngs = [np.random.default_rng(5 + i) for i in range(10)]
+    population = new_population(1, 5, -1e9, 1e9, rngs)
+    swarms = [AgentSwarm(population, i) for i in range(10)]
+    velocities = population.velocities
+    velocities[:, 0] = np.random.default_rng(6).uniform(-1, 1, size=(10, 5))
+    population.kick_sigma[:] = 0.0
     norms = []
     for _ in range(1000):
-        step(swarm, 0.9)
-        norms.append(float(np.mean(np.linalg.norm(velocities, axis=1))))
+        population.best_positions[...] = population.positions
+        population.attractors[...] = population.positions[:, 0]
+        step_all(population, swarms, 0.9)
+        norms.append(float(np.mean(np.linalg.norm(velocities[:, 0], axis=1))))
     first = np.mean(norms[:100])
     last = np.mean(norms[-100:])
     assert last < first
@@ -291,11 +299,10 @@ def test_step_proposes_and_tell_takes_the_values():
     assert np.array_equal(population.best_positions[0][improved], proposed[improved])
 
 
-def make_population(n, p=4, dim=3, seed=0, params=None):
+def make_population(n, p=4, dim=3, seed=0):
     """An evaluated n-agent Population and its swarms."""
-    params = params or SwarmParams(population=p)
     rngs = [np.random.default_rng(seed + i) for i in range(n)]
-    population = Population(dim, np.full(dim, -10.0), np.full(dim, 10.0), params, rngs)
+    population = new_population(p, dim, -10.0, 10.0, rngs)
     swarms = [AgentSwarm(population, i) for i in range(n)]
     for swarm in swarms:
         evaluate_initial(swarm)
@@ -367,14 +374,14 @@ def reference_step(population, i, active, record_pull):
     one agent at a time: v <- w (delta . v) + c_p r1 . (pbest - x)
     + c_a r2 . (attr - x), a kick for dead particles, x <- clamp(x + v).
     Returns False, and commits nothing, when the new state is not finite."""
-    p, rng = population.params, population.rngs[i]
+    rng = population.rngs[i]
     x, v = population.positions[i], population.velocities[i]
     pbest, attractor = population.best_positions[i], population.attractors[i]
     u = rng.random(2 * x.size + x.shape[0])
-    delta = (p.modulation_high - p.modulation_low) * u[: x.size].reshape(x.shape)
-    delta += p.modulation_low
-    r1 = p.pull_pbest * u[x.size : 2 * x.size].reshape(x.shape)
-    r2 = p.pull_attractor * u[2 * x.size :].reshape(x.shape[0], 1)
+    delta = (MODULATION_HIGH - MODULATION_LOW) * u[: x.size].reshape(x.shape)
+    delta += MODULATION_LOW
+    r1 = PULL_PBEST * u[x.size : 2 * x.size].reshape(x.shape)
+    r2 = PULL_ATTRACTOR * u[2 * x.size :].reshape(x.shape[0], 1)
 
     v = v * delta * active
     if record_pull:
@@ -382,7 +389,7 @@ def reference_step(population, i, active, record_pull):
     v = v + (attractor - x) * r2
 
     sigma = population.kick_sigma[i]
-    dead = np.sum(v * v, axis=1) < (p.kick_velocity_eps * sigma) ** 2
+    dead = np.sum(v * v, axis=1) < (KICK_VELOCITY_EPS * sigma) ** 2
     if dead.any():
         if not population.kicking[i]:
             best = pbest[population.best_values[i].argmin()]
@@ -412,11 +419,18 @@ def assert_same_state(population, reference):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def freeze(population, particle):
+    """Put `particle` of every agent on its attractor, as its personal best,
+    at rest: no pull moves it, so its velocity stays 0 and it is dead."""
+    population.positions[:, particle] = population.attractors
+    population.best_positions[:, particle] = population.attractors
+    population.velocities[:, particle] = 0.0
+
+
 @pytest.mark.parametrize("record_pull", [True, False])
 def test_batched_step_matches_the_per_agent_rule(record_pull):
     n, p, dim = 5, 6, 4
-    params = SwarmParams(population=p, kick_velocity_eps=0.3)
-    population, swarms = make_population(n, p=p, dim=dim, seed=8, params=params)
+    population, swarms = make_population(n, p=p, dim=dim, seed=8)
     for i in range(n):
         population.coefficients[i] = (0.5 + 0.1 * i, 1.1 + 0.15 * i)
         population.attractors[i] = np.linspace(-3.0, 3.0, dim) * (i - 2)
@@ -435,6 +449,10 @@ def test_batched_step_matches_the_per_agent_rule(record_pull):
         if round_ in (6, 15):
             i = 2 if round_ == 6 else 4
             population.kick_sigma[i] = reference.kick_sigma[i] = start_sigma
+        if round_ in (0, 6, 15):
+            # Particle 1 dies in every agent whose kick scale is not 0.
+            freeze(population, 1)
+            freeze(reference, 1)
         coefficients = population.coefficients.tolist()
         actives = [(d, 1.0, c)[(round_ + i) % 3] for i, (d, c) in enumerate(coefficients)]
         population.active[:] = actives
@@ -465,20 +483,21 @@ def test_a_non_finite_row_stops_the_commit_there():
     assert np.array_equal(population.positions[2:], before[2:])
 
 
-@pytest.mark.parametrize("eps, kicked", [(0.0, False), (1e6, True)])
-def test_step_draws_the_kick_only_for_dead_particles(eps, kicked):
-    # eps 0 marks no particle dead, so every agent steps its generator back
-    # over the kick uniforms; eps 1e6 marks every particle dead, so every
-    # agent keeps them. Either way the streams and states match the
-    # per-agent reference, which draws a kick only when it needs one.
+@pytest.mark.parametrize("sigma, kicked", [(0.0, False), (1e6, True)])
+def test_step_draws_the_kick_only_for_dead_particles(sigma, kicked):
+    # Held at 0, the kick scale marks no particle dead, so every agent steps
+    # its generator back over the kick uniforms; held at 1e6, far above any
+    # speed in the box, it marks every particle dead, so every agent keeps
+    # them. Either way the streams and states match the per-agent reference,
+    # which draws a kick only when it needs one.
     n, p, dim = 4, 5, 3
-    params = SwarmParams(population=p, kick_velocity_eps=eps)
-    population, swarms = make_population(n, p=p, dim=dim, seed=2, params=params)
+    population, swarms = make_population(n, p=p, dim=dim, seed=2)
     reference = copy.deepcopy(population)
     main = 2 * p * dim + p
     per_round = main + p * dim if kicked else main
     counters = [copy.deepcopy(rng) for rng in population.rngs]
     for _ in range(12):
+        population.kick_sigma[:] = reference.kick_sigma[:] = sigma
         assert step_all(population, swarms, 1.1) == n
         assert all(reference_step(reference, i, 1.1, True) for i in range(n))
         for rng in counters:
@@ -495,4 +514,4 @@ def test_step_draws_the_kick_only_for_dead_particles(eps, kicked):
 def test_population_needs_pcg64_generators():
     rngs = [np.random.Generator(np.random.MT19937(0))]
     with pytest.raises(ContractError):
-        Population(2, np.full(2, -1.0), np.full(2, 1.0), SwarmParams(population=3), rngs)
+        new_population(3, 2, -1.0, 1.0, rngs)
