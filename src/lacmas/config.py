@@ -258,14 +258,9 @@ def build_run_config(
     `overrides` replace RunConfig fields before RunConfig checks them, so
     every setting a caller changes is checked like one read from the file."""
     shared = {f.name: getattr(cfg, f.name) for f in fields(RunConfig) if hasattr(cfg, f.name)}
-    return RunConfig(**{
-        **shared,
-        "objective": objective,
-        "graph": graph,
-        "master_seed": master_seed,
-        "llm": _llm_endpoint(cfg.guidance),
-        **overrides,
-    })
+    run = {**shared, "objective": objective, "graph": graph, "master_seed": master_seed, **overrides}
+    asks_llm = run["provider"] == "llm" and run["variant"] != "baseline"
+    return RunConfig(**{"llm": _llm_endpoint(cfg.guidance, asks_llm), **run})
 
 
 def seeded_runs(cfg: ExperimentConfig, objective, **overrides) -> list[RunConfig]:
@@ -307,12 +302,20 @@ def floored_means(errors: dict[int, list[float]]) -> dict[int, float]:
     return {nt: float(np.mean(np.maximum(errs, SUCCESS_ERROR))) for nt, errs in errors.items()}
 
 
-def _llm_endpoint(g: GuidanceSpec) -> LlmEndpoint | None:
+def _llm_endpoint(g: GuidanceSpec, asks_llm: bool) -> LlmEndpoint | None:
     """The configured LLM endpoint, None if there is none. The config's URL and
     model win; the environment fills only a missing one; the timeout is
-    always the config's."""
+    always the config's. A URL the endpoint rejects is a ConfigError naming
+    where it came from, if the run `asks_llm`; a run that never asks gets
+    None instead."""
     url = g.llm_url or os.environ.get(ENV_LLM_URL)
     model = g.llm_model or os.environ.get(ENV_LLM_MODEL)
     if not url or not model:
         return None
-    return LlmEndpoint(base_url=url, model=model, timeout=g.llm_timeout)
+    try:
+        return LlmEndpoint(base_url=url, model=model, timeout=g.llm_timeout)
+    except ConfigError as exc:
+        if not asks_llm:
+            return None
+        source = "guidance.llm_url" if g.llm_url else ENV_LLM_URL
+        raise ConfigError(f"{source}: {exc}") from None

@@ -9,9 +9,11 @@ matrix. Each round then runs the seven PHASES over that state, in order:
    Population.select gates every regime and one Population.step moves all;
 2. `_evaluate`: one batch call scores every agent's proposals on its local
    objective, one tell takes the values back, and agents publish states;
-3. `_guide_act`: at an open inner gate, act guidance resets the (d, c) pairs;
-4. `_guide_coop`: at an open outer gate, cooperation guidance re-weights the
-   mixing matrix from one build_descriptor call;
+3. `_guide_act`: at an open inner gate, one refresh_act call takes every
+   agent's request, and its answers reset the (d, c) pairs in agent order;
+4. `_guide_coop`: at an open outer gate, one refresh_coop call takes every
+   agent's request, built from one build_descriptor call, and its answers
+   re-weight the mixing matrix in agent order;
 5. `_fuse_inject`: every agent fuses the published states under its weights,
    and the fused states, scored in one more batch call, go back in;
 6. `_bookkeep`: metrics, the fault check and one AgentHistory append;
@@ -49,7 +51,7 @@ from .guidance import (
     LlmProvider,
 )
 from .scheduler import PcgConfig
-from .swarm import POPULATION, AgentSwarm, Population
+from .swarm import POPULATION, AgentSwarm, Population, box_span
 from .topology import CommGraph
 
 VARIANTS = ("baseline", "act", "coop", "full")
@@ -193,6 +195,9 @@ class RunConfig:
                 f"graph has {self.graph.num_agents} agents, "
                 f"objective has {self.objective.num_agents}"
             )
+        # Population's own box check, made here so that a bad box fails when
+        # the run is built, before a command writes anything.
+        box_span(self.objective.lower, self.objective.upper)
 
 
 @dataclass(frozen=True)
@@ -369,12 +374,15 @@ def _guide_act(state: RunState, t: int) -> bool:
         # Best fitness and local disagreement, per agent.
         fitness, local_dis = values[:, 0].tolist(), values[:, 3].tolist()
         coefficients = population.coefficients.tolist()
-        for i in range(state.n):
-            d, c = coefficients[i]
-            trajectory = tuple(zip(iterations, fitness[i], local_dis[i]))
-            out = state.provider.advise_act(ActRequest(t, d, c, trajectory))
-            report.act_calls += 1
+        # Each request reads only its own agent's pair, so all are built
+        # before any answer applies; the answers apply in agent order.
+        reqs = [
+            ActRequest(t, d, c, tuple(zip(iterations, fitness[i], local_dis[i])))
+            for i, (d, c) in enumerate(coefficients)
+        ]
+        for i, out in enumerate(state.provider.refresh_act(reqs)):
             population.coefficients[i] = out.d, out.c
+        report.act_calls += len(reqs)
     return False
 
 
@@ -388,14 +396,16 @@ def _guide_coop(state: RunState, t: int) -> bool:
         state.matrix = matrix = state.matrix.copy()
         # Each agent's (avg fitness, avg divergence), computed once for all.
         stats = list(zip(*build_descriptor(history, COOP_WINDOW)[:, :2].T.tolist()))
-        for i in range(state.n):
-            nbrs = graph.neighbor_lists[i]
-            if not nbrs:
-                continue
-            req = CoopRequest(tuple(nbrs), tuple(stats[k] for k in nbrs))
-            out = state.provider.advise_coop(req)
-            state.report.coop_calls += 1
+        # A lone agent asks nothing and keeps its row.
+        nbr_lists = graph.neighbor_lists
+        agents = [i for i in range(state.n) if nbr_lists[i]]
+        reqs = [
+            CoopRequest(tuple(nbr_lists[i]), tuple(stats[k] for k in nbr_lists[i]))
+            for i in agents
+        ]
+        for i, out in zip(agents, state.provider.refresh_coop(reqs)):
             matrix[i] = project_weights(out.raw_weights, graph, i)
+        state.report.coop_calls += len(reqs)
         state.adm = check_admissibility(matrix, graph)
     return False
 

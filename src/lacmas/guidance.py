@@ -3,20 +3,24 @@
 Two providers implement the same interface: a deterministic heuristic that
 encodes the qualitative adaptation rules directly, and an HTTP client for a
 locally served language model that is prompted with the same trajectory
-windows. Every provider path terminates with in-range action guidance and
-finite raw weights; a failed remote query falls back to the heuristic for that
-refresh, so a run can never stall on guidance.
+windows. A guidance refresh hands a provider all its requests at once
+(`refresh_act`, `refresh_coop`) and gets the answers back in request order.
+Every provider path terminates with in-range action guidance and finite raw
+weights; a failed remote query falls back to the heuristic for that request,
+so a run can never stall on guidance.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import ContractError, GuidanceParseError, LlmTransportError
+from .errors import ConfigError, ContractError, GuidanceParseError, LlmTransportError
 
 D_RANGE = (0.5, 1.0)
 C_RANGE = (1.0, 1.8)
@@ -318,43 +322,146 @@ def parse_coop_response(text: str, expected_len: int) -> tuple[float, ...]:
 # -- remote endpoint ----------------------------------------------------------
 
 
+# How many requests of one refresh may be open at once, the one being read
+# included. Two keep a serial server busy: the next request waits queued
+# while the client parses and applies the answer before it. It must stay
+# below socketserver's default listen backlog of 5, so a stdlib server never
+# drops a connection attempt: a dropped SYN costs a 1 s retransmit.
+IN_FLIGHT = 2
+
+
 @dataclass(frozen=True)
 class LlmEndpoint:
+    """An Ollama-style server. `base_url` is parsed once, here: it must be an
+    http or https URL with a host, a port from 1 to 65535 if any (else the
+    scheme's default) and no query or fragment; anything else is a
+    ConfigError."""
+
     base_url: str
     model: str
     timeout: float = LLM_TIMEOUT
+    https: bool = field(init=False, repr=False, compare=False)
+    host: str = field(init=False, repr=False, compare=False)
+    port: int = field(init=False, repr=False, compare=False)
+    path: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            parts = urlsplit(self.base_url)
+            # .port raises ValueError for a port that is not a number in range.
+            valid = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+            valid = valid and not (parts.query or parts.fragment)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ConfigError(
+                "the LLM URL must be http:// or https:// with a host, a port from "
+                f"1 to 65535 if any, and no query or fragment: got {self.base_url!r}"
+            )
+        https = parts.scheme == "https"
+        for name, value in (
+            ("https", https),
+            ("host", parts.hostname),
+            # Always explicit: http.client would read the last ':' of an IPv6
+            # host as a port separator.
+            ("port", parts.port or (443 if https else 80)),
+            ("path", parts.path.rstrip("/") + "/api/generate"),
+        ):
+            object.__setattr__(self, name, value)
 
 
-def llm_advise(prompt: str, endpoint: LlmEndpoint) -> str:
-    """Single non-streaming completion request; returns the generated text."""
-    # Imported here: a heuristic run never needs the HTTP stack, which pulls
-    # in ssl, email and some forty other modules.
-    import http.client
-    import json
-    import urllib.request
+class SendAhead:
+    """One refresh's requests, each on its own connection, with up to
+    IN_FLIGHT of them open at once.
 
-    url = endpoint.base_url.rstrip("/") + "/api/generate"
-    payload = {"model": endpoint.model, "prompt": prompt, "stream": False}
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=endpoint.timeout) as resp:
-            body = resp.read()
-    # URLError (HTTPError for status >= 400) and timeouts are OSErrors; a
-    # malformed URL is a ValueError; a broken reply is an HTTPException.
-    except (OSError, ValueError, http.client.HTTPException) as exc:
-        raise LlmTransportError(f"guidance endpoint failed: {exc}") from exc
-    try:
-        data = json.loads(body)
-    except ValueError as exc:
-        raise LlmTransportError(f"non-JSON response: {exc}") from exc
-    if not isinstance(data, dict) or "response" not in data:
-        raise LlmTransportError("response payload missing 'response' field")
-    return str(data["response"])
+    `answer()` reads the replies in prompt order. Before it reads one it
+    sends the next requests until IN_FLIGHT are open, so the server works on
+    later requests while the caller parses and applies earlier answers. A
+    failed send is kept and raised at its own request's turn. Leaving a
+    `with` block closes every connection still open, however it is left.
+    """
+
+    def __init__(self, endpoint: LlmEndpoint, prompts: list[str]):
+        self.endpoint = endpoint
+        self.prompts = prompts
+        self._next = 0
+        # The connection, or the error of its send, of each prompt from _next on.
+        self._open: deque = deque()
+
+    def __enter__(self) -> "SendAhead":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        while self._open:
+            sent = self._open.popleft()
+            if not isinstance(sent, Exception):
+                sent.close()
+
+    def _send(self, prompt: str):
+        # Imported here: a heuristic run never needs the HTTP stack, which
+        # pulls in ssl, email and some thirty other modules.
+        import http.client
+        import json
+
+        ep = self.endpoint
+        kind = http.client.HTTPSConnection if ep.https else http.client.HTTPConnection
+        conn = kind(ep.host, ep.port, timeout=ep.timeout)
+        payload = {"model": ep.model, "prompt": prompt, "stream": False}
+        try:
+            conn.request(
+                "POST", ep.path, json.dumps(payload).encode(), {"Content-Type": "application/json"}
+            )
+        except BaseException as exc:
+            conn.close()
+            # Refused connections and timeouts are OSErrors, an unencodable
+            # host a ValueError.
+            if isinstance(exc, (OSError, ValueError, http.client.HTTPException)):
+                return exc
+            raise
+        return conn
+
+    def answer(self) -> str:
+        """The generated text for the next prompt."""
+        import http.client
+        import json
+
+        end = min(self._next + IN_FLIGHT, len(self.prompts))
+        while self._next + len(self._open) < end:
+            self._open.append(self._send(self.prompts[self._next + len(self._open)]))
+        sent = self._open.popleft()
+        self._next += 1
+        if isinstance(sent, Exception):
+            raise LlmTransportError(f"guidance endpoint failed: {sent}") from sent
+        try:
+            reply = sent.getresponse()
+            body = reply.read()
+        # A broken or cut-off reply is an HTTPException, a timeout an OSError.
+        except (OSError, http.client.HTTPException) as exc:
+            raise LlmTransportError(f"guidance endpoint failed: {exc}") from exc
+        finally:
+            sent.close()
+        if reply.status != 200:
+            raise LlmTransportError(f"guidance endpoint answered {reply.status} {reply.reason}")
+        try:
+            data = json.loads(body)
+        except ValueError as exc:
+            raise LlmTransportError(f"non-JSON response: {exc}") from exc
+        if not isinstance(data, dict) or "response" not in data:
+            raise LlmTransportError("response payload missing 'response' field")
+        return str(data["response"])
+
+
+def llm_advise(prompt: str | None, endpoint: LlmEndpoint, window: SendAhead | None = None) -> str:
+    """One non-streaming completion request; returns the generated text.
+
+    Alone, `prompt` goes out on a connection of its own. Within a refresh the
+    request is `window`'s next one, its prompt built already, and `prompt` is
+    None.
+    """
+    if window is not None:
+        return window.answer()
+    with SendAhead(endpoint, [prompt]) as alone:
+        return alone.answer()
 
 
 # -- providers ----------------------------------------------------------------
@@ -369,31 +476,48 @@ class HeuristicProvider:
     def advise_coop(self, req: CoopRequest) -> CoopGuidance:
         return heuristic_advise_coop(req)
 
+    def refresh_act(self, reqs: list[ActRequest]) -> list[ActGuidance]:
+        return [self.advise_act(req) for req in reqs]
+
+    def refresh_coop(self, reqs: list[CoopRequest]) -> list[CoopGuidance]:
+        return [self.advise_coop(req) for req in reqs]
+
 
 @dataclass
 class LlmProvider:
-    """Remote provider with per-refresh heuristic fallback.
+    """Remote provider with per-request heuristic fallback.
 
-    One attempt per refresh; any transport or parse failure silently degrades
-    to the heuristic answer for that refresh and is counted.
+    One attempt per request; any transport or parse failure silently degrades
+    to the heuristic answer for that request and is counted. A refresh builds
+    all its prompts first and sends them through one SendAhead window; each
+    request still makes its own advise call, and the answers come back in
+    request order.
     """
 
     endpoint: LlmEndpoint
     fallback_count: int = 0
 
-    def advise_act(self, req: ActRequest) -> ActGuidance:
+    def refresh_act(self, reqs: list[ActRequest]) -> list[ActGuidance]:
+        with SendAhead(self.endpoint, [build_act_prompt(req) for req in reqs]) as window:
+            return [self.advise_act(req, window) for req in reqs]
+
+    def refresh_coop(self, reqs: list[CoopRequest]) -> list[CoopGuidance]:
+        with SendAhead(self.endpoint, [build_coop_prompt(req) for req in reqs]) as window:
+            return [self.advise_coop(req, window) for req in reqs]
+
+    def advise_act(self, req: ActRequest, window: SendAhead) -> ActGuidance:
         try:
-            return parse_act_response(llm_advise(build_act_prompt(req), self.endpoint))
+            return parse_act_response(llm_advise(None, self.endpoint, window))
         except (LlmTransportError, GuidanceParseError):
             self.fallback_count += 1
             return heuristic_advise_act(req)
 
-    def advise_coop(self, req: CoopRequest) -> CoopGuidance:
+    def advise_coop(self, req: CoopRequest, window: SendAhead) -> CoopGuidance:
         # The endpoint is asked for neighbour weights only; the constant self
         # weight is appended here.
         try:
             values = parse_coop_response(
-                llm_advise(build_coop_prompt(req), self.endpoint), len(req.neighbor_ids)
+                llm_advise(None, self.endpoint, window), len(req.neighbor_ids)
             )
         except (LlmTransportError, GuidanceParseError):
             self.fallback_count += 1

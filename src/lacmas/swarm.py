@@ -74,6 +74,25 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
+# An overflowing width or mean is what the checks below reject.
+@np.errstate(over="ignore")
+def box_span(lower, upper) -> np.ndarray:
+    """The widths upper - lower of a box a population can be drawn in, else a
+    ContractError. Generator.uniform needs a finite width for the position
+    and velocity draws, and the dead-velocity test squares
+    KICK_VELOCITY_EPS * kick_sigma, where kick_sigma never exceeds the mean
+    span. RunConfig checks its objective's box with it too, so a bad box
+    fails before a run is set up."""
+    span = np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float)
+    if not np.isfinite(span).all():
+        raise ContractError("the box must have finite widths")
+    if KICK_VELOCITY_EPS * float(span.mean()) >= _SQRT_MAX:
+        raise ContractError(
+            f"the box's mean span must be below {_SQRT_MAX / KICK_VELOCITY_EPS:.3g}"
+        )
+    return span
+
+
 class Population:
     """Every agent's swarm state, stacked; the only owner of it.
 
@@ -102,20 +121,11 @@ class Population:
         self.rngs = rngs
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
-        span = self.upper - self.lower
+        span = box_span(self.lower, self.upper)
         vmax = INIT_VELOCITY_FRAC * span
         self.span_mean = float(span.mean())
         self.kick_floor = 1e-12 * self.span_mean
         kick_sigma = float(INIT_VELOCITY_FRAC * self.span_mean)
-        # Generator.uniform needs a finite width for both draws below, and the
-        # dead-velocity test squares KICK_VELOCITY_EPS * kick_sigma, where
-        # kick_sigma never exceeds the mean span.
-        if not np.isfinite(span).all():
-            raise ContractError("the box must have finite widths")
-        if KICK_VELOCITY_EPS * self.span_mean >= _SQRT_MAX:
-            raise ContractError(
-                f"the box's mean span must be below {_SQRT_MAX / KICK_VELOCITY_EPS:.3g}"
-            )
 
         self.positions = np.empty((n, p, dim))
         self.velocities = np.empty((n, p, dim))

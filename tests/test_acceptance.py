@@ -212,11 +212,11 @@ def test_criterion_8_guidance_robustness(monkeypatch):
     provider = gd.LlmProvider(endpoint=gd.LlmEndpoint(base_url="http://stub", model="m"))
     violations = 0
     for text in corpus:
-        monkeypatch.setattr(gd, "llm_advise", lambda prompt, endpoint, _t=text: _t)
-        act = provider.advise_act(act_req)
+        monkeypatch.setattr(gd, "llm_advise", lambda prompt, endpoint, window, _t=text: _t)
+        (act,) = provider.refresh_act([act_req])
         if not (0.5 <= act.d <= 1.0 and 1.0 <= act.c <= 1.8):
             violations += 1
-        coop = provider.advise_coop(coop_req)
+        (coop,) = provider.refresh_coop([coop_req])
         if not all(np.isfinite(w) for w in coop.raw_weights):
             violations += 1
             continue

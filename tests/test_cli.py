@@ -360,13 +360,68 @@ def test_non_finite_flag_gives_config_exit(tmp_path, capsys, noise):
 
 def test_contract_error_gives_config_exit(tmp_path, capsys):
     # A box this wide would overflow the squared dead-velocity limit; the
-    # swarm rejects it with a ContractError when the first run is set up.
+    # swarm's box check rejects it with a ContractError when the run is built.
     cfg = write_config(tmp_path, {"objective": {"bound": 1e200}})
     code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.strip()
     assert err.startswith("configuration error:") and "mean span" in err
     assert "\n" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_bad_box_fails_before_the_output_directory_exists(tmp_path, capsys, command):
+    # The box used to be checked only when the first run set up its
+    # population, after the output directory had been created.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(
+        {"objective": {"bound": 1e200, "num_agents": 4, "dim": 2}, "suite": ["sphere"], "num_runs": 1}
+    ))
+    out = tmp_path / "r"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "mean span" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "environment"])
+@pytest.mark.parametrize("url", ["localhost:11434", "http://localhost:port", "http://:11434"])
+def test_unusable_llm_url_fails_before_output(tmp_path, capsys, monkeypatch, source, url):
+    # A URL without a scheme used to exit 0 with every refresh fallen back
+    # to the heuristic: act_calls=8 coop_calls=40 fallbacks=48.
+    monkeypatch.setenv("LACMAS_LLM_MODEL", "m")
+    if source == "config":
+        monkeypatch.delenv("LACMAS_LLM_URL", raising=False)
+        cfg = write_config(tmp_path, {"guidance": {"llm_url": url}})
+    else:
+        monkeypatch.setenv("LACMAS_LLM_URL", url)
+        cfg = write_config(tmp_path)
+    out = tmp_path / "r"
+    argv = ["run", "--config", str(cfg), "--suite", "sphere", "--provider", "llm", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    key = "guidance.llm_url" if source == "config" else "LACMAS_LLM_URL"
+    assert err.startswith(f"configuration error: {key}:") and repr(url) in err
+    assert "\n" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "provider, variant", [("heuristic", "full"), ("llm", "baseline")]
+)
+def test_unusable_llm_url_is_ignored_by_a_run_that_never_asks(
+    tmp_path, capsys, monkeypatch, provider, variant
+):
+    # Only a guided llm run sends requests, so only it checks the URL.
+    monkeypatch.setenv("LACMAS_LLM_URL", "localhost:11434")
+    monkeypatch.setenv("LACMAS_LLM_MODEL", "m")
+    cfg = write_config(tmp_path)
+    argv = [
+        "run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r"),
+        "--variant", variant, "--provider", provider, "--seeds", "1",
+    ]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import lacmas
-from lacmas import scheduler
+from lacmas import guidance, scheduler
 from lacmas.engine import (
     PHASES,
     AgentHistory,
@@ -23,7 +25,7 @@ from lacmas.engine import (
     write_trace_csv,
 )
 from lacmas.errors import ConfigError, ContractError
-from lacmas.guidance import ACT_WINDOW
+from lacmas.guidance import ACT_WINDOW, LlmEndpoint
 from lacmas.objectives import make_spec
 from lacmas.scheduler import PcgConfig
 from lacmas.swarm import AgentSwarm
@@ -193,6 +195,51 @@ def test_full_calls_both(sphere_small, ring4):
     report = run(small_config(sphere_small, ring4, variant="full"))
     assert report.act_calls > 0
     assert report.coop_calls > 0
+
+
+def stub_model(prompt):
+    """A stand-in LLM whose answer is a fixed function of the prompt: a
+    (d, c) pair, a weight list of the asked length, or, for one prompt in
+    four, no answer at all."""
+    h = hashlib.sha256(prompt.encode()).digest()
+    if h[0] % 4 == 0:
+        return "I cannot tell."
+    asked = re.search(r"Number of neighbors: (\d+)", prompt)
+    if asked:
+        return "[" + ", ".join(f"{0.1 + b / 600:.4f}" for b in h[1 : 1 + int(asked.group(1))]) + "]"
+    return f"({0.5 + h[1] / 510:.4f}, {1.0 + h[2] / 320:.4f})"
+
+
+def llm_config(spec, graph, url):
+    endpoint = LlmEndpoint(base_url=url, model="m", timeout=5.0)
+    return small_config(spec, graph, provider="llm", llm=endpoint)
+
+
+def test_llm_run_is_the_same_at_any_send_ahead_depth(
+    tmp_path, sphere_small, ring4, stub_server, monkeypatch
+):
+    # Answers apply in agent order, so sending requests ahead changes
+    # neither the trace nor the counts.
+    stub_server.reply = stub_model
+    counts, traces = [], []
+    for depth in (guidance.IN_FLIGHT, 1):
+        monkeypatch.setattr(guidance, "IN_FLIGHT", depth)
+        report = run(llm_config(sphere_small, ring4, stub_server.url))
+        counts.append((report.act_calls, report.coop_calls, report.provider_fallbacks))
+        traces.append(csv_sha256(report, tmp_path / f"depth{depth}.csv"))
+    assert counts[0] == counts[1] and traces[0] == traces[1]
+    act_calls, coop_calls, fallbacks = counts[0]
+    assert act_calls > 0 and coop_calls > 0
+    assert 0 < fallbacks < act_calls + coop_calls
+    assert len(stub_server.payloads) == 2 * (act_calls + coop_calls)
+
+
+def test_guided_llm_run_starts_no_thread(sphere_small, ring4, stub_server):
+    stub_server.reply = stub_model
+    before = threading.active_count()
+    report = run(llm_config(sphere_small, ring4, stub_server.url))
+    assert report.act_calls > 0
+    assert threading.active_count() == before
 
 
 def test_act_calls_only_at_gate_iterations(sphere_small, ring4):

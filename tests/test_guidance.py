@@ -1,10 +1,9 @@
-import json
+import gc
+import hashlib
+import http.client
 import os
 import subprocess
 import sys
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lacmas
+from lacmas import guidance
 from lacmas.errors import ContractError, GuidanceParseError, LlmTransportError
 from lacmas.guidance import (
     ActGuidance,
@@ -184,57 +184,13 @@ def test_parse_coop_garbage_fails():
         parse_coop_response("[a, b, c]", 3)
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    reply: str = "(0.7, 1.3)"
-    status: int = 200
-    raw_body: bytes | None = None
-    delay_s: float = 0.0
-    last_payload: dict | None = None
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        type(self).last_payload = json.loads(self.rfile.read(length))
-        time.sleep(self.delay_s)
-        body = (
-            self.raw_body
-            if self.raw_body is not None
-            else json.dumps({"response": self.reply}).encode()
-        )
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    # shutdown() waits for serve_forever's next poll; the default poll of
-    # 0.5 s would cost each test about that much at teardown.
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    _StubHandler.reply = "(0.7, 1.3)"
-    _StubHandler.status = 200
-    _StubHandler.raw_body = None
-    _StubHandler.delay_s = 0.0
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-
-
 def test_llm_advise_round_trip(stub_server):
-    endpoint = LlmEndpoint(base_url=stub_server, model="test-model", timeout=5.0)
+    endpoint = LlmEndpoint(base_url=stub_server.url, model="test-model", timeout=5.0)
     text = llm_advise("prompt text", endpoint)
     assert text == "(0.7, 1.3)"
-    assert _StubHandler.last_payload["model"] == "test-model"
-    assert _StubHandler.last_payload["prompt"] == "prompt text"
-    assert _StubHandler.last_payload["stream"] is False
+    assert stub_server.payloads[-1]["model"] == "test-model"
+    assert stub_server.payloads[-1]["prompt"] == "prompt text"
+    assert stub_server.payloads[-1]["stream"] is False
 
 
 def test_llm_advise_unreachable_endpoint():
@@ -244,15 +200,15 @@ def test_llm_advise_unreachable_endpoint():
 
 
 def test_llm_advise_malformed_payload(stub_server):
-    _StubHandler.raw_body = b"not json at all"
-    endpoint = LlmEndpoint(base_url=stub_server, model="x", timeout=5.0)
+    stub_server.raw_body = b"not json at all"
+    endpoint = LlmEndpoint(base_url=stub_server.url, model="x", timeout=5.0)
     with pytest.raises(LlmTransportError):
         llm_advise("prompt", endpoint)
 
 
 def test_llm_advise_error_status(stub_server):
-    _StubHandler.status = 500
-    endpoint = LlmEndpoint(base_url=stub_server, model="x", timeout=5.0)
+    stub_server.status = 500
+    endpoint = LlmEndpoint(base_url=stub_server.url, model="x", timeout=5.0)
     with pytest.raises(LlmTransportError):
         llm_advise("prompt", endpoint)
 
@@ -260,27 +216,27 @@ def test_llm_advise_error_status(stub_server):
 def test_llm_advise_timeout(stub_server):
     # Just above the 0.1 s client timeout: the single-threaded stub finishes
     # this sleep before its shutdown at teardown returns.
-    _StubHandler.delay_s = 0.2
-    endpoint = LlmEndpoint(base_url=stub_server, model="x", timeout=0.1)
+    stub_server.delay_s = 0.2
+    endpoint = LlmEndpoint(base_url=stub_server.url, model="x", timeout=0.1)
     with pytest.raises(LlmTransportError):
         llm_advise("prompt", endpoint)
 
 
 def test_llm_provider_coop_round_trip(stub_server):
-    _StubHandler.reply = "[0.3, 0.5]"
-    provider = LlmProvider(endpoint=LlmEndpoint(base_url=stub_server, model="m", timeout=5.0))
+    stub_server.reply = "[0.3, 0.5]"
+    provider = LlmProvider(endpoint=LlmEndpoint(base_url=stub_server.url, model="m", timeout=5.0))
     req = CoopRequest(neighbor_ids=(1, 2), neighbor_stats=((1.0, 0.1), (2.0, 0.2)))
-    out = provider.advise_coop(req)
+    (out,) = provider.refresh_coop([req])
     # Two neighbor weights from the endpoint plus the constant self entry.
     assert out.raw_weights == pytest.approx((0.3, 0.5, 0.2))
     assert provider.fallback_count == 0
 
 
 def test_llm_provider_falls_back_on_parse_failure(stub_server):
-    _StubHandler.reply = "I cannot answer that."
-    provider = LlmProvider(endpoint=LlmEndpoint(base_url=stub_server, model="m", timeout=5.0))
+    stub_server.reply = "I cannot answer that."
+    provider = LlmProvider(endpoint=LlmEndpoint(base_url=stub_server.url, model="m", timeout=5.0))
     req = act_request([(t, 10.0, 0.0) for t in range(6)])
-    out = provider.advise_act(req)
+    (out,) = provider.refresh_act([req])
     assert provider.fallback_count == 1
     assert out.c == pytest.approx(1.4)  # heuristic answer
 
@@ -288,9 +244,104 @@ def test_llm_provider_falls_back_on_parse_failure(stub_server):
 def test_llm_provider_falls_back_on_transport_failure():
     provider = LlmProvider(endpoint=LlmEndpoint(base_url="http://127.0.0.1:1", model="m", timeout=0.5))
     req = CoopRequest(neighbor_ids=(1,), neighbor_stats=((1.0, 0.1),))
-    out = provider.advise_coop(req)
+    (out,) = provider.refresh_coop([req])
     assert provider.fallback_count == 1
     assert out.raw_weights == pytest.approx((0.4, 0.2))
+
+
+def refresh_requests(n=7):
+    """n act requests whose prompts all differ."""
+    return [
+        act_request([(t, 10.0 - k, 0.1 * k) for t in range(6)], iteration=50 + k)
+        for k in range(n)
+    ]
+
+
+def pair_from_prompt(prompt):
+    """A stub answer that depends on the whole prompt."""
+    h = hashlib.sha256(prompt.encode()).digest()
+    return f"({0.5 + h[0] / 510:.4f}, {1.0 + h[1] / 320:.4f})"
+
+
+def test_refresh_answers_as_serial_calls_in_agent_order(stub_server):
+    stub_server.reply = pair_from_prompt
+    endpoint = LlmEndpoint(base_url=stub_server.url, model="m", timeout=5.0)
+    reqs = refresh_requests()
+    serial = [parse_act_response(llm_advise(build_act_prompt(r), endpoint)) for r in reqs]
+    provider = LlmProvider(endpoint=endpoint)
+    assert provider.refresh_act(reqs) == serial
+    assert provider.fallback_count == 0
+    # The serial stub took the refresh's requests in agent order, as it took
+    # the serial calls before them.
+    prompts = [p["prompt"] for p in stub_server.payloads]
+    assert prompts[len(reqs):] == prompts[: len(reqs)] == [build_act_prompt(r) for r in reqs]
+
+
+def test_coop_refresh_answers_as_serial_calls(stub_server):
+    stub_server.reply = lambda prompt: "[0.3, 0.1]" if "Neighbor ID 4" in prompt else "[0.2, 0.4]"
+    provider = LlmProvider(endpoint=LlmEndpoint(base_url=stub_server.url, model="m", timeout=5.0))
+    reqs = [
+        CoopRequest(neighbor_ids=(k, k + 2), neighbor_stats=((1.0, 0.1), (2.0, 0.2)))
+        for k in range(5)
+    ]
+    serial = [provider.refresh_coop([r])[0] for r in reqs]
+    assert provider.refresh_coop(reqs) == serial
+    assert provider.fallback_count == 0
+
+
+@pytest.mark.parametrize("failure", ["status 500", "malformed"])
+def test_refresh_falls_back_for_exactly_the_failed_request(stub_server, failure):
+    reqs = refresh_requests()
+    bad = build_act_prompt(reqs[2])
+    if failure == "status 500":
+        stub_server.status = lambda prompt: 500 if prompt == bad else 200
+        stub_server.reply = pair_from_prompt
+    else:
+        stub_server.reply = lambda prompt: "no idea" if prompt == bad else pair_from_prompt(prompt)
+    provider = LlmProvider(endpoint=LlmEndpoint(base_url=stub_server.url, model="m", timeout=5.0))
+    out = provider.refresh_act(reqs)
+    assert provider.fallback_count == 1
+    expected = [parse_act_response(pair_from_prompt(build_act_prompt(r))) for r in reqs]
+    expected[2] = heuristic_advise_act(reqs[2])
+    assert out == expected
+
+
+def test_refresh_against_unreachable_endpoint_falls_back_for_every_request():
+    provider = LlmProvider(endpoint=LlmEndpoint(base_url="http://127.0.0.1:1", model="m", timeout=0.5))
+    reqs = [CoopRequest(neighbor_ids=(k,), neighbor_stats=((1.0 + k, 0.1),)) for k in range(6)]
+    assert provider.refresh_coop(reqs) == [heuristic_advise_coop(r) for r in reqs]
+    assert provider.fallback_count == len(reqs)
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_exception_mid_refresh_closes_every_connection(stub_server, monkeypatch):
+    stub_server.reply = pair_from_prompt
+    opened = []
+
+    class RecordingConnection(http.client.HTTPConnection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(http.client, "HTTPConnection", RecordingConnection)
+    parsed = []
+
+    def parse_then_fail(text):
+        parsed.append(text)
+        if len(parsed) == 2:
+            raise RuntimeError("applying the second answer failed")
+        return parse_act_response(text)
+
+    monkeypatch.setattr(guidance, "parse_act_response", parse_then_fail)
+    provider = LlmProvider(endpoint=LlmEndpoint(base_url=stub_server.url, model="m", timeout=5.0))
+    with pytest.raises(RuntimeError, match="second answer"):
+        provider.refresh_act(refresh_requests(8))
+    # Reading the second answer had the first IN_FLIGHT + 1 requests sent;
+    # the IN_FLIGHT - 1 still unread were open when the exception passed.
+    assert len(opened) == guidance.IN_FLIGHT + 1
+    assert all(conn.sock is None for conn in opened)
+    gc.collect()
 
 
 def test_guidance_clamped_on_construction():
@@ -324,15 +375,27 @@ def test_heuristic_act_always_in_range(fitness, g, d, c):
 
 
 def test_engine_import_leaves_out_the_http_stack():
-    # Only llm_advise needs it; a heuristic run should not pay for importing it.
+    # Only the LLM transport needs it; a heuristic run should not pay for
+    # importing it, and the transport itself needs no urllib.request.
     src = str(Path(lacmas.__file__).resolve().parents[1])
-    code = (
-        "import sys, lacmas.engine; "
-        "print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))"
-    )
+    code = """
+import sys
+from lacmas.engine import RunConfig, run
+from lacmas.guidance import CoopRequest, LlmEndpoint, LlmProvider
+from lacmas.objectives import make_spec
+from lacmas.topology import build_ring
+
+stack = {"http.client", "urllib.request"}
+spec = make_spec("sphere", num_agents=4, dim=3, hetero_sigma=0.0, seed=0)
+run(RunConfig(objective=spec, graph=build_ring(4), max_iterations=30))
+print(sorted(stack & set(sys.modules)))
+llm = LlmProvider(LlmEndpoint("http://127.0.0.1:1", "m", timeout=0.5))
+llm.refresh_coop([CoopRequest((1,), ((1.0, 0.1),))])
+print(llm.fallback_count, sorted(stack & set(sys.modules)))
+"""
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", "1 ['http.client']"]
