@@ -37,7 +37,7 @@ from .config import (
     seeded_runs,
     wsn_runs,
 )
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, RunAborted
 from .objectives import FAMILIES
 from .wsn import system_error
 
@@ -64,6 +64,10 @@ def main(argv=None) -> int:
     except (ConfigError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # A batch that aborts has written no result files.
+    except RunAborted as exc:
+        print(engine.summarize(exc.report), file=sys.stderr)
+        return EXIT_FAULT
 
 
 # Flags several subcommands share; each subcommand takes only those it reads.
@@ -161,37 +165,38 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
+    """The output directory, created. A command calls it after it has built,
+    and so checked, all its runs, and before it runs them through
+    engine.run_batch; it then writes its files from the runs and reports."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+def _write_summary(path: Path, labelled) -> None:
+    """One `[label]` block of engine.summarize per (label, report) pair."""
+    with open(path, "w") as fh:
+        for label, report in labelled:
+            fh.write(f"[{label}]\n{engine.summarize(report)}\n\n")
+
+
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     record = args.record_matrices
-    # Every run is built, and so checked, before anything is written.
-    runs = [
+    plan = [
         (family, run_cfg)
         for family in cfg.suite
         for run_cfg in seeded_runs(cfg, build_benchmark(cfg, family), record_matrices=record)
     ]
     out = _outdir(cfg)
-    summaries = []
-    for family, run_cfg in runs:
-        report = engine.run(run_cfg)
+    reports = engine.run_batch([run_cfg for _, run_cfg in plan])
+    for (family, run_cfg), report in zip(plan, reports):
         stem = f"trace_{family}_{cfg.variant}_seed{run_cfg.master_seed}"
         engine.write_trace_csv(report, out / f"{stem}.csv")
-        if record and report.matrices is not None:
-            np.savez_compressed(out / f"{stem}_matrices.npz", *[m for m in report.matrices])
-        summaries.append((family, report))
-        if report.aborted:
-            print(engine.summarize(report), file=sys.stderr)
-            return EXIT_FAULT
-    summary_path = out / f"summary_{cfg.variant}.txt"
-    with open(summary_path, "w") as fh:
-        for family, report in summaries:
-            fh.write(f"[{family}]\n{engine.summarize(report)}\n\n")
-    print(f"wrote {len(summaries)} runs to {out}")
+        if report.matrices is not None:
+            np.savez_compressed(out / f"{stem}_matrices.npz", *report.matrices)
+    _write_summary(out / f"summary_{cfg.variant}.txt", zip((f for f, _ in plan), reports))
+    print(f"wrote {len(reports)} runs to {out}")
     return EXIT_OK
 
 
@@ -200,10 +205,11 @@ def cmd_suite(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("--variants must name at least one variant")
+    if len(set(variants)) < len(variants):
+        raise ConfigError(f"--variants names a variant twice: {args.variants!r}")
     # Variants run to the full budget so final fitness is compared at equal
     # evaluation counts; communication cost is counted up to the first
-    # disagreement-threshold crossing. Every cell is built, and so checked,
-    # before anything is written.
+    # disagreement-threshold crossing.
     cells = []
     for family in cfg.suite:
         objective = build_benchmark(cfg, family)
@@ -215,18 +221,14 @@ def cmd_suite(args) -> int:
         "family,variant,mean_final_fitness,mean_best_agent_value,mean_comm_cost,"
         "mean_converged_at,converged_runs"
     ]
+    # One batch per cell: the table needs only each cell's means, so a cell's
+    # reports, each with its per-round traces, go before the next cell runs.
     for family, variant, run_cfgs in cells:
-        finals, bests, costs, convs = [], [], [], []
-        for run_cfg in run_cfgs:
-            report = engine.run(run_cfg)
-            if report.aborted:
-                print(engine.summarize(report), file=sys.stderr)
-                return EXIT_FAULT
-            finals.append(report.final_fitness_mean_state)
-            bests.append(report.final_best_agent_value)
-            costs.append(report.comm_cost_at_convergence)
-            convs.append(report.converged_at)
-        done = [c for c in convs if c is not None]
+        cell = engine.run_batch(run_cfgs)
+        finals = [r.final_fitness_mean_state for r in cell]
+        bests = [r.final_best_agent_value for r in cell]
+        costs = [r.comm_cost_at_convergence for r in cell]
+        done = [r.converged_at for r in cell if r.converged_at is not None]
         mean_conv = float(np.mean(done)) if done else float("nan")
         lines.append(
             f"{family},{variant},{float(np.mean(finals))!r},{float(np.mean(bests))!r},"
@@ -240,24 +242,18 @@ def cmd_suite(args) -> int:
 
 def cmd_wsn(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    # Every run is built, and so checked, before anything is written.
-    runs = wsn_runs(cfg)
+    plan = wsn_runs(cfg)
     out = _outdir(cfg)
-    errors, summaries, rows = {}, [], ["num_targets,seed,final_err"]
-    for nt, objective, run_cfg in runs:
-        report = engine.run(run_cfg)
-        if report.aborted:
-            print(engine.summarize(report), file=sys.stderr)
-            return EXIT_FAULT
+    reports = engine.run_batch([run_cfg for *_, run_cfg in plan])
+    errors, stems, rows = {}, [], ["num_targets,seed,final_err"]
+    for (nt, objective, run_cfg), report in zip(plan, reports):
         stem = f"wsn_n{cfg.wsn.num_sensors}_t{nt}_seed{run_cfg.master_seed}"
         engine.write_trace_csv(report, out / f"{stem}.csv")
-        summaries.append((stem, report))
+        stems.append(stem)
         err = system_error(objective.scenario, objective.phi, report.final_states)
         errors.setdefault(nt, []).append(err)
         rows.append(f"{nt},{run_cfg.master_seed},{err!r}")
-    with open(out / "summary_wsn.txt", "w") as fh:
-        for stem, report in summaries:
-            fh.write(f"[{stem}]\n{engine.summarize(report)}\n\n")
+    _write_summary(out / "summary_wsn.txt", zip(stems, reports))
     (out / "err_by_targets.csv").write_text("\n".join(rows) + "\n")
     hits = sum(e < SUCCESS_ERROR for e in errors[1])
     print(f"single-target runs below {SUCCESS_ERROR:g}: {hits}/{len(errors[1])}")
@@ -271,6 +267,7 @@ def cmd_wsn(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    # A probe writes no files, so it has no output directory.
     cfg = _apply_overrides(load_config(args.config), args)
     objective = build_benchmark(cfg, args.family)
     graph = build_graph(cfg, objective.num_agents)
@@ -278,10 +275,7 @@ def cmd_calibrate(args) -> int:
         cfg, objective, graph, cfg.master_seed,
         variant="baseline", max_iterations=args.probe_length,
     )
-    report = engine.run(run_cfg)
-    if report.aborted:
-        print(engine.summarize(report), file=sys.stderr)
-        return EXIT_FAULT
+    (report,) = engine.run_batch([run_cfg])
     horizon = scheduler.calibrate_horizon(
         report.disagreement_trace,
         threshold=cfg.convergence_threshold,

@@ -117,6 +117,9 @@ class ExperimentConfig:
         for fam in self.suite:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown suite family {fam!r}; choices: {FAMILIES}")
+        # A repeated family's runs would overwrite the first one's traces.
+        if len(set(self.suite)) < len(self.suite):
+            raise ConfigError(f"suite names a family twice: {self.suite}")
 
 
 _NESTED = {

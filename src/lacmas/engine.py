@@ -38,7 +38,7 @@ import numpy as np
 from . import scheduler
 from .cooperation import assemble_mixing_matrix, build_descriptor, project_weights
 from .analysis import check_admissibility
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, RunAborted
 from .guidance import (
     ACT_WINDOW,
     C_DEFAULT,
@@ -531,3 +531,14 @@ def run(config: RunConfig) -> RunReport:
     spent[-1] = clock() - mark
     state.report.phase_ns = dict(zip(PHASE_KEYS, spent))
     return state.report
+
+
+def run_batch(configs) -> list[RunReport]:
+    """Run each config in order. The first aborted run ends the batch with
+    RunAborted, and the configs after it never run."""
+    reports = []
+    for index, config in enumerate(configs):
+        reports.append(run(config))
+        if reports[-1].aborted:
+            raise RunAborted(index, reports[-1])
+    return reports

@@ -15,3 +15,12 @@ class GuidanceParseError(ValueError):
 
 class LlmTransportError(RuntimeError):
     """The external guidance endpoint was unreachable or returned a malformed payload."""
+
+
+class RunAborted(RuntimeError):
+    """A run of a batch stopped on a numerical fault; later runs never started."""
+
+    def __init__(self, index: int, report):
+        super().__init__(f"run {index} of the batch aborted: {report.fault}")
+        self.index = index
+        self.report = report

@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line (run with -s to see them). The instances
 are fixed in configs/, their only definition, and built through the config
-path users run (load_config, the build_* functions, seeded_runs):
+path users run (load_config, the build_* functions, seeded_runs); each
+batch of runs is one engine.run_batch call, as in the commands:
 reference.json, a homogeneous distributed sphere on a ring, for the consensus,
 admissibility, perturbation and determinism checks, and with heterogeneous
 shifts for the optimum check; desk.json, a six-function suite, for the
@@ -20,7 +21,7 @@ from lacmas import guidance as gd
 from lacmas.analysis import check_admissibility
 from lacmas.config import build_benchmark, floored_means, seeded_runs, wsn_runs
 from lacmas.cooperation import project_weights
-from lacmas.engine import run, write_trace_csv
+from lacmas.engine import run_batch, write_trace_csv
 from lacmas.errors import GuidanceParseError
 from lacmas.scheduler import PcgConfig, gate_ext, gate_int, stage
 from lacmas.topology import build_ring
@@ -37,7 +38,7 @@ def reference_runs(load_preset):
     cfg = load_preset("reference")
     run_cfgs = seeded_runs(cfg, build_benchmark(cfg, cfg.suite[0]), record_matrices=True)
     start = time.perf_counter()
-    reports = [run(run_cfg) for run_cfg in run_cfgs]
+    reports = run_batch(run_cfgs)
     elapsed = time.perf_counter() - start
     return reports, run_cfgs[0].graph, elapsed
 
@@ -88,13 +89,8 @@ def test_criterion_3_analytic_optimum(load_preset):
     )
     run_cfgs = seeded_runs(cfg, build_benchmark(cfg, cfg.suite[0]))
     target = run_cfgs[0].objective.shifts.mean(axis=0)
-    hits = 0
-    errors = []
-    for run_cfg in run_cfgs:
-        report = run(run_cfg)
-        err = float(np.linalg.norm(report.final_mean_state - target))
-        errors.append(err)
-        hits += err <= 1e-2
+    errors = [float(np.linalg.norm(r.final_mean_state - target)) for r in run_batch(run_cfgs)]
+    hits = sum(err <= 1e-2 for err in errors)
     detail = f"{hits}/{len(run_cfgs)} runs with |xbar - mean(o)| <= 1e-2 (median {np.median(errors):.2e})"
     _report("criterion 3 analytic optimum", hits >= 20, detail)
     assert hits >= 20
@@ -146,13 +142,13 @@ def test_criterion_6_ablation_trends(load_preset):
         baseline = seeded_runs(cfg, spec, variant="baseline", stop_at_convergence=False)
         coop = seeded_runs(cfg, spec, variant="coop")
         full = seeded_runs(cfg, spec, variant="full", stop_at_convergence=False)
-        cost_b, cost_c, best_b, best_f = [], [], [], []
-        for cb, cc, cf in zip(baseline, coop, full):
-            rb, rc, rf = run(cb), run(cc), run(cf)
-            cost_b.append(rb.comm_cost_at_convergence)
-            cost_c.append(rc.comm_cost_at_convergence)
-            best_b.append(rb.final_best_agent_value)
-            best_f.append(rf.final_best_agent_value)
+        reports = run_batch([*baseline, *coop, *full])
+        n = len(baseline)
+        rb, rc, rf = reports[:n], reports[n : 2 * n], reports[2 * n :]
+        cost_b = [r.comm_cost_at_convergence for r in rb]
+        cost_c = [r.comm_cost_at_convergence for r in rc]
+        best_b = [r.final_best_agent_value for r in rb]
+        best_f = [r.final_best_agent_value for r in rf]
         coop_better = float(np.mean(cost_c)) < float(np.mean(cost_b))
         full_better = float(np.mean(best_f)) <= float(np.mean(best_b))
         cost_wins += coop_better
@@ -173,8 +169,7 @@ def test_criterion_7_determinism(tmp_path, load_preset):
     cfg = replace(load_preset("reference"), master_seed=123, num_runs=1)
     (run_cfg,) = seeded_runs(cfg, build_benchmark(cfg, cfg.suite[0]))
     payloads = []
-    for name in ("first.csv", "second.csv"):
-        report = run(run_cfg)
+    for name, report in zip(("first.csv", "second.csv"), run_batch([run_cfg, run_cfg])):
         path = tmp_path / name
         write_trace_csv(report, path)
         payloads.append(path.read_bytes())
@@ -233,9 +228,9 @@ def test_criterion_8_guidance_robustness(monkeypatch):
 def wsn_sweep(load_preset):
     """configs/wsn_sweep.json run as `lacmas wsn` runs it: the final errors by
     target count and their means floored at the success threshold."""
+    runs = wsn_runs(load_preset("wsn_sweep"))
     errors = {}
-    for nt, objective, run_cfg in wsn_runs(load_preset("wsn_sweep")):
-        report = run(run_cfg)
+    for (nt, objective, _), report in zip(runs, run_batch([run_cfg for *_, run_cfg in runs])):
         err = system_error(objective.scenario, objective.phi, report.final_states)
         errors.setdefault(nt, []).append(err)
     return errors, floored_means(errors)

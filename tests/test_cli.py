@@ -431,6 +431,8 @@ def test_unusable_llm_url_is_ignored_by_a_run_that_never_asks(
         (["run", "--suite", "sphere", "--agents", "4", "--dim", "2"], {"objective": {"bound": 1e155}}),
         # Range noise near 1e300 overflows every local fitness value.
         (["wsn"], {"wsn": {"noise_sigma": 1e300}}),
+        # The first overflow again, in a suite cell run to the full budget.
+        (["suite", "--suite", "sphere", "--agents", "4", "--dim", "2"], {"objective": {"bound": 1e155}}),
     ],
 )
 def test_overflowing_run_aborts_as_numerical_fault(tmp_path, capsys, argv, extra):
@@ -440,14 +442,19 @@ def test_overflowing_run_aborts_as_numerical_fault(tmp_path, capsys, argv, extra
     # used to add six lines to stderr, would raise under this filter.
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(extra))
+    out = tmp_path / "r"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "r")])
+        code = main([*argv, "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_FAULT
     err = capsys.readouterr().err
     assert "configuration error:" not in err
     assert "RuntimeWarning" not in err
+    # The aborted run's summary, and no result file: `run` used to leave the
+    # aborted run's trace behind.
+    assert err.startswith("variant=") and "\nwall_clock_s=" in err
     assert "aborted=true fault=non-finite best value" in err
+    assert list(out.iterdir()) == []
 
 
 def test_non_finite_particle_state_exits_as_numerical_fault(tmp_path, capsys, monkeypatch):
@@ -468,6 +475,27 @@ def test_non_finite_particle_state_exits_as_numerical_fault(tmp_path, capsys, mo
     assert code == EXIT_FAULT
     err = capsys.readouterr().err
     assert "aborted=true fault=non-finite particle state for agent 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, extra, detail",
+    [
+        (["run", "--suite", "sphere,sphere"], None, "suite names a family twice"),
+        (["run"], {"suite": ["ackley", "sphere", "ackley"]}, "suite names a family twice"),
+        (["suite", "--suite", "sphere,sphere"], None, "suite names a family twice"),
+        (["suite", "--suite", "sphere", "--variants", "full,coop,full"], None, "--variants"),
+    ],
+)
+def test_repeated_family_or_variant_gives_config_exit(tmp_path, capsys, argv, extra, detail):
+    # A repeated family used to overwrite the first one's traces, and a
+    # repeated variant ran every cell twice into two identical rows.
+    cfg = write_config(tmp_path, extra)
+    out = tmp_path / "r"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and detail in err
+    assert "\n" not in err
+    assert not out.exists()
 
 
 def test_suite_table_has_row_per_function_variant(tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lacmas
-from lacmas import guidance, scheduler
+from lacmas import engine, guidance, scheduler
 from lacmas.engine import (
     PHASES,
     AgentHistory,
@@ -22,9 +22,10 @@ from lacmas.engine import (
     comm_cost_per_round,
     disagreement,
     run,
+    run_batch,
     write_trace_csv,
 )
-from lacmas.errors import ConfigError, ContractError
+from lacmas.errors import ConfigError, ContractError, RunAborted
 from lacmas.guidance import ACT_WINDOW, LlmEndpoint
 from lacmas.objectives import make_spec
 from lacmas.scheduler import PcgConfig
@@ -320,6 +321,42 @@ def test_numerical_fault_aborts_with_flag(sphere_small, ring4, monkeypatch):
     assert report.aborted
     assert report.fault == "non-finite particle state for agent 1"
     assert report.disagreement_trace == []
+
+
+def test_batch_reports_give_the_traces_of_separate_runs(tmp_path, sphere_small, ring4):
+    configs = [
+        small_config(sphere_small, ring4, variant=variant, master_seed=seed)
+        for variant in ("baseline", "full")
+        for seed in (3, 4)
+    ]
+    for k, report in enumerate(run_batch(configs)):
+        write_trace_csv(report, tmp_path / f"batch{k}.csv")
+        write_trace_csv(run(configs[k]), tmp_path / f"single{k}.csv")
+        assert (tmp_path / f"batch{k}.csv").read_bytes() == (tmp_path / f"single{k}.csv").read_bytes()
+
+
+def test_batch_ends_at_its_first_aborted_run(sphere_small, ring4, monkeypatch):
+    # Positions near 1e155 overflow the squared distances in the first round.
+    overflowing = make_spec("sphere", num_agents=4, dim=3, hetero_sigma=0.0, seed=11, bound=1e155)
+    configs = [
+        small_config(sphere_small, ring4),
+        small_config(overflowing, ring4),
+        small_config(sphere_small, ring4, master_seed=4),
+    ]
+    calls = []
+
+    def counted(config):
+        calls.append((config, run(config)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(engine, "run", counted)
+    with pytest.raises(RunAborted) as caught:
+        run_batch(configs)
+    # The third config never reached engine.run.
+    assert [id(config) for config, _ in calls] == [id(config) for config in configs[:2]]
+    assert caught.value.index == 1
+    assert caught.value.report is calls[1][1]
+    assert caught.value.report.fault.startswith("non-finite best value")
 
 
 def test_graph_objective_size_mismatch_rejected(sphere_small):
