@@ -42,6 +42,10 @@ class GraphSpec:
     def __post_init__(self):
         if self.kind not in ("ring", "random", "explicit"):
             raise ConfigError(f"graph.kind must be ring|random|explicit, got {self.kind!r}")
+        if self.kind == "explicit" and self.edges is None:
+            raise ConfigError("graph.kind explicit needs graph.edges")
+        if self.kind != "explicit" and self.edges is not None:
+            raise ConfigError(f"graph.edges goes only with graph.kind explicit, not {self.kind!r}")
         _check_seed("graph.seed", self.seed)
 
 

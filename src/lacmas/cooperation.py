@@ -22,21 +22,21 @@ ROW_SUM_TOL = 1e-12
 
 
 def build_descriptor(history, window: int) -> np.ndarray:
-    """Every agent's descriptor: the means of its fitness, divergence and
-    state delta over the most recent `window` rounds, as an (N, 3) array.
+    """Every agent's descriptor: the means of its fitness and divergence over
+    the most recent `window` rounds, as an (N, 2) array.
 
     `history` is an engine.AgentHistory. The means reduce the contiguous last
     axis of its window, so each rounds like np.mean over the same records.
     """
-    _, values = history.recent(window)
+    values = history.recent(window)
     count = values.shape[2]
     if not count:
         raise ContractError("descriptor requires a non-empty history")
-    means = values[:, :3].sum(axis=2) / count
+    means = values[:, :2].sum(axis=2) / count
     if not np.isfinite(means).all():
         raise ContractError("descriptor means must be finite")
-    if (means[:, 1:] < 0).any():
-        raise ContractError("divergence and state-delta means must be nonnegative")
+    if (means[:, 1] < 0).any():
+        raise ContractError("divergence means must be nonnegative")
     return means
 
 

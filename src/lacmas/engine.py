@@ -59,7 +59,7 @@ _ACT_VARIANTS = ("act", "full")
 _COOP_VARIANTS = ("coop", "full")
 _GUIDED_VARIANTS = ("act", "coop", "full")
 
-DESCRIPTOR_SCALARS = 3  # fitness / divergence / state-delta means per exchange
+DESCRIPTOR_SCALARS = 2  # fitness / divergence means per exchange
 
 _sum = np.add.reduce
 
@@ -96,7 +96,7 @@ def disagreement(states: np.ndarray) -> float:
 
 
 def comm_cost_per_round(graph: CommGraph, dim: int) -> int:
-    """Scalars on the wire per round: a state vector plus a descriptor triple
+    """Scalars on the wire per round: a state vector plus a descriptor pair
     per directed edge."""
     return graph.num_directed_edges() * (dim + DESCRIPTOR_SCALARS)
 
@@ -108,43 +108,39 @@ class AgentHistory:
     """Every agent's published statistics over the last W = ACT_WINDOW rounds,
     the furthest back any reader looks.
 
-    `values[i, f]` holds agent i's statistic f (FIELDS order) and
-    `iterations` the round of each slot. The k-th appended round goes to
-    slots k % W and k % W + W, so every window of recent rounds is one
-    contiguous, oldest-first slice of the last axis, and a mean along it
-    rounds like np.mean over the same records in a list.
+    `values[i, f]` holds agent i's statistic f (FIELDS order), one record per
+    round, in order. The k-th appended round goes to slots k % W and
+    k % W + W, so every window of recent rounds is one contiguous,
+    oldest-first slice of the last axis, and a mean along it rounds like
+    np.mean over the same records in a list.
     """
 
-    FIELDS = ("best_fitness", "divergence", "state_delta", "local_disagreement")
+    FIELDS = ("best_fitness", "divergence", "local_disagreement")
 
     def __init__(self, num_agents: int):
         self.values = np.zeros((num_agents, len(self.FIELDS), 2 * ACT_WINDOW))
-        self.iterations = np.zeros(2 * ACT_WINDOW, dtype=int)
         self._count = 0
 
-    def append(self, t: int, cols) -> None:
-        """Record round t: `cols` holds one (N,) array per field, in FIELDS order."""
-        if self._count and t <= self.iterations[self._slot]:
-            raise ConfigError("history iterations must be strictly increasing")
+    def append(self, cols) -> None:
+        """Record the next round: one (N,) array per field, in FIELDS order."""
         self._count += 1
         slot, col = self._slot, np.array(cols).T
         self.values[:, :, slot] = self.values[:, :, slot + ACT_WINDOW] = col
-        self.iterations[slot] = self.iterations[slot + ACT_WINDOW] = t
 
     @property
     def _slot(self) -> int:
         """The latest round's slot in the lower copy."""
         return (self._count - 1) % ACT_WINDOW
 
-    def recent(self, window: int) -> tuple[np.ndarray, np.ndarray]:
-        """The iterations (w,) and values (N, 4, w) of the most recent
-        w = min(window, len) rounds, oldest first, as views."""
+    def recent(self, window: int) -> np.ndarray:
+        """The values (N, 3, w) of the most recent w = min(window, len)
+        rounds, oldest first, as a view."""
         if window < 1:
             # An unchecked 0 would read as an empty window, not a bad request.
             raise ContractError(f"history window must be >= 1, got {window}")
         end = self._slot + ACT_WINDOW + 1
         span = slice(end - min(window, len(self)), end)
-        return self.iterations[span], self.values[:, :, span]
+        return self.values[:, :, span]
 
     def __len__(self) -> int:
         return min(self._count, ACT_WINDOW)
@@ -369,10 +365,10 @@ def _guide_act(state: RunState, t: int) -> bool:
     if state.gate_int and config.variant in _ACT_VARIANTS and len(history):
         report, population = state.report, state.population
         report.gate_int_iterations.append(t)
-        iterations, values = history.recent(ACT_WINDOW)
-        iterations = iterations.tolist()
+        values = history.recent(ACT_WINDOW)
+        iterations = range(t - values.shape[2], t)  # one record per round
         # Best fitness and local disagreement, per agent.
-        fitness, local_dis = values[:, 0].tolist(), values[:, 3].tolist()
+        fitness, local_dis = values[:, 0].tolist(), values[:, 2].tolist()
         coefficients = population.coefficients.tolist()
         # Each request reads only its own agent's pair, so all are built
         # before any answer applies; the answers apply in agent order.
@@ -395,7 +391,7 @@ def _guide_coop(state: RunState, t: int) -> bool:
         # A fresh copy, so matrices recorded in earlier rounds stay as they were.
         state.matrix = matrix = state.matrix.copy()
         # Each agent's (avg fitness, avg divergence), computed once for all.
-        stats = list(zip(*build_descriptor(history, COOP_WINDOW)[:, :2].T.tolist()))
+        stats = list(map(tuple, build_descriptor(history, COOP_WINDOW).tolist()))
         # A lone agent asks nothing and keeps its row.
         nbr_lists = graph.neighbor_lists
         agents = [i for i in range(state.n) if nbr_lists[i]]
@@ -434,8 +430,6 @@ def _fuse_inject(state: RunState, t: int) -> bool:
 def _bookkeep(state: RunState, t: int) -> bool:
     """Round metrics, the fault check and one history append."""
     fused, divergences, report = state.fused, state.divergences, state.report
-    diffs = fused - state.prev
-    state_deltas = np.sqrt(_sum(diffs * diffs, axis=1))
     # take gathers the rows fused[edges] would, at about half the cost.
     e = fused.take(state.edge_src, 0) - fused.take(state.edge_dst, 0)
     edge_norms = np.sqrt(_sum(e * e, axis=1))
@@ -452,7 +446,7 @@ def _bookkeep(state: RunState, t: int) -> bool:
             f"{float(divergences[bad])!r} for agent {bad} in round {t}"
         )
         return True
-    state.history.append(t, (bests, divergences, state_deltas, local_dis))
+    state.history.append((bests, divergences, local_dis))
     report.disagreement_trace.append(disagreement(fused))
     report.comm_cost_total += state.round_cost
     # fused is a fresh product every round and is never written to.

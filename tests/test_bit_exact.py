@@ -56,19 +56,15 @@ nonnegative = st.floats(0.0, 1e100, allow_nan=False)
 
 @st.composite
 def histories(draw):
-    """(num_agents, rounds): each round is (t, (4, N) statistics), with
-    strictly increasing t and up to three times the window of rounds."""
+    """(num_agents, rounds): each round is the (3, N) statistics of one of
+    up to three times the window of consecutive rounds."""
     n = draw(st.integers(1, 3))
     count = draw(st.integers(1, 3 * ACT_WINDOW))
-    steps = draw(st.lists(st.integers(1, 5), min_size=count, max_size=count))
-    ts = np.cumsum(steps).tolist()
-    rounds = []
-    for t in ts:
-        cols = [
-            draw(st.lists(strategy, min_size=n, max_size=n))
-            for strategy in (value, nonnegative, nonnegative, nonnegative)
-        ]
-        rounds.append((t, cols))
+    strategies = (value, nonnegative, nonnegative)
+    rounds = [
+        [draw(st.lists(strategy, min_size=n, max_size=n)) for strategy in strategies]
+        for _ in range(count)
+    ]
     return n, rounds
 
 
@@ -79,22 +75,21 @@ def test_history_windows_and_descriptors_match_record_lists(case):
     history = AgentHistory(n)
     # The per-agent reference: each agent's records as a list, oldest first.
     records = [[] for _ in range(n)]
-    for t, cols in rounds:
-        history.append(t, np.array(cols))
+    for cols in rounds:
+        history.append(np.array(cols))
         for i in range(n):
-            records[i].append((t, *(col[i] for col in cols)))
+            records[i].append(tuple(col[i] for col in cols))
     assert len(history) == min(len(rounds), ACT_WINDOW)
 
     for window in range(1, ACT_WINDOW + 1):
-        iterations, values = history.recent(window)
+        values = history.recent(window)
         kept = [agent[-window:] for agent in records]
-        assert iterations.tolist() == [r[0] for r in kept[0]]
         assert values.shape == (n, FIELDS, len(kept[0]))
         means = build_descriptor(history, window)
         for i in range(n):
             for f in range(FIELDS):
-                assert values[i, f].tolist() == [r[1 + f] for r in kept[i]]
-            expected = [float(np.mean([r[1 + f] for r in kept[i]])) for f in range(3)]
+                assert values[i, f].tolist() == [r[f] for r in kept[i]]
+            expected = [float(np.mean([r[f] for r in kept[i]])) for f in range(2)]
             assert means[i].tolist() == expected
 
 

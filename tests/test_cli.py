@@ -384,6 +384,28 @@ def test_bad_box_fails_before_the_output_directory_exists(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        # Used to run a plain ring and exit 0, the edge list ignored.
+        {"kind": "ring", "edges": [[0, 1], [1, 2], [2, 3], [0, 2]]},
+        # Used to fail as "invalid graph: connectivity", naming no edges.
+        {"kind": "explicit"},
+    ],
+)
+def test_edges_go_only_with_an_explicit_graph(tmp_path, capsys, graph):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(
+        {"graph": graph, "objective": {"num_agents": 4, "dim": 2}, "suite": ["sphere"], "num_runs": 1}
+    ))
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "graph.edges" in err
+    assert "\n" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["config", "environment"])
 @pytest.mark.parametrize("url", ["localhost:11434", "http://localhost:port", "http://:11434"])
 def test_unusable_llm_url_fails_before_output(tmp_path, capsys, monkeypatch, source, url):

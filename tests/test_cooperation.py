@@ -17,29 +17,29 @@ def as_raw(weights, graph, owner):
 
 
 def history_from(rows):
-    """A one-agent history of (fitness, divergence, state delta) rows."""
+    """A one-agent history of (fitness, divergence) rows."""
     h = AgentHistory(1)
-    for t, (fit, div, delta) in enumerate(rows):
-        h.append(t, np.array([[fit], [div], [delta], [0.0]]))
+    for fit, div in rows:
+        h.append(np.array([[fit], [div], [0.0]]))
     return h
 
 
 def test_descriptor_of_constant_history():
-    h = history_from([(5.0, 2.0, 0.1)] * 6)
-    assert build_descriptor(h, window=4).tolist() == [[5.0, 2.0, 0.1]]
+    h = history_from([(5.0, 2.0)] * 6)
+    assert build_descriptor(h, window=4).tolist() == [[5.0, 2.0]]
 
 
 def test_descriptor_window_larger_than_history():
-    h = history_from([(1.0, 0.0, 0.0), (3.0, 0.0, 0.0)])
+    h = history_from([(1.0, 0.0), (3.0, 0.0)])
     d = build_descriptor(h, window=10)
     assert d[0, 0] == pytest.approx(2.0)
 
 
 def test_descriptor_two_entry_mean():
-    h = history_from([(4.0, 1.0, 0.2), (6.0, 3.0, 0.4)])
+    h = history_from([(4.0, 1.0), (6.0, 3.0)])
     d = build_descriptor(h, window=2)
-    assert d.shape == (1, 3)
-    assert d[0].tolist() == pytest.approx([5.0, 2.0, 0.3])
+    assert d.shape == (1, 2)
+    assert d[0].tolist() == pytest.approx([5.0, 2.0])
 
 
 def test_descriptor_requires_history():
@@ -47,7 +47,7 @@ def test_descriptor_requires_history():
         build_descriptor(AgentHistory(3), window=5)
 
 
-@pytest.mark.parametrize("row", [(np.inf, 0.0, 0.0), (1.0, -1.0, 0.0), (1.0, 0.0, -0.5)])
+@pytest.mark.parametrize("row", [(np.inf, 0.0), (1.0, -1.0), (1.0, np.inf)])
 def test_descriptor_rejects_non_finite_or_negative_means(row):
     with pytest.raises(ContractError):
         build_descriptor(history_from([row]), window=1)

@@ -99,40 +99,32 @@ def test_disagreement_three_states_exact():
 
 
 def test_comm_cost_ring4_dim5():
-    # 8 directed edges, 5 + 3 scalars each.
-    assert comm_cost_per_round(build_ring(4), 5) == 64
+    # 8 directed edges, 5 + 2 scalars each.
+    assert comm_cost_per_round(build_ring(4), 5) == 56
 
 
 # -- history ---------------------------------------------------------------------
 
 
-def append(h, t, fit=1.0, n=1):
+def append(h, fit=1.0, n=1):
     """One round of constant statistics for each of the n agents."""
-    h.append(t, np.array([[fit], [0.0], [0.0], [0.0]]).repeat(n, axis=1))
+    h.append(np.array([[fit], [0.0], [0.0]]).repeat(n, axis=1))
 
 
 def test_history_capacity_bound():
     h = AgentHistory(1)
     for t in range(50):
-        append(h, t)
+        append(h, fit=float(t))
     assert len(h) == ACT_WINDOW
-    assert h.recent(5)[0].tolist()[-1] == 49
-
-
-def test_history_rejects_nonincreasing_iterations():
-    h = AgentHistory(1)
-    append(h, 3)
-    with pytest.raises(ConfigError):
-        append(h, 3)
+    assert h.recent(5)[0, 0].tolist() == [45.0, 46.0, 47.0, 48.0, 49.0]
 
 
 def test_history_recent_window_order():
     h = AgentHistory(2)
     for t in range(10):
-        append(h, t, fit=float(t), n=2)
-    iterations, values = h.recent(4)
-    assert iterations.tolist() == [6, 7, 8, 9]
-    assert values.shape == (2, 4, 4)
+        append(h, fit=float(t), n=2)
+    values = h.recent(4)
+    assert values.shape == (2, 3, 4)
     assert values[:, 0].tolist() == [[6.0, 7.0, 8.0, 9.0]] * 2
 
 
@@ -140,8 +132,8 @@ def test_history_recent_window_order():
 def test_history_recent_rejects_empty_window(window):
     # A window of 0 would read as an empty slice, not as a bad request.
     h = AgentHistory(1)
-    for t in range(5):
-        append(h, t)
+    for _ in range(5):
+        append(h)
     with pytest.raises(ContractError):
         h.recent(window)
 
@@ -258,6 +250,33 @@ def test_comm_cost_accrues_per_round(sphere_small, ring4):
     assert report.comm_cost_total == 10 * per_round
     costs = [row.comm_cost for row in report.rows]
     assert costs == sorted(costs)
+
+
+def test_rows_bill_state_and_descriptor_pair_and_act_windows_are_consecutive(
+    monkeypatch, sphere_small, ring4
+):
+    # Each directed edge carries a D-vector plus the two descriptor means the
+    # cooperation prompt sends, and the act window holds rounds t - w ... t - 1.
+    seen = []
+    refresh_act = guidance.HeuristicProvider.refresh_act
+
+    def recording(provider, reqs):
+        seen.extend(reqs)
+        return refresh_act(provider, reqs)
+
+    monkeypatch.setattr(guidance.HeuristicProvider, "refresh_act", recording)
+    cfg = small_config(
+        sphere_small, ring4, max_iterations=60, log_every=1, convergence_threshold=1e-30
+    )
+    report = run(cfg)
+    edges, dim = ring4.num_directed_edges(), sphere_small.dim
+    assert len(report.rows) == 60
+    for row in report.rows:
+        assert row.comm_cost == (row.iteration + 1) * edges * (dim + 2)
+    assert report.gate_int_iterations and len(seen) == report.act_calls
+    for req in seen:
+        w = min(req.iteration, ACT_WINDOW)
+        assert [r[0] for r in req.trajectory] == list(range(req.iteration - w, req.iteration))
 
 
 def test_trace_rows_sampled_by_log_every(sphere_small, ring4):
@@ -407,16 +426,16 @@ def test_local_disagreement_mean_of_distances(monkeypatch, sphere_small):
     rounds = []
     append = AgentHistory.append
 
-    def spy(history, t, cols):
-        rounds.append((t, np.array(cols)))
-        append(history, t, cols)
+    def spy(history, cols):
+        rounds.append(np.array(cols))
+        append(history, cols)
 
     monkeypatch.setattr(AgentHistory, "append", spy)
     report = run(small_config(sphere_small, graph, max_iterations=30, stop_at_convergence=False))
     states = report.final_states
     # One append per round, every agent's statistics in FIELDS order.
-    assert [t for t, _ in rounds] == list(range(30))
-    t, cols = rounds[-1]
+    assert len(rounds) == 30
+    cols = rounds[-1]
     assert cols.shape == (len(AgentHistory.FIELDS), 4)
     local_dis = cols[AgentHistory.FIELDS.index("local_disagreement")]
     for i in range(4):
@@ -500,14 +519,15 @@ def test_phases_driven_by_hand_give_the_run_trace(tmp_path):
 
 
 def test_convergence_stops_the_run_after_trace(tmp_path):
-    # Trace rows pinned from the build before the round was split into phases.
+    # Trace rows pinned from the build before the round was split into phases,
+    # with comm_cost billed at D + 2 scalars per directed edge.
     report, stopped_by = drive(golden_sphere_config(stop_at_convergence=True))
     assert stopped_by is _trace
     assert report.converged_at == 154 == report.rows[-1].iteration
     assert len(report.rows) == 155
     assert (
         csv_sha256(report, tmp_path / "trace.csv")
-        == "4327f20e0a7e427c08a1749fc026eace9576759a5018d7670c96b8497791ab6d"
+        == "027b830b3fdd110061e8a42f8c97132b67df08e9880c9e4f663f5295fb561036"
     )
 
 
