@@ -128,6 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Command-line flag -> (config section, field); None is the top level.
 _FLAG_FIELDS = {
+    "out": (None, "output_dir"),
     "seed": (None, "master_seed"),
     "variant": (None, "variant"),
     "provider": (None, "provider"),
@@ -157,9 +158,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         target[name] = checked_field(owner, name, value, "--" + flag.replace("_", "-"))
     for section, values in sections.items():
         top[section] = replace(getattr(cfg, section), **values)
-    if getattr(args, "out", None):
-        top["output_dir"] = args.out
-    if getattr(args, "suite", None):
+    if getattr(args, "suite", None) is not None:
         top["suite"] = [f.strip() for f in args.suite.split(",") if f.strip()]
     return replace(cfg, **top)
 

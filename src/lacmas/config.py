@@ -35,8 +35,10 @@ def _check_seed(key: str, seed: int) -> None:
 @dataclass
 class GraphSpec:
     kind: str = "ring"
-    edge_prob: float = 0.3
-    seed: int = 0
+    # Only a random graph reads edge_prob and seed, only an explicit one the
+    # edges; null means not given.
+    edge_prob: float | None = None
+    seed: int | None = None
     edges: list | None = None
 
     def __post_init__(self):
@@ -46,7 +48,13 @@ class GraphSpec:
             raise ConfigError("graph.kind explicit needs graph.edges")
         if self.kind != "explicit" and self.edges is not None:
             raise ConfigError(f"graph.edges goes only with graph.kind explicit, not {self.kind!r}")
-        _check_seed("graph.seed", self.seed)
+        for name in ("edge_prob", "seed"):
+            if self.kind != "random" and getattr(self, name) is not None:
+                raise ConfigError(f"graph.{name} goes only with graph.kind random, not {self.kind!r}")
+        if self.kind == "random":
+            self.edge_prob = 0.3 if self.edge_prob is None else self.edge_prob
+            self.seed = 0 if self.seed is None else self.seed
+            _check_seed("graph.seed", self.seed)
 
 
 @dataclass
@@ -116,6 +124,9 @@ class ExperimentConfig:
         _check_seed("master_seed", self.master_seed)
         if self.num_runs < 1:
             raise ConfigError("num_runs must be positive")
+        # Path("") is the working directory.
+        if not self.output_dir:
+            raise ConfigError("output_dir (--out) must name a directory, got ''")
         if not self.suite:
             raise ConfigError("suite must name at least one family")
         for fam in self.suite:
@@ -131,11 +142,18 @@ _NESTED = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # Also false for NaN, and for an int too large to become a float.
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 def _is_edge_list(value) -> bool:
     return isinstance(value, list) and all(
-        isinstance(edge, list)
-        and len(edge) == 2
-        and all(isinstance(k, int) and not isinstance(k, bool) for k in edge)
+        isinstance(edge, list) and len(edge) == 2 and all(_is_int(k) for k in edge)
         for edge in value
     )
 
@@ -143,6 +161,8 @@ def _is_edge_list(value) -> bool:
 # Keys whose default is None: the test a non-null value must pass, and what
 # the error message says it must be.
 _OPTIONAL = {
+    "graph.edge_prob": (_is_finite_number, "a finite number"),
+    "graph.seed": (_is_int, "an integer"),
     "graph.edges": (_is_edge_list, "a list of [a, b] integer pairs"),
     "guidance.llm_url": (lambda v: isinstance(v, str), "a string"),
     "guidance.llm_model": (lambda v: isinstance(v, str), "a string"),
@@ -154,8 +174,7 @@ def _checked(value, default, key: str):
 
     An int passes where a float is expected; a bool does not pass as a number,
     and NaN, infinity (both accepted by Python's JSON reader) and integers
-    beyond the float range not at all. A list passes where the default is a tuple of the same length, element by
-    element, and comes back as a tuple. A None default accepts null or what
+    beyond the float range not at all. A None default accepts null or what
     the key's `_OPTIONAL` test passes.
     """
     if default is None:
@@ -163,10 +182,6 @@ def _checked(value, default, key: str):
         if value is not None and not valid(value):
             raise ConfigError(f"{key} must be {expected} or null, got {value!r}")
         return value
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)) or len(value) != len(default):
-            raise ConfigError(f"{key} must be a list of {len(default)} values, got {value!r}")
-        return tuple(_checked(v, d, key) for v, d in zip(value, default))
     accepted = (int, float) if isinstance(default, float) else type(default)
     if isinstance(value, bool) is not isinstance(default, bool) or not isinstance(value, accepted):
         raise ConfigError(

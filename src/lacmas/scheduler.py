@@ -3,119 +3,79 @@
 Two binary gates decide when guidance refreshes happen, both anchored to a
 characteristic horizon T estimated by a short pre-run probe:
 
-  - the cooperation gate fires on the recurring grid {ceil(m * rho_ext * T)},
+  - the cooperation gate fires on the recurring grid {ceil(m * RHO_EXT * T)},
     m >= 1, and keeps firing past T;
-  - the internal-action gate fires at exactly two points, ceil(rho1 * T) and
-    ceil(rho2 * T), and is deactivated from T onwards.
+  - the internal-action gate fires at exactly two points, ceil(RHO_1 * T) and
+    ceil(RHO_2 * T), and is deactivated from T onwards.
 
 The stage index is a reporting-only summary of how refresh emphasis shifts
-over the run; the gates are the sole behavioral triggers.
+over the run: it steps up at ceil(alpha * T) for each alpha in ALPHAS. The
+gates are the sole behavioral triggers.
+
+T is the schedule's one setting (`PcgConfig.horizon_T`). The ratios around it
+are fixed parts of the method, held as exact fractions, so every gate point
+and breakpoint is an integer ceiling computed exactly, with no float rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
 
 from .errors import ConfigError
 
-# Snap tolerance for ceilings of ratio*T products, so grids specified with
-# decimal ratios (0.1 * 100, ...) land on the intended integers.
-_CEIL_EPS = 1e-9
+# The schedule's ratios of the horizon T: the cooperation grid's step, the two
+# internal refresh points and the three stage breakpoints.
+RHO_EXT = Fraction(1, 10)
+RHO_1, RHO_2 = Fraction(1, 5), Fraction(3, 5)
+ALPHAS = (Fraction(1, 5), Fraction(1, 2), Fraction(9, 10))
 
 
-def _ceil(value: float) -> int:
-    return math.ceil(value - _CEIL_EPS * max(1.0, abs(value)))
-
-
-class _Grid:
-    """The points ceil(m * step), m >= 1, of a step above one round. They are
-    computed in order as far as a query needs and kept, so a run asks each
-    ceiling once; the points never decrease, so a point at or past t decides
-    whether t is one of them. Extending is not thread-safe: query it from one
-    thread, as the round loop does."""
-
-    __slots__ = ("step", "points", "m", "last")
-
-    def __init__(self, step: float):
-        self.step, self.points, self.m, self.last = step, set(), 0, 0
-
-    def __contains__(self, t: int) -> bool:
-        while self.last < t:
-            self.m += 1
-            self.last = _ceil(self.m * self.step)
-            self.points.add(self.last)
-        return t in self.points
+def _ceil_of(ratio: Fraction, horizon: int) -> int:
+    """ceil(ratio * horizon), in integer arithmetic."""
+    return -(-ratio.numerator * horizon // ratio.denominator)
 
 
 @dataclass(frozen=True)
 class PcgConfig:
+    """The schedule's one setting, the horizon T."""
+
     horizon_T: int = 500
-    rho_ext: float = 0.1
-    rho_1: float = 0.2
-    rho_2: float = 0.6
-    alphas: tuple[float, float, float] = (0.2, 0.5, 0.9)
 
     def __post_init__(self):
         if self.horizon_T < 1:
             raise ConfigError("horizon_T must be a positive integer")
-        # The cooperation grid is ceil(m * rho_ext * T): its step must be a
-        # finite positive number.
-        if not 0 < self.rho_ext * self.horizon_T < math.inf:
-            raise ConfigError("rho_ext must be positive, with rho_ext * horizon_T finite")
-        if not 0 < self.rho_1 < self.rho_2 < 1:
-            raise ConfigError("need 0 < rho_1 < rho_2 < 1")
-        a1, a2, a3 = self.alphas
-        if not 0 < a1 < a2 < a3 <= 1:
-            raise ConfigError("need 0 < alpha_1 < alpha_2 < alpha_3 <= 1")
-
-    # Read by the gates and stage every round; the config is frozen, so each
-    # ceiling is computed once per instance.
-    @cached_property
-    def int_refresh_points(self) -> tuple[int, int]:
-        return (_ceil(self.rho_1 * self.horizon_T), _ceil(self.rho_2 * self.horizon_T))
-
-    @cached_property
-    def stage_breakpoints(self) -> tuple[int, int, int]:
-        return tuple(_ceil(a * self.horizon_T) for a in self.alphas)
-
-    @cached_property
-    def ext_grid(self) -> _Grid | None:
-        """The cooperation grid, None when its step is at most one round: then
-        every round from 1 on is on it (and for a tiny step, enumerating it
-        would never reach the round asked)."""
-        interval = self.rho_ext * self.horizon_T
-        return None if interval <= 1 else _Grid(interval)
 
 
 def gate_ext(t: int, cfg: PcgConfig) -> bool:
-    """True iff t lies on the cooperation-refresh grid {ceil(m*rho_ext*T)}, m >= 1."""
-    if t < 1:
-        return False
-    grid = cfg.ext_grid
-    return grid is None or t in grid
+    """True iff t lies on the cooperation-refresh grid {ceil(m*RHO_EXT*T)}, m >= 1."""
+    # With the step s = p*T/q, t >= 1 is ceil(m*s) for some m >= 1 iff the
+    # largest m with m*s <= t, floor(t/s), has m*s > t - 1; times q, exactly.
+    step, q = RHO_EXT.numerator * cfg.horizon_T, RHO_EXT.denominator
+    return t >= 1 and (q * t // step) * step > q * (t - 1)
 
 
 def gate_int(t: int, cfg: PcgConfig) -> bool:
     """True at the two internal refresh points, and never at or after T."""
-    if t >= cfg.horizon_T:
-        return False
-    return t in cfg.int_refresh_points
+    horizon = cfg.horizon_T
+    return t < horizon and t in (_ceil_of(RHO_1, horizon), _ceil_of(RHO_2, horizon))
 
 
 def stage(t: int, cfg: PcgConfig) -> int:
     """Stage index in {1, 2, 3, 4}; diagnostics only."""
     if t < 0:
         raise ConfigError("t must be nonnegative")
-    t1, t2, t3 = cfg.stage_breakpoints
-    if t < t1:
-        return 1
-    if t < t2:
-        return 2
-    if t < t3:
-        return 3
-    return 4
+    return 1 + sum(t >= _ceil_of(alpha, cfg.horizon_T) for alpha in ALPHAS)
+
+
+# Snap tolerance for the ceiling of a fitted crossing, so a crossing that is
+# an integer up to rounding (70.00000000001) lands on that integer.
+_CEIL_EPS = 1e-9
+
+
+def _ceil(value: float) -> int:
+    return math.ceil(value - _CEIL_EPS * max(1.0, abs(value)))
 
 
 def calibrate_horizon(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ def _config() -> RunConfig:
         master_seed=3,
         max_iterations=60,
         log_every=1,
-        pcg=PcgConfig(horizon_T=40, rho_ext=0.25, rho_1=0.2, rho_2=0.6),
+        pcg=PcgConfig(horizon_T=100),
     )
 
 
@@ -155,7 +156,7 @@ ROW_VIEWS = {
 def test_swarm_arrays_stay_population_rows(monkeypatch):
     # A swarm that rebinds one of its arrays instead of writing in place
     # would drop out of the batched tell, picks and rebase without any
-    # error. The 60 rounds cover kicks, the horizon-40 rebase and injection.
+    # error. The 110 rounds cover kicks, the horizon-100 rebase and injection.
     calls = {name: 0 for name in (*SWARM_METHODS, "rebase", "select")}
     populations: list[Population] = []
     swarms: list[AgentSwarm] = []
@@ -210,11 +211,12 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
     monkeypatch.setattr(Population, "tell", checked_tell)
     monkeypatch.setattr(Population, "rebase", checked_rebase)
     monkeypatch.setattr(Population, "select", checked_select)
-    report = run(_config())
-    assert not report.aborted and len(report.disagreement_trace) == 60
+    rounds = 110
+    report = run(replace(_config(), max_iterations=rounds))
+    assert not report.aborted and len(report.disagreement_trace) == rounds
     assert all(calls.values()), calls
     # One batched regime gate per round, one draw per agent and round.
-    assert calls["select"] == 60 and calls["step_particles"] == 4 * 60
+    assert calls["select"] == rounds and calls["step_particles"] == 4 * rounds
     assert len(populations) == 1 and populations[0].kicking.any()
     assert [swarm.agent_id for swarm in swarms] == [0, 1, 2, 3]
 

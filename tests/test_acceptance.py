@@ -97,16 +97,18 @@ def test_criterion_3_analytic_optimum(load_preset):
 
 
 def test_criterion_4_scheduler_exactness():
-    cfg = PcgConfig(horizon_T=100, rho_ext=0.1, rho_1=0.2, rho_2=0.6, alphas=(0.2, 0.5, 0.9))
+    cfg = PcgConfig(horizon_T=100)
     ext_fired = {t for t in range(1001) if gate_ext(t, cfg)}
     int_fired = [t for t in range(1001) if gate_int(t, cfg)]
     ok_ext = ext_fired == {10 * m for m in range(1, 101)}
     ok_int = int_fired == [20, 60]
-    ok_stage = cfg.stage_breakpoints == (20, 50, 90) and all(
+    # The rounds where the stage index steps up.
+    breakpoints = tuple(t for t in range(1, 1001) if stage(t, cfg) > stage(t - 1, cfg))
+    ok_stage = breakpoints == (20, 50, 90) and all(
         stage(t, cfg) == expected
         for t, expected in [(0, 1), (19, 1), (20, 2), (49, 2), (50, 3), (89, 3), (90, 4)]
     )
-    detail = f"ext grid multiples of 10: {ok_ext}; int fires {int_fired}; breakpoints {cfg.stage_breakpoints}"
+    detail = f"ext grid multiples of 10: {ok_ext}; int fires {int_fired}; breakpoints {breakpoints}"
     _report("criterion 4 scheduler exactness", ok_ext and ok_int and ok_stage, detail)
     assert ok_ext and ok_int and ok_stage
 

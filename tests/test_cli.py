@@ -15,7 +15,7 @@ TINY = {
     "max_iterations": 40,
     "num_runs": 2,
     "log_every": 10,
-    "pcg": {"horizon_T": 30, "rho_ext": 0.2},
+    "pcg": {"horizon_T": 60},
 }
 
 
@@ -212,8 +212,6 @@ def test_bad_guidance_window_fails_before_first_round(tmp_path, capsys, guidance
         ({"convergence_threshold": True}, "convergence_threshold"),
         ({"variant": None}, "variant"),
         ({"pcg": {"horizon_T": "30"}}, "pcg.horizon_T"),
-        ({"pcg": {"alphas": [0.2, "0.5", 0.9]}}, "pcg.alphas"),
-        ({"pcg": {"alphas": [0.2, 0.5]}}, "pcg.alphas"),
     ],
 )
 def test_wrongly_typed_value_gives_config_exit(tmp_path, capsys, extra, key):
@@ -250,9 +248,10 @@ def test_wrongly_typed_optional_value_gives_config_exit(tmp_path, capsys, extra,
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("suite_flag", [[], ["--suite", ","]])
+@pytest.mark.parametrize("suite_flag", [[], ["--suite", ","], ["--suite", ""]])
 def test_empty_suite_gives_config_exit(tmp_path, capsys, suite_flag):
-    # An empty suite used to print "wrote 0 runs" and exit 0.
+    # An empty suite used to print "wrote 0 runs" and exit 0; an empty
+    # `--suite ""` was dropped, and all ten families ran.
     cfg = write_config(tmp_path, {"suite": []} if not suite_flag else None)
     code = main(["run", "--config", str(cfg), *suite_flag, "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
@@ -260,6 +259,43 @@ def test_empty_suite_gives_config_exit(tmp_path, capsys, suite_flag):
     assert err.startswith("configuration error:") and "suite" in err
     assert "\n" not in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "suite", "wsn"])
+def test_empty_out_gives_config_exit(tmp_path, capsys, monkeypatch, command):
+    # An empty `--out ""` was dropped: the command wrote its files under the
+    # config's output_dir, here `results` in the working directory.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"suite": ["sphere"], "num_runs": 1, "max_iterations": 2})
+    assert main([command, "--config", str(cfg), "--out", ""]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "--out" in err
+    assert "\n" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "graph, key",
+    [
+        # Each used to run without a random graph and exit 0, the key
+        # ignored; the last two give the random graph's default values.
+        ({"kind": "ring", "edge_prob": 0.9, "seed": 7}, "graph.edge_prob"),
+        ({"kind": "ring", "seed": 0}, "graph.seed"),
+        ({"kind": "explicit", "edges": [[0, 1], [1, 2], [2, 3]], "edge_prob": 0.3}, "graph.edge_prob"),
+    ],
+)
+def test_random_graph_keys_go_only_with_a_random_graph(tmp_path, capsys, graph, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(
+        {"graph": graph, "objective": {"num_agents": 4, "dim": 2}, "suite": ["sphere"],
+         "num_runs": 1, "max_iterations": 20}
+    ))
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and key in err
+    assert "\n" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -322,12 +358,11 @@ def test_negative_seed_gives_config_exit(tmp_path, capsys, command, extra, flags
     [
         ({"convergence_threshold": float("nan")}, "convergence_threshold"),
         ({"objective": {"bound": float("inf")}}, "objective.bound"),
-        ({"pcg": {"alphas": [0.2, 0.5, float("nan")]}}, "pcg.alphas"),
+        ({"graph": {"kind": "random", "edge_prob": float("nan")}}, "graph.edge_prob"),
         ({"pcg": {"horizon_T": 10**400}}, "pcg.horizon_T"),
         ({"objective": {"bound": -(10**400)}}, "objective.bound"),
         ({"objective": {"bound": 1e308}}, "finite widths"),
         ({"objective": {"hetero_sigma": 1e308}}, "hetero_sigma"),
-        ({"pcg": {"rho_ext": 1e308}}, "rho_ext"),
     ],
 )
 def test_unusable_number_gives_config_exit(tmp_path, capsys, extra, key):

@@ -21,6 +21,7 @@ from lacmas.config import (
 from lacmas.engine import RunConfig
 from lacmas.errors import ConfigError
 from lacmas.guidance import LlmEndpoint
+from lacmas.topology import build_random_connected
 
 
 def test_empty_config_is_runnable():
@@ -63,12 +64,11 @@ def test_nested_values_applied():
     cfg = config_from_dict(
         {
             "objective": {"num_agents": 6, "dim": 4, "hetero_sigma": 1.5},
-            "pcg": {"horizon_T": 99, "alphas": [0.1, 0.4, 0.8]},
+            "pcg": {"horizon_T": 99},
         }
     )
     assert cfg.objective.num_agents == 6
     assert cfg.pcg.horizon_T == 99
-    assert cfg.pcg.alphas == (0.1, 0.4, 0.8)
 
 
 def test_load_config_file_roundtrip(tmp_path):
@@ -98,6 +98,18 @@ def test_build_graph_variants():
     cfg2 = config_from_dict({"graph": {"kind": "explicit", "edges": [[0, 1], [1, 2]]}})
     g2 = build_graph(cfg2, 3)
     assert g2.neighbor_lists[1] == (0, 2)
+
+
+def test_random_graph_defaults():
+    # A random graph given neither key samples with edge_prob 0.3 and seed 0.
+    cfg = config_from_dict({"graph": {"kind": "random"}})
+    assert (cfg.graph.edge_prob, cfg.graph.seed) == (0.3, 0)
+    assert build_graph(cfg, 8) == build_random_connected(8, 0.3, 0)
+
+
+def test_empty_output_dir_rejected():
+    with pytest.raises(ConfigError, match="output_dir"):
+        config_from_dict({"output_dir": ""})
 
 
 def test_build_wsn_objective_dimensions():
@@ -174,7 +186,7 @@ SHARED_FIELD_CASES = {
     "convergence_threshold": {"convergence_threshold": 1e-3},
     "master_seed": {"master_seed": 9},
     "log_every": {"log_every": 3},
-    "pcg": {"pcg": {"horizon_T": 99, "alphas": [0.1, 0.4, 0.8]}},
+    "pcg": {"pcg": {"horizon_T": 99}},
 }
 
 
@@ -196,6 +208,15 @@ def test_shared_field_reaches_the_run_config(name):
 def test_heuristic_values_are_not_guidance_keys():
     with pytest.raises(ConfigError, match="stall_eps"):
         config_from_dict({"guidance": {"stall_eps": 0.01}})
+
+
+@pytest.mark.parametrize(
+    "key, value", [("rho_ext", 0.2), ("rho_1", 0.2), ("rho_2", 0.6), ("alphas", [0.2, 0.5, 0.9])]
+)
+def test_schedule_ratios_are_not_pcg_keys(key, value):
+    # They are constants of scheduler.py; horizon_T is the one pcg key.
+    with pytest.raises(ConfigError, match=f"unknown configuration key pcg.'{key}'"):
+        config_from_dict({"pcg": {key: value}})
 
 
 def test_int_accepted_where_float_expected():

@@ -41,7 +41,7 @@ def small_config(spec, graph, **kw):
         master_seed=3,
         max_iterations=60,
         log_every=5,
-        pcg=PcgConfig(horizon_T=40, rho_ext=0.25, rho_1=0.2, rho_2=0.6),
+        pcg=PcgConfig(horizon_T=100),
     )
     defaults.update(kw)
     return RunConfig(**defaults)
@@ -389,8 +389,8 @@ def test_unknown_variant_rejected(sphere_small, ring4):
 
 
 def test_weights_hold_between_refreshes(sphere_small, ring4):
-    # With rho_ext = 0.25 and T = 40, refreshes land on {10, 20, ...}; the
-    # mixing matrix recorded between refreshes must be constant.
+    # With T = 100, refreshes land on {10, 20, ...}; the mixing matrix
+    # recorded between refreshes must be constant.
     cfg = small_config(sphere_small, ring4, variant="coop", max_iterations=16, convergence_threshold=1e-30)
     cfg.record_matrices = True
     report = run(cfg)
@@ -403,9 +403,9 @@ def test_weights_hold_between_refreshes(sphere_small, ring4):
 
 
 def test_recorded_matrices_are_pinned(sphere_small, ring4):
-    # A coop run past the refreshes at rounds 10 and 20 (rho_ext = 0.25,
-    # T = 40). A refresh that wrote into a matrix recorded in an earlier round,
-    # or a projection that rounded differently, changes the digest.
+    # A coop run past the refreshes at rounds 10 and 20 (T = 100). A refresh
+    # that wrote into a matrix recorded in an earlier round, or a projection
+    # that rounded differently, changes the digest.
     cfg = small_config(
         sphere_small, ring4, variant="coop", max_iterations=25,
         convergence_threshold=1e-30, record_matrices=True,

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,14 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacmas.errors import ConfigError
-from lacmas.scheduler import PcgConfig, _ceil, calibrate_horizon, gate_ext, gate_int, stage
+from lacmas.scheduler import (
+    ALPHAS,
+    RHO_1,
+    RHO_2,
+    PcgConfig,
+    calibrate_horizon,
+    gate_ext,
+    gate_int,
+    stage,
+)
 
-REF = PcgConfig(horizon_T=100, rho_ext=0.1, rho_1=0.2, rho_2=0.6, alphas=(0.2, 0.5, 0.9))
+REF = PcgConfig(horizon_T=100)
 
 
 def exact_ext_set(cfg: PcgConfig, t_max: int) -> set[int]:
     """Enumeration oracle in exact rational arithmetic."""
-    interval = Fraction(cfg.rho_ext).limit_denominator(10**6) * cfg.horizon_T
+    interval = Fraction(1, 10) * cfg.horizon_T
     out = set()
     m = 1
     while True:
@@ -33,15 +41,29 @@ def test_gate_ext_matches_exact_enumeration():
     assert fired == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(horizon=st.integers(1, 10**6), data=st.data())
+def test_gate_ext_matches_exact_enumeration_at_any_horizon(horizon, data):
+    cfg = PcgConfig(horizon_T=horizon)
+    t_max = 3 * horizon + 50
+    expected = exact_ext_set(cfg, t_max)
+    # Every grid point and both its neighbours, the first rounds, the rounds
+    # around T and a sample of the rest: a full sweep of a large T is too long.
+    ts = {u for p in expected for u in (p - 1, p, p + 1)} | set(range(60))
+    ts |= {horizon - 1, horizon, horizon + 1}
+    ts |= set(data.draw(st.lists(st.integers(0, t_max), max_size=50)))
+    assert {t for t in ts if t <= t_max and gate_ext(t, cfg)} == expected & ts
+
+
 def test_gate_ext_never_fires_at_zero():
-    for cfg in (REF, PcgConfig(horizon_T=7, rho_ext=0.03)):
+    for cfg in (REF, PcgConfig(horizon_T=7)):
         assert not gate_ext(0, cfg)
 
 
-@pytest.mark.parametrize("rho_ext", [5e-324, 1e-300, 0.5 / 500, 1 / 500])
-def test_gate_ext_fires_every_round_for_a_step_of_one_round_or_less(rho_ext):
-    # With a subnormal step, t / interval does not fit a float.
-    cfg = PcgConfig(horizon_T=500, rho_ext=rho_ext)
+@pytest.mark.parametrize("horizon", [1, 3, 5, 10])
+def test_gate_ext_fires_every_round_for_a_step_of_one_round_or_less(horizon):
+    # The grid's step, T / 10, is at most one round.
+    cfg = PcgConfig(horizon_T=horizon)
     assert not gate_ext(0, cfg)
     assert all(gate_ext(t, cfg) for t in range(1, 200))
 
@@ -57,11 +79,11 @@ def test_gate_int_fires_exactly_twice():
 
 
 def test_gate_int_deactivated_from_horizon_on():
-    cfg = PcgConfig(horizon_T=100, rho_ext=0.1, rho_1=0.2, rho_2=0.99)
-    # ceil(0.99 * 100) = 99 fires, but anything at or past T never does.
-    assert gate_int(99, cfg)
-    for t in range(100, 1000):
-        assert not gate_int(t, cfg)
+    # ceil(T / 5) and ceil(3T / 5) are (1, 1) at T = 1 and (1, 2) at T = 2:
+    # a point at T never fires.
+    for horizon, fired in [(1, []), (2, [1])]:
+        cfg = PcgConfig(horizon_T=horizon)
+        assert [t for t in range(1000) if gate_int(t, cfg)] == fired
 
 
 def test_stage_reference_breakpoints():
@@ -69,7 +91,7 @@ def test_stage_reference_breakpoints():
     assert stage(30, REF) == 2
     assert stage(70, REF) == 3
     assert stage(95, REF) == 4
-    assert REF.stage_breakpoints == (20, 50, 90)
+    assert [t for t in range(1, 500) if stage(t, REF) > stage(t - 1, REF)] == [20, 50, 90]
 
 
 def test_stage_zero_is_one():
@@ -83,12 +105,10 @@ def test_stage_is_nondecreasing():
 
 
 def test_config_ordering_validated():
-    with pytest.raises(ConfigError):
-        PcgConfig(rho_1=0.6, rho_2=0.2)
-    with pytest.raises(ConfigError):
-        PcgConfig(alphas=(0.5, 0.2, 0.9))
-    with pytest.raises(ConfigError):
-        PcgConfig(rho_ext=0.0)
+    # The ordering PcgConfig used to check on its ratios holds for the
+    # constants; the horizon is the one setting left to check.
+    assert 0 < RHO_1 < RHO_2 < 1
+    assert 0 < ALPHAS[0] < ALPHAS[1] < ALPHAS[2] <= 1
     with pytest.raises(ConfigError):
         PcgConfig(horizon_T=0)
 
@@ -124,15 +144,9 @@ def test_calibrate_upper_clamp():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    horizon=st.integers(2, 400),
-    rho_ext=st.floats(0.01, 1.5),
-    rho_pair=st.tuples(st.floats(0.01, 0.98), st.floats(0.01, 0.98)).filter(
-        lambda p: p[0] < p[1]
-    ),
-)
-def test_gate_int_properties(horizon, rho_ext, rho_pair):
-    cfg = PcgConfig(horizon_T=horizon, rho_ext=rho_ext, rho_1=rho_pair[0], rho_2=rho_pair[1])
+@given(horizon=st.integers(1, 400))
+def test_gate_int_properties(horizon):
+    cfg = PcgConfig(horizon_T=horizon)
     fired = [t for t in range(3 * horizon) if gate_int(t, cfg)]
     assert len(fired) <= 2
     assert all(t < horizon for t in fired)
@@ -145,79 +159,26 @@ def test_stage_partitions_time(horizon, t):
     assert stage(t, cfg) in (1, 2, 3, 4)
 
 
-@st.composite
-def pcg_configs(draw):
-    ratio = st.floats(0.01, 0.99)
-    rho_1, rho_2 = sorted(draw(st.lists(ratio, min_size=2, max_size=2, unique=True)))
-    alphas = sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3, unique=True)))
-    return PcgConfig(
-        horizon_T=draw(st.integers(1, 300)),
-        rho_ext=draw(st.floats(0.01, 1.5)),
-        rho_1=rho_1,
-        rho_2=rho_2,
-        alphas=tuple(alphas),
-    )
-
-
-def fresh_schedule(cfg: PcgConfig, t_max: int) -> tuple[list[bool], list[bool], list[int]]:
-    """gate_int, gate_ext and stage for t in [0, t_max], every ceiling
-    recomputed from the config's fields, nothing cached."""
-    horizon = cfg.horizon_T
-    interval = cfg.rho_ext * horizon
-    grid, m = set(), 1
-    while (point := _ceil(m * interval)) <= t_max:
-        grid.add(point)
-        m += 1
+def fresh_schedule(horizon: int, t_max: int) -> tuple[list[bool], list[bool], list[int]]:
+    """gate_int, gate_ext and stage for t in [0, t_max], from the paper's
+    ratios in exact rational arithmetic."""
+    grid = exact_ext_set(PcgConfig(horizon_T=horizon), t_max)
+    points = (math.ceil(Fraction(1, 5) * horizon), math.ceil(Fraction(3, 5) * horizon))
+    breakpoints = [math.ceil(Fraction(a, 10) * horizon) for a in (2, 5, 9)]
     ts = range(t_max + 1)
-    internal = [
-        t < horizon and t in (_ceil(cfg.rho_1 * horizon), _ceil(cfg.rho_2 * horizon)) for t in ts
-    ]
-    external = [t >= 1 and t in grid for t in ts]
-    stages = [1 + sum(t >= _ceil(a * horizon) for a in cfg.alphas) for t in ts]
+    internal = [t < horizon and t in points for t in ts]
+    external = [t in grid for t in ts]
+    stages = [1 + sum(t >= b for b in breakpoints) for t in ts]
     return internal, external, stages
 
 
 @settings(max_examples=100, deadline=None)
-@given(pcg_configs())
-def test_gates_and_stage_match_a_fresh_recomputation(cfg):
-    t_max = 3 * cfg.horizon_T
-    internal, external, stages = fresh_schedule(cfg, t_max)
+@given(horizon=st.integers(1, 1000))
+def test_gates_and_stage_match_a_fresh_recomputation(horizon):
+    cfg = PcgConfig(horizon_T=horizon)
+    t_max = 3 * horizon
+    internal, external, stages = fresh_schedule(horizon, t_max)
     ts = range(t_max + 1)
     assert [gate_int(t, cfg) for t in ts] == internal
     assert [gate_ext(t, cfg) for t in ts] == external
     assert [stage(t, cfg) for t in ts] == stages
-
-
-@pytest.mark.parametrize(
-    "horizon, rho_ext",
-    [
-        # Decimal ratios whose products land on or near integers.
-        (100, 0.1), (100, 0.3), (70, 0.7), (37, 0.13), (500, 0.35), (3, 1.1),
-        # Steps of one round or less: every round from 1 on.
-        (100, 0.01), (100, 0.007), (1, 0.5), (3, 0.3333333333333333),
-    ],
-)
-def test_gate_ext_matches_a_fresh_grid(horizon, rho_ext):
-    cfg = PcgConfig(horizon_T=horizon, rho_ext=rho_ext)
-    t_max = 4 * horizon + 50
-    _, external, _ = fresh_schedule(cfg, t_max)
-    # Queried backwards first, so the grid is built by the largest query and
-    # then read; a fresh instance then builds it round by round, as a run does.
-    backwards = [gate_ext(t, cfg) for t in reversed(range(t_max + 1))]
-    assert backwards[::-1] == external
-    fresh = PcgConfig(horizon_T=horizon, rho_ext=rho_ext)
-    assert [gate_ext(t, fresh) for t in range(t_max + 1)] == external
-
-
-@settings(max_examples=60, deadline=None)
-@given(pcg_configs(), st.integers(1, 300))
-def test_cached_ceilings_stay_with_their_instance(cfg, horizon):
-    twin = dataclasses.replace(cfg)
-    before = (hash(cfg), cfg == twin)
-    # Reading the ceilings caches them on cfg alone.
-    cached = (cfg.int_refresh_points, cfg.stage_breakpoints)
-    assert (hash(cfg), cfg == twin) == before == (hash(twin), True)
-    moved = dataclasses.replace(cfg, horizon_T=horizon)
-    assert moved.int_refresh_points == (_ceil(cfg.rho_1 * horizon), _ceil(cfg.rho_2 * horizon))
-    assert moved.stage_breakpoints == tuple(_ceil(a * horizon) for a in cfg.alphas)
-    assert (cfg.int_refresh_points, cfg.stage_breakpoints) == cached
