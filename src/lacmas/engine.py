@@ -4,8 +4,9 @@
 swarm rows in one Population, the initial evaluation and the uniform mixing
 matrix. Each round then runs the seven PHASES over that state, in order:
 
-1. `_step`: every agent reads its particle divergence and draws its step's
-   uniforms, kicks included, from its own generator, in agent order; one
+1. `_step`: one Population.spread pass squares every agent's particle
+   spread; in agent order each agent reduces its row to its divergence and
+   draws its step's uniforms, kicks included, from its own generator; one
    Population.select gates every regime and one Population.step moves all;
 2. `_evaluate`: one batch call scores every agent's proposals on its local
    objective, one tell takes the values back, and agents publish states;
@@ -325,7 +326,7 @@ class RunState:
 
 
 def _step(state: RunState, t: int) -> bool:
-    """Adaptive swarm execution: divergences, draws, one select, one step."""
+    """Adaptive swarm execution: spread, divergences, draws, one select, one step."""
     # Past the scheduling horizon each attractor follows its agent's own
     # best instead of the fused state, and the personal-best pull switches
     # on: the consensus coupling noise stops limiting local refinement,
@@ -335,6 +336,8 @@ def _step(state: RunState, t: int) -> bool:
     state.late_stage = late_stage = t >= horizon
     if t == horizon:
         population.rebase()
+    # The positions the last round's injection left, as every agent reads them.
+    population.spread()
     state.divergences = divergences = np.array([d() for d in state.divergence_calls])
     for draw in state.draw_calls:
         draw()

@@ -16,9 +16,11 @@ MODULATION_HIGH], so w < 1 contracts the modulated term in the mean-square
 sense and w near the top of its range lets occasional large kicks through.
 
 The swarm never calls an objective. All swarm state lives in one Population of
-stacked (N, P, D), (N, P), (N, 2) and (N,) arrays. AgentSwarm.step_particles,
-per agent as each has its own generator, fills its row of one draw buffer with
-a single call, kick uniforms included; one Population.select gates every
+stacked (N, P, D), (N, P), (N, 2) and (N,) arrays. One Population.spread
+squares every particle's offset from its agent's centroid, and each
+AgentSwarm.divergence reduces only its own row of them. Per agent, as each has
+its own generator, AgentSwarm.step_particles fills its row of one draw buffer
+with a single call, kick uniforms included; one Population.select gates every
 agent's coefficient, and one Population.step moves every row and steps back
 the generator of each agent that needed no kick, so every stream is consumed
 exactly as if the kick were drawn only when a particle is dead. The caller
@@ -102,7 +104,8 @@ class Population:
     kick scale `kick_sigma` and whether collapse recovery runs (`kicking`) as
     (N,) arrays, the (d, c) regime pairs as the (N, 2) array `coefficients`
     and the gated coefficient of the next step as `active`. It also holds the
-    PCG64 generators, the box and the step's scratch, stacked like the state.
+    PCG64 generators, the box, the step's scratch and the spread pass's
+    buffers, stacked like the state.
     """
 
     def __init__(
@@ -174,12 +177,23 @@ class Population:
         self.active = np.ones(n)
         self.scratch = np.empty((n, p, dim))
         self.proposed = np.empty((n, p, dim))
-        # The divergence's scratch, shared by every agent: a centroid, the
-        # count P as an array (a ufunc divides by it with the bits of / P,
-        # without converting a scalar), a (P, D) spread and its flat view.
-        spread = np.empty((p, dim))
-        self.divergence_scratch = (np.empty(dim), np.full(dim, float(p)), spread, spread.ravel())
+        # The spread pass's buffers; a ufunc divides by the count array with
+        # the bits of / P, without converting a scalar.
+        self.centroids = np.empty((n, 1, dim))
+        self.counts = np.full((n, 1, dim), float(p))
+        self.squares = np.empty((n, p, dim))
         self.row_index = np.arange(n)
+
+    def spread(self) -> None:
+        """Square every particle's offset from its agent's centroid into
+        `squares`; each AgentSwarm.divergence reduces its own row of them."""
+        x, centroids, squares = self.positions, self.centroids, self.squares
+        # sum / P is what ndarray.mean computes, without its Python wrapper;
+        # the axis-1 sum adds the P particles in the order a (P, D) sum does.
+        _sum(x, 1, None, centroids, True)
+        np.divide(centroids, self.counts, centroids)
+        np.subtract(x, centroids, squares)
+        np.multiply(squares, squares, squares)
 
     def select(self, divergences: np.ndarray, late_stage: bool) -> None:
         """Set every agent's `active` coefficient from its (N,) divergence:
@@ -315,7 +329,7 @@ class AgentSwarm:
     __slots__ = (
         "population", "agent_id", "rng", "positions", "velocities",
         "best_positions", "best_values", "last_values", "attractor", "draws",
-        "divergence_scratch",
+        "squares",
     )
 
     def __init__(self, population: Population, agent_id: int):
@@ -329,7 +343,7 @@ class AgentSwarm:
         self.last_values = population.last_values[agent_id]
         self.attractor = population.attractors[agent_id]
         self.draws = population.draws[agent_id]
-        self.divergence_scratch = population.divergence_scratch
+        self.squares = population.squares[agent_id].ravel()
 
     # -- setup -------------------------------------------------------------
 
@@ -352,15 +366,8 @@ class AgentSwarm:
 
     def divergence(self) -> float:
         """Mean squared distance of the particles from their centroid."""
-        x = self.positions
-        centroid, counts, spread, squares = self.divergence_scratch
-        # sum / n is what ndarray.mean computes, without its Python wrapper;
-        # the flat sum rounds like the sum over the whole (P, D) block.
-        _sum(x, 0, None, centroid)
-        np.divide(centroid, counts, centroid)
-        np.subtract(x, centroid, spread)
-        np.multiply(squares, squares, squares)
-        return float(_sum(squares)) / len(x)
+        # Of the last Population.spread; the flat sum rounds like a (P, D) sum.
+        return float(_sum(self.squares)) / len(self.positions)
 
     def representative_state(self) -> np.ndarray:
         """Position of the particle that evaluated best in the latest sweep

@@ -150,6 +150,7 @@ ROW_VIEWS = {
     "best_values": "best_values",
     "last_values": "last_values",
     "attractor": "attractors",
+    "squares": "squares",
 }
 
 

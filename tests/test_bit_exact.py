@@ -6,8 +6,10 @@ a math.exp per agent and round. The act rule's quartiles come from one sort
 in place of two np.percentile calls. Each must give the same bits, for every
 window length and with the ring buffer wrapped, or the traces move. So must
 the batched regime gate against the per-agent one, the step's folded draw
-table against its four separate draw operations, and the divergence body, the
-xi-norm and the kick-start median against the numpy calls they replace.
+table against its four separate draw operations, and the spread pass with each
+agent's row reduce, the xi-norm and the kick-start median against the numpy
+calls they replace. Every round of a run driven by hand must read the
+divergences of the positions it starts from.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lacmas.cooperation import build_descriptor
-from lacmas.engine import AgentHistory
+from lacmas.engine import PHASES, AgentHistory, RunConfig, RunState
 from lacmas.guidance import (
     ACT_WINDOW,
     C_DEFAULT,
@@ -35,6 +38,8 @@ from lacmas.guidance import (
     _sorted_percentile,
     heuristic_advise_act,
 )
+from lacmas.objectives import make_spec
+from lacmas.scheduler import PcgConfig
 from lacmas.swarm import (
     D1,
     D2,
@@ -48,6 +53,7 @@ from lacmas.swarm import (
     Population,
     _median,
 )
+from lacmas.topology import build_ring
 
 FIELDS = len(AgentHistory.FIELDS)
 value = st.floats(-1e100, 1e100, allow_nan=False)
@@ -293,21 +299,41 @@ coordinate = st.one_of(st.floats(-1e200, 1e200), st.floats(-1e-3, 1e-3))
 
 
 @settings(max_examples=200, deadline=None)
-@given(p=st.integers(1, 24), dim=st.integers(1, 24), data=st.data())
-def test_divergence_and_xi_norm_match_the_numpy_calls(p, dim, data):
-    entries = data.draw(st.lists(coordinate, min_size=p * dim, max_size=p * dim))
-    x = np.array(entries).reshape(p, dim)
-    population = new_population(p, dim, [np.random.default_rng(0), np.random.default_rng(1)])
-    population.positions[1] = x
+@given(n=st.integers(3, 4), p=st.integers(1, 24), dim=st.integers(1, 24), data=st.data())
+def test_divergence_and_xi_norm_match_the_numpy_calls(n, p, dim, data):
+    # Mixed in row by row, entries near 1e200 overflow nearly every row's
+    # squares, so half the examples keep to entries whose squares stay finite.
+    elements = data.draw(st.sampled_from([st.floats(-1e3, 1e3), coordinate]))
+    positions = data.draw(arrays(float, (n, p, dim), elements=elements, fill=st.nothing()))
+    # Distinct rows, so a row that reduces another agent's squares fails.
+    assume(len(set(map(tuple, positions.reshape(n, -1).tolist()))) == n)
+    population = new_population(p, dim, [np.random.default_rng(i) for i in range(n)])
+    population.positions[...] = positions
     with np.errstate(over="ignore", invalid="ignore"):
-        got = AgentSwarm(population, 1).divergence()
-        expected = parent_divergence(x)
-        assert got.hex() == expected.hex()
+        # One spread pass, then every agent's row, as a round reads them.
+        population.spread()
+        for i, x in enumerate(population.positions):
+            got = AgentSwarm(population, i).divergence()
+            assert got.hex() == parent_divergence(x).hex()
 
         # The engine's xi-norm, rows of states against rows of fused states.
+        x = population.positions[-1]
         fused = x[::-1].copy()
         drift = (x - fused).ravel()
         assert math.sqrt(drift.dot(drift)).hex() == float(np.linalg.norm(x - fused)).hex()
+
+
+def test_each_round_reads_the_divergences_of_its_start_positions():
+    # Horizon 3 puts the rebase inside the rounds driven, and every round
+    # from 0 on ends by injecting the fused states.
+    spec = make_spec("sphere", num_agents=4, dim=3, hetero_sigma=0.0, seed=11)
+    config = RunConfig(spec, build_ring(4), max_iterations=8, pcg=PcgConfig(horizon_T=3))
+    state = RunState(config)
+    for t in range(config.max_iterations):
+        expected = [parent_divergence(x).hex() for x in state.population.positions]
+        for phase in PHASES:
+            assert not phase(state, t)
+        assert [d.hex() for d in state.divergences.tolist()] == expected
 
 
 distance = st.one_of(st.floats(0.0, 1e300), st.just(math.inf))

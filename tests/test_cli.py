@@ -182,9 +182,13 @@ def test_llm_timeout_beyond_the_socket_limit_gives_config_exit(tmp_path, capsys,
 def test_unknown_config_key_gives_config_exit(tmp_path, capsys, data, key):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    code = main(["run", "--config", str(path)])
+    # A budget of one short run, so a key that loads fails fast.
+    out = tmp_path / "out"
+    budget = ["--max-iter", "1", "--seeds", "1", "--suite", "sphere", "--out", str(out)]
+    code = main(["run", "--config", str(path), *budget])
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
