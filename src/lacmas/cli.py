@@ -26,20 +26,18 @@ import numpy as np
 from . import engine, scheduler
 from .analysis import check_admissibility
 from .config import (
-    SUCCESS_ERROR,
     ExperimentConfig,
     build_benchmark,
     build_graph,
     build_run_config,
     checked_field,
-    floored_means,
     load_config,
     seeded_runs,
     wsn_runs,
 )
 from .errors import ConfigError, ContractError, RunAborted
 from .objectives import FAMILIES
-from .wsn import system_error
+from .wsn import SUCCESS_ERROR, floored_means, system_error
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -166,9 +164,13 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 def _outdir(cfg: ExperimentConfig) -> Path:
     """The output directory, created. A command calls it after it has built,
     and so checked, all its runs, and before it runs them through
-    engine.run_batch; it then writes its files from the runs and reports."""
+    engine.run_batch; it then writes its files from the runs and reports. A
+    path that names a file, or lies below one, is a ConfigError."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir (--out) {str(out)!r} is unusable: {exc.strerror}") from None
     return out
 
 

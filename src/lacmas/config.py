@@ -15,8 +15,6 @@ import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .engine import RunConfig
 from .errors import ConfigError
 from .guidance import LLM_TIMEOUT, LlmEndpoint
@@ -310,18 +308,6 @@ def wsn_runs(cfg: ExperimentConfig) -> list[tuple[int, WsnObjectiveSet, RunConfi
             objective = build_wsn_objective(cfg, nt, seed)
             runs.append((nt, objective, build_run_config(cfg, objective, graph, seed)))
     return runs
-
-
-# A WSN run whose final error is below this has solved its task; acceptance
-# criterion 9 counts the single-target runs below it.
-SUCCESS_ERROR = 1e-3
-
-
-def floored_means(errors: dict[int, list[float]]) -> dict[int, float]:
-    """Mean final error per target count, each error floored at SUCCESS_ERROR:
-    depths below it are all "solved", and their differences are numerical
-    floor noise, so they must not order one target count after another."""
-    return {nt: float(np.mean(np.maximum(errs, SUCCESS_ERROR))) for nt, errs in errors.items()}
 
 
 def _llm_endpoint(g: GuidanceSpec, asks_llm: bool) -> LlmEndpoint | None:

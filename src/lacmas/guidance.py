@@ -451,17 +451,10 @@ class SendAhead:
         return str(data["response"])
 
 
-def llm_advise(prompt: str | None, endpoint: LlmEndpoint, window: SendAhead | None = None) -> str:
-    """One non-streaming completion request; returns the generated text.
-
-    Alone, `prompt` goes out on a connection of its own. Within a refresh the
-    request is `window`'s next one, its prompt built already, and `prompt` is
-    None.
-    """
-    if window is not None:
-        return window.answer()
-    with SendAhead(endpoint, [prompt]) as alone:
-        return alone.answer()
+def llm_advise(window: SendAhead) -> str:
+    """The generated text of `window`'s next request: one non-streaming
+    completion, the unit a refresh makes per agent."""
+    return window.answer()
 
 
 # -- providers ----------------------------------------------------------------
@@ -507,7 +500,7 @@ class LlmProvider:
 
     def advise_act(self, req: ActRequest, window: SendAhead) -> ActGuidance:
         try:
-            return parse_act_response(llm_advise(None, self.endpoint, window))
+            return parse_act_response(llm_advise(window))
         except (LlmTransportError, GuidanceParseError):
             self.fallback_count += 1
             return heuristic_advise_act(req)
@@ -516,9 +509,7 @@ class LlmProvider:
         # The endpoint is asked for neighbour weights only; the constant self
         # weight is appended here.
         try:
-            values = parse_coop_response(
-                llm_advise(None, self.endpoint, window), len(req.neighbor_ids)
-            )
+            values = parse_coop_response(llm_advise(window), len(req.neighbor_ids))
         except (LlmTransportError, GuidanceParseError):
             self.fallback_count += 1
             return heuristic_advise_coop(req)

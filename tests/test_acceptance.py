@@ -19,13 +19,13 @@ import pytest
 
 from lacmas import guidance as gd
 from lacmas.analysis import check_admissibility
-from lacmas.config import build_benchmark, floored_means, seeded_runs, wsn_runs
+from lacmas.config import build_benchmark, seeded_runs, wsn_runs
 from lacmas.cooperation import project_weights
 from lacmas.engine import run_batch, write_trace_csv
 from lacmas.errors import GuidanceParseError
 from lacmas.scheduler import PcgConfig, gate_ext, gate_int, stage
 from lacmas.topology import build_ring
-from lacmas.wsn import system_error
+from lacmas.wsn import floored_means, system_error
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -209,7 +209,7 @@ def test_criterion_8_guidance_robustness(monkeypatch):
     provider = gd.LlmProvider(endpoint=gd.LlmEndpoint(base_url="http://stub", model="m"))
     violations = 0
     for text in corpus:
-        monkeypatch.setattr(gd, "llm_advise", lambda prompt, endpoint, window, _t=text: _t)
+        monkeypatch.setattr(gd, "llm_advise", lambda window, _t=text: _t)
         (act,) = provider.refresh_act([act_req])
         if not (0.5 <= act.d <= 1.0 and 1.0 <= act.c <= 1.8):
             violations += 1

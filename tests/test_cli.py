@@ -278,6 +278,22 @@ def test_empty_out_gives_config_exit(tmp_path, capsys, monkeypatch, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("command", ["run", "suite", "wsn"])
+def test_out_on_a_file_gives_config_exit(tmp_path, capsys, command, below):
+    # `--out` naming a file used to end in a FileExistsError traceback, and a
+    # path below a file in a NotADirectoryError one.
+    cfg = write_config(tmp_path, {"suite": ["sphere"], "num_runs": 1, "max_iterations": 2})
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "r" if below else afile
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and "--out" in err
+    assert "\n" not in err and "Traceback" not in err
+    assert afile.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize(
     "graph, key",
     [

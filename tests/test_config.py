@@ -13,7 +13,6 @@ from lacmas.config import (
     build_run_config,
     build_wsn_objective,
     config_from_dict,
-    floored_means,
     load_config,
     seeded_runs,
     wsn_runs,
@@ -22,6 +21,7 @@ from lacmas.engine import RunConfig
 from lacmas.errors import ConfigError
 from lacmas.guidance import LlmEndpoint
 from lacmas.topology import build_random_connected
+from lacmas.wsn import floored_means
 
 
 def test_empty_config_is_runnable():

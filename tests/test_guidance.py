@@ -20,6 +20,7 @@ from lacmas.guidance import (
     HeuristicProvider,
     LlmEndpoint,
     LlmProvider,
+    SendAhead,
     build_act_prompt,
     build_coop_prompt,
     heuristic_advise_act,
@@ -184,9 +185,15 @@ def test_parse_coop_garbage_fails():
         parse_coop_response("[a, b, c]", 3)
 
 
+def advise_alone(prompt, endpoint):
+    """One request on a connection of its own: a refresh of one prompt."""
+    with SendAhead(endpoint, [prompt]) as window:
+        return llm_advise(window)
+
+
 def test_llm_advise_round_trip(stub_server):
     endpoint = LlmEndpoint(base_url=stub_server.url, model="test-model", timeout=5.0)
-    text = llm_advise("prompt text", endpoint)
+    text = advise_alone("prompt text", endpoint)
     assert text == "(0.7, 1.3)"
     assert stub_server.payloads[-1]["model"] == "test-model"
     assert stub_server.payloads[-1]["prompt"] == "prompt text"
@@ -196,21 +203,21 @@ def test_llm_advise_round_trip(stub_server):
 def test_llm_advise_unreachable_endpoint():
     endpoint = LlmEndpoint(base_url="http://127.0.0.1:1", model="x", timeout=0.5)
     with pytest.raises(LlmTransportError):
-        llm_advise("prompt", endpoint)
+        advise_alone("prompt", endpoint)
 
 
 def test_llm_advise_malformed_payload(stub_server):
     stub_server.raw_body = b"not json at all"
     endpoint = LlmEndpoint(base_url=stub_server.url, model="x", timeout=5.0)
     with pytest.raises(LlmTransportError):
-        llm_advise("prompt", endpoint)
+        advise_alone("prompt", endpoint)
 
 
 def test_llm_advise_error_status(stub_server):
     stub_server.status = 500
     endpoint = LlmEndpoint(base_url=stub_server.url, model="x", timeout=5.0)
     with pytest.raises(LlmTransportError):
-        llm_advise("prompt", endpoint)
+        advise_alone("prompt", endpoint)
 
 
 def test_llm_advise_timeout(stub_server):
@@ -219,7 +226,7 @@ def test_llm_advise_timeout(stub_server):
     stub_server.delay_s = 0.2
     endpoint = LlmEndpoint(base_url=stub_server.url, model="x", timeout=0.1)
     with pytest.raises(LlmTransportError):
-        llm_advise("prompt", endpoint)
+        advise_alone("prompt", endpoint)
 
 
 def test_llm_provider_coop_round_trip(stub_server):
@@ -267,7 +274,7 @@ def test_refresh_answers_as_serial_calls_in_agent_order(stub_server):
     stub_server.reply = pair_from_prompt
     endpoint = LlmEndpoint(base_url=stub_server.url, model="m", timeout=5.0)
     reqs = refresh_requests()
-    serial = [parse_act_response(llm_advise(build_act_prompt(r), endpoint)) for r in reqs]
+    serial = [parse_act_response(advise_alone(build_act_prompt(r), endpoint)) for r in reqs]
     provider = LlmProvider(endpoint=endpoint)
     assert provider.refresh_act(reqs) == serial
     assert provider.fallback_count == 0

@@ -1,34 +1,28 @@
 import numpy as np
 import pytest
 
+from lacmas import wsn
 from lacmas.errors import ConfigError, ContractError
-from lacmas.wsn import (
-    WsnObjectiveSet,
-    WsnScenario,
-    gen_measurements,
-    gen_scenario,
-    global_objective,
-    system_error,
-)
+from lacmas.wsn import WsnObjectiveSet, WsnScenario, gen_measurements, gen_scenario, system_error
 
 
-def manual_scenario(sensor, target, **kw):
+def manual_scenario(sensor, target):
     return WsnScenario(
         sensor_positions=np.asarray(sensor, dtype=float),
         true_targets=np.asarray(target, dtype=float),
-        **kw,
     )
 
 
 def test_rss_at_reference_distance_is_p0():
-    scn = manual_scenario([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], d0=1.0, p0=-40.0)
+    # D0 = 1 and P0 = -40.
+    scn = manual_scenario([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
     phi = gen_measurements(scn, seed=0)
     assert phi[0, 0] == pytest.approx(-40.0)
 
 
 def test_rss_at_ten_reference_distances():
     # 10 * n_p * log10(10) = 30 below the reference level for n_p = 3.
-    scn = manual_scenario([[0.0, 0.0, 0.0]], [[10.0, 0.0, 0.0]], d0=1.0, p0=-40.0, path_loss_exp=3.0)
+    scn = manual_scenario([[0.0, 0.0, 0.0]], [[10.0, 0.0, 0.0]])
     phi = gen_measurements(scn, seed=0)
     assert phi[0, 0] == pytest.approx(-70.0)
 
@@ -65,9 +59,9 @@ def test_local_objective_nonnegative():
 
 
 def test_single_sensor_residual_squared():
-    # Truth at distance d0 gives phi = P0; a candidate at distance 10*d0
+    # Truth at distance D0 gives phi = P0; a candidate at distance 10*D0
     # predicts P0 - 30, so the squared residual is 900.
-    scn = manual_scenario([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], d0=1.0, p0=-40.0, path_loss_exp=3.0)
+    scn = manual_scenario([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
     obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=0))
     candidate = np.array([10.0, 0.0, 0.0])
     assert obj.eval_local_batch(0, candidate[None])[0] == pytest.approx(900.0)
@@ -85,12 +79,13 @@ def test_system_error_of_identical_states_is_global_value():
     phi = gen_measurements(scn, seed=6)
     x = np.array([10.0, 20.0, 5.0])
     states = np.tile(x, (5, 1))
-    assert system_error(scn, phi, states) == pytest.approx(global_objective(scn, phi, x))
+    obj = WsnObjectiveSet(scenario=scn, phi=phi)
+    assert system_error(scn, phi, states) == pytest.approx(obj.eval_global(x))
 
 
 @pytest.mark.parametrize("targets", [1, 3])
 def test_global_objective_is_mean_of_locals(targets):
-    # global_objective evaluates all sensors at once; the per-sensor loop is
+    # eval_global evaluates all sensors at once; the per-sensor loop is
     # the reference and the arithmetic is the same, so the match is exact.
     scn = gen_scenario(num_sensors=6, num_targets=targets, seed=2, noise_sigma=0.5)
     phi = gen_measurements(scn, seed=2)
@@ -99,7 +94,7 @@ def test_global_objective_is_mean_of_locals(targets):
     for _ in range(5):
         x = rng.uniform(0.0, 50.0, size=scn.dim)
         mean = float(np.mean([obj.eval_local_batch(i, x[None])[0] for i in range(6)]))
-        assert global_objective(scn, phi, x) == mean
+        assert obj.eval_global(x) == mean
 
 
 def test_system_error_permutation_invariant():
@@ -116,13 +111,14 @@ def test_scenario_respects_min_distance():
     dists = np.linalg.norm(
         scn.true_targets[None, :, :] - scn.sensor_positions[:, None, :], axis=2
     )
-    assert dists.min() > scn.d0 / 100.0
+    assert dists.min() > wsn.D0 / 100.0
 
 
-def test_degenerate_geometry_rejected():
+def test_degenerate_geometry_rejected(monkeypatch):
     # A reference distance far larger than the area makes separation impossible.
+    monkeypatch.setattr(wsn, "D0", 1e5)
     with pytest.raises(ConfigError):
-        gen_scenario(num_sensors=4, num_targets=1, seed=0, d0=1e5)
+        gen_scenario(num_sensors=4, num_targets=1, seed=0)
 
 
 def test_decision_vector_length_checked():
@@ -178,3 +174,25 @@ def test_non_finite_point_rejected(bad):
         obj.eval_all(xs)
     with pytest.raises(ContractError, match="non-finite"):
         obj.eval_global(np.full(obj.dim, bad))
+
+
+@pytest.mark.parametrize("sensor", [-1, 4])
+def test_sensor_index_out_of_range_rejected(sensor):
+    scn = gen_scenario(num_sensors=4, num_targets=1, seed=0)
+    obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=0))
+    with pytest.raises(ContractError, match="out of range"):
+        obj.eval_local_batch(sensor, np.full((1, 3), 10.0))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 6), (4,), (1, 4, 3)])
+def test_system_error_rejects_wrongly_shaped_states(shape):
+    scn = gen_scenario(num_sensors=4, num_targets=1, seed=0)
+    with pytest.raises(ContractError, match="agent states"):
+        system_error(scn, gen_measurements(scn, seed=0), np.full(shape, 10.0))
+
+
+def test_eval_global_rejects_a_batch():
+    scn = gen_scenario(num_sensors=4, num_targets=1, seed=0)
+    obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=0))
+    with pytest.raises(ContractError, match="one decision vector"):
+        obj.eval_global(np.full((2, 3), 10.0))
