@@ -65,6 +65,10 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         _check_seed("objective.suite_seed", self.suite_seed)
+        # The box is [-bound, bound]: zero leaves it no width, and a negative
+        # bound turns it inside out.
+        if self.bound <= 0:
+            raise ConfigError(f"objective.bound must be positive, got {self.bound!r}")
 
 
 @dataclass

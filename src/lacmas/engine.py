@@ -20,7 +20,8 @@ matrix. Each round then runs the seven PHASES over that state, in order:
 6. `_bookkeep`: metrics, the fault check and one AgentHistory append;
 7. `_trace`: the sampled trace row and the convergence test.
 
-A non-finite particle state stops the run after `_evaluate`; a non-finite best
+A non-finite particle state stops the run in `_step`, with no agent moved, so
+the report holds the state after the last complete round; a non-finite best
 value or divergence stops it in `_bookkeep`, before it reaches the history.
 RunReport is the run's only accumulator; its `phase_ns` times set-up, each
 phase and `_finish`. Serial agent order plus per-agent RNG streams derived
@@ -287,7 +288,7 @@ class RunState:
     """One run's set-up and everything its rounds carry: the provider, the
     agents' generators and population after the initial evaluation, the
     history and the mixing matrix. Within a round, each phase leaves on it what
-    later phases read (divergences, committed rows, gates, fused states)."""
+    later phases read (divergences, gates, fused states)."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -316,7 +317,7 @@ class RunState:
         self.degrees = np.maximum(np.bincount(self.edge_src, minlength=n), 1)
         self.reps = population.representatives()
         # The last completed round's fused states; before one, the initial reps.
-        self.prev = self.reps.copy()
+        self.prev = self.reps
         # The mixing matrix is the only copy of the cooperation weights. It starts
         # uniform and changes only on cooperation refreshes, which verify it again.
         self.matrix = assemble_mixing_matrix(graph)
@@ -342,22 +343,19 @@ def _step(state: RunState, t: int) -> bool:
     for draw in state.draw_calls:
         draw()
     population.select(divergences, late_stage)
-    # It commits the rows below the first whose new state is not finite.
-    state.committed = population.step(record_pull=late_stage)
-    return False
+    bad = population.step(record_pull=late_stage)
+    if bad is None:
+        return False
+    state.report.aborted = True
+    state.report.fault = f"non-finite particle state for agent {bad}"
+    return True
 
 
 def _evaluate(state: RunState, t: int) -> bool:
     """One objective call for all agents' rows; publish representatives."""
-    population, committed = state.population, state.committed
-    # The committed rows still take their values, so an abort leaves them as
-    # evaluated; the other rows hold their last (finite) positions, untold.
-    population.tell(state.objective.eval_all(population.positions), upto=committed)
-    state.reps[:committed] = population.representatives(upto=committed)
-    if committed < state.n:
-        state.report.aborted = True
-        state.report.fault = f"non-finite particle state for agent {committed}"
-        return True
+    population = state.population
+    population.tell(state.objective.eval_all(population.positions))
+    state.reps = population.representatives()
     return False
 
 
@@ -490,7 +488,7 @@ def _finish(state: RunState) -> None:
     """The final-state fields of the report."""
     report, obj = state.report, state.objective
     # A completed round leaves its fused states in prev.
-    final_states = state.prev if report.disagreement_trace else state.reps.copy()
+    final_states = state.prev if report.disagreement_trace else state.reps
     report.final_states = final_states
     report.final_mean_state = mean_state = final_states.mean(axis=0)
     if not report.aborted:

@@ -21,10 +21,11 @@ squares every particle's offset from its agent's centroid, and each
 AgentSwarm.divergence reduces only its own row of them. Per agent, as each has
 its own generator, AgentSwarm.step_particles fills its row of one draw buffer
 with a single call, kick uniforms included; one Population.select gates every
-agent's coefficient, and one Population.step moves every row and steps back
-the generator of each agent that needed no kick, so every stream is consumed
-exactly as if the kick were drawn only when a particle is dead. The caller
-evaluates the positions in one batch and hands the values to Population.tell.
+agent's coefficient, and one Population.step moves every row, or none if any
+row's new state is not finite, and steps back the generator of each agent that
+needed no kick, so every stream is consumed exactly as if the kick were drawn
+only when a particle is dead. The caller evaluates the positions in one batch
+and hands the values to Population.tell.
 """
 
 from __future__ import annotations
@@ -206,15 +207,16 @@ class Population:
         if late_stage:
             np.minimum(self.active, 1.0, out=self.active)
 
-    def step(self, record_pull: bool) -> int:
+    def step(self, record_pull: bool) -> int | None:
         """Move every row by the draws its step_particles recorded and the
-        coefficients select gated; return how many rows were committed.
+        coefficients select gated.
 
         Clamped components get zero velocity, so modulation cannot wind up at
         a wall. record_pull=False (consensus tracking) drops the personal-best
         pull; its draws are consumed anyway. Each row without a dead particle
-        steps its generator back over the unused kick draws. Rows from the
-        first non-finite one on keep their positions.
+        steps its generator back over the unused kick draws. The round
+        commits whole: if any row's new state is not finite, no row moves and
+        the first such row is returned; otherwise None.
         """
         x, v, scratch = self.positions, self.velocities, self.scratch
         draws = self.draws
@@ -258,46 +260,39 @@ class Population:
         np.putmask(v, raw != new, 0.0)
 
         # Sums along contiguous (P * D) rows round like per-agent sums.
-        n = len(x)
-        flat = (n, -1)
+        flat = (len(x), -1)
         total = _sum(new.reshape(flat), axis=1) + _sum(v.reshape(flat), axis=1)
         finite = np.isfinite(total)
-        committed = n if np.logical_and.reduce(finite) else int(finite.argmin())
-        x[:committed] = new[:committed]
-        return committed
+        if not np.logical_and.reduce(finite):
+            return int(finite.argmin())
+        x[...] = new
+        return None
 
-    def tell(self, values: np.ndarray, upto: int | None = None) -> None:
+    def tell(self, values: np.ndarray) -> None:
         """Take the (N, P) values of the positions the swarms last proposed.
 
-        Only rows below `upto` (all rows by default) are taken: a round cut
-        short by a fault tells just the agents that stepped. Personal bests
-        update greedily, and the kick scale of every told agent in collapse
-        recovery adapts to its success rate.
+        Personal bests update greedily, and the kick scale of every agent in
+        collapse recovery adapts to its success rate.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape != self.best_values.shape:
-            raise ContractError(
-                f"values have shape {values.shape}, expected {self.best_values.shape}"
-            )
-        rows = slice(upto)
-        values = values[rows]
-        best = self.best_values[rows]
-        self.last_values[rows] = values
+        best = self.best_values
+        if values.shape != best.shape:
+            raise ContractError(f"values have shape {values.shape}, expected {best.shape}")
+        self.last_values[...] = values
         improved = values < best
-        np.copyto(self.best_positions[rows], self.positions[rows], where=improved[:, :, None])
+        np.copyto(self.best_positions, self.positions, where=improved[:, :, None])
         np.copyto(best, values, where=improved)
 
         # Success-rate step-size control; holds at the initialization scale
         # until an agent's collapse recovery starts.
-        sigmas = self.kick_sigma[rows]
+        sigmas = self.kick_sigma
         scaled = sigmas * self.kick_factors[_sum(improved, axis=1, dtype=np.intp)]
-        np.minimum(scaled, self.span_mean, out=sigmas, where=self.kicking[rows])
+        np.minimum(scaled, self.span_mean, out=sigmas, where=self.kicking)
 
-    def representatives(self, upto: int | None = None) -> np.ndarray:
-        """Each agent's representative state (see AgentSwarm.representative_state)
-        for rows below `upto`, as a new (upto, D) array."""
-        picks = self.last_values[:upto].argmin(axis=1)
-        return self.positions[self.row_index[:upto], picks]
+    def representatives(self) -> np.ndarray:
+        """Each agent's representative state (see AgentSwarm.representative_state),
+        as a new (N, D) array."""
+        return self.positions[self.row_index, self.last_values.argmin(axis=1)]
 
     def agent_bests(self) -> np.ndarray:
         """Each agent's all-time best value (N,), monotone across rebases."""

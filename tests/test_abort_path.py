@@ -2,13 +2,12 @@
 
 A wrapper around AgentSwarm.step_particles makes agent 2's velocities NaN in a
 chosen round of a 4-agent sphere ring, a real non-finite state for the batched
-Population.step to find. Every agent draws in that round, but only agents 0
-and 1 are moved: their proposals must still be evaluated and folded in before
-the run stops, and no other agent may take values that round. So the rows the
-batched Population.tell takes are exactly the agents below the faulty one, and
-the report's best value, final states and trace CSV match the recorded ones in
-tests/data/abort_path.json. A change that moves these on purpose regenerates
-the data and says why in CHANGES.md:
+Population.step to find. Every agent draws in that round, but the round commits
+whole or not at all: no agent moves, no agent takes values, and the run stops.
+So the report is the state after the last complete round, the same as that of
+the run capped at the faulting round, and its best value, final states and
+trace CSV match the recorded ones in tests/data/abort_path.json. A change that
+moves these on purpose regenerates the data and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_abort_path.py --regenerate
 """
@@ -80,9 +79,13 @@ def _report_digest(report, csv: Path) -> dict:
     write_trace_csv(report, csv)
     return {
         "final_best_agent_value": report.final_best_agent_value,
-        "final_states_sha256": _sha256(report.final_states.astype("<f8").tobytes()),
+        "final_states_sha256": _sha256(_states_bytes(report)),
         "trace_csv_sha256": _sha256(csv.read_bytes()),
     }
+
+
+def _states_bytes(report) -> bytes:
+    return report.final_states.astype("<f8").tobytes()
 
 
 def _run_recording_tells(monkeypatch):
@@ -91,9 +94,9 @@ def _run_recording_tells(monkeypatch):
     original = Population.tell
     told: list[int] = []
 
-    def tell(self, values, upto=None):
-        told.extend(range(len(self.positions) if upto is None else upto))
-        return original(self, values, upto)
+    def tell(self, values):
+        told.extend(range(len(self.positions)))
+        return original(self, values)
 
     monkeypatch.setattr(Population, "tell", tell)
     return run(_config()), told
@@ -115,12 +118,28 @@ def test_abort_matches_pinned_report(fault_round, pinned, tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("fault_round", FAULT_ROUNDS)
 def test_abort_tells_exactly_the_agents_that_stepped(fault_round, monkeypatch):
-    # Every agent in each full round, then only the agents before the faulty
-    # one: telling too few or too many agents in the faulting round fails.
+    # Every agent in each full round, and none in the faulting round, whose
+    # step moved no agent: a tell in that round fails.
     monkeypatch.setattr(AgentSwarm, "step_particles", _faulting_step(fault_round))
     report, told = _run_recording_tells(monkeypatch)
     assert report.aborted
-    assert told == [0, 1, 2, 3] * fault_round + list(range(FAULTY_AGENT))
+    assert told == [0, 1, 2, 3] * fault_round
+
+
+@pytest.mark.parametrize("fault_round", (1, 5, 20))
+def test_abort_reports_the_run_capped_at_its_fault_round(fault_round, tmp_path, monkeypatch):
+    # A faulting round leaves no trace in the report: it is what the same run
+    # stopped by its iteration cap just before that round reports.
+    capped = run(replace(_config(), max_iterations=fault_round))
+    monkeypatch.setattr(AgentSwarm, "step_particles", _faulting_step(fault_round))
+    aborted = run(_config())
+    assert aborted.aborted and not capped.aborted
+    assert aborted.final_best_agent_value == capped.final_best_agent_value
+    assert _states_bytes(aborted) == _states_bytes(capped)
+    assert aborted.xi_norm_trace == capped.xi_norm_trace
+    write_trace_csv(aborted, tmp_path / "aborted.csv")
+    write_trace_csv(capped, tmp_path / "capped.csv")
+    assert (tmp_path / "aborted.csv").read_bytes() == (tmp_path / "capped.csv").read_bytes()
 
 
 @pytest.mark.parametrize("fault_round", FAULT_ROUNDS)

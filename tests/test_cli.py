@@ -383,6 +383,8 @@ def test_negative_seed_gives_config_exit(tmp_path, capsys, command, extra, flags
         ({"objective": {"bound": -(10**400)}}, "objective.bound"),
         ({"objective": {"bound": 1e308}}, "finite widths"),
         ({"objective": {"hetero_sigma": 1e308}}, "hetero_sigma"),
+        ({"objective": {"bound": 0}}, "objective.bound"),
+        ({"objective": {"bound": -5}}, "objective.bound"),
     ],
 )
 def test_unusable_number_gives_config_exit(tmp_path, capsys, extra, key):
@@ -390,6 +392,8 @@ def test_unusable_number_gives_config_exit(tmp_path, capsys, extra, key):
     # Unchecked, a NaN threshold never stopped a run, and the other values
     # ended in a ValueError or OverflowError traceback: from a float
     # conversion, a uniform draw, a squared float or a ceiling of infinity.
+    # A bound of 0 ran in a zero-width box, and a negative one failed as a
+    # shift outside the box.
     cfg = write_config(tmp_path, extra)
     code = main(["run", "--config", str(cfg), "--suite", "sphere", "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG

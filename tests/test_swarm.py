@@ -51,13 +51,13 @@ def evaluate_initial(swarm):
 def step(swarm, active_coeff):
     """One ask/tell round on the sphere: draw, update, evaluate, take the values."""
     population = swarm.population
-    assert step_all(population, [swarm], active_coeff) == 1
+    assert step_all(population, [swarm], active_coeff) is None
     population.tell(sphere_batch(population.positions))
 
 
 def step_all(population, swarms, active_coeff, record_pull=True):
     """Every swarm draws, then one batched update with every agent's active
-    coefficient set to active_coeff; returns the committed rows."""
+    coefficient set to active_coeff; returns what Population.step does."""
     population.active[...] = active_coeff
     for swarm in swarms:
         swarm.step_particles()
@@ -167,7 +167,7 @@ def test_degenerate_modulation_is_identity():
     population.active[0] = 1.0
     before_v = population.velocities[0].copy()
     before_x = population.positions[0].copy()
-    assert population.step(record_pull=True) == 1
+    assert population.step(record_pull=True) is None
     assert np.array_equal(population.delta[0], np.ones((2, 2)))
     assert np.array_equal(population.velocities[0], before_v)
     assert np.array_equal(population.positions[0], before_x + before_v)
@@ -295,7 +295,7 @@ def test_step_proposes_and_tell_takes_the_values():
     population.velocities[0] = [[-1.0, -1.0], [10.0, 0.0], [0.0, 0.0]]
     best_before = population.best_values[0].copy()
     before = population.positions[0].copy()
-    assert step_all(population, [swarm], 1.0) == 1
+    assert step_all(population, [swarm], 1.0) is None
     proposed = population.positions[0].copy()
     assert not np.array_equal(proposed, before)
     values = sphere_batch(proposed)
@@ -316,16 +316,6 @@ def make_population(n, p=4, dim=3, seed=0):
     return population, swarms
 
 
-def test_tell_upto_takes_only_the_leading_rows():
-    population, swarms = make_population(3)
-    step_all(population, swarms, 1.0)
-    before = population.last_values.copy()
-    values = sphere_batch(population.positions)
-    population.tell(values, upto=2)
-    assert np.array_equal(population.last_values[:2], values[:2])
-    assert np.array_equal(population.last_values[2], before[2])
-
-
 def test_tell_rejects_a_wrongly_shaped_batch():
     population, _ = make_population(2)
     with pytest.raises(ContractError):
@@ -342,7 +332,6 @@ def test_batched_picks_match_each_swarm():
     for i, swarm in enumerate(swarms):
         assert np.array_equal(reps[i], swarm.representative_state())
         assert bests[i] == min(population.best_seen[i], population.best_values[i].min())
-    assert np.array_equal(population.representatives(upto=2), reps[:2])
 
 
 def test_rebase_matches_the_per_agent_rule_on_a_kicked_population():
@@ -465,7 +454,7 @@ def test_batched_step_matches_the_per_agent_rule(record_pull):
         population.active[:] = actives
         for swarm in swarms:
             swarm.step_particles()
-        assert population.step(record_pull) == n
+        assert population.step(record_pull) is None
         assert all(reference_step(reference, i, actives[i], record_pull) for i in range(n))
         assert_same_state(population, reference)
         walls += np.count_nonzero(np.abs(population.positions) == 10.0)
@@ -480,14 +469,14 @@ def test_batched_step_matches_the_per_agent_rule(record_pull):
     assert started[2] >= 6 and started[4] >= 15
 
 
-def test_a_non_finite_row_stops_the_commit_there():
+def test_a_non_finite_row_moves_no_row():
+    # The round commits whole or not at all: step names the first row whose
+    # new state is not finite, and every row keeps its position.
     population, swarms = make_population(4)
-    population.velocities[2] = np.nan
+    population.velocities[[1, 3]] = np.nan
     before = population.positions.copy()
-    assert step_all(population, swarms, 1.0) == 2
-    assert np.isfinite(population.positions).all()
-    assert not np.array_equal(population.positions[:2], before[:2])
-    assert np.array_equal(population.positions[2:], before[2:])
+    assert step_all(population, swarms, 1.0) == 1
+    assert np.array_equal(population.positions, before)
 
 
 @pytest.mark.parametrize("sigma, kicked", [(0.0, False), (1e6, True)])
@@ -505,7 +494,7 @@ def test_step_draws_the_kick_only_for_dead_particles(sigma, kicked):
     counters = [copy.deepcopy(rng) for rng in population.rngs]
     for _ in range(12):
         population.kick_sigma[:] = reference.kick_sigma[:] = sigma
-        assert step_all(population, swarms, 1.1) == n
+        assert step_all(population, swarms, 1.1) is None
         assert all(reference_step(reference, i, 1.1, True) for i in range(n))
         for rng in counters:
             rng.random(per_round)
