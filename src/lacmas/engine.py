@@ -17,8 +17,11 @@ matrix. Each round then runs the seven PHASES over that state, in order:
    re-weight the mixing matrix in agent order;
 5. `_fuse_inject`: every agent fuses the published states under its weights,
    and the fused states, scored in one more batch call, go back in;
-6. `_bookkeep`: metrics, the fault check and one AgentHistory append;
-7. `_trace`: the sampled trace row and the convergence test.
+6. `_bookkeep`: metrics, the fault check, one AgentHistory append and the
+   round's disagreement, stored for every round;
+7. `_trace`: the convergence test and, on a sampled round, its index and
+   global fitness. These are the trace CSV's stored columns; write_trace_csv
+   derives `comm_cost`, `stage` and the gates from the round index.
 
 A non-finite particle state stops the run in `_step`, with no agent moved, so
 the report holds the state after the last complete round; a non-finite best
@@ -32,7 +35,9 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Protocol
 
 import numpy as np
@@ -182,9 +187,10 @@ class RunConfig:
             )
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be positive")
-        if self.convergence_threshold <= 0:
+        # Written as `not x > 0`, so that NaN fails too.
+        if not self.convergence_threshold > 0:
             raise ConfigError("convergence_threshold must be positive")
-        if self.log_every < 1:
+        if not self.log_every >= 1:
             raise ConfigError("log_every must be positive")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
@@ -198,29 +204,21 @@ class RunConfig:
         box_span(self.objective.lower, self.objective.upper)
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    iteration: int
-    global_fitness_mean_state: float
-    disagreement: float
-    comm_cost: int
-    stage: int
-    gate_int: int
-    gate_ext: int
-
-
 @dataclass
 class RunReport:
     """What one run produced. The round phases update it in place, so it is
-    the run's only accumulator; `_finish` sets the final-state fields."""
+    the run's only accumulator; `_finish` sets the final-state fields. Each
+    per-round fact is stored once, in a float64 or int64 column; costs and
+    the schedule follow from a round's index, `round_cost` and `pcg`."""
 
     variant: str
     master_seed: int
-    rows: list[TraceRow] = field(default_factory=list)
-    disagreement_trace: list[float] = field(default_factory=list)
-    xi_norm_trace: list[float] = field(default_factory=list)
-    comm_cost_total: int = 0
-    comm_cost_at_convergence: int = 0
+    pcg: PcgConfig
+    round_cost: int
+    disagreement_trace: array = field(default_factory=partial(array, "d"))
+    xi_norm_trace: array = field(default_factory=partial(array, "d"))
+    logged_rounds: array = field(default_factory=partial(array, "q"))
+    logged_fitness: array = field(default_factory=partial(array, "d"))
     converged_at: int | None = None
     final_states: np.ndarray | None = None
     final_mean_state: np.ndarray | None = None
@@ -240,6 +238,17 @@ class RunReport:
     matrices: list[np.ndarray] | None = None
 
     @property
+    def comm_cost_total(self) -> int:
+        """Scalars on the wire over every completed round."""
+        return len(self.disagreement_trace) * self.round_cost
+
+    @property
+    def comm_cost_at_convergence(self) -> int:
+        """Scalars on the wire up to the first threshold crossing, or in all."""
+        conv = self.converged_at
+        return self.comm_cost_total if conv is None else (conv + 1) * self.round_cost
+
+    @property
     def wall_clock(self) -> float:
         """Seconds from the start of set-up to the end of the run."""
         return sum(self.phase_ns.values()) / 1e9
@@ -250,12 +259,14 @@ CSV_HEADER = "iteration,global_fitness_mean_state,disagreement,comm_cost,stage,g
 
 def write_trace_csv(report: RunReport, path) -> None:
     """Emit the sampled trace; float fields use shortest-roundtrip repr so
-    identical runs produce identical bytes."""
+    identical runs produce identical bytes. Round t's disagreement comes from
+    the per-round trace, and its cost to date, stage and gates from t."""
     lines = [f"# master_seed={report.master_seed} variant={report.variant}", CSV_HEADER]
-    for r in report.rows:
+    pcg, cost, dis = report.pcg, report.round_cost, report.disagreement_trace
+    for t, fitness in zip(report.logged_rounds, report.logged_fitness):
         lines.append(
-            f"{r.iteration},{r.global_fitness_mean_state!r},{r.disagreement!r},"
-            f"{r.comm_cost},{r.stage},{r.gate_int},{r.gate_ext}"
+            f"{t},{fitness!r},{dis[t]!r},{(t + 1) * cost},{scheduler.stage(t, pcg)},"
+            f"{int(scheduler.gate_int(t, pcg))},{int(scheduler.gate_ext(t, pcg))}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -288,7 +299,7 @@ class RunState:
     """One run's set-up and everything its rounds carry: the provider, the
     agents' generators and population after the initial evaluation, the
     history and the mixing matrix. Within a round, each phase leaves on it what
-    later phases read (divergences, gates, fused states)."""
+    later phases read (divergences, fused states)."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -310,7 +321,6 @@ class RunState:
         self.inject_calls = [swarm.inject_fused_state for swarm in swarms]
 
         self.history = AgentHistory(n)
-        self.round_cost = comm_cost_per_round(graph, obj.dim)
         # Directed-edge arrays for vectorized local-disagreement means; a lone
         # agent has no edges and a local disagreement of 0.
         self.edge_src, self.edge_dst = graph.edges
@@ -323,7 +333,10 @@ class RunState:
         self.matrix = assemble_mixing_matrix(graph)
         self.adm = check_admissibility(self.matrix, graph)
         matrices = [] if config.record_matrices else None
-        self.report = RunReport(config.variant, config.master_seed, matrices=matrices)
+        round_cost = comm_cost_per_round(graph, obj.dim)
+        self.report = RunReport(
+            config.variant, config.master_seed, config.pcg, round_cost, matrices=matrices
+        )
 
 
 def _step(state: RunState, t: int) -> bool:
@@ -362,8 +375,7 @@ def _evaluate(state: RunState, t: int) -> bool:
 def _guide_act(state: RunState, t: int) -> bool:
     """At an open inner gate, act guidance refreshes every agent's (d, c)."""
     config, history = state.config, state.history
-    state.gate_int = scheduler.gate_int(t, config.pcg)
-    if state.gate_int and config.variant in _ACT_VARIANTS and len(history):
+    if scheduler.gate_int(t, config.pcg) and config.variant in _ACT_VARIANTS and len(history):
         report, population = state.report, state.population
         report.gate_int_iterations.append(t)
         values = history.recent(ACT_WINDOW)
@@ -387,8 +399,7 @@ def _guide_coop(state: RunState, t: int) -> bool:
     """At an open outer gate, cooperation guidance re-weights every agent's
     row of the mixing matrix: projection, assembly and admissibility."""
     config, history, graph = state.config, state.history, state.graph
-    state.gate_ext = scheduler.gate_ext(t, config.pcg)
-    if state.gate_ext and config.variant in _COOP_VARIANTS and len(history):
+    if scheduler.gate_ext(t, config.pcg) and config.variant in _COOP_VARIANTS and len(history):
         # A fresh copy, so matrices recorded in earlier rounds stay as they were.
         state.matrix = matrix = state.matrix.copy()
         # Each agent's (avg fitness, avg divergence), computed once for all.
@@ -449,31 +460,21 @@ def _bookkeep(state: RunState, t: int) -> bool:
         return True
     state.history.append((bests, divergences, local_dis))
     report.disagreement_trace.append(disagreement(fused))
-    report.comm_cost_total += state.round_cost
     # fused is a fresh product every round and is never written to.
     state.prev = fused
     return False
 
 
 def _trace(state: RunState, t: int) -> bool:
-    """The sampled trace row and the convergence test."""
+    """The sampled round's global fitness and the convergence test."""
     config, report = state.config, state.report
     dis = report.disagreement_trace[-1]
     hit_threshold = dis < config.convergence_threshold and report.converged_at is None
     stopping = hit_threshold and config.stop_at_convergence
     if t % config.log_every == 0 or stopping or t == config.max_iterations - 1:
         mean_state = _sum(state.fused, axis=0) / state.n
-        report.rows.append(
-            TraceRow(
-                iteration=t,
-                global_fitness_mean_state=state.objective.eval_global(mean_state),
-                disagreement=dis,
-                comm_cost=report.comm_cost_total,
-                stage=scheduler.stage(t, config.pcg),
-                gate_int=int(state.gate_int),
-                gate_ext=int(state.gate_ext),
-            )
-        )
+        report.logged_rounds.append(t)
+        report.logged_fitness.append(state.objective.eval_global(mean_state))
     if hit_threshold:
         report.converged_at = t
     return stopping
@@ -496,9 +497,6 @@ def _finish(state: RunState) -> None:
         report.final_mean_local_fitness = float(obj.eval_all(final_states[:, None, :]).mean())
     report.final_best_agent_value = float(state.population.agent_bests().min())
     report.provider_fallbacks = getattr(state.provider, "fallback_count", 0)
-    conv = report.converged_at
-    cost = report.comm_cost_total if conv is None else (conv + 1) * state.round_cost
-    report.comm_cost_at_convergence = cost
 
 
 # Overflow and invalid operations yield inf or NaN values, which the round loop

@@ -61,6 +61,10 @@ class BenchmarkSpec:
     rotation: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        # The box is [-bound, bound]: zero leaves it no width, a negative
+        # bound turns it inside out, and either makes every shift look wrong.
+        if not self.bound > 0:
+            raise ContractError(f"bound must be positive, got {self.bound!r}")
         if self.family not in FAMILIES:
             raise ContractError(f"unknown family {self.family!r}")
         if self.shifts.shape != (self.num_agents, self.dim):

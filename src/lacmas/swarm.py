@@ -81,7 +81,8 @@ def _median(values: list[float]) -> float:
 @np.errstate(over="ignore")
 def box_span(lower, upper) -> np.ndarray:
     """The widths upper - lower of a box a population can be drawn in, else a
-    ContractError. Generator.uniform needs a finite width for the position
+    ContractError. A width must be positive: an empty or inverted box has no
+    points to draw. Generator.uniform needs a finite width for the position
     and velocity draws, and the dead-velocity test squares
     KICK_VELOCITY_EPS * kick_sigma, where kick_sigma never exceeds the mean
     span. RunConfig checks its objective's box with it too, so a bad box
@@ -89,6 +90,8 @@ def box_span(lower, upper) -> np.ndarray:
     span = np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float)
     if not np.isfinite(span).all():
         raise ContractError("the box must have finite widths")
+    if not (span > 0).all():
+        raise ContractError("the box must have positive widths")
     if KICK_VELOCITY_EPS * float(span.mean()) >= _SQRT_MAX:
         raise ContractError(
             f"the box's mean span must be below {_SQRT_MAX / KICK_VELOCITY_EPS:.3g}"

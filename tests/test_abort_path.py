@@ -151,7 +151,8 @@ def test_a_non_finite_step_aborts_like_the_pinned_fault(fault_round, monkeypatch
     assert report.aborted
     assert report.fault == f"non-finite particle state for agent {FAULTY_AGENT}"
     assert len(report.disagreement_trace) == fault_round
-    assert [row.iteration for row in report.rows] == list(range(fault_round))
+    assert list(report.logged_rounds) == list(range(fault_round))
+    assert len(report.logged_fitness) == fault_round
 
 
 SWARM_METHODS = (

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import lacmas
 from lacmas import engine, guidance, scheduler
+from lacmas.config import build_benchmark, seeded_runs
 from lacmas.engine import (
     PHASES,
     AgentHistory,
@@ -244,16 +246,16 @@ def test_act_calls_only_at_gate_iterations(sphere_small, ring4):
     assert len(expected) <= 2
 
 
-def test_comm_cost_accrues_per_round(sphere_small, ring4):
+def test_comm_cost_accrues_per_round(tmp_path, sphere_small, ring4):
     report = run(small_config(sphere_small, ring4, max_iterations=10, convergence_threshold=1e-30))
     per_round = comm_cost_per_round(ring4, sphere_small.dim)
-    assert report.comm_cost_total == 10 * per_round
-    costs = [row.comm_cost for row in report.rows]
-    assert costs == sorted(costs)
+    assert report.comm_cost_total == report.comm_cost_at_convergence == 10 * per_round
+    costs = [row["comm_cost"] for row in trace_rows(report, tmp_path / "trace.csv")]
+    assert costs == sorted(costs) and costs[-1] == report.comm_cost_total
 
 
 def test_rows_bill_state_and_descriptor_pair_and_act_windows_are_consecutive(
-    monkeypatch, sphere_small, ring4
+    tmp_path, monkeypatch, sphere_small, ring4
 ):
     # Each directed edge carries a D-vector plus the two descriptor means the
     # cooperation prompt sends, and the act window holds rounds t - w ... t - 1.
@@ -270,29 +272,49 @@ def test_rows_bill_state_and_descriptor_pair_and_act_windows_are_consecutive(
     )
     report = run(cfg)
     edges, dim = ring4.num_directed_edges(), sphere_small.dim
-    assert len(report.rows) == 60
-    for row in report.rows:
-        assert row.comm_cost == (row.iteration + 1) * edges * (dim + 2)
+    rows = trace_rows(report, tmp_path / "trace.csv")
+    assert [row["iteration"] for row in rows] == list(range(60))
+    for row in rows:
+        assert row["comm_cost"] == (row["iteration"] + 1) * edges * (dim + 2)
     assert report.gate_int_iterations and len(seen) == report.act_calls
     for req in seen:
         w = min(req.iteration, ACT_WINDOW)
         assert [r[0] for r in req.trajectory] == list(range(req.iteration - w, req.iteration))
 
 
-def test_trace_rows_sampled_by_log_every(sphere_small, ring4):
+def test_trace_rows_sampled_by_log_every(tmp_path, sphere_small, ring4):
     report = run(
         small_config(sphere_small, ring4, max_iterations=20, log_every=7, convergence_threshold=1e-30)
     )
-    assert [row.iteration for row in report.rows] == [0, 7, 14, 19]
+    assert list(report.logged_rounds) == [0, 7, 14, 19]
+    rows = trace_rows(report, tmp_path / "trace.csv")
+    assert [row["iteration"] for row in rows] == [0, 7, 14, 19]
+    # The disagreement column is the per-round trace at the sampled rounds.
+    assert [row["disagreement"] for row in rows] == [report.disagreement_trace[t] for t in (0, 7, 14, 19)]
+    assert [row["global_fitness_mean_state"] for row in rows] == list(report.logged_fitness)
 
 
-def test_gate_flags_match_scheduler(sphere_small, ring4):
+def test_gate_flags_match_scheduler(tmp_path, sphere_small, ring4):
+    # With T = 100, the 30 rounds hold the act refresh at 20, the cooperation
+    # refreshes at 10 and 20 and the step from stage 1 to 2 at 20.
     cfg = small_config(sphere_small, ring4, max_iterations=30, log_every=1, convergence_threshold=1e-30)
-    report = run(cfg)
-    for row in report.rows:
-        assert row.gate_int == int(scheduler.gate_int(row.iteration, cfg.pcg))
-        assert row.gate_ext == int(scheduler.gate_ext(row.iteration, cfg.pcg))
-        assert row.stage == scheduler.stage(row.iteration, cfg.pcg)
+    state = RunState(cfg)
+    coop_rounds = []
+    for t in range(cfg.max_iterations):
+        coop_calls = state.report.coop_calls
+        assert not any(phase(state, t) for phase in PHASES)
+        if state.report.coop_calls > coop_calls:
+            coop_rounds.append(t)
+    report = state.report
+    rows = trace_rows(report, tmp_path / "trace.csv")
+    assert [row["iteration"] for row in rows] == list(range(30))
+    # The written flags mark the rounds whose guidance ran, and the stages
+    # are the scheduler's.
+    assert [row["iteration"] for row in rows if row["gate_int"]] == report.gate_int_iterations == [20]
+    assert [row["iteration"] for row in rows if row["gate_ext"]] == coop_rounds == [10, 20]
+    assert all(row["gate_int"] in (0, 1) and row["gate_ext"] in (0, 1) for row in rows)
+    assert [row["stage"] for row in rows] == [scheduler.stage(t, cfg.pcg) for t in range(30)]
+    assert {row["stage"] for row in rows} == {1, 2}
 
 
 def test_reported_best_improves_with_budget(sphere_small, ring4):
@@ -307,7 +329,8 @@ def test_global_objective_used_only_for_reporting(sphere_small, ring4):
     counting = CountingObjective(sphere_small)
     report = run(small_config(counting, ring4, max_iterations=25, convergence_threshold=1e-30))
     # One offline evaluation per sampled trace row plus the final summary.
-    assert counting.global_calls == len(report.rows) + 1
+    assert list(report.logged_rounds) == [0, 5, 10, 15, 20, 24]
+    assert counting.global_calls == len(report.logged_fitness) + 1
 
 
 def test_admissibility_clean_across_run(sphere_small, ring4):
@@ -339,7 +362,8 @@ def test_numerical_fault_aborts_with_flag(sphere_small, ring4, monkeypatch):
     report = run(small_config(sphere_small, ring4))
     assert report.aborted
     assert report.fault == "non-finite particle state for agent 1"
-    assert report.disagreement_trace == []
+    assert len(report.disagreement_trace) == len(report.logged_rounds) == 0
+    assert report.comm_cost_total == report.comm_cost_at_convergence == 0
 
 
 def test_batch_reports_give_the_traces_of_separate_runs(tmp_path, sphere_small, ring4):
@@ -386,6 +410,14 @@ def test_graph_objective_size_mismatch_rejected(sphere_small):
 def test_unknown_variant_rejected(sphere_small, ring4):
     with pytest.raises(ConfigError):
         small_config(sphere_small, ring4, variant="extreme")
+
+
+@pytest.mark.parametrize("key", ["convergence_threshold", "log_every"])
+def test_nan_threshold_or_log_interval_rejected(sphere_small, ring4, key):
+    # NaN fails no `<=` test: a NaN threshold let a run reach consensus and
+    # still report converged_at=None.
+    with pytest.raises(ConfigError, match=key):
+        small_config(sphere_small, ring4, **{key: float("nan")})
 
 
 def test_weights_hold_between_refreshes(sphere_small, ring4):
@@ -489,6 +521,19 @@ def csv_sha256(report, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def trace_rows(report, path):
+    """The rows write_trace_csv writes for the report, as dicts of numbers."""
+    write_trace_csv(report, path)
+    comment, header, *lines = path.read_text().splitlines()
+    assert comment.startswith("# master_seed=") and header == engine.CSV_HEADER
+    floats = {"global_fitness_mean_state", "disagreement"}
+    keys = header.split(",")
+    return [
+        {key: (float if key in floats else int)(v) for key, v in zip(keys, line.split(","))}
+        for line in lines
+    ]
+
+
 def test_phase_ns_has_every_phase_in_order(sphere_small, ring4):
     report = run(small_config(sphere_small, ring4))
     assert list(report.phase_ns) == [
@@ -523,12 +568,31 @@ def test_convergence_stops_the_run_after_trace(tmp_path):
     # with comm_cost billed at D + 2 scalars per directed edge.
     report, stopped_by = drive(golden_sphere_config(stop_at_convergence=True))
     assert stopped_by is _trace
-    assert report.converged_at == 154 == report.rows[-1].iteration
-    assert len(report.rows) == 155
+    assert report.converged_at == 154 == report.logged_rounds[-1]
+    assert list(report.logged_rounds) == list(range(155)) and len(report.disagreement_trace) == 155
     assert (
         csv_sha256(report, tmp_path / "trace.csv")
         == "027b830b3fdd110061e8a42f8c97132b67df08e9880c9e4f663f5295fb561036"
     )
+
+
+def test_desk_report_stores_columns_and_pickles_small(tmp_path, load_preset):
+    # A 1500-round desk run (rastrigin, seed 0, run to the cap): with float64
+    # columns its report pickles to about 28 KB, against 37.2 KB for lists of
+    # floats and one object per logged row.
+    cfg = load_preset("desk")
+    objective = build_benchmark(cfg, "rastrigin")
+    run_cfg = seeded_runs(cfg, objective, stop_at_convergence=False)[0]
+    report = run(run_cfg)
+    assert run_cfg.master_seed == 0 and len(report.disagreement_trace) == 1500
+    columns = (report.disagreement_trace, report.xi_norm_trace, report.logged_fitness)
+    assert [c.typecode for c in columns] == ["d", "d", "d"]
+    assert report.logged_rounds.typecode == "q" and len(report.logged_rounds) == 151
+    data = pickle.dumps(report)
+    assert len(data) < 36_400
+    # The pickled report writes the same trace: the columns, the per-round
+    # cost and the schedule travel with it.
+    assert csv_sha256(pickle.loads(data), tmp_path / "b.csv") == csv_sha256(report, tmp_path / "a.csv")
 
 
 def test_a_run_does_not_import_numpy_ma():

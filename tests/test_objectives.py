@@ -73,6 +73,14 @@ def test_global_is_mean_of_locals():
             assert spec.eval_global(x) == mean, family
 
 
+@pytest.mark.parametrize("bound", [0.0, -5.0, float("nan")])
+def test_non_positive_bound_rejected(bound):
+    # A bound of 0 leaves the box no width, where a run "converged" at round
+    # 0, and a negative one failed only as a shift outside the box.
+    with pytest.raises(ContractError, match="bound must be positive"):
+        make_spec("sphere", num_agents=4, dim=2, hetero_sigma=0.0, seed=0, bound=bound)
+
+
 def test_global_rejects_bad_point():
     spec = make_spec("sphere", num_agents=3, dim=4, hetero_sigma=0.0, seed=0)
     with pytest.raises(ContractError):

@@ -15,6 +15,7 @@ from lacmas.swarm import (
     PULL_PBEST,
     AgentSwarm,
     Population,
+    box_span,
 )
 
 
@@ -505,6 +506,14 @@ def test_step_draws_the_kick_only_for_dead_particles(sigma, kicked):
         assert population.kicking.all() == kicked
         population.tell(sphere_batch(population.positions))
         reference.tell(sphere_batch(reference.positions))
+
+
+@pytest.mark.parametrize("lower, upper", [([1, 0], [0, 0]), ([0, 0], [1, 0]), ([0, 2], [1, 1])])
+def test_box_needs_positive_widths(lower, upper):
+    # Unchecked, an inverted width came back as a negative span, and a zero
+    # width left no points to draw from.
+    with pytest.raises(ContractError, match="positive widths"):
+        box_span(lower, upper)
 
 
 def test_population_needs_pcg64_generators():
