@@ -1,8 +1,10 @@
 """Round-synchronous run loop.
 
 `RunState(config)` sets a run up: the provider, every agent's generator and
-swarm rows in one Population, the initial evaluation and the uniform mixing
-matrix. Each round then runs the seven PHASES over that state, in order:
+swarm rows in one Population, the initial evaluation (one eval_local_batch
+call per agent, stacked into one Population.tell, then each attractor seeded
+from its representative_state) and the uniform mixing matrix. Each round then
+runs the seven PHASES over that state, in order:
 
 1. `_step`: one Population.spread pass squares every agent's particle
    spread; in agent order each agent reduces its row to its divergence and
@@ -185,12 +187,18 @@ class RunConfig:
                 "provider 'llm' needs guidance.llm_url and guidance.llm_model, "
                 "or LACMAS_LLM_URL and LACMAS_LLM_MODEL in the environment"
             )
+        # range() and SeedSequence take only integers, a fractional log_every
+        # would sample every ceil(log_every) rounds, and True would count as 1.
+        for key in ("max_iterations", "log_every", "master_seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be positive")
         # Written as `not x > 0`, so that NaN fails too.
         if not self.convergence_threshold > 0:
             raise ConfigError("convergence_threshold must be positive")
-        if not self.log_every >= 1:
+        if self.log_every < 1:
             raise ConfigError("log_every must be positive")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
@@ -313,8 +321,11 @@ class RunState:
             POPULATION, obj.dim, obj.lower, obj.upper, rngs, (D_DEFAULT, C_DEFAULT)
         )
         swarms = [AgentSwarm(population, i) for i in range(n)]
-        for i, swarm in enumerate(swarms):
-            swarm.evaluate_initial(obj.eval_local_batch(i, swarm.positions))
+        # The initial values enter the records through tell, as every round's
+        # do; each attractor then starts at its agent's representative state.
+        population.tell([obj.eval_local_batch(i, x) for i, x in enumerate(population.positions)])
+        for swarm in swarms:
+            swarm.attractor[...] = swarm.representative_state()
         # A round's per-agent calls, bound once and made in agent order.
         self.divergence_calls = [swarm.divergence for swarm in swarms]
         self.draw_calls = [swarm.step_particles for swarm in swarms]
@@ -446,7 +457,7 @@ def _bookkeep(state: RunState, t: int) -> bool:
     e = fused.take(state.edge_src, 0) - fused.take(state.edge_dst, 0)
     edge_norms = np.sqrt(_sum(e * e, axis=1))
     local_dis = np.bincount(state.edge_src, weights=edge_norms, minlength=state.n) / state.degrees
-    bests = state.population.agent_bests()
+    bests = state.population.best_seen
     finite = np.isfinite(bests) & np.isfinite(divergences)
     if not np.logical_and.reduce(finite):
         # Caught here, a run whose values overflow stops as a numerical
@@ -495,7 +506,7 @@ def _finish(state: RunState) -> None:
     if not report.aborted:
         report.final_fitness_mean_state = obj.eval_global(mean_state)
         report.final_mean_local_fitness = float(obj.eval_all(final_states[:, None, :]).mean())
-    report.final_best_agent_value = float(state.population.agent_bests().min())
+    report.final_best_agent_value = float(state.population.best_seen.min())
     report.provider_fallbacks = getattr(state.provider, "fallback_count", 0)
 
 

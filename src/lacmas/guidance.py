@@ -33,39 +33,43 @@ COOP_WINDOW = 10
 # Seconds an LLM request may take before it falls back to the heuristic.
 LLM_TIMEOUT = 30.0
 
-ACT_PROMPT_HEADER = """Tuning task: high-dimensional black-box optimization.
-Current iteration: around {iteration}.
-Current parameters: d={d}, c={c}.
-Recent trajectory (past 19 iterations):
+
+def _fmt(x: float) -> str:
+    return f"{x:.6g}"
+
+
+# Formatted from the constants, so each range, default and window is stated
+# once; the header's {iteration}, {d} and {c} are filled per request.
+ACT_PROMPT_HEADER = f"""Tuning task: high-dimensional black-box optimization.
+Current iteration: around {{iteration}}.
+Current parameters: d={{d}}, c={{c}}.
+Recent trajectory (past {ACT_WINDOW} iterations):
 """
 
-ACT_PROMPT_FOOTER = """
+ACT_PROMPT_FOOTER = f"""
 Requirement:
 If fitness stagnates while disagreement is low, increase c;
 If fitness decreases slowly while disagreement is high, increase d.
 Only return the updated parameters in parentheses, separated by a comma.
-Constraints: d in [0.5, 1], c in [1, 1.8].
-Example: (0.7, 1.3)
+Constraints: d in [{_fmt(D_RANGE[0])}, {_fmt(D_RANGE[1])}], \
+c in [{_fmt(C_RANGE[0])}, {_fmt(C_RANGE[1])}].
+Example: ({_fmt(D_DEFAULT)}, {_fmt(C_DEFAULT)})
 """
 
-COOP_PROMPT_HEADER = """Task: update the neighbor weight vector for multi-agent optimization.
-Number of neighbors: {n}.
+COOP_PROMPT_HEADER = f"""Task: update the neighbor weight vector for multi-agent optimization.
+Number of neighbors: {{n}}.
 
 Weight update rules:
 1. If a neighbor has low fitness and low disagreement, increase its weight (0.3–0.5);
 2. If a neighbor has high fitness and high disagreement, decrease its weight (0.1–0.2);
 3. Fitness is prioritized; weights must sum to 1.
 
-Neighbor performance history (last 10 iterations):
+Neighbor performance history (last {COOP_WINDOW} iterations):
 """
 
 COOP_PROMPT_FOOTER = """
 Please return the updated weights in the format [w1, w2, ..., wN].
 """
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:

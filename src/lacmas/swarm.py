@@ -24,8 +24,8 @@ with a single call, kick uniforms included; one Population.select gates every
 agent's coefficient, and one Population.step moves every row, or none if any
 row's new state is not finite, and steps back the generator of each agent that
 needed no kick, so every stream is consumed exactly as if the kick were drawn
-only when a particle is dead. The caller evaluates the positions in one batch
-and hands the values to Population.tell.
+only when a particle is dead. The caller evaluates the positions in one batch,
+at set-up as in every round, and hands the values to Population.tell.
 """
 
 from __future__ import annotations
@@ -104,12 +104,12 @@ class Population:
 
     Row i of each array is agent i's: positions, velocities and personal-best
     positions as (N, P, D), best and latest values as (N, P), attractors as
-    (N, D). Per agent it also keeps the all-time best value `best_seen`, the
-    kick scale `kick_sigma` and whether collapse recovery runs (`kicking`) as
-    (N,) arrays, the (d, c) regime pairs as the (N, 2) array `coefficients`
-    and the gated coefficient of the next step as `active`. It also holds the
-    PCG64 generators, the box, the step's scratch and the spread pass's
-    buffers, stacked like the state.
+    (N, D). Per agent it also keeps `best_seen`, the lowest non-NaN value its
+    records have ever held, the kick scale `kick_sigma` and whether collapse
+    recovery runs (`kicking`) as (N,) arrays, the (d, c) regime pairs as the
+    (N, 2) array `coefficients` and the gated coefficient of the next step as
+    `active`. It also holds the PCG64 generators, the box, the step's scratch
+    and the spread pass's buffers, stacked like the state.
     """
 
     def __init__(
@@ -143,8 +143,6 @@ class Population:
         self.best_values = np.full((n, p), np.inf)
         self.last_values = np.full((n, p), np.inf)
         self.attractors = np.zeros((n, dim))
-        # All-time agent bests, kept apart from the working records so that
-        # reported fitness stays monotone even when records are re-based.
         self.best_seen = np.full(n, np.inf)
         # Set once an agent's collapse recovery starts; it never stops again.
         self.kicking = np.zeros(n, dtype=bool)
@@ -217,9 +215,10 @@ class Population:
         Clamped components get zero velocity, so modulation cannot wind up at
         a wall. record_pull=False (consensus tracking) drops the personal-best
         pull; its draws are consumed anyway. Each row without a dead particle
-        steps its generator back over the unused kick draws. The round
-        commits whole: if any row's new state is not finite, no row moves and
-        the first such row is returned; otherwise None.
+        steps its generator back over the unused kick draws. If any row's new
+        state is not finite, no position or record moves and the first such
+        row is returned, else None; velocities, kick scales, `kicking` and
+        generators have moved by then, harmless only because a fault ends a run.
         """
         x, v, scratch = self.positions, self.velocities, self.scratch
         draws = self.draws
@@ -274,8 +273,8 @@ class Population:
     def tell(self, values: np.ndarray) -> None:
         """Take the (N, P) values of the positions the swarms last proposed.
 
-        Personal bests update greedily, and the kick scale of every agent in
-        collapse recovery adapts to its success rate.
+        Personal bests update greedily and best_seen follows them; the kick
+        scale of every agent in collapse recovery adapts to its success rate.
         """
         values = np.asarray(values, dtype=float)
         best = self.best_values
@@ -285,6 +284,7 @@ class Population:
         improved = values < best
         np.copyto(self.best_positions, self.positions, where=improved[:, :, None])
         np.copyto(best, values, where=improved)
+        self._fold_records()
 
         # Success-rate step-size control; holds at the initialization scale
         # until an agent's collapse recovery starts.
@@ -297,23 +297,23 @@ class Population:
         as a new (N, D) array."""
         return self.positions[self.row_index, self.last_values.argmin(axis=1)]
 
-    def agent_bests(self) -> np.ndarray:
-        """Each agent's all-time best value (N,), monotone across rebases."""
-        records = np.minimum.reduce(self.best_values, axis=1)
-        # Python's min(best_seen, record): the record only where strictly lower.
-        return np.where(records < self.best_seen, records, self.best_seen)
-
     def rebase(self) -> None:
         """Replace every particle's record with its latest evaluation.
 
         Used once at the refocus transition: records accumulated while the
         populations tracked the fused states can sit far from where the search
-        has moved, and pulling toward them again would undo the tracking. The
-        records are folded into best_seen first, so agent_bests stays monotone.
+        has moved, and pulling toward them again would undo the tracking.
+        best_seen already holds every latest evaluation that entered a record,
+        so the fold changes it only where a NaN record kept a value out.
         """
-        self.best_seen[...] = self.agent_bests()
         self.best_positions[...] = self.positions
         self.best_values[...] = self.last_values
+        self._fold_records()
+
+    def _fold_records(self) -> None:
+        """Lower each agent's best_seen to its lowest non-NaN record."""
+        records = np.fmin.reduce(self.best_values, axis=1)
+        np.copyto(self.best_seen, records, where=records < self.best_seen)
 
 
 class AgentSwarm:
@@ -342,23 +342,6 @@ class AgentSwarm:
         self.attractor = population.attractors[agent_id]
         self.draws = population.draws[agent_id]
         self.squares = population.squares[agent_id].ravel()
-
-    # -- setup -------------------------------------------------------------
-
-    def evaluate_initial(self, values: np.ndarray) -> None:
-        """Take the scores of the freshly initialized population and seed the
-        attractor."""
-        self.best_values[...] = values
-        self.best_positions[...] = self.positions
-        self.last_values[...] = self.best_values
-        self._track_best_seen()
-        self.attractor[...] = self.representative_state()
-
-    def _track_best_seen(self) -> None:
-        best = float(self.best_values.min())
-        best_seen = self.population.best_seen
-        if best < best_seen[self.agent_id]:
-            best_seen[self.agent_id] = best
 
     # -- observations --------------------------------------------------------
 
@@ -393,22 +376,19 @@ class AgentSwarm:
         The attractor moves to the fused point and the worst particle is
         teleported there with zero velocity; its personal best is reset to
         `value`, the fused state's local evaluation, so stale records cannot
-        shadow the consensus state. With refocus=True (late stage) the
-        attractor follows the agent's own best record instead, while the
-        particle channel stays open.
+        shadow the consensus state; best_seen takes `value` if it is lower.
+        With refocus=True (late stage) the attractor follows the agent's own
+        best record instead, while the particle channel stays open.
         """
         if fused.shape != self.attractor.shape:
             raise ContractError(
                 f"fused state has shape {fused.shape}, expected {self.attractor.shape}"
             )
-        best_values = self.best_values
+        best_values, best_seen = self.best_values, self.population.best_seen
         worst = best_values.argmax()
-        # The reported best is the min of best_seen and the records, so
-        # overwriting the worst record can lower it only when that record is
-        # below best_seen; fold the records in first in that case.
-        if best_values[worst] < self.population.best_seen[self.agent_id]:
-            self._track_best_seen()
         self.positions[worst] = self.best_positions[worst] = fused
         self.velocities[worst] = 0.0
         best_values[worst] = self.last_values[worst] = value
+        if value < best_seen[self.agent_id]:
+            best_seen[self.agent_id] = value
         self.attractor[...] = self.best_positions[best_values.argmin()] if refocus else fused

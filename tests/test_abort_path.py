@@ -118,12 +118,12 @@ def test_abort_matches_pinned_report(fault_round, pinned, tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("fault_round", FAULT_ROUNDS)
 def test_abort_tells_exactly_the_agents_that_stepped(fault_round, monkeypatch):
-    # Every agent in each full round, and none in the faulting round, whose
-    # step moved no agent: a tell in that round fails.
+    # Every agent at set-up and in each full round, and none in the faulting
+    # round, whose step moved no agent: a tell in that round fails.
     monkeypatch.setattr(AgentSwarm, "step_particles", _faulting_step(fault_round))
     report, told = _run_recording_tells(monkeypatch)
     assert report.aborted
-    assert told == [0, 1, 2, 3] * fault_round
+    assert told == [0, 1, 2, 3] * (fault_round + 1)
 
 
 @pytest.mark.parametrize("fault_round", (1, 5, 20))
@@ -156,7 +156,6 @@ def test_a_non_finite_step_aborts_like_the_pinned_fault(fault_round, monkeypatch
 
 
 SWARM_METHODS = (
-    "evaluate_initial",
     "divergence",
     "step_particles",
     "representative_state",

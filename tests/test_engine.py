@@ -420,6 +420,52 @@ def test_nan_threshold_or_log_interval_rejected(sphere_small, ring4, key):
         small_config(sphere_small, ring4, **{key: float("nan")})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_iterations", float("nan")),
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
+        ("master_seed", 1.5),
+        ("master_seed", False),
+        ("log_every", 2.5),
+        ("log_every", np.True_),
+    ],
+)
+def test_non_integer_counts_and_seeds_rejected(sphere_small, ring4, key, value):
+    # Unchecked, a float failed mid-run in range() or SeedSequence, log_every
+    # 2.5 sampled every third round, and True ran one round.
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        small_config(sphere_small, ring4, **{key: value})
+
+
+def test_numpy_integer_counts_and_seeds_accepted(sphere_small, ring4):
+    numpy_ints = dict(max_iterations=np.int64(20), log_every=np.int32(5), master_seed=np.uint64(3))
+    report = run(small_config(sphere_small, ring4, **numpy_ints))
+    plain = run(small_config(sphere_small, ring4, max_iterations=20))
+    assert list(report.logged_rounds) == [0, 5, 10, 15, 19]
+    assert report.disagreement_trace == plain.disagreement_trace
+
+
+def test_a_nan_initial_value_never_enters_the_records(sphere_small, ring4, monkeypatch):
+    # Set-up values go through tell like every round's, so a NaN stays out
+    # of the records and of best_seen. As a record, it used to hide the
+    # agent's other initial records from its reported best.
+    spec_type, original = type(sphere_small), type(sphere_small).eval_local_batch
+
+    def eval_local_batch(self, agent, xs):
+        values = np.array(original(self, agent, xs))
+        if agent == 0:
+            values[0] = np.nan
+        return values
+
+    monkeypatch.setattr(spec_type, "eval_local_batch", eval_local_batch)
+    population = RunState(small_config(sphere_small, ring4)).population
+    assert population.best_values[0, 0] == np.inf and np.isnan(population.last_values[0, 0])
+    assert population.best_seen[0] == population.best_values[0, 1:].min()
+    assert np.isfinite(population.best_seen).all()
+
+
 def test_weights_hold_between_refreshes(sphere_small, ring4):
     # With T = 100, refreshes land on {10, 20, ...}; the mixing matrix
     # recorded between refreshes must be constant.

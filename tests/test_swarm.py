@@ -1,7 +1,10 @@
 import copy
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacmas.errors import ContractError
 from lacmas.guidance import C_DEFAULT, D_DEFAULT
@@ -37,7 +40,7 @@ def make_swarm(positions, rng_seed=0, lower=-100.0, upper=100.0):
     swarm = new_swarm(dim, lower, upper, p, rng_seed)
     swarm.population.positions[0] = positions
     swarm.population.velocities[0] = 0.0
-    evaluate_initial(swarm)
+    set_up(swarm.population)
     return swarm
 
 
@@ -45,8 +48,11 @@ def sphere_batch(xs):
     return np.sum(xs * xs, axis=-1)
 
 
-def evaluate_initial(swarm):
-    swarm.evaluate_initial(sphere_batch(swarm.positions))
+def set_up(population):
+    """The engine's set-up: one tell of the initial sphere values, then each
+    attractor seeded from its agent's representative state."""
+    population.tell(sphere_batch(population.positions))
+    population.attractors[...] = population.representatives()
 
 
 def step(swarm, active_coeff):
@@ -66,7 +72,7 @@ def step_all(population, swarms, active_coeff, record_pull=True):
 
 
 def best_value(swarm):
-    return float(swarm.population.agent_bests()[swarm.agent_id])
+    return float(swarm.population.best_seen[swarm.agent_id])
 
 
 def mean_squared_distance(points, center):
@@ -177,7 +183,7 @@ def test_degenerate_modulation_is_identity():
 def test_step_is_deterministic_for_fixed_seed():
     def run_once():
         swarm = new_swarm(4, -10.0, 10.0, 6, 99)
-        evaluate_initial(swarm)
+        set_up(swarm.population)
         for _ in range(20):
             step(swarm, 1.1)
         return swarm.population.positions[0].copy(), swarm.population.best_values[0].copy()
@@ -231,7 +237,7 @@ def test_inject_dimension_mismatch_rejected():
 
 def test_positions_stay_in_bounds():
     swarm = new_swarm(3, -2.0, 2.0, 5, 7)
-    evaluate_initial(swarm)
+    set_up(swarm.population)
     for _ in range(200):
         step(swarm, 1.5)
         assert np.all(swarm.population.positions >= -2.0)
@@ -240,7 +246,7 @@ def test_positions_stay_in_bounds():
 
 def test_reported_best_is_monotone():
     swarm = new_swarm(4, -50.0, 50.0, 8, 21)
-    evaluate_initial(swarm)
+    set_up(swarm.population)
     best = best_value(swarm)
     for _ in range(300):
         step(swarm, 1.0)
@@ -251,7 +257,7 @@ def test_reported_best_is_monotone():
 
 def test_rebase_keeps_reported_best_monotone():
     swarm = new_swarm(3, -10.0, 10.0, 5, 2)
-    evaluate_initial(swarm)
+    set_up(swarm.population)
     for _ in range(50):
         step(swarm, 1.0)
     before = best_value(swarm)
@@ -308,13 +314,11 @@ def test_step_proposes_and_tell_takes_the_values():
 
 
 def make_population(n, p=4, dim=3, seed=0):
-    """An evaluated n-agent Population and its swarms."""
+    """An n-agent Population, set up as the engine does, and its swarms."""
     rngs = [np.random.default_rng(seed + i) for i in range(n)]
     population = new_population(p, dim, -10.0, 10.0, rngs)
-    swarms = [AgentSwarm(population, i) for i in range(n)]
-    for swarm in swarms:
-        evaluate_initial(swarm)
-    return population, swarms
+    set_up(population)
+    return population, [AgentSwarm(population, i) for i in range(n)]
 
 
 def test_tell_rejects_a_wrongly_shaped_batch():
@@ -329,15 +333,15 @@ def test_batched_picks_match_each_swarm():
         step_all(population, swarms, 1.2)
         population.tell(sphere_batch(population.positions))
     reps = population.representatives()
-    bests = population.agent_bests()
     for i, swarm in enumerate(swarms):
         assert np.array_equal(reps[i], swarm.representative_state())
-        assert bests[i] == min(population.best_seen[i], population.best_values[i].min())
+        # With no injection or rebase, no record was ever overwritten.
+        assert population.best_seen[i] == population.best_values[i].min()
 
 
 def test_rebase_matches_the_per_agent_rule_on_a_kicked_population():
-    # Per agent, the old rule folded the records' minimum into best_seen only
-    # where strictly lower, then reset every record to the latest evaluation.
+    # Every record is reset to the latest evaluation, and best_seen, already
+    # the minimum of every record held, stays as it was.
     population, swarms = make_population(6, p=5, dim=2, seed=4)
 
     def run_rounds(k):
@@ -349,21 +353,47 @@ def test_rebase_matches_the_per_agent_rule_on_a_kicked_population():
     population.rebase()
     run_rounds(200)
     assert population.kicking.any()
-    # Both sides of the rule: records above best_seen and records below it.
+    # Some agent's best record is about to be overwritten by a worse value.
     records = population.best_values.min(axis=1)
-    assert (records > population.best_seen).any() and (records < population.best_seen).any()
+    assert (records >= population.best_seen).all()
+    assert (population.last_values.min(axis=1) > records).any()
 
-    expected_seen = [
-        record if record < seen else seen
-        for record, seen in zip(records.tolist(), population.best_seen.tolist())
-    ]
-    before = population.agent_bests()
+    seen = population.best_seen.copy()
     positions, last_values = population.positions.copy(), population.last_values.copy()
     population.rebase()
-    assert population.best_seen.tolist() == expected_seen
+    assert np.array_equal(population.best_seen, seen)
     assert np.array_equal(population.best_positions, positions)
     assert np.array_equal(population.best_values, last_values)
-    assert np.all(population.agent_bests() <= before)
+
+
+VALUES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([1, 2, 5]), data=st.data())
+def test_best_seen_is_the_running_minimum_of_every_record(p, data):
+    # Brute force: every value that enters a record is in the records right
+    # after the call that wrote it, so their snapshots hold them all.
+    n, dim = 2, 2
+    population = new_population(p, dim, -1.0, 1.0, [np.random.default_rng(i) for i in range(n)])
+    swarms = [AgentSwarm(population, i) for i in range(n)]
+    held = [[math.inf] for _ in range(n)]
+    previous = population.best_seen.copy()
+    for op in data.draw(st.lists(st.sampled_from(["tell", "inject", "rebase"]), max_size=12)):
+        if op == "tell":
+            values = data.draw(st.lists(VALUES, min_size=n * p, max_size=n * p))
+            population.tell(np.reshape(values, (n, p)))
+        elif op == "inject":
+            swarm = swarms[data.draw(st.integers(0, n - 1))]
+            swarm.inject_fused_state(np.zeros(dim), data.draw(VALUES), data.draw(st.booleans()))
+        else:
+            population.rebase()
+        for i in range(n):
+            held[i].extend(population.best_values[i].tolist())
+        expected = [min(v for v in values if not math.isnan(v)) for values in held]
+        assert population.best_seen.tolist() == expected
+        assert (population.best_seen <= previous).all()
+        previous = population.best_seen.copy()
 
 
 def reference_step(population, i, active, record_pull):
