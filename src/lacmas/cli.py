@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import zipfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,6 @@ from .config import (
     build_benchmark,
     build_graph,
     build_run_config,
-    checked_field,
     load_config,
     seeded_runs,
     wsn_runs,
@@ -68,16 +66,23 @@ def main(argv=None) -> int:
         return EXIT_FAULT
 
 
-# Flags several subcommands share; each subcommand takes only those it reads.
-_SHARED_FLAGS = {
-    "--config": dict(help="JSON configuration file"),
-    "--out": dict(help="output directory override"),
-    "--seed": dict(type=int, help="master seed override"),
-    "--variant": dict(choices=engine.VARIANTS),
-    "--provider": dict(choices=["heuristic", "llm"]),
-    "--max-iter": dict(type=int),
-    "--agents": dict(type=int),
-    "--dim": dict(type=int),
+# Each flag that sets a config key: the key ("section.field" below the top
+# level) and the flag's argparse spec. "-n --sensors" is one flag, two names.
+_KEY_FLAGS = {
+    "--out": ("output_dir", dict(help="output directory override")),
+    "--seed": ("master_seed", dict(type=int, help="master seed override")),
+    "--variant": ("variant", dict(choices=engine.VARIANTS)),
+    "--provider": ("provider", dict(choices=["heuristic", "llm"])),
+    "--max-iter": ("max_iterations", dict(type=int)),
+    "--seeds": ("num_runs", dict(type=int, help="number of seeded runs")),
+    "--suite": ("suite", dict(type=lambda s: [f.strip() for f in s.split(",") if f.strip()],
+                              help="comma-separated families (default: all)")),
+    "--agents": ("objective.num_agents", dict(type=int)),
+    "--dim": ("objective.dim", dict(type=int)),
+    "--hetero-sigma": ("objective.hetero_sigma", dict(type=float)),
+    "-n --sensors": ("wsn.num_sensors", dict(type=int)),
+    "--targets": ("wsn.num_targets", dict(type=int, help="largest target count")),
+    "--noise": ("wsn.noise_sigma", dict(type=float)),
 }
 
 
@@ -85,34 +90,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lacmas")
     sub = parser.add_subparsers(required=True)
 
-    def add(name, func, help, *shared):
+    def add(name, func, help, *flags):
         # Spelled-out flags only: abbreviated, `suite --variant` is `--variants`.
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        for flag in ("--config", *shared):
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON configuration file")
+        for flag in flags:
+            key, spec = _KEY_FLAGS[flag]
+            p.add_argument(*flag.split(), dest=key, **spec)
+        # The key each flag sets, and the flag's name in error messages.
+        keys = {_KEY_FLAGS[flag][0]: flag.split()[-1] for flag in flags}
+        p.set_defaults(func=func, key_flags=keys)
         return p
 
     run_flags = ("--out", "--seed", "--variant", "--provider", "--max-iter")
-    p_run = add("run", cmd_run, "benchmark experiment runs", *run_flags, "--agents", "--dim")
-    p_run.add_argument("--suite", default=None, help="comma-separated families (default: all)")
-    p_run.add_argument("--seeds", type=int, default=None, help="number of seeded repetitions")
-    p_run.add_argument("--hetero-sigma", type=float, default=None)
+    p_run = add("run", cmd_run, "benchmark experiment runs",
+                *run_flags, "--agents", "--dim", "--suite", "--seeds", "--hetero-sigma")
     p_run.add_argument("--record-matrices", action="store_true")
 
-    p_suite = add(
-        "suite", cmd_suite, "ablation table across variants",
-        "--out", "--seed", "--provider", "--max-iter", "--agents", "--dim",
-    )
+    p_suite = add("suite", cmd_suite, "ablation table across variants", "--out", "--seed",
+                  "--provider", "--max-iter", "--agents", "--dim", "--suite", "--seeds")
     p_suite.add_argument("--variants", default="baseline,coop,act,full")
-    p_suite.add_argument("--suite", default=None)
-    p_suite.add_argument("--seeds", type=int, default=None)
 
-    p_wsn = add("wsn", cmd_wsn, "localization error against target count", *run_flags)
-    p_wsn.add_argument("-n", "--sensors", type=int, default=None)
-    p_wsn.add_argument("--targets", type=int, default=None, help="largest target count")
-    p_wsn.add_argument("--seeds", type=int, default=None, help="seeded runs per target count")
-    p_wsn.add_argument("--noise", type=float, default=None)
+    add("wsn", cmd_wsn, "localization error against target count",
+        *run_flags, "-n --sensors", "--targets", "--seeds", "--noise")
 
     p_cal = add("calibrate", cmd_calibrate, "estimate the horizon T", "--seed", "--agents", "--dim")
     p_cal.add_argument("--probe-length", type=int, default=200)
@@ -124,41 +124,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Command-line flag -> (config section, field); None is the top level.
-_FLAG_FIELDS = {
-    "out": (None, "output_dir"),
-    "seed": (None, "master_seed"),
-    "variant": (None, "variant"),
-    "provider": (None, "provider"),
-    "max_iter": (None, "max_iterations"),
-    "seeds": (None, "num_runs"),
-    "agents": ("objective", "num_agents"),
-    "dim": ("objective", "dim"),
-    "hetero_sigma": ("objective", "hetero_sigma"),
-    "sensors": ("wsn", "num_sensors"),
-    "targets": ("wsn", "num_targets"),
-    "noise": ("wsn", "noise_sigma"),
-}
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """`cfg` with the given flags folded in. A flag counts as given when it is
-    not None, so an explicit 0 reaches validation. Each value passes the
-    check a config file's value does, and replace() re-runs the config's own
-    checks."""
-    top, sections = {}, {}
-    for flag, (section, name) in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        owner = cfg if section is None else getattr(cfg, section)
-        target = top if section is None else sections.setdefault(section, {})
-        target[name] = checked_field(owner, name, value, "--" + flag.replace("_", "-"))
-    for section, values in sections.items():
-        top[section] = replace(getattr(cfg, section), **values)
-    if getattr(args, "suite", None) is not None:
-        top["suite"] = [f.strip() for f in args.suite.split(",") if f.strip()]
-    return replace(cfg, **top)
+def _config(args) -> ExperimentConfig:
+    """The --config file with every given key flag written over it, then
+    checked once; an explicit 0 counts as given."""
+    given = {key: (flag, value) for key, flag in args.key_flags.items()
+             if (value := getattr(args, key)) is not None}
+    return load_config(args.config, given)
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -182,7 +153,7 @@ def _write_summary(path: Path, labelled) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     record = args.record_matrices
     plan = [
         (family, run_cfg)
@@ -202,7 +173,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("--variants must name at least one variant")
@@ -242,7 +213,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_wsn(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     plan = wsn_runs(cfg)
     out = _outdir(cfg)
     reports = engine.run_batch([run_cfg for *_, run_cfg in plan])
@@ -269,7 +240,7 @@ def cmd_wsn(args) -> int:
 
 def cmd_calibrate(args) -> int:
     # A probe writes no files, so it has no output directory.
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     objective = build_benchmark(cfg, args.family)
     graph = build_graph(cfg, objective.num_agents)
     run_cfg = build_run_config(
@@ -312,7 +283,7 @@ def _read_matrices(path) -> list[np.ndarray]:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     matrices = _read_matrices(args.matrices)
     graph = build_graph(cfg, matrices[0].shape[0])
     failures = 0

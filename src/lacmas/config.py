@@ -1,9 +1,11 @@
 """Experiment configuration: JSON file schema, defaults, and builders.
 
 Every field has a default, so an empty file (or no file) yields a runnable
-configuration. Unknown keys, values whose type does not match the field's
-default and numbers that are not finite floats are rejected with the offending key named,
-which catches typos before a long run burns its budget.
+configuration. A command-line flag's value replaces the file's value of its
+key before anything is checked. Unknown keys, values whose type does not match
+the field's default and numbers that are not finite floats are then rejected
+with the offending key, or the flag that gave it, named, which catches typos
+before a long run burns its budget.
 """
 
 from __future__ import annotations
@@ -171,8 +173,9 @@ _OPTIONAL = {
 }
 
 
-def _checked(value, default, key: str):
-    """`value` if its type matches `default`'s, else a ConfigError naming `key`.
+def _checked(value, default, key: str, name: str):
+    """`value` if its type matches `default`'s, else a ConfigError naming
+    `name`: `key`, or the flag that gave the value.
 
     An int passes where a float is expected; a bool does not pass as a number,
     and NaN, infinity (both accepted by Python's JSON reader) and integers
@@ -182,56 +185,60 @@ def _checked(value, default, key: str):
     if default is None:
         valid, expected = _OPTIONAL[key]
         if value is not None and not valid(value):
-            raise ConfigError(f"{key} must be {expected} or null, got {value!r}")
+            raise ConfigError(f"{name} must be {expected} or null, got {value!r}")
         return value
     accepted = (int, float) if isinstance(default, float) else type(default)
     if isinstance(value, bool) is not isinstance(default, bool) or not isinstance(value, accepted):
         raise ConfigError(
-            f"{key} must be {type(default).__name__}, got {type(value).__name__} {value!r}"
+            f"{name} must be {type(default).__name__}, got {type(value).__name__} {value!r}"
         )
     # Also false for NaN, and for an int too large to become a float.
     if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{key} must be a finite number, got {value!r:.30}")
+        raise ConfigError(f"{name} must be a finite number, got {value!r:.30}")
     return value
 
 
-def checked_field(spec, name: str, value, key: str):
-    """`value` for field `name` of dataclass `spec`, checked against the
-    field's default as a config file's value is; errors name `key`."""
-    f = next(f for f in fields(spec) if f.name == name)
-    return _checked(value, f.default if f.default is not MISSING else f.default_factory(), key)
-
-
-def _from_dict(cls, data: dict, context: str):
+def _from_dict(cls, data: dict, context: str, flags: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
+    known = {f.name: f for f in fields(cls)}
     kwargs = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown configuration key {context}{key!r}")
-        if key in _NESTED and cls is ExperimentConfig:
-            kwargs[key] = _from_dict(_NESTED[key], value, context=f"{key}.")
+    for name, value in data.items():
+        if name not in known:
+            raise ConfigError(f"unknown configuration key {context}{name!r}")
+        if name in _NESTED and cls is ExperimentConfig:
+            kwargs[name] = _from_dict(_NESTED[name], value, f"{name}.", flags)
         else:
-            kwargs[key] = checked_field(cls, key, value, context + key)
+            f, key = known[name], context + name
+            default = f.default if f.default is not MISSING else f.default_factory()
+            kwargs[name] = _checked(value, default, key, flags.get(key, key))
     return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    return _from_dict(ExperimentConfig, data, context="")
+    return _from_dict(ExperimentConfig, data, "", {})
 
 
-def load_config(path: str | Path | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
+def load_config(path: str | Path | None, overrides: dict | None = None) -> ExperimentConfig:
+    """The JSON file at `path` (None: no file) with `overrides` written over
+    it, then checked once. `overrides` maps a key ("section.field" below the
+    top level) to the (flag, value) a command line gave it, and an error in
+    that value names the flag. A value goes only into an object, so a top
+    level or section that is not one fails as it does without flags."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = {} if path is None else json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return config_from_dict(data)
+    flags = {}
+    for key, (flag, value) in (overrides or {}).items():
+        *section, name = key.split(".")
+        target = data.setdefault(section[0], {}) if section and isinstance(data, dict) else data
+        if isinstance(target, dict):
+            target[name] = value
+            flags[key] = flag
+    return _from_dict(ExperimentConfig, data, "", flags)
 
 
 # -- builders -------------------------------------------------------------------

@@ -322,10 +322,13 @@ class RunState:
         )
         swarms = [AgentSwarm(population, i) for i in range(n)]
         # The initial values enter the records through tell, as every round's
-        # do; each attractor then starts at its agent's representative state.
+        # do. Each agent's representative state then seeds its attractor and
+        # is its published state before the first round.
         population.tell([obj.eval_local_batch(i, x) for i, x in enumerate(population.positions)])
-        for swarm in swarms:
-            swarm.attractor[...] = swarm.representative_state()
+        self.reps = np.array([swarm.representative_state() for swarm in swarms])
+        population.attractors[...] = self.reps
+        # The last completed round's fused states; before one, the initial reps.
+        self.prev = self.reps
         # A round's per-agent calls, bound once and made in agent order.
         self.divergence_calls = [swarm.divergence for swarm in swarms]
         self.draw_calls = [swarm.step_particles for swarm in swarms]
@@ -336,9 +339,6 @@ class RunState:
         # agent has no edges and a local disagreement of 0.
         self.edge_src, self.edge_dst = graph.edges
         self.degrees = np.maximum(np.bincount(self.edge_src, minlength=n), 1)
-        self.reps = population.representatives()
-        # The last completed round's fused states; before one, the initial reps.
-        self.prev = self.reps
         # The mixing matrix is the only copy of the cooperation weights. It starts
         # uniform and changes only on cooperation refreshes, which verify it again.
         self.matrix = assemble_mixing_matrix(graph)

@@ -104,12 +104,13 @@ class Population:
 
     Row i of each array is agent i's: positions, velocities and personal-best
     positions as (N, P, D), best and latest values as (N, P), attractors as
-    (N, D). Per agent it also keeps `best_seen`, the lowest non-NaN value its
-    records have ever held, the kick scale `kick_sigma` and whether collapse
-    recovery runs (`kicking`) as (N,) arrays, the (d, c) regime pairs as the
-    (N, 2) array `coefficients` and the gated coefficient of the next step as
-    `active`. It also holds the PCG64 generators, the box, the step's scratch
-    and the spread pass's buffers, stacked like the state.
+    (N, D). No record or latest value is NaN: a NaN value is kept as +inf.
+    Per agent it also keeps `best_seen`, the lowest value its records have
+    ever held, the kick scale `kick_sigma` and whether collapse recovery runs
+    (`kicking`) as (N,) arrays, the (d, c) regime pairs as the (N, 2) array
+    `coefficients` and the gated coefficient of the next step as `active`.
+    It also holds the PCG64 generators, the box, the step's scratch and the
+    spread pass's buffers, stacked like the state.
     """
 
     def __init__(
@@ -273,18 +274,19 @@ class Population:
     def tell(self, values: np.ndarray) -> None:
         """Take the (N, P) values of the positions the swarms last proposed.
 
-        Personal bests update greedily and best_seen follows them; the kick
-        scale of every agent in collapse recovery adapts to its success rate.
+        A NaN value is kept as +inf. Personal bests update greedily and
+        best_seen follows them; the kick scale of every agent in collapse
+        recovery adapts to its success rate.
         """
         values = np.asarray(values, dtype=float)
         best = self.best_values
         if values.shape != best.shape:
             raise ContractError(f"values have shape {values.shape}, expected {best.shape}")
-        self.last_values[...] = values
+        np.fmin(values, np.inf, out=self.last_values)
         improved = values < best
         np.copyto(self.best_positions, self.positions, where=improved[:, :, None])
         np.copyto(best, values, where=improved)
-        self._fold_records()
+        np.minimum(self.best_seen, np.minimum.reduce(best, axis=1), out=self.best_seen)
 
         # Success-rate step-size control; holds at the initialization scale
         # until an agent's collapse recovery starts.
@@ -303,17 +305,10 @@ class Population:
         Used once at the refocus transition: records accumulated while the
         populations tracked the fused states can sit far from where the search
         has moved, and pulling toward them again would undo the tracking.
-        best_seen already holds every latest evaluation that entered a record,
-        so the fold changes it only where a NaN record kept a value out.
+        No latest value lies below best_seen, so best_seen stays as it is.
         """
         self.best_positions[...] = self.positions
         self.best_values[...] = self.last_values
-        self._fold_records()
-
-    def _fold_records(self) -> None:
-        """Lower each agent's best_seen to its lowest non-NaN record."""
-        records = np.fmin.reduce(self.best_values, axis=1)
-        np.copyto(self.best_seen, records, where=records < self.best_seen)
 
 
 class AgentSwarm:
@@ -375,8 +370,9 @@ class AgentSwarm:
 
         The attractor moves to the fused point and the worst particle is
         teleported there with zero velocity; its personal best is reset to
-        `value`, the fused state's local evaluation, so stale records cannot
-        shadow the consensus state; best_seen takes `value` if it is lower.
+        `value`, the fused state's local evaluation (+inf if NaN), so stale
+        records cannot shadow the consensus state; best_seen takes `value` if
+        it is lower.
         With refocus=True (late stage) the attractor follows the agent's own
         best record instead, while the particle channel stays open.
         """
@@ -384,6 +380,8 @@ class AgentSwarm:
             raise ContractError(
                 f"fused state has shape {fused.shape}, expected {self.attractor.shape}"
             )
+        if math.isnan(value):
+            value = math.inf
         best_values, best_seen = self.best_values, self.population.best_seen
         worst = best_values.argmax()
         self.positions[worst] = self.best_positions[worst] = fused

@@ -417,6 +417,43 @@ def test_non_finite_flag_gives_config_exit(tmp_path, capsys, noise):
     assert not out.exists()
 
 
+def test_flag_replaces_a_bad_file_value_before_the_check(tmp_path, capsys):
+    # The flag's value is the one the run uses, so the file's value is never
+    # checked: this used to fail with "num_runs must be positive".
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"num_runs": 0}))
+    out = tmp_path / "r"
+    argv = ["run", "--config", str(cfg), "--seeds", "1", "--suite", "sphere",
+            "--agents", "4", "--dim", "2", "--max-iter", "2", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert len(list(out.glob("trace_*.csv"))) == 1
+
+
+@pytest.mark.parametrize(
+    "extra, flags, named, unnamed",
+    [
+        (None, ["--hetero-sigma", "inf"], "--hetero-sigma", "objective.hetero_sigma"),
+        ({"objective": {"hetero_sigma": float("inf")}}, [], "objective.hetero_sigma",
+         "--hetero-sigma"),
+        ({"objective": {"hetero_sigma": float("inf")}}, ["--hetero-sigma", "inf"],
+         "--hetero-sigma", "objective.hetero_sigma"),
+    ],
+)
+def test_a_bad_value_names_its_flag_or_its_key(tmp_path, capsys, extra, flags, named, unnamed):
+    # Checked once after the merge, a value's error names where it came
+    # from. With both bad, the file's value used to be checked, and named,
+    # first, though the flag's would have replaced it.
+    out = tmp_path / "r"
+    argv = ["run", "--config", str(write_config(tmp_path, extra)), *flags,
+            "--suite", "sphere", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"configuration error: {named} must be a finite number")
+    assert unnamed not in err and "\n" not in err
+    assert not out.exists()
+
+
 def test_contract_error_gives_config_exit(tmp_path, capsys):
     # A box this wide would overflow the squared dead-velocity limit; the
     # swarm's box check rejects it with a ContractError when the run is built.

@@ -5,8 +5,10 @@ with values of mixed types, NaN and inf included, and sent through
 `lacmas.cli.main`. Whatever the file says, the command must end with exit 0,
 a one-line `configuration error:` (exit 1) or a reported runtime fault
 (exit 2); never with an uncaught exception. Budgets are pinned small so every
-example that loads runs in milliseconds. Random files sent through `verify`
-must likewise end with exit 0, 1 or 3 (verification failure).
+example that loads runs in milliseconds. A random subset of each subcommand's
+other key flags, given random values, must end the same way. Random files
+sent through `verify` must likewise end with exit 0, 1 or 3 (verification
+failure).
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lacmas.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_VERIFY, main
+from lacmas.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_VERIFY, _build_parser, main
 from lacmas.config import _NESTED, ExperimentConfig
 from lacmas.cooperation import assemble_mixing_matrix
 from lacmas.objectives import FAMILIES
@@ -146,6 +148,57 @@ def test_any_config_ends_in_a_known_exit(config, command):
         path.write_text(json.dumps(config))
         argv = [*COMMANDS[command], "--config", str(path)]
         if command != "calibrate":  # calibrate writes no files and takes no --out
+            argv += ["--out", str(Path(tmp) / "out")]
+        code, err = _main_quietly(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_FAULT)
+    _check_config_error(code, err)
+
+
+# Each fuzzed subcommand's key flags, as {config key: flag}, less the pinned
+# budget keys and output_dir: `--out` is always the example's own directory.
+UNDRAWN = {"output_dir"} | {
+    k if s is None else f"{s}.{k}" for s, pins in PINNED.items() for k in pins
+}
+KEY_FLAGS = {
+    command: {
+        key: flag for key, flag in _build_parser().parse_args(argv).key_flags.items()
+        if key not in UNDRAWN
+    }
+    for command, argv in COMMANDS.items()
+}
+
+
+@st.composite
+def key_flag_args(draw, command):
+    """`--flag=value` for a random subset of `command`'s key flags, as the
+    command line spells it: mostly a value of the key's type, now and then
+    any scalar."""
+    args = []
+    for key, flag in draw(st.lists(st.sampled_from(sorted(KEY_FLAGS[command].items())),
+                                   max_size=3, unique=True)):
+        section, _, name = key.rpartition(".")
+        typed = _typed(name, SCHEMA[section or None][name])
+        value = draw(scalars if draw(st.integers(0, 4)) == 0 else typed)
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        args.append(f"{flag}={text}")
+    return args
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(config=configs(), command=st.sampled_from(sorted(COMMANDS)), data=st.data())
+def test_any_config_and_key_flags_end_in_a_known_exit(config, command, data):
+    # A flag's value joins the file's before the one check, so a bad flag
+    # value must end like a bad file value.
+    flags = data.draw(key_flag_args(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*COMMANDS[command], "--config", str(path), *flags]
+        if command != "calibrate":
             argv += ["--out", str(Path(tmp) / "out")]
         code, err = _main_quietly(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_FAULT)

@@ -447,11 +447,9 @@ def test_numpy_integer_counts_and_seeds_accepted(sphere_small, ring4):
     assert report.disagreement_trace == plain.disagreement_trace
 
 
-def test_a_nan_initial_value_never_enters_the_records(sphere_small, ring4, monkeypatch):
-    # Set-up values go through tell like every round's, so a NaN stays out
-    # of the records and of best_seen. As a record, it used to hide the
-    # agent's other initial records from its reported best.
-    spec_type, original = type(sphere_small), type(sphere_small).eval_local_batch
+def nan_first_initial_value(spec, monkeypatch):
+    """Make agent 0's first initial value NaN."""
+    spec_type, original = type(spec), type(spec).eval_local_batch
 
     def eval_local_batch(self, agent, xs):
         values = np.array(original(self, agent, xs))
@@ -460,10 +458,29 @@ def test_a_nan_initial_value_never_enters_the_records(sphere_small, ring4, monke
         return values
 
     monkeypatch.setattr(spec_type, "eval_local_batch", eval_local_batch)
+
+
+def test_a_nan_initial_value_never_enters_the_records(sphere_small, ring4, monkeypatch):
+    # Set-up values go through tell like every round's, so a NaN stays out
+    # of the records and of best_seen. As a record, it used to hide the
+    # agent's other initial records from its reported best.
+    nan_first_initial_value(sphere_small, monkeypatch)
     population = RunState(small_config(sphere_small, ring4)).population
-    assert population.best_values[0, 0] == np.inf and np.isnan(population.last_values[0, 0])
+    assert population.best_values[0, 0] == np.inf and population.last_values[0, 0] == np.inf
     assert population.best_seen[0] == population.best_values[0, 1:].min()
     assert np.isfinite(population.best_seen).all()
+
+
+def test_a_nan_initial_value_is_never_the_published_state(sphere_small, ring4, monkeypatch):
+    # argmin returns a NaN's index: a NaN latest value used to seed agent 0's
+    # attractor and its first published state at particle 0.
+    nan_first_initial_value(sphere_small, monkeypatch)
+    state = RunState(small_config(sphere_small, ring4))
+    population = state.population
+    lowest = population.positions[0, population.best_values[0].argmin()]
+    assert population.best_values[0].argmin() != 0
+    assert np.array_equal(population.attractors[0], lowest)
+    assert np.array_equal(state.reps[0], lowest)
 
 
 def test_weights_hold_between_refreshes(sphere_small, ring4):
