@@ -7,9 +7,10 @@ from its representative_state) and the uniform mixing matrix. Each round then
 runs the seven PHASES over that state, in order:
 
 1. `_step`: one Population.spread pass squares every agent's particle
-   spread; in agent order each agent reduces its row to its divergence and
-   draws its step's uniforms, kicks included, from its own generator; one
-   Population.select gates every regime and one Population.step moves all;
+   spread and sums each agent's squares in one reduction; in agent order each
+   agent reads its divergence from those sums and draws its step's uniforms,
+   kicks included, from its own generator; one Population.select gates every
+   regime and one Population.step moves all;
 2. `_evaluate`: one batch call scores every agent's proposals on its local
    objective, one tell takes the values back, and agents publish states;
 3. `_guide_act`: at an open inner gate, one refresh_act call takes every

@@ -17,10 +17,11 @@ sense and w near the top of its range lets occasional large kicks through.
 
 The swarm never calls an objective. All swarm state lives in one Population of
 stacked (N, P, D), (N, P), (N, 2) and (N,) arrays. One Population.spread
-squares every particle's offset from its agent's centroid, and each
-AgentSwarm.divergence reduces only its own row of them. Per agent, as each has
-its own generator, AgentSwarm.step_particles fills its row of one draw buffer
-with a single call, kick uniforms included; one Population.select gates every
+squares every particle's offset from its agent's centroid and sums each
+agent's squares in one reduction, and each AgentSwarm.divergence only reads
+its own sum. Per agent, as each has its own generator,
+AgentSwarm.step_particles fills its row of one draw buffer with a single
+call, kick uniforms included; one Population.select gates every
 agent's coefficient, and one Population.step moves every row, or none if any
 row's new state is not finite, and steps back the generator of each agent that
 needed no kick, so every stream is consumed exactly as if the kick were drawn
@@ -109,8 +110,9 @@ class Population:
     ever held, the kick scale `kick_sigma` and whether collapse recovery runs
     (`kicking`) as (N,) arrays, the (d, c) regime pairs as the (N, 2) array
     `coefficients` and the gated coefficient of the next step as `active`.
-    It also holds the PCG64 generators, the box, the step's scratch and the
-    spread pass's buffers, stacked like the state.
+    It also holds the PCG64 generators, the box, the scratch the step and the
+    spread pass share, the spread pass's buffers and its (N,) row sums
+    `spread_sums`, stacked like the state.
     """
 
     def __init__(
@@ -181,22 +183,28 @@ class Population:
         self.scratch = np.empty((n, p, dim))
         self.proposed = np.empty((n, p, dim))
         # The spread pass's buffers; a ufunc divides by the count array with
-        # the bits of / P, without converting a scalar.
+        # the bits of / P, without converting a scalar. Its squares go to
+        # `scratch`, as only their row sums outlive the pass.
         self.centroids = np.empty((n, 1, dim))
         self.counts = np.full((n, 1, dim), float(p))
-        self.squares = np.empty((n, p, dim))
+        # NaN until the first pass, so a divergence read before it fails the
+        # round's finiteness check instead of returning stale memory.
+        self.spread_sums = np.full(n, np.nan)
         self.row_index = np.arange(n)
 
     def spread(self) -> None:
-        """Square every particle's offset from its agent's centroid into
-        `squares`; each AgentSwarm.divergence reduces its own row of them."""
-        x, centroids, squares = self.positions, self.centroids, self.squares
+        """Square every particle's offset from its agent's centroid and sum
+        each agent's squares into `spread_sums`, whose entry i
+        AgentSwarm.divergence divides by P."""
+        x, centroids, squares = self.positions, self.centroids, self.scratch
         # sum / P is what ndarray.mean computes, without its Python wrapper;
         # the axis-1 sum adds the P particles in the order a (P, D) sum does.
         _sum(x, 1, None, centroids, True)
         np.divide(centroids, self.counts, centroids)
         np.subtract(x, centroids, squares)
         np.multiply(squares, squares, squares)
+        # Each contiguous P * D row reduces as its own flat sum does, bit for bit.
+        _sum(squares.reshape(len(x), -1), 1, None, self.spread_sums)
 
     def select(self, divergences: np.ndarray, late_stage: bool) -> None:
         """Set every agent's `active` coefficient from its (N,) divergence:
@@ -216,7 +224,9 @@ class Population:
         Clamped components get zero velocity, so modulation cannot wind up at
         a wall. record_pull=False (consensus tracking) drops the personal-best
         pull; its draws are consumed anyway. Each row without a dead particle
-        steps its generator back over the unused kick draws. If any row's new
+        steps its generator back over the unused kick draws; both per-agent
+        scans, for recovery starts and for rows to step back, run only when
+        some agent can need them. If any row's new
         state is not finite, no position or record moves and the first such
         row is returned, else None; velocities, kick scales, `kicking` and
         generators have moved by then, harmless only because a fault ends a run.
@@ -242,15 +252,21 @@ class Population:
         limits = np.square(KICK_VELOCITY_EPS * sigmas)
         dead = speed2 < limits[:, None]
         dying = np.logical_or.reduce(dead, axis=1)
-        # dying > kicking is dying & ~kicking: agents whose recovery starts now.
-        for i in (dying > self.kicking).nonzero()[0].tolist():
+        # dying > kicking is dying & ~kicking: agents whose recovery starts
+        # now. Recovery never stops, so once every agent kicks there are none.
+        # (all() of a short list costs less than the ndarray method.)
+        kicking = self.kicking
+        starting = () if all(kicking.tolist()) else (dying > kicking).nonzero()[0].tolist()
+        for i in starting:
             # Seed the recovery scale from where the collapse happened.
             abest = self.best_positions[i, self.best_values[i].argmin()]
             spread = _median(np.linalg.norm(x[i] - abest, axis=1).tolist())
             sigmas[i] = max(min(float(sigmas[i]), spread), self.kick_floor)
-        self.kicking |= dying
-        for i in (~dying).nonzero()[0].tolist():
-            self.rngs[i].bit_generator.advance(self.rewind)
+        kicking |= dying
+        # Most rounds every agent has a dead particle, and none steps back.
+        if not all(dying.tolist()):
+            for i in (~dying).nonzero()[0].tolist():
+                self.rngs[i].bit_generator.advance(self.rewind)
         # The active regime coefficient scales the kick: the escape
         # coefficient widens recovery jumps, the damping one narrows them, so
         # coefficient guidance steers escape strength. Only dead entries take it.
@@ -322,7 +338,7 @@ class AgentSwarm:
     __slots__ = (
         "population", "agent_id", "rng", "positions", "velocities",
         "best_positions", "best_values", "last_values", "attractor", "draws",
-        "squares",
+        "spread_sums",
     )
 
     def __init__(self, population: Population, agent_id: int):
@@ -336,14 +352,14 @@ class AgentSwarm:
         self.last_values = population.last_values[agent_id]
         self.attractor = population.attractors[agent_id]
         self.draws = population.draws[agent_id]
-        self.squares = population.squares[agent_id].ravel()
+        self.spread_sums = population.spread_sums
 
     # -- observations --------------------------------------------------------
 
     def divergence(self) -> float:
-        """Mean squared distance of the particles from their centroid."""
-        # Of the last Population.spread; the flat sum rounds like a (P, D) sum.
-        return float(_sum(self.squares)) / len(self.positions)
+        """Mean squared distance of the particles from their centroid, as of
+        the last Population.spread: its row sum over P."""
+        return self.spread_sums.item(self.agent_id) / len(self.positions)
 
     def representative_state(self) -> np.ndarray:
         """Position of the particle that evaluated best in the latest sweep
@@ -385,7 +401,7 @@ class AgentSwarm:
         best_values, best_seen = self.best_values, self.population.best_seen
         worst = best_values.argmax()
         self.positions[worst] = self.best_positions[worst] = fused
-        self.velocities[worst] = 0.0
+        self.velocities[worst].fill(0.0)
         best_values[worst] = self.last_values[worst] = value
         if value < best_seen[self.agent_id]:
             best_seen[self.agent_id] = value

@@ -169,7 +169,6 @@ ROW_VIEWS = {
     "best_values": "best_values",
     "last_values": "last_values",
     "attractor": "attractors",
-    "squares": "squares",
 }
 
 
@@ -178,6 +177,7 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
     # would drop out of the batched tell, picks and rebase without any
     # error. The 110 rounds cover kicks, the horizon-100 rebase and injection.
     calls = {name: 0 for name in (*SWARM_METHODS, "rebase", "select")}
+    callers = {name: [] for name in SWARM_METHODS}
     populations: list[Population] = []
     swarms: list[AgentSwarm] = []
 
@@ -186,6 +186,8 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
         assert swarm.population is population
         for view, array in ROW_VIEWS.items():
             assert np.shares_memory(getattr(swarm, view), getattr(population, array)[i]), (view, i)
+        # divergence reads entry i of the population's one batched reduction.
+        assert swarm.spread_sums is population.spread_sums, i
 
     def checked(name):
         original = getattr(AgentSwarm, name)
@@ -193,6 +195,7 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
         def method(self, *args, **kwargs):
             result = original(self, *args, **kwargs)
             calls[name] += 1
+            callers[name].append(self.agent_id)
             assert_rows_shared(self)
             return result
 
@@ -235,8 +238,15 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
     report = run(replace(_config(), max_iterations=rounds))
     assert not report.aborted and len(report.disagreement_trace) == rounds
     assert all(calls.values()), calls
-    # One batched regime gate per round, one draw per agent and round.
-    assert calls["select"] == rounds and calls["step_particles"] == 4 * rounds
+    # One batched regime gate per round. The benchmark harness counts the
+    # per-agent seams: one divergence, draw and injection per agent and round,
+    # in agent order, and one representative_state per agent at set-up.
+    assert calls["select"] == rounds
+    for name in ("divergence", "step_particles", "inject_fused_state"):
+        assert calls[name] == 4 * rounds, name
+        assert callers[name] == [0, 1, 2, 3] * rounds, name
+    assert calls["representative_state"] == 4
+    assert callers["representative_state"] == [0, 1, 2, 3]
     assert len(populations) == 1 and populations[0].kicking.any()
     assert [swarm.agent_id for swarm in swarms] == [0, 1, 2, 3]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -321,6 +322,23 @@ def test_divergence_and_xi_norm_match_the_numpy_calls(n, p, dim, data):
         fused = x[::-1].copy()
         drift = (x - fused).ravel()
         assert math.sqrt(drift.dot(drift)).hex() == float(np.linalg.norm(x - fused)).hex()
+
+
+@pytest.mark.parametrize("p, dim", [(10, 4), (10, 13), (100, 100)])
+def test_batched_row_sums_match_the_per_row_sum(p, dim):
+    # P * D of 40, 130 and 10000: below numpy's 128-element pairwise block,
+    # just past it, and past its 8192-element buffer. Rows differ in scale.
+    rng = np.random.default_rng(p * dim)
+    population = new_population(p, dim, [np.random.default_rng(i) for i in range(3)])
+    population.positions[...] = rng.standard_normal((3, p, dim)) * [[[1e-3]], [[1.0]], [[1e5]]]
+    population.spread()
+    for i, x in enumerate(population.positions):
+        assert AgentSwarm(population, i).divergence().hex() == parent_divergence(x).hex()
+
+
+def test_a_divergence_read_before_the_first_spread_is_nan():
+    population = new_population(3, 2, [np.random.default_rng(i) for i in range(2)])
+    assert all(math.isnan(AgentSwarm(population, i).divergence()) for i in range(2))
 
 
 def test_each_round_reads_the_divergences_of_its_start_positions():
