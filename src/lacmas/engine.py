@@ -19,14 +19,17 @@ runs the seven PHASES over that state, in order:
    agent's request, built from one build_descriptor call, and its answers
    re-weight the mixing matrix in agent order;
 5. `_fuse_inject`: every agent fuses the published states under its weights,
-   and the fused states, scored in one more batch call, go back in;
+   and the fused states, scored in one more batch call, go back in: one
+   Population.inject moves every agent's worst particle onto its fused state,
+   each agent in agent order records its fused state's value there, and one
+   Population.attract sets every attractor;
 6. `_bookkeep`: metrics, the fault check, one AgentHistory append and the
    round's disagreement, stored for every round;
 7. `_trace`: the convergence test and, on a sampled round, its index and
    global fitness. These are the trace CSV's stored columns; write_trace_csv
    derives `comm_cost`, `stage` and the gates from the round index.
 
-A non-finite particle state stops the run in `_step`, with no agent moved, so
+A non-finite particle state stops the run in `_step`, with nothing committed, so
 the report holds the state after the last complete round; a non-finite best
 value or divergence stops it in `_bookkeep`, before it reaches the history.
 RunReport is the run's only accumulator; its `phase_ns` times set-up, each
@@ -445,9 +448,11 @@ def _fuse_inject(state: RunState, t: int) -> bool:
         drift = (reps - state.prev).ravel()
         report.xi_norm_trace.append(math.sqrt(drift.dot(drift)))
     fused_values = state.objective.eval_all(fused[:, None, :])[:, 0].tolist()
-    late_stage = state.late_stage
-    for inject, fused_state, value in zip(state.inject_calls, fused, fused_values):
-        inject(fused_state, value, late_stage)
+    population = state.population
+    population.inject(fused)
+    for inject, value in zip(state.inject_calls, fused_values):
+        inject(value)
+    population.attract(fused, state.late_stage)
     return False
 
 

@@ -22,11 +22,15 @@ agent's squares in one reduction, and each AgentSwarm.divergence only reads
 its own sum. Per agent, as each has its own generator,
 AgentSwarm.step_particles fills its row of one draw buffer with a single
 call, kick uniforms included; one Population.select gates every
-agent's coefficient, and one Population.step moves every row, or none if any
-row's new state is not finite, and steps back the generator of each agent that
-needed no kick, so every stream is consumed exactly as if the kick were drawn
-only when a particle is dead. The caller evaluates the positions in one batch,
-at set-up as in every round, and hands the values to Population.tell.
+agent's coefficient, and one Population.step moves every row, or commits
+nothing if any row's new state is not finite, and steps back the generator of
+each agent that needed no kick, so every stream is consumed exactly as if the
+kick were drawn only when a particle is dead. The caller evaluates the
+positions in one batch, at set-up as in every round, and hands the values to
+Population.tell. The fused states go back the same way: one Population.inject
+moves every agent's worst particle onto its fused state, each
+AgentSwarm.inject_fused_state records only its own agent's value, and one
+Population.attract sets every attractor.
 """
 
 from __future__ import annotations
@@ -112,7 +116,8 @@ class Population:
     `coefficients` and the gated coefficient of the next step as `active`.
     It also holds the PCG64 generators, the box, the scratch the step and the
     spread pass share, the spread pass's buffers and its (N,) row sums
-    `spread_sums`, stacked like the state.
+    `spread_sums`, and the (N,) particle indices `worst` that inject picked,
+    stacked like the state.
     """
 
     def __init__(
@@ -181,6 +186,8 @@ class Population:
         ])
         self.active = np.ones(n)
         self.scratch = np.empty((n, p, dim))
+        # The step's new velocities and positions, committed only when finite.
+        self.moved = np.empty((n, p, dim))
         self.proposed = np.empty((n, p, dim))
         # The spread pass's buffers; a ufunc divides by the count array with
         # the bits of / P, without converting a scalar. Its squares go to
@@ -191,6 +198,9 @@ class Population:
         # round's finiteness check instead of returning stale memory.
         self.spread_sums = np.full(n, np.nan)
         self.row_index = np.arange(n)
+        # One past the last particle until the first inject, so a value
+        # recorded before it raises IndexError instead of landing on particle 0.
+        self.worst = np.full(n, p, dtype=np.intp)
 
     def spread(self) -> None:
         """Square every particle's offset from its agent's centroid and sum
@@ -226,17 +236,17 @@ class Population:
         pull; its draws are consumed anyway. Each row without a dead particle
         steps its generator back over the unused kick draws; both per-agent
         scans, for recovery starts and for rows to step back, run only when
-        some agent can need them. If any row's new
-        state is not finite, no position or record moves and the first such
-        row is returned, else None; velocities, kick scales, `kicking` and
-        generators have moved by then, harmless only because a fault ends a run.
+        some agent can need them. The new state is built aside and commits
+        whole: if any row's is not finite, no position, velocity, kick scale,
+        `kicking` flag or generator moves and the first such row is returned,
+        else None. Only the draw buffer, scaled in place, and scratch change.
         """
-        x, v, scratch = self.positions, self.velocities, self.scratch
+        x, scratch = self.positions, self.scratch
         draws = self.draws
         draws *= self.draw_scale
         draws += self.draw_offset
 
-        v *= self.delta
+        v = np.multiply(self.velocities, self.delta, out=self.moved)
         v *= self.active[:, None, None]
         if record_pull:
             pull = np.subtract(self.best_positions, x, out=scratch)
@@ -257,16 +267,13 @@ class Population:
         # (all() of a short list costs less than the ndarray method.)
         kicking = self.kicking
         starting = () if all(kicking.tolist()) else (dying > kicking).nonzero()[0].tolist()
+        if starting:
+            sigmas = sigmas.copy()
         for i in starting:
             # Seed the recovery scale from where the collapse happened.
             abest = self.best_positions[i, self.best_values[i].argmin()]
             spread = _median(np.linalg.norm(x[i] - abest, axis=1).tolist())
             sigmas[i] = max(min(float(sigmas[i]), spread), self.kick_floor)
-        kicking |= dying
-        # Most rounds every agent has a dead particle, and none steps back.
-        if not all(dying.tolist()):
-            for i in (~dying).nonzero()[0].tolist():
-                self.rngs[i].bit_generator.advance(self.rewind)
         # The active regime coefficient scales the kick: the escape
         # coefficient widens recovery jumps, the damping one narrows them, so
         # coefficient guidance steers escape strength. Only dead entries take it.
@@ -285,6 +292,14 @@ class Population:
         if not np.logical_and.reduce(finite):
             return int(finite.argmin())
         x[...] = new
+        self.velocities[...] = v
+        if starting:
+            self.kick_sigma[...] = sigmas
+        kicking |= dying
+        # Most rounds every agent has a dead particle, and none steps back.
+        if not all(dying.tolist()):
+            for i in (~dying).nonzero()[0].tolist():
+                self.rngs[i].bit_generator.advance(self.rewind)
         return None
 
     def tell(self, values: np.ndarray) -> None:
@@ -315,6 +330,31 @@ class Population:
         as a new (N, D) array."""
         return self.positions[self.row_index, self.last_values.argmin(axis=1)]
 
+    def inject(self, fused: np.ndarray) -> None:
+        """Fold the (N, D) fused consensus states back in, the batched half.
+
+        Each agent's worst particle, its highest record (ties to the lowest
+        index), is teleported onto its fused state, as position and personal
+        best, with zero velocity; the picks stay in `worst`. Then each
+        AgentSwarm.inject_fused_state, in agent order, records its fused
+        state's value there, and attract sets the attractors.
+        """
+        if fused.shape != self.attractors.shape:
+            raise ContractError(
+                f"fused states have shape {fused.shape}, expected {self.attractors.shape}"
+            )
+        picks = self.row_index, self.best_values.argmax(axis=1, out=self.worst)
+        self.positions[picks] = self.best_positions[picks] = fused
+        self.velocities[picks] = 0.0
+
+    def attract(self, fused: np.ndarray, refocus: bool) -> None:
+        """Set every attractor to its agent's fused state, or with refocus=True
+        (late stage) to its best record, while the particle channel stays
+        open. Run after the values are recorded, which the refocus pick reads."""
+        if refocus:
+            fused = self.best_positions[self.row_index, self.best_values.argmin(axis=1)]
+        self.attractors[...] = fused
+
     def rebase(self) -> None:
         """Replace every particle's record with its latest evaluation.
 
@@ -332,13 +372,12 @@ class AgentSwarm:
 
     Holds its generator and views of its rows, built once and never rebound,
     so every write lands in the Population; its scalars are read and written
-    there too.
+    in the Population's (N,) arrays.
     """
 
     __slots__ = (
-        "population", "agent_id", "rng", "positions", "velocities",
-        "best_positions", "best_values", "last_values", "attractor", "draws",
-        "spread_sums",
+        "population", "agent_id", "rng", "positions", "best_values", "last_values",
+        "draws", "spread_sums", "worst", "best_seen",
     )
 
     def __init__(self, population: Population, agent_id: int):
@@ -346,13 +385,12 @@ class AgentSwarm:
         self.agent_id = agent_id
         self.rng = population.rngs[agent_id]
         self.positions = population.positions[agent_id]
-        self.velocities = population.velocities[agent_id]
-        self.best_positions = population.best_positions[agent_id]
         self.best_values = population.best_values[agent_id]
         self.last_values = population.last_values[agent_id]
-        self.attractor = population.attractors[agent_id]
         self.draws = population.draws[agent_id]
         self.spread_sums = population.spread_sums
+        self.worst = population.worst
+        self.best_seen = population.best_seen
 
     # -- observations --------------------------------------------------------
 
@@ -381,28 +419,17 @@ class AgentSwarm:
         moves every agent that drew."""
         self.rng.random(out=self.draws)
 
-    def inject_fused_state(self, fused: np.ndarray, value: float, refocus: bool = False) -> None:
-        """Fold the fused consensus state, a (D,) array, back into the population.
-
-        The attractor moves to the fused point and the worst particle is
-        teleported there with zero velocity; its personal best is reset to
-        `value`, the fused state's local evaluation (+inf if NaN), so stale
-        records cannot shadow the consensus state; best_seen takes `value` if
-        it is lower.
-        With refocus=True (late stage) the attractor follows the agent's own
-        best record instead, while the particle channel stays open.
+    def inject_fused_state(self, value: float) -> None:
+        """Record `value`, the local evaluation of this agent's fused state
+        (+inf if NaN), as the personal best and latest value of the particle
+        the last Population.inject moved there, so stale records cannot
+        shadow the consensus state; best_seen takes `value` if it is lower.
         """
-        if fused.shape != self.attractor.shape:
-            raise ContractError(
-                f"fused state has shape {fused.shape}, expected {self.attractor.shape}"
-            )
         if math.isnan(value):
             value = math.inf
-        best_values, best_seen = self.best_values, self.population.best_seen
-        worst = best_values.argmax()
-        self.positions[worst] = self.best_positions[worst] = fused
-        self.velocities[worst].fill(0.0)
-        best_values[worst] = self.last_values[worst] = value
-        if value < best_seen[self.agent_id]:
-            best_seen[self.agent_id] = value
-        self.attractor[...] = self.best_positions[best_values.argmin()] if refocus else fused
+        i = self.agent_id
+        worst = self.worst.item(i)
+        self.best_values[worst] = self.last_values[worst] = value
+        # A scalar test, not np.minimum, which would store -0.0 over 0.0.
+        if value < self.best_seen.item(i):
+            self.best_seen[i] = value

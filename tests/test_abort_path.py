@@ -57,7 +57,7 @@ def _faulting_step(fault_round: int):
     def step(self, *args, **kwargs):
         if self.agent_id == FAULTY_AGENT:
             if calls["n"] == fault_round:
-                self.velocities[...] = np.nan
+                self.population.velocities[self.agent_id] = np.nan
             calls["n"] += 1
         return original(self, *args, **kwargs)
 
@@ -162,21 +162,16 @@ SWARM_METHODS = (
     "inject_fused_state",
 )
 # Each swarm row view and the Population array it must stay a row of.
-ROW_VIEWS = {
-    "positions": "positions",
-    "velocities": "velocities",
-    "best_positions": "best_positions",
-    "best_values": "best_values",
-    "last_values": "last_values",
-    "attractor": "attractors",
-}
+ROW_VIEWS = ("positions", "best_values", "last_values", "draws")
+# The Population's (N,) arrays each swarm reads or writes its entry of.
+SHARED_ARRAYS = ("spread_sums", "worst", "best_seen")
 
 
 def test_swarm_arrays_stay_population_rows(monkeypatch):
     # A swarm that rebinds one of its arrays instead of writing in place
     # would drop out of the batched tell, picks and rebase without any
     # error. The 110 rounds cover kicks, the horizon-100 rebase and injection.
-    calls = {name: 0 for name in (*SWARM_METHODS, "rebase", "select")}
+    calls = {name: 0 for name in (*SWARM_METHODS, "rebase", "select", "inject", "attract")}
     callers = {name: [] for name in SWARM_METHODS}
     populations: list[Population] = []
     swarms: list[AgentSwarm] = []
@@ -184,10 +179,12 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
     def assert_rows_shared(swarm):
         population, i = populations[-1], swarm.agent_id
         assert swarm.population is population
-        for view, array in ROW_VIEWS.items():
-            assert np.shares_memory(getattr(swarm, view), getattr(population, array)[i]), (view, i)
-        # divergence reads entry i of the population's one batched reduction.
-        assert swarm.spread_sums is population.spread_sums, i
+        for view in ROW_VIEWS:
+            assert np.shares_memory(getattr(swarm, view), getattr(population, view)[i]), (view, i)
+        # divergence reads entry i of the population's one batched reduction,
+        # and inject_fused_state the particle the batched inject picked.
+        for name in SHARED_ARRAYS:
+            assert getattr(swarm, name) is getattr(population, name), (name, i)
 
     def checked(name):
         original = getattr(AgentSwarm, name)
@@ -202,7 +199,7 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
         return method
 
     population_init, swarm_init = Population.__init__, AgentSwarm.__init__
-    tell, rebase, select = Population.tell, Population.rebase, Population.select
+    tell, rebase = Population.tell, Population.rebase
 
     def checked_population_init(self, *args, **kwargs):
         population_init(self, *args, **kwargs)
@@ -223,9 +220,14 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
         for swarm in swarms:
             assert_rows_shared(swarm)
 
-    def checked_select(self, *args, **kwargs):
-        select(self, *args, **kwargs)
-        calls["select"] += 1
+    def counted(name):
+        original = getattr(Population, name)
+
+        def method(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            calls[name] += 1
+
+        return method
 
     for name in SWARM_METHODS:
         monkeypatch.setattr(AgentSwarm, name, checked(name))
@@ -233,15 +235,18 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
     monkeypatch.setattr(AgentSwarm, "__init__", checked_swarm_init)
     monkeypatch.setattr(Population, "tell", checked_tell)
     monkeypatch.setattr(Population, "rebase", checked_rebase)
-    monkeypatch.setattr(Population, "select", checked_select)
+    for name in ("select", "inject", "attract"):
+        monkeypatch.setattr(Population, name, counted(name))
     rounds = 110
     report = run(replace(_config(), max_iterations=rounds))
     assert not report.aborted and len(report.disagreement_trace) == rounds
     assert all(calls.values()), calls
-    # One batched regime gate per round. The benchmark harness counts the
-    # per-agent seams: one divergence, draw and injection per agent and round,
-    # in agent order, and one representative_state per agent at set-up.
-    assert calls["select"] == rounds
+    # One batched regime gate and one batched injection pass per round. The
+    # benchmark harness counts the per-agent seams: one divergence, draw and
+    # injection per agent and round, in agent order, and one
+    # representative_state per agent at set-up.
+    for name in ("select", "inject", "attract"):
+        assert calls[name] == rounds, name
     for name in ("divergence", "step_particles", "inject_fused_state"):
         assert calls[name] == 4 * rounds, name
         assert callers[name] == [0, 1, 2, 3] * rounds, name

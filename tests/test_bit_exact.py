@@ -9,11 +9,14 @@ the batched regime gate against the per-agent one, the step's folded draw
 table against its four separate draw operations, and the spread pass with each
 agent's row reduce, the xi-norm and the kick-start median against the numpy
 calls they replace. Every round of a run driven by hand must read the
-divergences of the positions it starts from.
+divergences of the positions it starts from. The batched injection, one
+Population.inject, the per-agent values and one Population.attract, must
+leave every array as the per-agent injection did.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -366,3 +369,80 @@ distance = st.one_of(st.floats(0.0, 1e300), st.just(math.inf))
 def test_kick_start_median_matches_np_median(distances):
     # Odd and even counts, ties and infinite distances alike.
     assert _median(distances).hex() == float(np.median(distances)).hex()
+
+
+def parent_inject_fused_state(population, i, fused, value, refocus):
+    """AgentSwarm.inject_fused_state as first written, on agent i's rows."""
+    if math.isnan(value):
+        value = math.inf
+    positions, velocities = population.positions[i], population.velocities[i]
+    best_positions, best_values = population.best_positions[i], population.best_values[i]
+    best_seen = population.best_seen
+    worst = best_values.argmax()
+    positions[worst] = best_positions[worst] = fused
+    velocities[worst].fill(0.0)
+    best_values[worst] = population.last_values[i, worst] = value
+    if value < best_seen[i]:
+        best_seen[i] = value
+    population.attractors[i] = best_positions[best_values.argmin()] if refocus else fused
+
+
+def assert_injections_agree(records, seen, values, refocus, p=4, dim=3):
+    """Inject fused states and values into two copies of a population whose
+    best records are `records` and best_seen `seen`, batched and as first
+    written; every array must come out with the same bytes."""
+    n = len(values)
+    population = new_population(p, dim, [np.random.default_rng(i) for i in range(n)])
+    population.best_values[...] = records
+    population.last_values[...] = np.asarray(records) + 1.0
+    population.best_seen[...] = seen
+    population.best_positions[...] = -population.positions
+    population.velocities[...] = 1.0
+    fused = np.random.default_rng(n).uniform(-1.0, 1.0, (n, dim))
+    reference = copy.deepcopy(population)
+
+    population.inject(fused)
+    for i, value in enumerate(values):
+        AgentSwarm(population, i).inject_fused_state(value)
+    population.attract(fused, refocus)
+    for i, (row, value) in enumerate(zip(fused, values)):
+        parent_inject_fused_state(reference, i, row, value, refocus)
+
+    for name in ("positions", "velocities", "best_positions", "best_values",
+                 "last_values", "attractors", "best_seen"):
+        assert getattr(population, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+INJECT_CASES = {
+    # NaN values are kept as +inf, also in the refocus pick.
+    "nan values": ([[1.0, 5.0, 2.0, 0.5], [3.0, 3.0, 1.0, 0.0]], [0.0, 0.0], [math.nan, 0.25]),
+    # Tied worst records: the lowest index takes the fused state.
+    "tied worst": ([[4.0, 1.0, 4.0, 4.0], [math.inf, 2.0, math.inf, 1.0]], [1.0, 1.0], [2.0, 3.0]),
+    # Below every record, the value is the new best record and best_seen.
+    "below every record": ([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]], [1.0, 5.0], [-7.0, 0.5]),
+    # -0.0 < 0.0 is false, so best_seen keeps its 0.0; np.minimum stores -0.0.
+    "zero on zero": ([[0.0, 2.0, 0.0, 1.0], [3.0, 0.0, 0.0, 0.0]], [0.0, 0.0], [-0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("refocus", [False, True])
+@pytest.mark.parametrize("case", sorted(INJECT_CASES))
+def test_batched_injection_matches_the_per_agent_injection(case, refocus):
+    records, seen, values = INJECT_CASES[case]
+    assert_injections_agree(records, seen, values, refocus)
+
+
+record = st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf])
+injected = st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.5, math.inf, math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(refocus=st.booleans(), data=st.data())
+def test_batched_injection_matches_on_drawn_records(refocus, data):
+    # Records from a pool of five, so ties, signed zeros and all-inf rows are common.
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(st.integers(1, 5))
+    records = data.draw(arrays(float, (n, p), elements=record))
+    seen = np.minimum.reduce(records, axis=1)
+    values = data.draw(st.lists(injected, min_size=n, max_size=n))
+    assert_injections_agree(records, seen, values, refocus, p=p)

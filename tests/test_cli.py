@@ -581,7 +581,7 @@ def test_non_finite_particle_state_exits_as_numerical_fault(tmp_path, capsys, mo
 
     def step(self, *args, **kwargs):
         if self.agent_id == 2:
-            self.velocities[...] = np.nan
+            self.population.velocities[2] = np.nan
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(AgentSwarm, "step_particles", step)

@@ -355,7 +355,7 @@ def test_numerical_fault_aborts_with_flag(sphere_small, ring4, monkeypatch):
 
     def step(self, *args, **kwargs):
         if self.agent_id == 1:
-            self.velocities[...] = np.nan
+            self.population.velocities[1] = np.nan
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(AgentSwarm, "step_particles", step)

@@ -86,8 +86,19 @@ def divergence(swarm):
     return swarm.divergence()
 
 
-def inject(swarm, fused):
-    swarm.inject_fused_state(fused, sphere_batch(fused[None, :])[0])
+def inject(population, fused, values, refocus=False):
+    """The engine's fold of the (N, D) fused states: one batched pass, each
+    agent's value recorded in agent order, then the attractors."""
+    population.inject(fused)
+    for i, value in enumerate(values):
+        AgentSwarm(population, i).inject_fused_state(value)
+    population.attract(fused, refocus)
+
+
+def inject_one(swarm, fused):
+    """Fold one agent's fused state, scored on the sphere, into its swarm."""
+    fused = fused[None, :]
+    inject(swarm.population, fused, sphere_batch(fused).tolist())
 
 
 # The divergence measures spread about the centroid, and the mean squared
@@ -213,26 +224,45 @@ def test_representative_tie_breaks_to_lower_index():
 
 def test_inject_sets_attractor_and_replaces_worst():
     swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]])
-    fused = np.array([0.5, 0.5])
-    inject(swarm, fused)
     population = swarm.population
+    population.velocities[0] = 1.0
+    fused = np.array([0.5, 0.5])
+    inject_one(swarm, fused)
     assert np.array_equal(population.attractors[0], fused)
     assert np.array_equal(population.positions[0, 1], fused)
+    assert np.array_equal(population.best_positions[0, 1], fused)
     assert np.all(population.velocities[0, 1] == 0.0)
-    assert population.best_values[0, 1] == pytest.approx(sphere_batch(fused[None, :])[0])
+    # The other particle keeps its state.
+    assert np.array_equal(population.positions[0, 0], [1.0, 0.0])
+    assert np.all(population.velocities[0, 0] == 1.0)
+    value = sphere_batch(fused[None, :])[0]
+    assert population.best_values[0, 1] == population.last_values[0, 1] == value
 
 
 def test_inject_onto_best_duplicates_it():
     swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]])
     best = swarm.population.positions[0, 0].copy()
-    inject(swarm, best)
+    inject_one(swarm, best)
     assert np.array_equal(swarm.population.positions[0, 1], best)
 
 
 def test_inject_dimension_mismatch_rejected():
+    # The batched pass takes one (D,) row per agent and nothing else: a wrong
+    # dimension, a missing agent axis or an extra agent fails before any write.
     swarm = make_swarm([[1.0, 0.0]])
-    with pytest.raises(ContractError):
-        inject(swarm, np.zeros(3))
+    population = swarm.population
+    before = population.positions.copy()
+    for shape in [(1, 3), (2,), (2, 2)]:
+        with pytest.raises(ContractError):
+            population.inject(np.zeros(shape))
+    assert np.array_equal(population.positions, before)
+
+
+def test_a_value_recorded_before_any_inject_raises():
+    # Until inject picks a particle, the seam has no particle to record on.
+    swarm = make_swarm([[1.0, 0.0], [5.0, 5.0]])
+    with pytest.raises(IndexError):
+        swarm.inject_fused_state(0.0)
 
 
 def test_positions_stay_in_bounds():
@@ -376,7 +406,6 @@ def test_best_seen_is_the_running_minimum_of_every_record(p, data):
     # after the call that wrote it, so their snapshots hold them all.
     n, dim = 2, 2
     population = new_population(p, dim, -1.0, 1.0, [np.random.default_rng(i) for i in range(n)])
-    swarms = [AgentSwarm(population, i) for i in range(n)]
     held = [[math.inf] for _ in range(n)]
     previous = population.best_seen.copy()
     for op in data.draw(st.lists(st.sampled_from(["tell", "inject", "rebase"]), max_size=12)):
@@ -384,8 +413,8 @@ def test_best_seen_is_the_running_minimum_of_every_record(p, data):
             values = data.draw(st.lists(VALUES, min_size=n * p, max_size=n * p))
             population.tell(np.reshape(values, (n, p)))
         elif op == "inject":
-            swarm = swarms[data.draw(st.integers(0, n - 1))]
-            swarm.inject_fused_state(np.zeros(dim), data.draw(VALUES), data.draw(st.booleans()))
+            values = data.draw(st.lists(VALUES, min_size=n, max_size=n))
+            inject(population, np.zeros((n, dim)), values, data.draw(st.booleans()))
         else:
             population.rebase()
         for i in range(n):
@@ -508,6 +537,57 @@ def test_a_non_finite_row_moves_no_row():
     before = population.positions.copy()
     assert step_all(population, swarms, 1.0) == 1
     assert np.array_equal(population.positions, before)
+
+
+# The step's working buffers: the draw buffer, which step scales in place,
+# its views, and the scratch the new state is built in.
+WORK_BUFFERS = {"draws", "delta", "pull_pbest", "pull_attractor", "kick", "scratch", "moved", "proposed"}
+
+
+def one_dead_particle(nan_row=None):
+    """Four agents, set up. Row 0's particles sit within 0.03 of its
+    attractor, as their own personal bests, so its kick scale would be seeded
+    below its start; particle 1 rests on the attractor, so no pull moves it
+    and it is dead. Row nan_row's velocities are NaN."""
+    population, swarms = make_population(4)
+    offsets = np.linspace(-0.01, 0.01, population.positions[0].size).reshape(4, 3)
+    population.positions[0] = population.attractors[0] + offsets
+    population.positions[0, 1] = population.attractors[0]
+    population.best_positions[0] = population.positions[0]
+    population.velocities[0, 1] = 0.0
+    if nan_row is not None:
+        population.velocities[nan_row] = np.nan
+    return population, swarms
+
+
+def test_a_faulting_step_commits_nothing():
+    # Row 2's velocities are NaN. Row 0's collapse recovery would start and
+    # set its kick scale, and rows 1 and 3, with no dead particle, would step
+    # their generators back over the kick draws. A faulting step does none of
+    # it: every array but its working buffers, and every generator, is as it
+    # was before the call.
+    population, swarms = one_dead_particle(nan_row=2)
+    population.active[...] = 1.0
+    for swarm in swarms:
+        swarm.step_particles()
+    before = copy.deepcopy(population)
+    assert population.step(record_pull=True) == 2
+    state = {k for k, v in vars(population).items() if isinstance(v, np.ndarray)} - WORK_BUFFERS
+    assert {"positions", "velocities", "kick_sigma", "kicking", "best_seen"} <= state
+    for name in sorted(state):
+        assert getattr(population, name).tobytes() == getattr(before, name).tobytes(), name
+    for rng, old in zip(population.rngs, before.rngs):
+        assert rng.bit_generator.state == old.bit_generator.state
+
+    # Without the NaN row the same round commits all three.
+    population, swarms = one_dead_particle()
+    states = [copy.deepcopy(rng) for rng in population.rngs]
+    assert step_all(population, swarms, 1.0) is None
+    assert population.kicking.tolist() == [True, False, False, False]
+    assert population.kick_sigma[0] < before.kick_sigma[0]
+    for i in (1, 3):
+        states[i].random(population.draws.shape[1] - population.kick[i].size)
+        assert population.rngs[i].bit_generator.state == states[i].bit_generator.state
 
 
 @pytest.mark.parametrize("sigma, kicked", [(0.0, False), (1e6, True)])
