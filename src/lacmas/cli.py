@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, scheduler
-from .analysis import check_admissibility
 from .config import (
     ExperimentConfig,
     build_benchmark,
@@ -33,6 +32,7 @@ from .config import (
     seeded_runs,
     wsn_runs,
 )
+from .cooperation import check_admissibility
 from .errors import ConfigError, ContractError, RunAborted
 from .objectives import FAMILIES
 from .wsn import SUCCESS_ERROR, floored_means, system_error
@@ -292,7 +292,8 @@ def cmd_verify(args) -> int:
         if not report.passed:
             failures += 1
             print(f"iteration {idx}: violation "
-                  f"(row_dev={report.max_row_deviation!r}, min={report.min_entry!r})")
+                  f"(row_dev={report.max_row_deviation!r}, min={report.min_entry!r}, "
+                  f"off_pattern={report.first_violation!r})")
     admissible = failures == 0
     print(f"admissible: {'true' if admissible else 'false'} "
           f"({len(matrices)} matrices, {failures} violations)")

@@ -1,17 +1,22 @@
-"""Neighbor descriptors, weight projection, and mixing-matrix assembly.
+"""Neighbor descriptors and the mixing matrix: assembly, weight projection
+and the admissibility check.
 
 Cooperation weights live on the closed neighborhood of each agent (neighbors
 plus self), and the mixing matrix is their only copy: row i holds agent i's
 weights. Whatever a guidance provider proposes, project_weights turns it into
 a nonnegative, graph-compatible row that sums to one, so the mixing matrix is
-admissible at every iteration by construction. The engine fuses the published
-states as matrix @ states.
+admissible at every iteration by construction; check_admissibility verifies
+it. The engine fuses the published states as matrix @ states. The other
+consensus condition, an effective perturbation (the residual between
+consecutive stacked states and their mixed predecessors) that decays on a
+converging run, is measured by the engine as RunReport.xi_norm_trace.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +24,7 @@ from .errors import ContractError
 from .topology import CommGraph
 
 ROW_SUM_TOL = 1e-12
+ROW_SUM_CHECK_TOL = 1e-9
 
 
 def build_descriptor(history, window: int) -> np.ndarray:
@@ -89,5 +95,39 @@ def project_weights(raw: Sequence[float], graph: CommGraph, owner: int) -> np.nd
 def assemble_mixing_matrix(graph: CommGraph) -> np.ndarray:
     """The uniform N x N matrix a run starts from: row i spreads equal weight
     over agent i's closed neighborhood."""
-    allowed = graph.allowed
-    return allowed / allowed.sum(axis=1, keepdims=True)
+    m = np.eye(graph.num_agents)
+    m[graph.edges] = 1.0
+    return m / m.sum(axis=1, keepdims=True)
+
+
+@dataclass(frozen=True)
+class AdmissibilityReport:
+    max_row_deviation: float
+    min_entry: float
+    first_violation: tuple[int, int] | None  # first entry off the pattern, row-major
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.max_row_deviation <= ROW_SUM_CHECK_TOL
+            and self.min_entry >= 0.0
+            and self.first_violation is None
+        )
+
+
+def check_admissibility(matrix: np.ndarray, graph: CommGraph) -> AdmissibilityReport:
+    """Verify nonnegativity, row sums, and graph compatibility of a mixing matrix."""
+    a = np.asarray(matrix, dtype=float)
+    n = graph.num_agents
+    if a.shape != (n, n):
+        raise ContractError(f"matrix shape {a.shape} does not match {n} agents")
+    off = a != 0.0
+    off[graph.edges] = False
+    np.fill_diagonal(off, False)
+    offenders = np.argwhere(off)
+    first_violation = tuple(map(int, offenders[0])) if len(offenders) else None
+    return AdmissibilityReport(
+        max_row_deviation=float(np.abs(a.sum(axis=1) - 1.0).max()),
+        min_entry=float(a.min()),
+        first_violation=first_violation,
+    )

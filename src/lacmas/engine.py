@@ -31,7 +31,9 @@ runs the seven PHASES over that state, in order:
 
 A non-finite particle state stops the run in `_step`, with nothing committed, so
 the report holds the state after the last complete round; a non-finite best
-value or divergence stops it in `_bookkeep`, before it reaches the history.
+value or divergence stops it in `_bookkeep`, before it reaches the history,
+and the report's final states are still the last complete round's (the set-up
+states if round 0 faults).
 RunReport is the run's only accumulator; its `phase_ns` times set-up, each
 phase and `_finish`. Serial agent order plus per-agent RNG streams derived
 from the master seed make runs bit-reproducible with the heuristic provider.
@@ -49,8 +51,12 @@ from typing import Protocol
 import numpy as np
 
 from . import scheduler
-from .cooperation import assemble_mixing_matrix, build_descriptor, project_weights
-from .analysis import check_admissibility
+from .cooperation import (
+    assemble_mixing_matrix,
+    build_descriptor,
+    check_admissibility,
+    project_weights,
+)
 from .errors import ConfigError, ContractError, RunAborted
 from .guidance import (
     ACT_WINDOW,
@@ -505,9 +511,9 @@ PHASE_KEYS = ("start", *(phase.__name__[1:] for phase in PHASES), "finish")
 def _finish(state: RunState) -> None:
     """The final-state fields of the report."""
     report, obj = state.report, state.objective
-    # A completed round leaves its fused states in prev.
-    final_states = state.prev if report.disagreement_trace else state.reps
-    report.final_states = final_states
+    # The last completed round's fused states, or the set-up reps before one;
+    # a round that aborts never moves prev.
+    report.final_states = final_states = state.prev
     report.final_mean_state = mean_state = final_states.mean(axis=0)
     if not report.aborted:
         report.final_fitness_mean_state = obj.eval_global(mean_state)

@@ -26,11 +26,11 @@ agent's coefficient, and one Population.step moves every row, or commits
 nothing if any row's new state is not finite, and steps back the generator of
 each agent that needed no kick, so every stream is consumed exactly as if the
 kick were drawn only when a particle is dead. The caller evaluates the
-positions in one batch, at set-up as in every round, and hands the values to
-Population.tell. The fused states go back the same way: one Population.inject
-moves every agent's worst particle onto its fused state, each
-AgentSwarm.inject_fused_state records only its own agent's value, and one
-Population.attract sets every attractor.
+positions, at set-up with one call per agent and in each round in one batch,
+and hands the values to Population.tell. The fused states go back the same
+way: one Population.inject moves every agent's worst particle onto its fused
+state, each AgentSwarm.inject_fused_state records only its own agent's value,
+and one Population.attract sets every attractor.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 A CommGraph checks itself when it is built, so a graph that exists is valid,
 and it is never mutated afterwards; only the cooperation weights on top of it
 adapt during a run. Neighbor lists exclude the node itself. The graph also
-owns everything derived from the lists: the closed neighborhoods (neighbors
-plus self), the (N, N) mask of entries a mixing matrix may fill and the
-directed-edge arrays, each computed once.
+owns the adjacency facts derived from the lists: the closed neighborhoods
+(neighbors plus self) and the directed-edge arrays, each computed once.
 """
 
 from __future__ import annotations
@@ -41,17 +40,6 @@ class CommGraph:
         """Each agent's closed neighborhood, its neighbors plus itself, in
         increasing order."""
         return tuple(tuple(sorted((*nbrs, i))) for i, nbrs in enumerate(self.neighbor_lists))
-
-    @cached_property
-    def allowed(self) -> np.ndarray:
-        """Read-only (N, N) mask, True where row i may weigh agent k: on i's
-        closed neighborhood."""
-        n = self.num_agents
-        rows = np.repeat(np.arange(n), [len(members) for members in self.neighborhoods])
-        allowed = np.zeros((n, n), dtype=bool)
-        allowed[rows, [k for members in self.neighborhoods for k in members]] = True
-        allowed.setflags(write=False)
-        return allowed
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:

@@ -180,7 +180,7 @@ class WsnObjectiveSet:
     def eval_global(self, x: np.ndarray) -> float:
         """Average local objective; the offline estimation-error functional."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ContractError("global objective takes one decision vector")
+        if x.shape != (self.scenario.dim,):
+            raise ContractError(f"expected one ({self.scenario.dim},) point, got {x.shape}")
         every_sensor = x[None, None, :].repeat(self.scenario.num_sensors, axis=0)
         return float(self.eval_all(every_sensor).mean())

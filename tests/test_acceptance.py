@@ -18,9 +18,8 @@ import numpy as np
 import pytest
 
 from lacmas import guidance as gd
-from lacmas.analysis import check_admissibility
 from lacmas.config import build_benchmark, seeded_runs, wsn_runs
-from lacmas.cooperation import project_weights
+from lacmas.cooperation import check_admissibility, project_weights
 from lacmas.engine import run_batch, write_trace_csv
 from lacmas.errors import GuidanceParseError
 from lacmas.scheduler import PcgConfig, gate_ext, gate_int, stage

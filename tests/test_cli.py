@@ -723,6 +723,20 @@ def test_verify_rejects_inadmissible_matrices(tmp_path, capsys):
     assert "admissible: false" in capsys.readouterr().out
 
 
+def test_verify_names_the_first_off_pattern_entry(tmp_path, capsys):
+    # 0 and 2 are not adjacent in ring(4); row 0 still sums to 1 and holds
+    # no negative entry, so only the entry's position says what is wrong.
+    bad = np.eye(4)
+    bad[0, 0] = bad[0, 2] = 0.5
+    path = tmp_path / "bad.npz"
+    np.savez(path, bad)
+    code = main(["verify", "--config", str(write_config(tmp_path)), str(path)])
+    assert code == EXIT_VERIFY
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "iteration 0: violation (row_dev=0.0, min=0.0, off_pattern=(0, 2))"
+    )
+
+
 def test_verify_output_positive(tmp_path, capsys):
     good = np.full((4, 4), 0.0)
     ring_rows = {0: (0, 1, 3), 1: (0, 1, 2), 2: (1, 2, 3), 3: (0, 2, 3)}

@@ -3,11 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacmas.analysis import check_admissibility
-from lacmas.cooperation import assemble_mixing_matrix, build_descriptor, project_weights
+from lacmas.cooperation import (
+    ROW_SUM_CHECK_TOL,
+    assemble_mixing_matrix,
+    build_descriptor,
+    check_admissibility,
+    project_weights,
+)
 from lacmas.engine import AgentHistory
 from lacmas.errors import ContractError
-from lacmas.topology import build_ring
+from lacmas.topology import build_random_connected, build_ring
 
 
 def as_raw(weights, graph, owner):
@@ -121,6 +126,79 @@ def test_assembled_matrix_is_admissible():
         m[i] = project_weights(rng.uniform(-1, 2, size=3).tolist(), g, i)
     report = check_admissibility(m, g)
     assert report.passed
+
+
+def test_identity_matrix_is_admissible(ring4):
+    report = check_admissibility(np.eye(4), ring4)
+    assert report.passed
+    assert report.max_row_deviation == 0.0
+
+
+def test_uniform_ring3_is_admissible():
+    g = build_ring(3)
+    assert check_admissibility(np.full((3, 3), 1 / 3), g).passed
+
+
+def test_negative_entry_fails(ring4):
+    m = np.eye(4)
+    m[0, 0] = 1.2
+    m[0, 1] = -0.2
+    report = check_admissibility(m, ring4)
+    assert not report.passed
+    assert report.min_entry == pytest.approx(-0.2)
+    assert report.first_violation is None
+
+
+def test_off_pattern_entry_fails(ring4):
+    # 0 and 2 are not adjacent in ring(4).
+    m = np.eye(4)
+    m[0, 0] = 0.5
+    m[0, 2] = 0.5
+    report = check_admissibility(m, ring4)
+    assert not report.passed
+    assert report.first_violation == (0, 2)
+    assert report.min_entry == 0.0 and report.max_row_deviation == 0.0
+
+
+def test_row_sum_deviation_fails(ring4):
+    m = np.eye(4)
+    m[1, 1] = 0.9999
+    report = check_admissibility(m, ring4)
+    assert not report.passed
+    assert report.max_row_deviation > ROW_SUM_CHECK_TOL
+    assert report.max_row_deviation == pytest.approx(1e-4)
+
+
+def test_row_sum_tolerance_absorbs_rounding(ring4):
+    m = np.eye(4)
+    m[1, 1] = 1.0 + 5e-10
+    assert check_admissibility(m, ring4).passed
+
+
+def test_shape_mismatch_rejected(ring4):
+    with pytest.raises(ContractError):
+        check_admissibility(np.eye(3), ring4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+    cells=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
+)
+def test_first_violation_is_the_first_off_neighborhood_entry(n, p, seed, cells):
+    # The oracle scans row-major for a nonzero entry off i's closed
+    # neighborhood; NaN counts as nonzero.
+    g = build_random_connected(n, p, seed)
+    m = assemble_mixing_matrix(g)
+    for k, (i, j) in enumerate(cells):
+        m[i % n, j % n] = (0.5, np.nan, -1.0, 0.0)[k]
+    expected = next(
+        ((i, j) for i in range(n) for j in range(n) if m[i, j] != 0.0 and j not in g.neighborhoods[i]),
+        None,
+    )
+    assert check_admissibility(m, g).first_violation == expected
 
 
 raw_entry = st.floats(min_value=-10, max_value=10, allow_nan=False)

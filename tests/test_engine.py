@@ -340,7 +340,7 @@ def test_admissibility_clean_across_run(sphere_small, ring4):
 
 
 def test_recorded_matrices_replay(sphere_small, ring4):
-    from lacmas.analysis import check_admissibility
+    from lacmas.cooperation import check_admissibility
 
     cfg = small_config(sphere_small, ring4, max_iterations=15, convergence_threshold=1e-30)
     cfg.record_matrices = True
@@ -400,6 +400,20 @@ def test_batch_ends_at_its_first_aborted_run(sphere_small, ring4, monkeypatch):
     assert caught.value.index == 1
     assert caught.value.report is calls[1][1]
     assert caught.value.report.fault.startswith("non-finite best value")
+
+
+def test_round_0_bookkeep_abort_reports_the_set_up_states(ring4):
+    # Positions near 1e155 overflow the divergence in round 0, which stops in
+    # _bookkeep after _evaluate has published that round's states: the report
+    # must hold the states before the faulting round, the set-up reps.
+    overflowing = make_spec("sphere", num_agents=4, dim=2, hetero_sigma=0.0, seed=0, bound=1e155)
+    config = small_config(overflowing, ring4, master_seed=0, max_iterations=20)
+    report = run(config)
+    assert report.fault.endswith("divergence inf for agent 0 in round 0")
+    assert not report.disagreement_trace
+    with np.errstate(over="ignore"):  # as run's set-up evaluates
+        reps = RunState(config).reps
+    assert report.final_states.tobytes() == reps.tobytes()
 
 
 def test_graph_objective_size_mismatch_rejected(sphere_small):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacmas.analysis import check_admissibility
-from lacmas.cooperation import assemble_mixing_matrix, project_weights
+from lacmas.cooperation import assemble_mixing_matrix, check_admissibility, project_weights
 from lacmas.errors import ConfigError
 from lacmas.topology import CommGraph, build_explicit, build_random_connected, build_ring
 
@@ -145,11 +144,12 @@ def test_derived_arrays_follow_the_lists():
         (i, k) for i, nbrs in enumerate(g.neighbor_lists) for k in nbrs
     ]
     assert g.num_directed_edges() == 8
+    # The uniform matrix fills exactly the closed neighborhoods.
     expected = [[k in g.neighborhoods[i] for k in range(4)] for i in range(4)]
-    assert g.allowed.tolist() == expected
+    assert (assemble_mixing_matrix(g) != 0.0).tolist() == expected
     # Computed once and shared, so nobody may write to them.
-    assert g.allowed is g.allowed and g.edges is g.edges
-    assert not any(a.flags.writeable for a in (g.allowed, src, dst))
+    assert g.edges is g.edges
+    assert not any(a.flags.writeable for a in (src, dst))
 
 
 @settings(max_examples=40, deadline=None)

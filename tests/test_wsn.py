@@ -194,5 +194,14 @@ def test_system_error_rejects_wrongly_shaped_states(shape):
 def test_eval_global_rejects_a_batch():
     scn = gen_scenario(num_sensors=4, num_targets=1, seed=0)
     obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=0))
-    with pytest.raises(ContractError, match="one decision vector"):
+    with pytest.raises(ContractError, match=r"expected one \(3,\) point, got \(2, 3\)"):
         obj.eval_global(np.full((2, 3), 10.0))
+
+
+def test_eval_global_rejects_a_wrong_length_point():
+    # Checked only by ndim, a (5,) point failed deep in eval_all with a
+    # batch-shape message; BenchmarkSpec.eval_global's message names it.
+    scn = gen_scenario(num_sensors=4, num_targets=1, seed=0)
+    obj = WsnObjectiveSet(scenario=scn, phi=gen_measurements(scn, seed=0))
+    with pytest.raises(ContractError, match=r"expected one \(3,\) point, got \(5,\)"):
+        obj.eval_global(np.full(5, 10.0))
