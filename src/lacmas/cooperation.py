@@ -31,14 +31,15 @@ def build_descriptor(history, window: int) -> np.ndarray:
     """Every agent's descriptor: the means of its fitness and divergence over
     the most recent `window` rounds, as an (N, 2) array.
 
-    `history` is an engine.AgentHistory. The means reduce the contiguous last
-    axis of its window, so each rounds like np.mean over the same records.
+    `history` is an engine.AgentHistory. The means reduce the contiguous,
+    oldest-first last axis of an (N, 2, w) copy, rounding like np.mean.
     """
-    values = history.recent(window)
-    count = values.shape[2]
+    records = history.recent(window)
+    count = len(records)
     if not count:
         raise ContractError("descriptor requires a non-empty history")
-    means = values[:, :2].sum(axis=2) / count
+    values = np.array([record[:2] for record in records]).transpose(2, 1, 0).copy()
+    means = values.sum(axis=2) / count
     if not np.isfinite(means).all():
         raise ContractError("descriptor means must be finite")
     if (means[:, 1] < 0).any():

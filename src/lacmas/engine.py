@@ -1,10 +1,10 @@
 """Round-synchronous run loop.
 
-`RunState(config)` sets a run up: the provider, every agent's generator and
-swarm rows in one Population, the initial evaluation (one eval_local_batch
-call per agent, stacked into one Population.tell, then each attractor seeded
-from its representative_state) and the uniform mixing matrix. Each round then
-runs the seven PHASES over that state, in order:
+`RunState(config)` sets a run up in the rounds' error state: the provider,
+every agent's generator and swarm rows in one Population, the initial
+evaluation (one eval_local_batch call per agent, stacked into one tell, then
+each attractor seeded from its representative_state) and the uniform mixing
+matrix. Each round then runs the seven PHASES over that state, in order:
 
 1. `_step`: one Population.spread pass squares every agent's particle
    spread and sums each agent's squares in one reduction; in agent order each
@@ -23,8 +23,8 @@ runs the seven PHASES over that state, in order:
    Population.inject moves every agent's worst particle onto its fused state,
    each agent in agent order records its fused state's value there, and one
    Population.attract sets every attractor;
-6. `_bookkeep`: metrics, the fault check, one AgentHistory append and the
-   round's disagreement, stored for every round;
+6. `_bookkeep`: the fault check, one AgentHistory append of the round's raw
+   records and the round's disagreement, stored for every round;
 7. `_trace`: the convergence test and, on a sampled round, its index and
    global fitness. These are the trace CSV's stored columns; write_trace_csv
    derives `comm_cost`, `stage` and the gates from the round index.
@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import time
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Protocol
@@ -81,6 +82,9 @@ _GUIDED_VARIANTS = ("act", "coop", "full")
 DESCRIPTOR_SCALARS = 2  # fitness / divergence means per exchange
 
 _sum = np.add.reduce
+# Set-up and rounds yield inf or NaN on overflow and invalid operations, which
+# the rounds report as a numerical fault; numpy's warnings would only repeat it.
+_FAULTS_AS_VALUES = {"over": "ignore", "invalid": "ignore"}
 
 
 class ObjectiveSet(Protocol):
@@ -124,45 +128,42 @@ def comm_cost_per_round(graph: CommGraph, dim: int) -> int:
 
 
 class AgentHistory:
-    """Every agent's published statistics over the last W = ACT_WINDOW rounds,
-    the furthest back any reader looks.
+    """The raw records of the last ACT_WINDOW rounds, from which a gate's reader
+    derives its window statistics. A record is (best_seen, divergences, fused):
+    a copy of Population.best_seen, which tell and injection write in place,
+    and the round's own (N,) divergences and (N, D) fused states, never written."""
 
-    `values[i, f]` holds agent i's statistic f (FIELDS order), one record per
-    round, in order. The k-th appended round goes to slots k % W and
-    k % W + W, so every window of recent rounds is one contiguous,
-    oldest-first slice of the last axis, and a mean along it rounds like
-    np.mean over the same records in a list.
-    """
+    def __init__(self):
+        self.records = deque(maxlen=ACT_WINDOW)
 
-    FIELDS = ("best_fitness", "divergence", "local_disagreement")
+    def append(self, best_seen: np.ndarray, divergences: np.ndarray, fused: np.ndarray) -> None:
+        """Record the next round."""
+        self.records.append((best_seen.copy(), divergences, fused))
 
-    def __init__(self, num_agents: int):
-        self.values = np.zeros((num_agents, len(self.FIELDS), 2 * ACT_WINDOW))
-        self._count = 0
-
-    def append(self, cols) -> None:
-        """Record the next round: one (N,) array per field, in FIELDS order."""
-        self._count += 1
-        slot, col = self._slot, np.array(cols).T
-        self.values[:, :, slot] = self.values[:, :, slot + ACT_WINDOW] = col
-
-    @property
-    def _slot(self) -> int:
-        """The latest round's slot in the lower copy."""
-        return (self._count - 1) % ACT_WINDOW
-
-    def recent(self, window: int) -> np.ndarray:
-        """The values (N, 3, w) of the most recent w = min(window, len)
-        rounds, oldest first, as a view."""
+    def recent(self, window: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The records of the most recent min(window, len) rounds, oldest first."""
         if window < 1:
             # An unchecked 0 would read as an empty window, not a bad request.
             raise ContractError(f"history window must be >= 1, got {window}")
-        end = self._slot + ACT_WINDOW + 1
-        span = slice(end - min(window, len(self)), end)
-        return self.values[:, :, span]
+        return list(self.records)[-window:]
 
     def __len__(self) -> int:
-        return min(self._count, ACT_WINDOW)
+        return len(self.records)
+
+
+def local_disagreement(fused: np.ndarray, graph: CommGraph) -> np.ndarray:
+    """Each agent's mean distance to its neighbors' fused states in each of
+    w rounds, (w, N, D) -> (w, N); a lone agent has none and reads 0."""
+    rounds, n = fused.shape[:2]
+    src, dst = graph.edges
+    # take gathers the rows fused[:, src] would, at about half the cost.
+    e = fused.take(src, 1) - fused.take(dst, 1)
+    norms = np.sqrt(_sum(e * e, axis=-1)).ravel()
+    # Round k's edges go to bins k * N + src, each adding its edges in edge
+    # order, as one round's bincount over src does.
+    bins = (src + n * np.arange(rounds)[:, None]).ravel()
+    sums = np.bincount(bins, weights=norms, minlength=rounds * n)
+    return sums.reshape(rounds, n) / np.maximum(np.bincount(src, minlength=n), 1)
 
 
 # -- configuration and report ----------------------------------------------------
@@ -251,6 +252,7 @@ class RunReport:
     gate_int_iterations: list[int] = field(default_factory=list)
     # Nanoseconds in set-up ("start"), in each phase of PHASES and in "finish".
     phase_ns: dict[str, int] = field(default_factory=dict)
+    stop_reason: str | None = None  # converged, max_iterations or numerical_fault
     aborted: bool = False
     fault: str | None = None
     matrices: list[np.ndarray] | None = None
@@ -295,6 +297,7 @@ def summarize(report: RunReport) -> str:
     lines = [
         f"variant={report.variant} seed={report.master_seed}",
         f"converged_at={conv}",
+        f"stop_reason={report.stop_reason}",
         f"final_fitness_mean_state={report.final_fitness_mean_state!r}",
         f"final_mean_local_fitness={report.final_mean_local_fitness!r}",
         f"final_best_agent_value={report.final_best_agent_value!r}",
@@ -319,6 +322,7 @@ class RunState:
     history and the mixing matrix. Within a round, each phase leaves on it what
     later phases read (divergences, fused states)."""
 
+    @np.errstate(**_FAULTS_AS_VALUES)
     def __init__(self, config: RunConfig):
         self.config = config
         self.objective, self.graph = obj, graph = config.objective, config.graph
@@ -344,11 +348,7 @@ class RunState:
         self.draw_calls = [swarm.step_particles for swarm in swarms]
         self.inject_calls = [swarm.inject_fused_state for swarm in swarms]
 
-        self.history = AgentHistory(n)
-        # Directed-edge arrays for vectorized local-disagreement means; a lone
-        # agent has no edges and a local disagreement of 0.
-        self.edge_src, self.edge_dst = graph.edges
-        self.degrees = np.maximum(np.bincount(self.edge_src, minlength=n), 1)
+        self.history = AgentHistory()
         # The mixing matrix is the only copy of the cooperation weights. It starts
         # uniform and changes only on cooperation refreshes, which verify it again.
         self.matrix = assemble_mixing_matrix(graph)
@@ -399,10 +399,10 @@ def _guide_act(state: RunState, t: int) -> bool:
     if scheduler.gate_int(t, config.pcg) and config.variant in _ACT_VARIANTS and len(history):
         report, population = state.report, state.population
         report.gate_int_iterations.append(t)
-        values = history.recent(ACT_WINDOW)
-        iterations = range(t - values.shape[2], t)  # one record per round
-        # Best fitness and local disagreement, per agent.
-        fitness, local_dis = values[:, 0].tolist(), values[:, 2].tolist()
+        # Best fitness and local disagreement, per agent, oldest first.
+        bests, _, fused = map(np.array, zip(*history.recent(ACT_WINDOW)))
+        iterations = range(t - len(bests), t)  # one record per round
+        fitness, local_dis = bests.T.tolist(), local_disagreement(fused, state.graph).T.tolist()
         coefficients = population.coefficients.tolist()
         # Each request reads only its own agent's pair, so all are built
         # before any answer applies; the answers apply in agent order.
@@ -465,10 +465,6 @@ def _fuse_inject(state: RunState, t: int) -> bool:
 def _bookkeep(state: RunState, t: int) -> bool:
     """Round metrics, the fault check and one history append."""
     fused, divergences, report = state.fused, state.divergences, state.report
-    # take gathers the rows fused[edges] would, at about half the cost.
-    e = fused.take(state.edge_src, 0) - fused.take(state.edge_dst, 0)
-    edge_norms = np.sqrt(_sum(e * e, axis=1))
-    local_dis = np.bincount(state.edge_src, weights=edge_norms, minlength=state.n) / state.degrees
     bests = state.population.best_seen
     finite = np.isfinite(bests) & np.isfinite(divergences)
     if not np.logical_and.reduce(finite):
@@ -481,7 +477,7 @@ def _bookkeep(state: RunState, t: int) -> bool:
             f"{float(divergences[bad])!r} for agent {bad} in round {t}"
         )
         return True
-    state.history.append((bests, divergences, local_dis))
+    state.history.append(bests, divergences, fused)
     report.disagreement_trace.append(disagreement(fused))
     # fused is a fresh product every round and is never written to.
     state.prev = fused
@@ -522,9 +518,7 @@ def _finish(state: RunState) -> None:
     report.provider_fallbacks = getattr(state.provider, "fallback_count", 0)
 
 
-# Overflow and invalid operations yield inf or NaN values, which the round loop
-# reports as a numerical fault; numpy's warnings would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(**_FAULTS_AS_VALUES)
 def run(config: RunConfig) -> RunReport:
     """Execute one seeded run to convergence or the iteration cap."""
     clock = time.perf_counter_ns
@@ -533,6 +527,7 @@ def run(config: RunConfig) -> RunReport:
     mark = clock()
     spent = [mark - begin] + [0] * len(PHASES) + [0]
     phases = tuple(enumerate(PHASES, 1))
+    report, stop_reason = state.report, "max_iterations"
     for t in range(config.max_iterations):
         for k, phase in phases:
             stop = phase(state, t)
@@ -542,11 +537,13 @@ def run(config: RunConfig) -> RunReport:
             if stop:
                 break
         if stop:
+            stop_reason = "numerical_fault" if report.aborted else "converged"
             break
+    report.stop_reason = stop_reason
     _finish(state)
     spent[-1] = clock() - mark
-    state.report.phase_ns = dict(zip(PHASE_KEYS, spent))
-    return state.report
+    report.phase_ns = dict(zip(PHASE_KEYS, spent))
+    return report
 
 
 def run_batch(configs) -> list[RunReport]:

@@ -114,10 +114,10 @@ class Population:
     ever held, the kick scale `kick_sigma` and whether collapse recovery runs
     (`kicking`) as (N,) arrays, the (d, c) regime pairs as the (N, 2) array
     `coefficients` and the gated coefficient of the next step as `active`.
-    It also holds the PCG64 generators, the box, the scratch the step and the
-    spread pass share, the spread pass's buffers and its (N,) row sums
-    `spread_sums`, and the (N,) particle indices `worst` that inject picked,
-    stacked like the state.
+    It also holds the PCG64 generators, the box as (N, P, D) bounds `floor`
+    and `ceiling`, the scratch the step and the spread pass share, the spread
+    pass's buffers and (N,) row sums `spread_sums`, and the (N,) particle
+    indices `worst` that inject picked, stacked like the state.
     """
 
     def __init__(
@@ -134,19 +134,21 @@ class Population:
             # Population.step steps a stream back by PCG64's exact jump-ahead.
             raise ContractError("every agent generator must run on PCG64")
         self.rngs = rngs
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        span = box_span(self.lower, self.upper)
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        span = box_span(lower, upper)
         vmax = INIT_VELOCITY_FRAC * span
         self.span_mean = float(span.mean())
         self.kick_floor = 1e-12 * self.span_mean
         kick_sigma = float(INIT_VELOCITY_FRAC * self.span_mean)
 
-        self.positions = np.empty((n, p, dim))
-        self.velocities = np.empty((n, p, dim))
-        for i, rng in enumerate(rngs):
-            self.positions[i] = rng.uniform(self.lower, self.upper, size=(p, dim))
-            self.velocities[i] = rng.uniform(-vmax, vmax, size=(p, dim))
+        # One draw per agent, scaled as Generator.uniform scales it, has the
+        # bits and stream advance of its two uniform calls. The clamp reads
+        # full-shape bounds, which ufuncs read faster than a (D,) row.
+        u = np.array([rng.random((2, p, dim)) for rng in rngs])
+        self.positions = lower + span * u[:, 0]
+        self.velocities = -vmax + (vmax - -vmax) * u[:, 1]
+        self.floor = np.full((n, p, dim), lower)
+        self.ceiling = np.full((n, p, dim), upper)
         self.best_positions = self.positions.copy()
         self.best_values = np.full((n, p), np.inf)
         self.last_values = np.full((n, p), np.inf)
@@ -281,8 +283,8 @@ class Population:
         np.add(v, self.kick, out=v, where=dead[:, :, None])
 
         raw = np.add(x, v, out=scratch)
-        new = np.maximum(raw, self.lower, out=self.proposed)
-        np.minimum(new, self.upper, out=new)
+        new = np.maximum(raw, self.floor, out=self.proposed)
+        np.minimum(new, self.ceiling, out=new)
         np.putmask(v, raw != new, 0.0)
 
         # Sums along contiguous (P * D) rows round like per-agent sums.

@@ -150,6 +150,7 @@ def test_a_non_finite_step_aborts_like_the_pinned_fault(fault_round, monkeypatch
     report = run(_config())
     assert report.aborted
     assert report.fault == f"non-finite particle state for agent {FAULTY_AGENT}"
+    assert report.stop_reason == "numerical_fault"
     assert len(report.disagreement_trace) == fault_round
     assert list(report.logged_rounds) == list(range(fault_round))
     assert len(report.logged_fitness) == fault_round

@@ -1,10 +1,15 @@
 """Bit-exactness of the batched bookkeeping against the per-agent rules.
 
-The history array, its window means and the kick-scale factor table replace
-per-agent Python code: a list of records per agent averaged with np.mean, and
-a math.exp per agent and round. The act rule's quartiles come from one sort
-in place of two np.percentile calls. Each must give the same bits, for every
-window length and with the ring buffer wrapped, or the traces move. So must
+The history keeps each round's raw records, and a reader derives its window:
+the act refresh's local disagreement in one batched pass, the descriptor's
+means from an (N, 2, w) copy. Both must give the bits of the per-round
+pipeline and (N, 3, 2W) ring they replace, and the means those of np.mean over
+a list of records per agent, for every window length, on graphs with unequal
+degrees or a lone agent, and with the window short or wrapped, or the traces
+move. A recorded window must not follow later in-place writes of best_seen.
+The kick-scale factor table replaces a math.exp per agent and round, and the
+set-up's one draw per agent its two Generator.uniform calls. The act rule's
+quartiles come from one sort in place of two np.percentile calls. So must
 the batched regime gate against the per-agent one, the step's folded draw
 table against its four separate draw operations, and the spread pass with each
 agent's row reduce, the xi-norm and the kick-start median against the numpy
@@ -26,7 +31,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lacmas.cooperation import build_descriptor
-from lacmas.engine import PHASES, AgentHistory, RunConfig, RunState
+from lacmas.engine import PHASES, AgentHistory, RunConfig, RunState, local_disagreement
 from lacmas.guidance import (
     ACT_WINDOW,
     C_DEFAULT,
@@ -47,6 +52,7 @@ from lacmas.scheduler import PcgConfig
 from lacmas.swarm import (
     D1,
     D2,
+    INIT_VELOCITY_FRAC,
     KICK_ADAPT_RATE,
     KICK_TARGET_RATE,
     MODULATION_HIGH,
@@ -57,55 +63,171 @@ from lacmas.swarm import (
     Population,
     _median,
 )
-from lacmas.topology import build_ring
+from lacmas.topology import build_explicit, build_random_connected, build_ring
+from lacmas.wsn import WsnObjectiveSet, gen_measurements, gen_scenario
 
-FIELDS = len(AgentHistory.FIELDS)
 value = st.floats(-1e100, 1e100, allow_nan=False)
 nonnegative = st.floats(0.0, 1e100, allow_nan=False)
+coordinate = st.one_of(st.floats(-1e200, 1e200), st.floats(-1e-3, 1e-3))
+
+
+class RingHistory:
+    """AgentHistory as it was before it kept raw records: each round's
+    (best fitness, divergence, local disagreement) per agent, written to slots
+    k % W and k % W + W of an (N, 3, 2W) ring, so that every window is one
+    contiguous, oldest-first slice of the last axis."""
+
+    def __init__(self, num_agents):
+        self.values = np.zeros((num_agents, 3, 2 * ACT_WINDOW))
+        self.count = 0
+
+    def append(self, cols):
+        self.count += 1
+        slot = (self.count - 1) % ACT_WINDOW
+        self.values[:, :, slot] = self.values[:, :, slot + ACT_WINDOW] = np.array(cols).T
+
+    def recent(self, window):
+        end = (self.count - 1) % ACT_WINDOW + ACT_WINDOW + 1
+        return self.values[:, :, end - min(window, self.count, ACT_WINDOW):end]
+
+
+def per_round_local_disagreement(fused, graph):
+    """The local disagreement every round's bookkeeping computed before the
+    act refresh derived it: one gather, row norms and bincount per round."""
+    src, dst = graph.edges
+    degrees = np.maximum(np.bincount(src, minlength=graph.num_agents), 1)
+    e = fused.take(src, 0) - fused.take(dst, 0)
+    edge_norms = np.sqrt(np.add.reduce(e * e, axis=1))
+    return np.bincount(src, weights=edge_norms, minlength=graph.num_agents) / degrees
 
 
 @st.composite
-def histories(draw):
-    """(num_agents, rounds): each round is the (3, N) statistics of one of
-    up to three times the window of consecutive rounds."""
-    n = draw(st.integers(1, 3))
-    count = draw(st.integers(1, 3 * ACT_WINDOW))
-    strategies = (value, nonnegative, nonnegative)
+def graphs(draw):
+    """A ring, a random graph, or an explicit one: a random spanning tree plus
+    random extra edges, so degrees differ, down to a lone agent."""
+    kind = draw(st.sampled_from(["ring", "random", "explicit"]))
+    if kind == "ring":
+        return build_ring(draw(st.integers(3, 6)))
+    if kind == "random":
+        n, prob, seed = draw(st.integers(2, 6)), draw(st.floats(0.0, 1.0)), draw(st.integers(0, 99))
+        return build_random_connected(n, prob, seed)
+    n = draw(st.integers(1, 6))
+    tree = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return build_explicit(n, tree + extra)
+
+
+@st.composite
+def recorded_runs(draw):
+    """(graph, rounds): each round is (best values, divergences, fused states)
+    of one of up to three times the window of consecutive rounds."""
+    graph = draw(graphs())
+    n, dim = graph.num_agents, draw(st.integers(1, 4))
+    elements = draw(st.sampled_from([st.floats(-1e3, 1e3), coordinate]))
     rounds = [
-        [draw(st.lists(strategy, min_size=n, max_size=n)) for strategy in strategies]
-        for _ in range(count)
+        (
+            np.array(draw(st.lists(value, min_size=n, max_size=n))),
+            np.array(draw(st.lists(nonnegative, min_size=n, max_size=n))),
+            draw(arrays(float, (n, dim), elements=elements)),
+        )
+        for _ in range(draw(st.integers(1, 3 * ACT_WINDOW)))
     ]
-    return n, rounds
+    return graph, rounds
+
+
+def same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(recorded_runs())
+def test_act_windows_and_descriptors_match_the_per_round_ring(case):
+    graph, rounds = case
+    history, ring = AgentHistory(), RingHistory(graph.num_agents)
+    # Entries near 1e200 overflow an edge's squares, as they would the ring's.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bests, divergences, fused in rounds:
+            history.append(bests, divergences, fused)
+            ring.append((bests, divergences, per_round_local_disagreement(fused, graph)))
+        assert len(history) == min(len(rounds), ACT_WINDOW)
+
+        for window in range(1, ACT_WINDOW + 1):
+            expected = ring.recent(window)
+            records = history.recent(window)
+            # The act refresh's trajectory columns, (N, w) each.
+            fitness = np.array([record[0] for record in records]).T
+            fused = np.array([record[2] for record in records])
+            assert same_bits(fitness, expected[:, 0])
+            assert same_bits(local_disagreement(fused, graph).T, expected[:, 2])
+            descriptor = expected[:, :2].sum(axis=2) / expected.shape[2]
+            assert same_bits(build_descriptor(history, window), descriptor)
 
 
 @settings(max_examples=60, deadline=None)
-@given(histories())
+@given(recorded_runs())
 def test_history_windows_and_descriptors_match_record_lists(case):
-    n, rounds = case
-    history = AgentHistory(n)
-    # The per-agent reference: each agent's records as a list, oldest first.
-    records = [[] for _ in range(n)]
-    for cols in rounds:
-        history.append(np.array(cols))
-        for i in range(n):
-            records[i].append(tuple(col[i] for col in cols))
-    assert len(history) == min(len(rounds), ACT_WINDOW)
-
+    graph, rounds = case
+    history = AgentHistory()
+    for record in rounds:
+        history.append(*record)
     for window in range(1, ACT_WINDOW + 1):
-        values = history.recent(window)
-        kept = [agent[-window:] for agent in records]
-        assert values.shape == (n, FIELDS, len(kept[0]))
+        kept = rounds[-window:]
+        # The same records, oldest first; a record's fused states are the
+        # round's own array, its best values a copy.
+        records = history.recent(window)
+        assert len(records) == min(window, ACT_WINDOW, len(rounds))
+        for (bests, divergences, fused), expected in zip(records, kept):
+            assert same_bits(bests, expected[0]) and bests is not expected[0]
+            assert divergences is expected[1] and fused is expected[2]
         means = build_descriptor(history, window)
-        for i in range(n):
-            for f in range(FIELDS):
-                assert values[i, f].tolist() == [r[f] for r in kept[i]]
-            expected = [float(np.mean([r[f] for r in kept[i]])) for f in range(2)]
-            assert means[i].tolist() == expected
+        for f in range(2):
+            for i in range(graph.num_agents):
+                assert means[i, f] == float(np.mean([r[f][i] for r in kept]))
+
+
+def test_a_recorded_window_keeps_its_values_when_best_seen_is_written():
+    population = new_population(3, 2, [np.random.default_rng(i) for i in range(2)])
+    population.tell(np.full((2, 3), 5.0))
+    history = AgentHistory()
+    history.append(population.best_seen, np.zeros(2), np.zeros((2, 2)))
+    # tell and the injected value both lower best_seen in place.
+    population.tell(np.full((2, 3), 4.0))
+    population.inject(np.zeros((2, 2)))
+    AgentSwarm(population, 1).inject_fused_state(1.0)
+    assert population.best_seen.tolist() == [4.0, 1.0]
+    assert history.recent(1)[0][0].tolist() == [5.0, 5.0]
+    assert build_descriptor(history, 1)[:, 0].tolist() == [5.0, 5.0]
 
 
 def new_population(p, dim, rngs, bound=1.0):
     box = np.full(dim, -bound), np.full(dim, bound)
     return Population(p, dim, *box, rngs, (D_DEFAULT, C_DEFAULT))
+
+
+def wsn_box():
+    scenario = gen_scenario(num_sensors=6, num_targets=2, seed=8)
+    objective = WsnObjectiveSet(scenario=scenario, phi=gen_measurements(scenario, seed=8))
+    return objective.lower, objective.upper
+
+
+@pytest.mark.parametrize("box", [(np.full(4, -5.0), np.full(4, 5.0)), wsn_box()], ids=["uniform", "wsn"])
+@pytest.mark.parametrize("seed", range(20))
+def test_set_up_draw_matches_two_uniform_calls(box, seed):
+    lower, upper = box
+    dim, p = len(lower), 7
+    seqs = np.random.SeedSequence(seed).spawn(3)
+    rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in seqs]
+    population = Population(p, dim, lower, upper, rngs, (D_DEFAULT, C_DEFAULT))
+    vmax = INIT_VELOCITY_FRAC * (upper - lower)
+    for i, seq in enumerate(seqs):
+        rng = np.random.Generator(np.random.PCG64(seq))
+        positions = rng.uniform(lower, upper, size=(p, dim))
+        velocities = rng.uniform(-vmax, vmax, size=(p, dim))
+        assert same_bits(population.positions[i], positions)
+        assert same_bits(population.velocities[i], velocities)
+        assert rngs[i].bit_generator.state == rng.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,9 +419,6 @@ def parent_divergence(x):
     d = np.subtract(x, centroid)
     d *= d
     return float(np.add.reduce(d, axis=None) / n)
-
-
-coordinate = st.one_of(st.floats(-1e200, 1e200), st.floats(-1e-3, 1e-3))
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,10 +22,10 @@ def as_raw(weights, graph, owner):
 
 
 def history_from(rows):
-    """A one-agent history of (fitness, divergence) rows."""
-    h = AgentHistory(1)
+    """A one-agent history of (fitness, divergence) rows, fused at the origin."""
+    h = AgentHistory()
     for fit, div in rows:
-        h.append(np.array([[fit], [div], [0.0]]))
+        h.append(np.array([fit]), np.array([div]), np.zeros((1, 2)))
     return h
 
 
@@ -49,7 +49,7 @@ def test_descriptor_two_entry_mean():
 
 def test_descriptor_requires_history():
     with pytest.raises(ContractError):
-        build_descriptor(AgentHistory(3), window=5)
+        build_descriptor(AgentHistory(), window=5)
 
 
 @pytest.mark.parametrize("row", [(np.inf, 0.0), (1.0, -1.0), (1.0, np.inf)])

@@ -109,31 +109,32 @@ def test_comm_cost_ring4_dim5():
 
 
 def append(h, fit=1.0, n=1):
-    """One round of constant statistics for each of the n agents."""
-    h.append(np.array([[fit], [0.0], [0.0]]).repeat(n, axis=1))
+    """One round's records for each of the n agents: best value `fit`,
+    divergence 0 and a fused state at the origin."""
+    h.append(np.full(n, fit), np.zeros(n), np.zeros((n, 2)))
 
 
 def test_history_capacity_bound():
-    h = AgentHistory(1)
+    h = AgentHistory()
     for t in range(50):
         append(h, fit=float(t))
     assert len(h) == ACT_WINDOW
-    assert h.recent(5)[0, 0].tolist() == [45.0, 46.0, 47.0, 48.0, 49.0]
+    assert [bests.tolist() for bests, _, _ in h.recent(5)] == [[45.0], [46.0], [47.0], [48.0], [49.0]]
 
 
 def test_history_recent_window_order():
-    h = AgentHistory(2)
+    h = AgentHistory()
     for t in range(10):
         append(h, fit=float(t), n=2)
-    values = h.recent(4)
-    assert values.shape == (2, 3, 4)
-    assert values[:, 0].tolist() == [[6.0, 7.0, 8.0, 9.0]] * 2
+    records = h.recent(4)
+    assert len(records) == 4
+    assert [bests.tolist() for bests, _, _ in records] == [[t, t] for t in (6.0, 7.0, 8.0, 9.0)]
 
 
 @pytest.mark.parametrize("window", [0, -2])
 def test_history_recent_rejects_empty_window(window):
     # A window of 0 would read as an empty slice, not as a bad request.
-    h = AgentHistory(1)
+    h = AgentHistory()
     for _ in range(5):
         append(h)
     with pytest.raises(ContractError):
@@ -410,9 +411,10 @@ def test_round_0_bookkeep_abort_reports_the_set_up_states(ring4):
     config = small_config(overflowing, ring4, master_seed=0, max_iterations=20)
     report = run(config)
     assert report.fault.endswith("divergence inf for agent 0 in round 0")
+    assert report.stop_reason == "numerical_fault"
     assert not report.disagreement_trace
-    with np.errstate(over="ignore"):  # as run's set-up evaluates
-        reps = RunState(config).reps
+    # Set-up runs under run's error state, so it warns no more than run does.
+    reps = RunState(config).reps
     assert report.final_states.tobytes() == reps.tobytes()
 
 
@@ -530,29 +532,42 @@ def test_recorded_matrices_are_pinned(sphere_small, ring4):
 
 
 def test_local_disagreement_mean_of_distances(monkeypatch, sphere_small):
-    # Unequal degrees (1, 3, 2, 2), so a wrong divisor shows.
+    # Unequal degrees (1, 3, 2, 2), so a wrong divisor shows. Every act
+    # request's trajectory carries, per round, the agent's mean distance from
+    # its neighbors' fused states in that round, by the loop formula.
     graph = build_explicit(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
-    rounds = []
-    append = AgentHistory.append
+    fused_by_round = []
+    requests = []
+    append, refresh_act = AgentHistory.append, guidance.HeuristicProvider.refresh_act
 
-    def spy(history, cols):
-        rounds.append(np.array(cols))
-        append(history, cols)
+    def spy_append(history, bests, divergences, fused):
+        fused_by_round.append(fused.copy())
+        append(history, bests, divergences, fused)
 
-    monkeypatch.setattr(AgentHistory, "append", spy)
-    report = run(small_config(sphere_small, graph, max_iterations=30, stop_at_convergence=False))
-    states = report.final_states
-    # One append per round, every agent's statistics in FIELDS order.
-    assert len(rounds) == 30
-    cols = rounds[-1]
-    assert cols.shape == (len(AgentHistory.FIELDS), 4)
-    local_dis = cols[AgentHistory.FIELDS.index("local_disagreement")]
-    for i in range(4):
-        expected = np.mean(
-            [np.linalg.norm(states[i] - states[k]) for k in graph.neighbor_lists[i]]
-        )
-        assert expected > 0
-        assert local_dis[i] == pytest.approx(expected, rel=1e-12)
+    def spy_refresh(provider, reqs):
+        requests.append(reqs)
+        return refresh_act(provider, reqs)
+
+    monkeypatch.setattr(AgentHistory, "append", spy_append)
+    monkeypatch.setattr(guidance.HeuristicProvider, "refresh_act", spy_refresh)
+    config = small_config(
+        sphere_small, graph, max_iterations=40, stop_at_convergence=False, pcg=PcgConfig(horizon_T=50)
+    )
+    run(config)
+    # One append per round. The inner gates at rounds 10 and 30 read 10
+    # rounds and a full, wrapped window of ACT_WINDOW rounds.
+    assert len(fused_by_round) == 40
+    lengths = [[len(req.trajectory) for req in reqs] for reqs in requests]
+    assert lengths == [[10] * 4, [ACT_WINDOW] * 4]
+    for reqs in requests:
+        for i, req in enumerate(reqs):
+            for t, _, local_dis in req.trajectory:
+                states = fused_by_round[t]
+                expected = np.mean(
+                    [np.linalg.norm(states[i] - states[k]) for k in graph.neighbor_lists[i]]
+                )
+                assert expected > 0
+                assert local_dis == pytest.approx(expected, rel=1e-12)
 
 
 def test_xi_trace_measures_rep_deviation(sphere_small, ring4):
@@ -651,6 +666,21 @@ def test_convergence_stops_the_run_after_trace(tmp_path):
         csv_sha256(report, tmp_path / "trace.csv")
         == "027b830b3fdd110061e8a42f8c97132b67df08e9880c9e4f663f5295fb561036"
     )
+
+
+@pytest.mark.parametrize(
+    "kw, converged_at, reason",
+    [
+        (dict(stop_at_convergence=True), 154, "converged"),
+        # Crossing the threshold without stopping runs on to the cap.
+        (dict(), 154, "max_iterations"),
+        (dict(max_iterations=100), None, "max_iterations"),
+    ],
+)
+def test_stop_reason_names_where_the_loop_ended(kw, converged_at, reason):
+    report = run(golden_sphere_config(**kw))
+    assert (report.converged_at, report.stop_reason) == (converged_at, reason)
+    assert f"\nstop_reason={reason}\n" in engine.summarize(report)
 
 
 def test_desk_report_stores_columns_and_pickles_small(tmp_path, load_preset):

@@ -457,7 +457,7 @@ def reference_step(population, i, active, record_pull):
         v = np.where(dead[:, None], v + kick, v)
 
     raw = x + v
-    new = np.minimum(np.maximum(raw, population.lower), population.upper)
+    new = np.minimum(np.maximum(raw, population.floor[i]), population.ceiling[i])
     v = np.where(raw != new, 0.0, v)
     if not np.isfinite(new.sum() + v.sum()):
         return False
