@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -64,19 +66,20 @@ def project_weights(raw: Sequence[float], graph: CommGraph, owner: int) -> np.nd
         )
     proposed = dict(zip((*nbrs, owner), raw))
     members = graph.neighborhoods[owner]
-    # Python float sums in ascending agent order: numpy's pairwise sum groups
-    # the additions differently and can change the last bit of a row.
+    # Left-to-right float sums in ascending agent order: numpy's pairwise sum
+    # groups the additions differently and can change the last bit of a row,
+    # and builtin sum() compensates its rounding from Python 3.12 on.
     clamped = []
     for k in members:
         w = proposed[k]
         clamped.append(float(w) if math.isfinite(w) and w >= 0 else 0.0)
-    total = sum(clamped)
+    total = reduce(add, clamped, 0.0)
     if math.isinf(total):
         # Finite weights near the float limit overflow their sum; rescaled by
         # the largest, they keep their proportions instead of all becoming 0.
         top = max(clamped)
         clamped = [w / top for w in clamped]
-        total = sum(clamped)
+        total = reduce(add, clamped, 0.0)
     if abs(total - 1.0) <= ROW_SUM_TOL:
         # Already on the feasible simplex: return unchanged (idempotence).
         weights = clamped
@@ -85,7 +88,7 @@ def project_weights(raw: Sequence[float], graph: CommGraph, owner: int) -> np.nd
     else:
         weights = [w / total for w in clamped]
         # Absorb rounding so the row-sum invariant holds exactly enough.
-        drift = sum(weights) - 1.0
+        drift = reduce(add, weights, 0.0) - 1.0
         if drift != 0.0:
             weights[weights.index(max(weights))] -= drift
     row = np.zeros(graph.num_agents)
@@ -116,6 +119,8 @@ class AdmissibilityReport:
         )
 
 
+# A row sum that overflows, or adds inf to -inf, reads inf or NaN and fails the check.
+@np.errstate(over="ignore", invalid="ignore")
 def check_admissibility(matrix: np.ndarray, graph: CommGraph) -> AdmissibilityReport:
     """Verify nonnegativity, row sums, and graph compatibility of a mixing matrix."""
     a = np.asarray(matrix, dtype=float)

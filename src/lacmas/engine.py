@@ -1,16 +1,16 @@
 """Round-synchronous run loop.
 
 `RunState(config)` sets a run up in the rounds' error state: the provider,
-every agent's generator and swarm rows in one Population, the initial
-evaluation (one eval_local_batch call per agent, stacked into one tell, then
-each attractor seeded from its representative_state) and the uniform mixing
+one Population holding every agent's swarm rows and seeded generator, the
+initial evaluation (one eval_local_batch call per agent, stacked into one
+tell, then one attract of the representative_states) and the uniform mixing
 matrix. Each round then runs the seven PHASES over that state, in order:
 
-1. `_step`: one Population.spread pass squares every agent's particle
-   spread and sums each agent's squares in one reduction; in agent order each
-   agent reads its divergence from those sums and draws its step's uniforms,
-   kicks included, from its own generator; one Population.select gates every
-   regime and one Population.step moves all;
+1. `_step`: Population.refocus at the horizon T; one Population.spread pass
+   sums every agent's squared particle offsets in one reduction; in agent
+   order each agent reads its divergence from those sums and draws its step's
+   uniforms, kicks included, from its own generator; one Population.select
+   gates every regime and one Population.step moves all;
 2. `_evaluate`: one batch call scores every agent's proposals on its local
    objective, one tell takes the values back, and agents publish states;
 3. `_guide_act`: at an open inner gate, one refresh_act call takes every
@@ -147,9 +147,6 @@ class AgentHistory:
             raise ContractError(f"history window must be >= 1, got {window}")
         return list(self.records)[-window:]
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 def local_disagreement(fused: np.ndarray, graph: CommGraph) -> np.ndarray:
     """Each agent's mean distance to its neighbors' fused states in each of
@@ -206,9 +203,14 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be positive")
-        # Written as `not x > 0`, so that NaN fails too.
-        if not self.convergence_threshold > 0:
-            raise ConfigError("convergence_threshold must be positive")
+        # inf would converge at round 0, True would read as 1.0, and a string
+        # or None would fail mid-run; the chained test fails NaN too.
+        threshold = self.convergence_threshold
+        real = isinstance(threshold, (int, float, np.integer, np.floating))
+        if isinstance(threshold, bool) or not real or not 0 < threshold < math.inf:
+            raise ConfigError(
+                f"convergence_threshold must be a finite positive number, got {threshold!r}"
+            )
         if self.log_every < 1:
             raise ConfigError("log_every must be positive")
         if self.master_seed < 0:
@@ -318,9 +320,9 @@ def summarize(report: RunReport) -> str:
 
 class RunState:
     """One run's set-up and everything its rounds carry: the provider, the
-    agents' generators and population after the initial evaluation, the
-    history and the mixing matrix. Within a round, each phase leaves on it what
-    later phases read (divergences, fused states)."""
+    population after the initial evaluation, the history and the mixing
+    matrix. Within a round, each phase leaves on it what later phases read
+    (divergences, fused states)."""
 
     @np.errstate(**_FAULTS_AS_VALUES)
     def __init__(self, config: RunConfig):
@@ -329,10 +331,8 @@ class RunState:
         self.n = n = obj.num_agents
         guided_llm = config.provider == "llm" and config.variant in _GUIDED_VARIANTS
         self.provider = LlmProvider(endpoint=config.llm) if guided_llm else HeuristicProvider()
-        agent_seqs = np.random.SeedSequence(config.master_seed).spawn(n)
-        rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in agent_seqs]
         self.population = population = Population(
-            POPULATION, obj.dim, obj.lower, obj.upper, rngs, (D_DEFAULT, C_DEFAULT)
+            n, POPULATION, obj.lower, obj.upper, (D_DEFAULT, C_DEFAULT), config.master_seed
         )
         swarms = [AgentSwarm(population, i) for i in range(n)]
         # The initial values enter the records through tell, as every round's
@@ -340,7 +340,7 @@ class RunState:
         # is its published state before the first round.
         population.tell([obj.eval_local_batch(i, x) for i, x in enumerate(population.positions)])
         self.reps = np.array([swarm.representative_state() for swarm in swarms])
-        population.attractors[...] = self.reps
+        population.attract(self.reps)
         # The last completed round's fused states; before one, the initial reps.
         self.prev = self.reps
         # A round's per-agent calls, bound once and made in agent order.
@@ -361,23 +361,18 @@ class RunState:
 
 
 def _step(state: RunState, t: int) -> bool:
-    """Adaptive swarm execution: spread, divergences, draws, one select, one step."""
-    # Past the scheduling horizon each attractor follows its agent's own
-    # best instead of the fused state, and the personal-best pull switches
-    # on: the consensus coupling noise stops limiting local refinement,
-    # which is what lets personal bests close in on their local optima.
-    # Fused states keep entering through the particle channel.
-    population, horizon = state.population, state.config.pcg.horizon_T
-    state.late_stage = late_stage = t >= horizon
-    if t == horizon:
-        population.rebase()
+    """Adaptive swarm execution: the refocus at the horizon, spread,
+    divergences, draws, one select, one step."""
+    population = state.population
+    if t == state.config.pcg.horizon_T:
+        population.refocus()
     # The positions the last round's injection left, as every agent reads them.
     population.spread()
     state.divergences = divergences = np.array([d() for d in state.divergence_calls])
     for draw in state.draw_calls:
         draw()
-    population.select(divergences, late_stage)
-    bad = population.step(record_pull=late_stage)
+    population.select(divergences)
+    bad = population.step()
     if bad is None:
         return False
     state.report.aborted = True
@@ -396,7 +391,7 @@ def _evaluate(state: RunState, t: int) -> bool:
 def _guide_act(state: RunState, t: int) -> bool:
     """At an open inner gate, act guidance refreshes every agent's (d, c)."""
     config, history = state.config, state.history
-    if scheduler.gate_int(t, config.pcg) and config.variant in _ACT_VARIANTS and len(history):
+    if scheduler.gate_int(t, config.pcg) and config.variant in _ACT_VARIANTS:
         report, population = state.report, state.population
         report.gate_int_iterations.append(t)
         # Best fitness and local disagreement, per agent, oldest first.
@@ -420,7 +415,7 @@ def _guide_coop(state: RunState, t: int) -> bool:
     """At an open outer gate, cooperation guidance re-weights every agent's
     row of the mixing matrix: projection, assembly and admissibility."""
     config, history, graph = state.config, state.history, state.graph
-    if scheduler.gate_ext(t, config.pcg) and config.variant in _COOP_VARIANTS and len(history):
+    if scheduler.gate_ext(t, config.pcg) and config.variant in _COOP_VARIANTS:
         # A fresh copy, so matrices recorded in earlier rounds stay as they were.
         state.matrix = matrix = state.matrix.copy()
         # Each agent's (avg fitness, avg divergence), computed once for all.
@@ -458,7 +453,7 @@ def _fuse_inject(state: RunState, t: int) -> bool:
     population.inject(fused)
     for inject, value in zip(state.inject_calls, fused_values):
         inject(value)
-    population.attract(fused, state.late_stage)
+    population.attract(fused)
     return False
 
 

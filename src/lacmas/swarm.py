@@ -16,21 +16,23 @@ MODULATION_HIGH], so w < 1 contracts the modulated term in the mean-square
 sense and w near the top of its range lets occasional large kicks through.
 
 The swarm never calls an objective. All swarm state lives in one Population of
-stacked (N, P, D), (N, P), (N, 2) and (N,) arrays. One Population.spread
-squares every particle's offset from its agent's centroid and sums each
-agent's squares in one reduction, and each AgentSwarm.divergence only reads
-its own sum. Per agent, as each has its own generator,
-AgentSwarm.step_particles fills its row of one draw buffer with a single
-call, kick uniforms included; one Population.select gates every
-agent's coefficient, and one Population.step moves every row, or commits
-nothing if any row's new state is not finite, and steps back the generator of
-each agent that needed no kick, so every stream is consumed exactly as if the
-kick were drawn only when a particle is dead. The caller evaluates the
-positions, at set-up with one call per agent and in each round in one batch,
-and hands the values to Population.tell. The fused states go back the same
-way: one Population.inject moves every agent's worst particle onto its fused
-state, each AgentSwarm.inject_fused_state records only its own agent's value,
-and one Population.attract sets every attractor.
+stacked (N, P, D), (N, P), (N, 2) and (N,) arrays, with one PCG64 generator
+per agent spawned from the master seed. One Population.spread squares every
+particle's offset from its agent's centroid and sums each agent's squares in
+one reduction, and each AgentSwarm.divergence only reads its own sum. Per
+agent, AgentSwarm.step_particles fills its row of one draw buffer with a
+single call to its own generator, kick uniforms included; one
+Population.select gates every agent's coefficient, and one Population.step
+moves every row, or commits nothing if any row's new state is not finite, and
+steps back the generator of each agent that needed no kick, so every stream is
+consumed exactly as if the kick were drawn only when a particle is dead. The
+caller evaluates the positions, at set-up with one call per agent and in each
+round in one batch, and hands the values to Population.tell. The fused states
+go back the same way: one Population.inject moves every agent's worst particle
+onto its fused state, each AgentSwarm.inject_fused_state records only its own
+agent's value, and one Population.attract sets every attractor. At the
+scheduling horizon the caller calls Population.refocus once, and select, step
+and attract follow the late stage from then on.
 """
 
 from __future__ import annotations
@@ -71,17 +73,6 @@ KICK_ADAPT_RATE = 0.3
 KICK_TARGET_RATE = 0.2
 
 
-def _median(values: list[float]) -> float:
-    """np.median of a list of non-NaN floats, bit for bit: the middle entry,
-    or (a + b) / 2 of the two middle ones. np.median's first call imports
-    numpy.ma, which costs milliseconds inside a round."""
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
 # An overflowing width or mean is what the checks below reject.
 @np.errstate(over="ignore")
 def box_span(lower, upper) -> np.ndarray:
@@ -114,26 +105,25 @@ class Population:
     ever held, the kick scale `kick_sigma` and whether collapse recovery runs
     (`kicking`) as (N,) arrays, the (d, c) regime pairs as the (N, 2) array
     `coefficients` and the gated coefficient of the next step as `active`.
-    It also holds the PCG64 generators, the box as (N, P, D) bounds `floor`
-    and `ceiling`, the scratch the step and the spread pass share, the spread
-    pass's buffers and (N,) row sums `spread_sums`, and the (N,) particle
-    indices `worst` that inject picked, stacked like the state.
+    It also holds the generators `rngs`, whether the late stage runs
+    (`late`), the box as (N, P, D) bounds `floor` and `ceiling`, the scratch
+    the step and the spread pass share, the spread pass's buffers and (N,)
+    row sums `spread_sums`, and the (N,) particle indices `worst` that inject
+    picked, stacked like the state.
     """
 
     def __init__(
         self,
+        agents: int,
         particles: int,
-        dim: int,
         lower: np.ndarray,
         upper: np.ndarray,
-        rngs: list[np.random.Generator],
         coefficients: tuple[float, float],
+        master_seed: int,
     ):
-        n, p = len(rngs), particles
-        if not all(isinstance(rng.bit_generator, np.random.PCG64) for rng in rngs):
-            # Population.step steps a stream back by PCG64's exact jump-ahead.
-            raise ContractError("every agent generator must run on PCG64")
-        self.rngs = rngs
+        n, p, dim = agents, particles, len(lower)
+        seeds = np.random.SeedSequence(master_seed).spawn(n)
+        self.rngs = rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
         span = box_span(lower, upper)
         vmax = INIT_VELOCITY_FRAC * span
@@ -158,6 +148,7 @@ class Population:
         self.kicking = np.zeros(n, dtype=bool)
         self.kick_sigma = np.full(n, kick_sigma)
         self.coefficients = np.array([coefficients] * n, dtype=float)
+        self.late = False
 
         # Row i of `draws` is agent i's one uniform draw per round: delta, r1,
         # r2, then the kick. r2 is one gain per particle, not per component,
@@ -218,30 +209,30 @@ class Population:
         # Each contiguous P * D row reduces as its own flat sum does, bit for bit.
         _sum(squares.reshape(len(x), -1), 1, None, self.spread_sums)
 
-    def select(self, divergences: np.ndarray, late_stage: bool) -> None:
+    def select(self, divergences: np.ndarray) -> None:
         """Set every agent's `active` coefficient from its (N,) divergence:
         escape c below D1, neutral 1.0 on [D1, D2], damping d above D2 or at
-        NaN. Late-stage stabilization caps it at 1.0 past the horizon."""
+        NaN. In the late stage, stabilization caps it at 1.0."""
         d, c = self.coefficients.T
         np.copyto(self.active, d)
         np.copyto(self.active, 1.0, where=divergences <= D2)
         np.copyto(self.active, c, where=divergences < D1)
-        if late_stage:
+        if self.late:
             np.minimum(self.active, 1.0, out=self.active)
 
-    def step(self, record_pull: bool) -> int | None:
+    def step(self) -> int | None:
         """Move every row by the draws its step_particles recorded and the
         coefficients select gated.
 
         Clamped components get zero velocity, so modulation cannot wind up at
-        a wall. record_pull=False (consensus tracking) drops the personal-best
-        pull; its draws are consumed anyway. Each row without a dead particle
-        steps its generator back over the unused kick draws; both per-agent
-        scans, for recovery starts and for rows to step back, run only when
-        some agent can need them. The new state is built aside and commits
-        whole: if any row's is not finite, no position, velocity, kick scale,
-        `kicking` flag or generator moves and the first such row is returned,
-        else None. Only the draw buffer, scaled in place, and scratch change.
+        a wall. Before the late stage (consensus tracking) the personal-best
+        pull is off, though its draws are consumed. Each row without a dead
+        particle steps its generator back over the unused kick draws; the
+        recovery start and the step-back loop run only when some agent can
+        need them. The new state is built aside and commits whole: if any
+        row's is not finite, no position, velocity, kick scale, `kicking` flag
+        or generator moves and the first such row is returned, else None. Only
+        the draw buffer, scaled in place, and scratch change.
         """
         x, scratch = self.positions, self.scratch
         draws = self.draws
@@ -250,7 +241,7 @@ class Population:
 
         v = np.multiply(self.velocities, self.delta, out=self.moved)
         v *= self.active[:, None, None]
-        if record_pull:
+        if self.late:
             pull = np.subtract(self.best_positions, x, out=scratch)
             pull *= self.pull_pbest
             v += pull
@@ -270,12 +261,14 @@ class Population:
         kicking = self.kicking
         starting = () if all(kicking.tolist()) else (dying > kicking).nonzero()[0].tolist()
         if starting:
+            # Seed each recovery scale from where the collapse happened: the
+            # median distance to the best record, as np.median without numpy.ma.
+            best = self.best_positions[starting, self.best_values[starting].argmin(axis=1)]
+            dist = np.sort(np.linalg.norm(x[starting] - best[:, None], axis=2), axis=1)
+            half, odd = divmod(dist.shape[1], 2)
+            spread = dist[:, half] if odd else (dist[:, half - 1] + dist[:, half]) / 2
             sigmas = sigmas.copy()
-        for i in starting:
-            # Seed the recovery scale from where the collapse happened.
-            abest = self.best_positions[i, self.best_values[i].argmin()]
-            spread = _median(np.linalg.norm(x[i] - abest, axis=1).tolist())
-            sigmas[i] = max(min(float(sigmas[i]), spread), self.kick_floor)
+            sigmas[starting] = np.maximum(np.minimum(sigmas[starting], spread), self.kick_floor)
         # The active regime coefficient scales the kick: the escape
         # coefficient widens recovery jumps, the damping one narrows them, so
         # coefficient guidance steers escape strength. Only dead entries take it.
@@ -349,24 +342,30 @@ class Population:
         self.positions[picks] = self.best_positions[picks] = fused
         self.velocities[picks] = 0.0
 
-    def attract(self, fused: np.ndarray, refocus: bool) -> None:
-        """Set every attractor to its agent's fused state, or with refocus=True
-        (late stage) to its best record, while the particle channel stays
-        open. Run after the values are recorded, which the refocus pick reads."""
-        if refocus:
+    def attract(self, fused: np.ndarray) -> None:
+        """Set every attractor to its agent's fused state, or in the late stage
+        to its best record, while the particle channel stays open. Run after
+        the values are recorded, which the late-stage pick reads."""
+        if self.late:
             fused = self.best_positions[self.row_index, self.best_values.argmin(axis=1)]
         self.attractors[...] = fused
 
-    def rebase(self) -> None:
-        """Replace every particle's record with its latest evaluation.
+    def refocus(self) -> None:
+        """Enter the late stage at the scheduling horizon; it never ends.
 
-        Used once at the refocus transition: records accumulated while the
+        Each attractor then follows its agent's own best instead of the fused
+        state, the personal-best pull switches on and select caps every
+        coefficient at 1.0, so consensus coupling noise stops limiting local
+        refinement and personal bests close in on their local optima. Fused
+        states keep entering through the particle channel. Every record is
+        first reset to its particle's latest evaluation: records kept while the
         populations tracked the fused states can sit far from where the search
-        has moved, and pulling toward them again would undo the tracking.
-        No latest value lies below best_seen, so best_seen stays as it is.
+        has moved, and pulling toward them again would undo the tracking. No
+        latest value lies below best_seen, so best_seen stays as it is.
         """
         self.best_positions[...] = self.positions
         self.best_values[...] = self.last_values
+        self.late = True
 
 
 class AgentSwarm:

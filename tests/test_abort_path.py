@@ -170,9 +170,9 @@ SHARED_ARRAYS = ("spread_sums", "worst", "best_seen")
 
 def test_swarm_arrays_stay_population_rows(monkeypatch):
     # A swarm that rebinds one of its arrays instead of writing in place
-    # would drop out of the batched tell, picks and rebase without any
-    # error. The 110 rounds cover kicks, the horizon-100 rebase and injection.
-    calls = {name: 0 for name in (*SWARM_METHODS, "rebase", "select", "inject", "attract")}
+    # would drop out of the batched tell, picks and refocus without any
+    # error. The 110 rounds cover kicks, the horizon-100 refocus and injection.
+    calls = {name: 0 for name in (*SWARM_METHODS, "refocus", "select", "inject", "attract")}
     callers = {name: [] for name in SWARM_METHODS}
     populations: list[Population] = []
     swarms: list[AgentSwarm] = []
@@ -200,7 +200,7 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
         return method
 
     population_init, swarm_init = Population.__init__, AgentSwarm.__init__
-    tell, rebase = Population.tell, Population.rebase
+    tell, refocus = Population.tell, Population.refocus
 
     def checked_population_init(self, *args, **kwargs):
         population_init(self, *args, **kwargs)
@@ -215,9 +215,9 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
         for swarm in swarms:
             assert_rows_shared(swarm)
 
-    def checked_rebase(self):
-        rebase(self)
-        calls["rebase"] += 1
+    def checked_refocus(self):
+        refocus(self)
+        calls["refocus"] += 1
         for swarm in swarms:
             assert_rows_shared(swarm)
 
@@ -235,19 +235,22 @@ def test_swarm_arrays_stay_population_rows(monkeypatch):
     monkeypatch.setattr(Population, "__init__", checked_population_init)
     monkeypatch.setattr(AgentSwarm, "__init__", checked_swarm_init)
     monkeypatch.setattr(Population, "tell", checked_tell)
-    monkeypatch.setattr(Population, "rebase", checked_rebase)
+    monkeypatch.setattr(Population, "refocus", checked_refocus)
     for name in ("select", "inject", "attract"):
         monkeypatch.setattr(Population, name, counted(name))
     rounds = 110
     report = run(replace(_config(), max_iterations=rounds))
     assert not report.aborted and len(report.disagreement_trace) == rounds
     assert all(calls.values()), calls
-    # One batched regime gate and one batched injection pass per round. The
-    # benchmark harness counts the per-agent seams: one divergence, draw and
-    # injection per agent and round, in agent order, and one
-    # representative_state per agent at set-up.
-    for name in ("select", "inject", "attract"):
+    # One batched regime gate and one batched injection pass per round, one
+    # more attract at set-up and one refocus at the horizon. The benchmark
+    # harness counts the per-agent seams: one divergence, draw and injection
+    # per agent and round, in agent order, and one representative_state per
+    # agent at set-up.
+    for name in ("select", "inject"):
         assert calls[name] == rounds, name
+    assert calls["attract"] == rounds + 1
+    assert calls["refocus"] == 1
     for name in ("divergence", "step_particles", "inject_fused_state"):
         assert calls[name] == 4 * rounds, name
         assert callers[name] == [0, 1, 2, 3] * rounds, name

@@ -11,12 +11,13 @@ The kick-scale factor table replaces a math.exp per agent and round, and the
 set-up's one draw per agent its two Generator.uniform calls. The act rule's
 quartiles come from one sort in place of two np.percentile calls. So must
 the batched regime gate against the per-agent one, the step's folded draw
-table against its four separate draw operations, and the spread pass with each
-agent's row reduce, the xi-norm and the kick-start median against the numpy
-calls they replace. Every round of a run driven by hand must read the
-divergences of the positions it starts from. The batched injection, one
-Population.inject, the per-agent values and one Population.attract, must
-leave every array as the per-agent injection did.
+table against its four separate draw operations, the spread pass with each
+agent's row reduce and the xi-norm against the numpy calls they replace, and
+the batched recovery start against the per-agent loop with its list median.
+Every round of a run driven by hand must read the divergences of the
+positions it starts from. The batched injection, one Population.inject, the
+per-agent values and one Population.attract, must leave every array as the
+per-agent injection did.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from lacmas.swarm import (
     PULL_PBEST,
     AgentSwarm,
     Population,
-    _median,
 )
 from lacmas.topology import build_explicit, build_random_connected, build_ring
 from lacmas.wsn import WsnObjectiveSet, gen_measurements, gen_scenario
@@ -151,7 +151,7 @@ def test_act_windows_and_descriptors_match_the_per_round_ring(case):
         for bests, divergences, fused in rounds:
             history.append(bests, divergences, fused)
             ring.append((bests, divergences, per_round_local_disagreement(fused, graph)))
-        assert len(history) == min(len(rounds), ACT_WINDOW)
+        assert len(history.records) == min(len(rounds), ACT_WINDOW)
 
         for window in range(1, ACT_WINDOW + 1):
             expected = ring.recent(window)
@@ -188,7 +188,7 @@ def test_history_windows_and_descriptors_match_record_lists(case):
 
 
 def test_a_recorded_window_keeps_its_values_when_best_seen_is_written():
-    population = new_population(3, 2, [np.random.default_rng(i) for i in range(2)])
+    population = new_population(2, 3, 2)
     population.tell(np.full((2, 3), 5.0))
     history = AgentHistory()
     history.append(population.best_seen, np.zeros(2), np.zeros((2, 2)))
@@ -201,9 +201,9 @@ def test_a_recorded_window_keeps_its_values_when_best_seen_is_written():
     assert build_descriptor(history, 1)[:, 0].tolist() == [5.0, 5.0]
 
 
-def new_population(p, dim, rngs, bound=1.0):
+def new_population(n, p, dim, bound=1.0, seed=0):
     box = np.full(dim, -bound), np.full(dim, bound)
-    return Population(p, dim, *box, rngs, (D_DEFAULT, C_DEFAULT))
+    return Population(n, p, *box, (D_DEFAULT, C_DEFAULT), seed)
 
 
 def wsn_box():
@@ -217,17 +217,16 @@ def wsn_box():
 def test_set_up_draw_matches_two_uniform_calls(box, seed):
     lower, upper = box
     dim, p = len(lower), 7
-    seqs = np.random.SeedSequence(seed).spawn(3)
-    rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in seqs]
-    population = Population(p, dim, lower, upper, rngs, (D_DEFAULT, C_DEFAULT))
+    population = Population(3, p, lower, upper, (D_DEFAULT, C_DEFAULT), seed)
     vmax = INIT_VELOCITY_FRAC * (upper - lower)
-    for i, seq in enumerate(seqs):
+    # Agent i draws from Generator(PCG64) of the master seed's i-th spawn.
+    for i, seq in enumerate(np.random.SeedSequence(seed).spawn(3)):
         rng = np.random.Generator(np.random.PCG64(seq))
         positions = rng.uniform(lower, upper, size=(p, dim))
         velocities = rng.uniform(-vmax, vmax, size=(p, dim))
         assert same_bits(population.positions[i], positions)
         assert same_bits(population.velocities[i], velocities)
-        assert rngs[i].bit_generator.state == rng.bit_generator.state
+        assert population.rngs[i].bit_generator.state == rng.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,8 +234,7 @@ def test_set_up_draw_matches_two_uniform_calls(box, seed):
 def test_tell_kick_scale_matches_the_math_exp_rule(p, data):
     n = 4
     adapt, target = KICK_ADAPT_RATE, KICK_TARGET_RATE
-    rngs = [np.random.default_rng(i) for i in range(n)]
-    population = new_population(p, 1, rngs, bound=10.0)
+    population = new_population(n, p, 1, bound=10.0)
     # Every table entry is the per-agent factor of its success count.
     assert population.kick_factors.tolist() == [
         math.exp(adapt * (k / p - target)) for k in range(p + 1)
@@ -338,7 +336,7 @@ def test_act_rule_matches_the_numpy_percentile_rule(disagreement, data, d, c):
     assert (got.d.hex(), got.c.hex()) == (expected.d.hex(), expected.c.hex())
 
 
-def per_agent_gate(div, d, c, d1, d2, late_stage):
+def per_agent_gate(div, d, c, d1, d2, late):
     """One agent's regime gate and the engine's late-stage cap, as first written."""
     if div < d1:
         active = c
@@ -346,15 +344,15 @@ def per_agent_gate(div, d, c, d1, d2, late_stage):
         active = 1.0
     else:
         active = d
-    if late_stage:
+    if late:
         # Late-stage stabilization: no expansion past the horizon.
         active = min(active, 1.0)
     return active
 
 
 @settings(max_examples=200, deadline=None)
-@given(late_stage=st.booleans(), data=st.data())
-def test_select_matches_the_per_agent_gate(late_stage, data):
+@given(late=st.booleans(), data=st.data())
+def test_select_matches_the_per_agent_gate(late, data):
     n = data.draw(st.integers(1, 8))
     edges = st.sampled_from([D1, D2, 0.0, math.inf, math.nan])
     divergences = data.draw(
@@ -363,12 +361,13 @@ def test_select_matches_the_per_agent_gate(late_stage, data):
     coefficients = data.draw(
         st.lists(st.tuples(st.floats(*D_RANGE), st.floats(*C_RANGE)), min_size=n, max_size=n)
     )
-    rngs = [np.random.default_rng(i) for i in range(n)]
-    population = new_population(2, 1, rngs)
+    population = new_population(n, 2, 1)
     population.coefficients[:] = coefficients
-    population.select(np.array(divergences), late_stage)
+    if late:
+        population.refocus()
+    population.select(np.array(divergences))
     expected = [
-        per_agent_gate(div, d, c, D1, D2, late_stage)
+        per_agent_gate(div, d, c, D1, D2, late)
         for div, (d, c) in zip(divergences, coefficients)
     ]
     assert [a.hex() for a in population.active.tolist()] == [e.hex() for e in expected]
@@ -386,13 +385,13 @@ unit = st.one_of(st.just(0.0), st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0, excl
     data=st.data(),
 )
 def test_folded_draw_table_matches_the_four_draw_operations(p, dim, sigma, active, data):
-    population = new_population(p, dim, [np.random.default_rng(0)])
+    population = new_population(1, p, dim)
     pd = p * dim
     row = np.array(data.draw(st.lists(unit, min_size=3 * pd + p, max_size=3 * pd + p)))
     population.draws[0] = row
     population.kick_sigma[:] = sigma
     population.active[:] = active
-    population.step(record_pull=True)
+    population.step()
 
     # The parent's step: scale the first L entries, add the low end to delta,
     # then 2u - 1 on the kick before its scale.
@@ -430,7 +429,7 @@ def test_divergence_and_xi_norm_match_the_numpy_calls(n, p, dim, data):
     positions = data.draw(arrays(float, (n, p, dim), elements=elements, fill=st.nothing()))
     # Distinct rows, so a row that reduces another agent's squares fails.
     assume(len(set(map(tuple, positions.reshape(n, -1).tolist()))) == n)
-    population = new_population(p, dim, [np.random.default_rng(i) for i in range(n)])
+    population = new_population(n, p, dim)
     population.positions[...] = positions
     with np.errstate(over="ignore", invalid="ignore"):
         # One spread pass, then every agent's row, as a round reads them.
@@ -451,7 +450,7 @@ def test_batched_row_sums_match_the_per_row_sum(p, dim):
     # P * D of 40, 130 and 10000: below numpy's 128-element pairwise block,
     # just past it, and past its 8192-element buffer. Rows differ in scale.
     rng = np.random.default_rng(p * dim)
-    population = new_population(p, dim, [np.random.default_rng(i) for i in range(3)])
+    population = new_population(3, p, dim)
     population.positions[...] = rng.standard_normal((3, p, dim)) * [[[1e-3]], [[1.0]], [[1e5]]]
     population.spread()
     for i, x in enumerate(population.positions):
@@ -459,12 +458,12 @@ def test_batched_row_sums_match_the_per_row_sum(p, dim):
 
 
 def test_a_divergence_read_before_the_first_spread_is_nan():
-    population = new_population(3, 2, [np.random.default_rng(i) for i in range(2)])
+    population = new_population(2, 3, 2)
     assert all(math.isnan(AgentSwarm(population, i).divergence()) for i in range(2))
 
 
 def test_each_round_reads_the_divergences_of_its_start_positions():
-    # Horizon 3 puts the rebase inside the rounds driven, and every round
+    # Horizon 3 puts the refocus inside the rounds driven, and every round
     # from 0 on ends by injecting the fused states.
     spec = make_spec("sphere", num_agents=4, dim=3, hetero_sigma=0.0, seed=11)
     config = RunConfig(spec, build_ring(4), max_iterations=8, pcg=PcgConfig(horizon_T=3))
@@ -476,18 +475,47 @@ def test_each_round_reads_the_divergences_of_its_start_positions():
         assert [d.hex() for d in state.divergences.tolist()] == expected
 
 
-distance = st.one_of(st.floats(0.0, 1e300), st.just(math.inf))
+def parent_recovery_start(population, starting):
+    """The kick scales after agents `starting` begin collapse recovery, as
+    the per-agent loop first wrote them, with np.median as a sorted list's
+    middle entry or the mean of its two middle ones."""
+    sigmas = population.kick_sigma.copy()
+    for i in starting:
+        abest = population.best_positions[i, population.best_values[i].argmin()]
+        ordered = sorted(np.linalg.norm(population.positions[i] - abest, axis=1).tolist())
+        mid = len(ordered) // 2
+        spread = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+        sigmas[i] = max(min(float(sigmas[i]), spread), population.kick_floor)
+    return sigmas
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(distance, min_size=1, max_size=12))
-@example([2.0, 0.5, 1.0])
-@example([0.1, 0.2])
-@example([3.0, math.inf])
-@example([math.inf, 1.0, math.inf])
-def test_kick_start_median_matches_np_median(distances):
-    # Odd and even counts, ties and infinite distances alike.
-    assert _median(distances).hex() == float(np.median(distances)).hex()
+# Few distinct coordinates and records, so distances and best records tie.
+grid = st.one_of(st.sampled_from([-2.0, 0.0, 0.5, 3.0]), st.floats(-10.0, 10.0))
+tied = st.sampled_from([0.0, 1.0, 2.5, math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), p=st.integers(1, 12), dim=st.integers(1, 3), data=st.data())
+def test_batched_recovery_start_matches_the_per_agent_loop(n, p, dim, data):
+    # Every particle rests with all-zero draws, so no pull or modulation
+    # moves it and each agent with a positive kick scale has a dead one;
+    # those not yet kicking start their recovery in this one step.
+    population = new_population(n, p, dim, bound=10.0)
+    population.positions[...] = data.draw(arrays(float, (n, p, dim), elements=grid))
+    population.best_positions[...] = data.draw(arrays(float, (n, p, dim), elements=grid))
+    population.best_values[...] = data.draw(arrays(float, (n, p), elements=tied))
+    population.velocities[...] = 0.0
+    population.draws[...] = 0.0
+    population.kick_sigma[...] = data.draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 40.0)), min_size=n, max_size=n)
+    )
+    population.kicking[...] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    sigmas, kicking = population.kick_sigma.tolist(), population.kicking.tolist()
+    starting = [i for i in range(n) if sigmas[i] > 0 and not kicking[i]]
+    expected = parent_recovery_start(population, starting)
+    assert population.step() is None
+    assert population.kicking.tolist() == [k or s > 0 for k, s in zip(kicking, sigmas)]
+    assert population.kick_sigma.tobytes() == expected.tobytes()
 
 
 def parent_inject_fused_state(population, i, fused, value, refocus):
@@ -511,7 +539,7 @@ def assert_injections_agree(records, seen, values, refocus, p=4, dim=3):
     best records are `records` and best_seen `seen`, batched and as first
     written; every array must come out with the same bytes."""
     n = len(values)
-    population = new_population(p, dim, [np.random.default_rng(i) for i in range(n)])
+    population = new_population(n, p, dim)
     population.best_values[...] = records
     population.last_values[...] = np.asarray(records) + 1.0
     population.best_seen[...] = seen
@@ -520,10 +548,11 @@ def assert_injections_agree(records, seen, values, refocus, p=4, dim=3):
     fused = np.random.default_rng(n).uniform(-1.0, 1.0, (n, dim))
     reference = copy.deepcopy(population)
 
+    population.late = refocus
     population.inject(fused)
     for i, value in enumerate(values):
         AgentSwarm(population, i).inject_fused_state(value)
-    population.attract(fused, refocus)
+    population.attract(fused)
     for i, (row, value) in enumerate(zip(fused, values)):
         parent_inject_fused_state(reference, i, row, value, refocus)
 

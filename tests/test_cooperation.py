@@ -169,6 +169,16 @@ def test_row_sum_deviation_fails(ring4):
     assert report.max_row_deviation == pytest.approx(1e-4)
 
 
+@pytest.mark.parametrize("row", [(1.7e308, 1.7e308), (np.inf, -np.inf)])
+def test_a_row_sum_that_overflows_fails_without_a_warning(ring4, row):
+    # `lacmas verify` checks matrices read from a file outside any error
+    # state; the suite turns numpy's RuntimeWarning into an error.
+    m = np.eye(4)
+    m[0, :2] = row
+    report = check_admissibility(m, ring4)
+    assert not report.passed
+
+
 def test_row_sum_tolerance_absorbs_rounding(ring4):
     m = np.eye(4)
     m[1, 1] = 1.0 + 5e-10

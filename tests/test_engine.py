@@ -118,7 +118,7 @@ def test_history_capacity_bound():
     h = AgentHistory()
     for t in range(50):
         append(h, fit=float(t))
-    assert len(h) == ACT_WINDOW
+    assert len(h.records) == ACT_WINDOW
     assert [bests.tolist() for bests, _, _ in h.recent(5)] == [[45.0], [46.0], [47.0], [48.0], [49.0]]
 
 
@@ -455,6 +455,14 @@ def test_non_integer_counts_and_seeds_rejected(sphere_small, ring4, key, value):
         small_config(sphere_small, ring4, **{key: value})
 
 
+@pytest.mark.parametrize("value", [float("inf"), True, "1e-7", None], ids=repr)
+def test_non_finite_or_non_number_threshold_rejected(sphere_small, ring4, value):
+    # Unchecked, inf converged at round 0, True ran with a threshold of 1.0,
+    # and a string or None failed mid-run with a TypeError.
+    with pytest.raises(ConfigError, match="convergence_threshold must be"):
+        small_config(sphere_small, ring4, convergence_threshold=value)
+
+
 def test_numpy_integer_counts_and_seeds_accepted(sphere_small, ring4):
     numpy_ints = dict(max_iterations=np.int64(20), log_every=np.int32(5), master_seed=np.uint64(3))
     report = run(small_config(sphere_small, ring4, **numpy_ints))
@@ -708,22 +716,16 @@ def test_a_run_does_not_import_numpy_ma():
     src = str(Path(lacmas.__file__).resolve().parents[1])
     code = """
 import sys
-import lacmas.swarm as swarm
-from lacmas.engine import RunConfig, run
+from lacmas.engine import PHASES, RunConfig, RunState
 from lacmas.objectives import make_spec
 from lacmas.topology import build_ring
 
-medians = []
-median = swarm._median
-
-def counted(values):
-    medians.append(values)
-    return median(values)
-
-swarm._median = counted
 spec = make_spec("sphere", num_agents=4, dim=3, hetero_sigma=0.0, seed=0)
-run(RunConfig(objective=spec, graph=build_ring(4), max_iterations=30))
-print(len(medians) > 0, "numpy.ma" in sys.modules)
+state = RunState(RunConfig(objective=spec, graph=build_ring(4), max_iterations=30))
+for t in range(30):
+    for phase in PHASES:
+        assert not phase(state, t)
+print(state.population.kicking.any(), "numpy.ma" in sys.modules)
 """
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(

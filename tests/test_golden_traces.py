@@ -5,7 +5,8 @@ run produced with tests/data/golden_traces.json: the SHA-256 of the
 write_trace_csv bytes (logged every round), the SHA-256 of the xi-norm trace,
 the final best-agent and mean-local fitness, the convergence round and the
 guidance call counts. Criterion 7 and the CLI determinism test compare two
-runs of one build; this file compares a build with the recorded one.
+runs of one build; this file compares a build with the recorded one, and the
+guided cases also under the compensated float sum() of Python 3.12 and later.
 
 The grid runs to a fixed budget past a short horizon, so collapse kicks, the
 late-stage refocus and both guidance gates all run. The data was recorded with
@@ -18,8 +19,10 @@ in CHANGES.md:
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -105,6 +108,39 @@ def test_data_covers_the_grid(golden):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_matches_golden(case, golden, tmp_path):
+    assert fingerprint(case, tmp_path) == golden[case]
+
+
+def compensated_sum(original):
+    """builtin sum as Python 3.12 and later compute a sum of floats, with
+    Neumaier's compensated summation; any other input goes to `original`."""
+
+    def total(iterable, /, *args, **kwargs):
+        items = list(iterable)
+        if args or kwargs or not items or not all(type(x) is float for x in items):
+            return original(items, *args, **kwargs)
+        result = compensation = 0.0
+        for x in items:
+            t = result + x
+            if abs(result) >= abs(x):
+                compensation += (result - t) + x
+            else:
+                compensation += (x - t) + result
+            result = t
+        # Added only when finite, so an overflowed sum does not become NaN.
+        if compensation and math.isfinite(compensation):
+            result += compensation
+        return result
+
+    return total
+
+
+@pytest.mark.parametrize("case", sorted(case for case in CASES if "-full-" in case))
+def test_guided_trace_holds_under_compensated_float_sums(case, golden, tmp_path, monkeypatch):
+    # The pins must not depend on the Python version: from 3.12 on, sum() of
+    # floats compensates its rounding, and the guided runs' weight
+    # projection moved under it while it summed with sum().
+    monkeypatch.setattr(builtins, "sum", compensated_sum(builtins.sum))
     assert fingerprint(case, tmp_path) == golden[case]
 
 

@@ -22,16 +22,15 @@ from lacmas.swarm import (
 )
 
 
-def new_population(p, dim, lower, upper, rngs):
-    """A fresh Population of p particles per agent, not yet evaluated."""
+def new_population(n, p, dim, lower, upper, seed):
+    """A fresh Population of n agents with p particles each, not yet evaluated."""
     box = np.full(dim, lower), np.full(dim, upper)
-    return Population(p, dim, *box, rngs, (D_DEFAULT, C_DEFAULT))
+    return Population(n, p, *box, (D_DEFAULT, C_DEFAULT), seed)
 
 
-def new_swarm(dim, lower, upper, p, rng_seed):
+def new_swarm(dim, lower, upper, p, seed):
     """The swarm of a fresh one-agent Population, not yet evaluated."""
-    population = new_population(p, dim, lower, upper, [np.random.default_rng(rng_seed)])
-    return AgentSwarm(population, 0)
+    return AgentSwarm(new_population(1, p, dim, lower, upper, seed), 0)
 
 
 def make_swarm(positions, rng_seed=0, lower=-100.0, upper=100.0):
@@ -52,7 +51,7 @@ def set_up(population):
     """The engine's set-up: one tell of the initial sphere values, then each
     attractor seeded from its agent's representative state."""
     population.tell(sphere_batch(population.positions))
-    population.attractors[...] = population.representatives()
+    population.attract(population.representatives())
 
 
 def step(swarm, active_coeff):
@@ -62,13 +61,15 @@ def step(swarm, active_coeff):
     population.tell(sphere_batch(population.positions))
 
 
-def step_all(population, swarms, active_coeff, record_pull=True):
+def step_all(population, swarms, active_coeff, late=True):
     """Every swarm draws, then one batched update with every agent's active
-    coefficient set to active_coeff; returns what Population.step does."""
+    coefficient set to active_coeff, in the late stage (personal-best pull
+    on) unless late=False; returns what Population.step does."""
     population.active[...] = active_coeff
+    population.late = late
     for swarm in swarms:
         swarm.step_particles()
-    return population.step(record_pull)
+    return population.step()
 
 
 def best_value(swarm):
@@ -86,13 +87,15 @@ def divergence(swarm):
     return swarm.divergence()
 
 
-def inject(population, fused, values, refocus=False):
+def inject(population, fused, values, late=False):
     """The engine's fold of the (N, D) fused states: one batched pass, each
-    agent's value recorded in agent order, then the attractors."""
+    agent's value recorded in agent order, then the attractors, which follow
+    the best records in the late stage."""
+    population.late = late
     population.inject(fused)
     for i, value in enumerate(values):
         AgentSwarm(population, i).inject_fused_state(value)
-    population.attract(fused, refocus)
+    population.attract(fused)
 
 
 def inject_one(swarm, fused):
@@ -154,10 +157,12 @@ def test_select_coefficient_regimes(div, expected):
     population, _ = make_population(1, p=2)
     population.coefficients[0] = (0.6, 1.5)
     value = {"w1": 0.6, "w0": 1.0, "w2": 1.5}[expected]
-    # Past the horizon the gate caps every coefficient at 1.0.
-    for late_stage, gated in ((False, value), (True, min(value, 1.0))):
-        population.select(np.array([div]), late_stage)
-        assert population.active[0] == gated
+    population.select(np.array([div]))
+    assert population.active[0] == value
+    # refocus enters the late stage, where the gate caps every coefficient at 1.0.
+    population.refocus()
+    population.select(np.array([div]))
+    assert population.active[0] == min(value, 1.0)
 
 
 def test_step_with_zero_coefficients_freezes_positions():
@@ -183,9 +188,10 @@ def test_degenerate_modulation_is_identity():
     population.draws[0] = 0.0
     population.draws[0, : population.delta[0].size] = u
     population.active[0] = 1.0
+    population.late = True
     before_v = population.velocities[0].copy()
     before_x = population.positions[0].copy()
-    assert population.step(record_pull=True) is None
+    assert population.step() is None
     assert np.array_equal(population.delta[0], np.ones((2, 2)))
     assert np.array_equal(population.velocities[0], before_v)
     assert np.array_equal(population.positions[0], before_x + before_v)
@@ -285,14 +291,15 @@ def test_reported_best_is_monotone():
         best = now
 
 
-def test_rebase_keeps_reported_best_monotone():
+def test_refocus_keeps_reported_best_monotone():
     swarm = new_swarm(3, -10.0, 10.0, 5, 2)
     set_up(swarm.population)
     for _ in range(50):
         step(swarm, 1.0)
     before = best_value(swarm)
     population = swarm.population
-    population.rebase()
+    population.refocus()
+    assert population.late
     assert best_value(swarm) <= before
     assert np.array_equal(population.best_positions, population.positions)
 
@@ -302,8 +309,7 @@ def test_velocity_contracts_without_attraction():
     # trend downward in magnitude over many steps. Ten one-particle agents
     # whose personal bests and attractors follow their particles feel no
     # pull, and kick scale 0 marks no particle dead.
-    rngs = [np.random.default_rng(5 + i) for i in range(10)]
-    population = new_population(1, 5, -1e9, 1e9, rngs)
+    population = new_population(10, 1, 5, -1e9, 1e9, seed=5)
     swarms = [AgentSwarm(population, i) for i in range(10)]
     velocities = population.velocities
     velocities[:, 0] = np.random.default_rng(6).uniform(-1, 1, size=(10, 5))
@@ -345,8 +351,7 @@ def test_step_proposes_and_tell_takes_the_values():
 
 def make_population(n, p=4, dim=3, seed=0):
     """An n-agent Population, set up as the engine does, and its swarms."""
-    rngs = [np.random.default_rng(seed + i) for i in range(n)]
-    population = new_population(p, dim, -10.0, 10.0, rngs)
+    population = new_population(n, p, dim, -10.0, 10.0, seed)
     set_up(population)
     return population, [AgentSwarm(population, i) for i in range(n)]
 
@@ -365,11 +370,11 @@ def test_batched_picks_match_each_swarm():
     reps = population.representatives()
     for i, swarm in enumerate(swarms):
         assert np.array_equal(reps[i], swarm.representative_state())
-        # With no injection or rebase, no record was ever overwritten.
+        # With no injection or refocus, no record was ever overwritten.
         assert population.best_seen[i] == population.best_values[i].min()
 
 
-def test_rebase_matches_the_per_agent_rule_on_a_kicked_population():
+def test_refocus_matches_the_per_agent_rule_on_a_kicked_population():
     # Every record is reset to the latest evaluation, and best_seen, already
     # the minimum of every record held, stays as it was.
     population, swarms = make_population(6, p=5, dim=2, seed=4)
@@ -380,7 +385,7 @@ def test_rebase_matches_the_per_agent_rule_on_a_kicked_population():
             population.tell(sphere_batch(population.positions))
 
     run_rounds(30)
-    population.rebase()
+    population.refocus()
     run_rounds(200)
     assert population.kicking.any()
     # Some agent's best record is about to be overwritten by a worse value.
@@ -390,7 +395,7 @@ def test_rebase_matches_the_per_agent_rule_on_a_kicked_population():
 
     seen = population.best_seen.copy()
     positions, last_values = population.positions.copy(), population.last_values.copy()
-    population.rebase()
+    population.refocus()
     assert np.array_equal(population.best_seen, seen)
     assert np.array_equal(population.best_positions, positions)
     assert np.array_equal(population.best_values, last_values)
@@ -405,10 +410,10 @@ def test_best_seen_is_the_running_minimum_of_every_record(p, data):
     # Brute force: every value that enters a record is in the records right
     # after the call that wrote it, so their snapshots hold them all.
     n, dim = 2, 2
-    population = new_population(p, dim, -1.0, 1.0, [np.random.default_rng(i) for i in range(n)])
+    population = new_population(n, p, dim, -1.0, 1.0, seed=0)
     held = [[math.inf] for _ in range(n)]
     previous = population.best_seen.copy()
-    for op in data.draw(st.lists(st.sampled_from(["tell", "inject", "rebase"]), max_size=12)):
+    for op in data.draw(st.lists(st.sampled_from(["tell", "inject", "refocus"]), max_size=12)):
         if op == "tell":
             values = data.draw(st.lists(VALUES, min_size=n * p, max_size=n * p))
             population.tell(np.reshape(values, (n, p)))
@@ -416,7 +421,7 @@ def test_best_seen_is_the_running_minimum_of_every_record(p, data):
             values = data.draw(st.lists(VALUES, min_size=n, max_size=n))
             inject(population, np.zeros((n, dim)), values, data.draw(st.booleans()))
         else:
-            population.rebase()
+            population.refocus()
         for i in range(n):
             held[i].extend(population.best_values[i].tolist())
         expected = [min(v for v in values if not math.isnan(v)) for values in held]
@@ -425,7 +430,7 @@ def test_best_seen_is_the_running_minimum_of_every_record(p, data):
         previous = population.best_seen.copy()
 
 
-def reference_step(population, i, active, record_pull):
+def reference_step(population, i, active, late):
     """Agent i's step written from the update rule in the module docstring,
     one agent at a time: v <- w (delta . v) + c_p r1 . (pbest - x)
     + c_a r2 . (attr - x), a kick for dead particles, x <- clamp(x + v).
@@ -440,7 +445,7 @@ def reference_step(population, i, active, record_pull):
     r2 = PULL_ATTRACTOR * u[2 * x.size :].reshape(x.shape[0], 1)
 
     v = v * delta * active
-    if record_pull:
+    if late:
         v = v + (pbest - x) * r1
     v = v + (attractor - x) * r2
 
@@ -483,8 +488,8 @@ def freeze(population, particle):
     population.velocities[:, particle] = 0.0
 
 
-@pytest.mark.parametrize("record_pull", [True, False])
-def test_batched_step_matches_the_per_agent_rule(record_pull):
+@pytest.mark.parametrize("late", [True, False])
+def test_batched_step_matches_the_per_agent_rule(late):
     n, p, dim = 5, 6, 4
     population, swarms = make_population(n, p=p, dim=dim, seed=8)
     for i in range(n):
@@ -497,6 +502,7 @@ def test_batched_step_matches_the_per_agent_rule(record_pull):
     # scale is restored, so their kicks start partway through.
     start_sigma = population.kick_sigma[0]
     population.kick_sigma[2] = population.kick_sigma[4] = 0.0
+    population.late = late
     reference = copy.deepcopy(population)
     walls = 0
     started = {}
@@ -514,8 +520,8 @@ def test_batched_step_matches_the_per_agent_rule(record_pull):
         population.active[:] = actives
         for swarm in swarms:
             swarm.step_particles()
-        assert population.step(record_pull) is None
-        assert all(reference_step(reference, i, actives[i], record_pull) for i in range(n))
+        assert population.step() is None
+        assert all(reference_step(reference, i, actives[i], late) for i in range(n))
         assert_same_state(population, reference)
         walls += np.count_nonzero(np.abs(population.positions) == 10.0)
         for i in np.flatnonzero(population.kicking):
@@ -568,10 +574,11 @@ def test_a_faulting_step_commits_nothing():
     # was before the call.
     population, swarms = one_dead_particle(nan_row=2)
     population.active[...] = 1.0
+    population.late = True
     for swarm in swarms:
         swarm.step_particles()
     before = copy.deepcopy(population)
-    assert population.step(record_pull=True) == 2
+    assert population.step() == 2
     state = {k for k, v in vars(population).items() if isinstance(v, np.ndarray)} - WORK_BUFFERS
     assert {"positions", "velocities", "kick_sigma", "kicking", "best_seen"} <= state
     for name in sorted(state):
@@ -624,9 +631,3 @@ def test_box_needs_positive_widths(lower, upper):
     # width left no points to draw from.
     with pytest.raises(ContractError, match="positive widths"):
         box_span(lower, upper)
-
-
-def test_population_needs_pcg64_generators():
-    rngs = [np.random.Generator(np.random.MT19937(0))]
-    with pytest.raises(ContractError):
-        new_population(3, 2, -1.0, 1.0, rngs)
